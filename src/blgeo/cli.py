@@ -64,9 +64,11 @@ def _emit(config: RunConfig, payload: dict) -> str:
         "rank_rel_tol": config.tol.rank_rel_tol,
         "residual_tol": config.tol.residual_tol,
     }
+    # JSON has no NaN or infinity: such a report fails with ValueError (exit 1)
     if config.out_format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    lines = [f"{k}: {json.dumps(payload[k], sort_keys=True)}" for k in sorted(payload)]
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    lines = [f"{k}: {json.dumps(payload[k], sort_keys=True, allow_nan=False)}"
+             for k in sorted(payload)]
     return "\n".join(lines) + "\n"
 
 
@@ -130,8 +132,8 @@ def run(config: RunConfig):
     if cmd == "bl-eval":
         d = _load_datum(config.inputs["datum"], config)
         A_list = [np.asarray(A, dtype=float) for A in _load_json(config.inputs["A"])]
-        ev = int_mod.gaussian_bl_eval(d, A_list, config.tol)
         check = det_mod.determinantal_high_check(d, A_list, config.tol)
+        ev = int_mod.bl_eval_from_check(check)
         if ev.ratio > 1.0 + 1e-9:
             raise InternalError(f"Brascamp-Lieb ratio exceeds 1: {ev.ratio:.12g}")
         payload = ev.to_json()

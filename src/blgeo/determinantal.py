@@ -35,6 +35,16 @@ EIGENVALUE_CLUSTER_RTOL = 1e-6  # repeated eigenvalues are the generic case here
 CLASS_CONSTANT_RTOL = 1e-9
 
 
+def require_spd(M: np.ndarray, name: str) -> None:
+    """Refuse a matrix that is not finite, symmetric and positive definite."""
+    if not np.all(np.isfinite(M)):
+        raise InputError(f"{name} must be finite")
+    if np.abs(M - M.T).max() > 1e-9 * max(1.0, np.abs(M).max()):
+        raise InputError(f"{name} must be symmetric")
+    if np.linalg.eigvalsh(0.5 * (M + M.T)).min() <= 0.0:
+        raise InputError(f"{name} must be positive definite")
+
+
 @dataclass(frozen=True)
 class DetCheckResult:
     lhs: float
@@ -195,10 +205,7 @@ def assemble_operator(d: GeometricBLDatum, A_list) -> np.ndarray:
         A = np.asarray(A, dtype=float)
         if A.shape != (E.dim, E.dim):
             raise InputError(f"operator shape {A.shape} does not match dim E = {E.dim}")
-        if np.abs(A - A.T).max() > 1e-9 * max(1.0, np.abs(A).max()):
-            raise InputError("operators must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (A + A.T)).min() <= 0.0:
-            raise InputError("operators must be positive definite")
+        require_spd(A, "operators")
         mats.append(0.5 * (A + A.T))
         M += c * (E.basis @ mats[-1] @ E.frame)
     return 0.5 * (M + M.T), mats
@@ -267,10 +274,7 @@ def min_norm_decomposition(d: GeometricBLDatum, Phi: np.ndarray, x, tol: Toleran
     n = d.ambient_dim
     if Phi.shape != (n, n):
         raise InputError(f"Phi must be {n} x {n}")
-    if np.abs(Phi - Phi.T).max() > 1e-9 * max(1.0, np.abs(Phi).max()):
-        raise InputError("Phi must be symmetric")
-    if np.linalg.eigvalsh(0.5 * (Phi + Phi.T)).min() <= 0.0:
-        raise InputError("Phi must be positive definite")
+    require_spd(Phi, "Phi")
     x = np.asarray(x, dtype=float).reshape(n)
 
     dims = [E.dim for E, _ in d.entries]

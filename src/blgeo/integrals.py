@@ -11,25 +11,25 @@ form), grid (piecewise constant on cells, midpoint quadrature), and
 factorized (a product over pairwise orthogonal factor subspaces, the
 shape the characterized extremizers take).
 
-The Barthe supremum is computed on grids by enumerating the first k-1
-blocks and solving the last block from the constraint; the sup is taken
-in log space so products of powers cannot underflow.  Reported errors
-combine a cell-variation (inner/outer Riemann) bound with the mass each
-input loses to truncation.  On grids every integrand is measurable, so
-the inner-integral machinery the continuous statements need does not
-arise here.
+On grids the Barthe supremum is a maximum over the exact constraint
+fiber: some coordinates of the decomposition run over the grid and the
+rest are solved from x = sum c_i x_i, so no candidate leaves the fiber
+and no slack is needed.  The sup is taken in log space so products of
+powers cannot underflow.  Reported errors combine a cell-variation
+(inner/outer Riemann) bound with the mass each input loses to
+truncation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.ndimage import maximum_filter, minimum_filter
 
 from .datum import GeometricBLDatum, require_validated
-from .determinantal import cluster_eigenspaces, determinantal_high_check
+from .determinantal import cluster_eigenspaces, determinantal_high_check, require_spd
 from .errors import CapError, InputError, InternalError
 from .structure import StructureReport, is_critical
 from .subspace import DEFAULT_TOL, Subspace, Tolerance, equal, intersect, orthonormalize
@@ -58,6 +58,11 @@ class Density:
     def value(self, Z) -> np.ndarray:
         raise NotImplementedError
 
+    def log_value(self, Z) -> np.ndarray:
+        """log f at Z, -inf where f vanishes."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.value(Z))
+
     def shift(self, s) -> "Density":
         """Density z -> f(z - s), s in domain frame coordinates."""
         raise NotImplementedError
@@ -73,21 +78,19 @@ class Density:
         try:
             kind = obj["kind"]
             domain = Subspace.from_json(obj["domain"], tol)
+            if kind == "gaussian":
+                return GaussianDensity(domain, np.asarray(obj["A"], dtype=float),
+                                       np.asarray(obj.get("b", np.zeros(domain.dim)), dtype=float),
+                                       float(obj.get("theta", 1.0)))
+            if kind == "grid":
+                return GridDensity(domain, np.asarray(obj["lo"], dtype=float),
+                                   float(obj["h"]), np.asarray(obj["values"], dtype=float))
+            if kind == "factorized":
+                return FactorizedDensity(domain, tuple(
+                    (Subspace.from_json(f["subspace"], tol), Density.from_json(f["density"], tol))
+                    for f in obj["factors"]))
         except (KeyError, TypeError) as exc:
-            raise InputError(f"density JSON needs 'kind' and 'domain': {exc}") from exc
-        if kind == "gaussian":
-            return GaussianDensity(domain, np.asarray(obj["A"], dtype=float),
-                                   np.asarray(obj.get("b", np.zeros(domain.dim)), dtype=float),
-                                   float(obj.get("theta", 1.0)))
-        if kind == "grid":
-            return GridDensity(domain, np.asarray(obj["lo"], dtype=float),
-                               float(obj["h"]), np.asarray(obj["values"], dtype=float))
-        if kind == "factorized":
-            factors = tuple(
-                (Subspace.from_json(f["subspace"], tol), Density.from_json(f["density"], tol))
-                for f in obj["factors"]
-            )
-            return FactorizedDensity(domain, factors)
+            raise InputError(f"density JSON lacks a field or has a mistyped one: {exc}") from exc
         raise InputError(f"unknown density kind {kind!r}")
 
 
@@ -97,10 +100,8 @@ class GaussianDensity(Density):
     def __init__(self, domain: Subspace, A, b=None, theta: float = 1.0):
         d = domain.dim
         A = np.asarray(A, dtype=float).reshape(d, d)
-        if d and np.abs(A - A.T).max() > 1e-9 * max(1.0, np.abs(A).max()):
-            raise InputError("gaussian matrix must be symmetric")
-        if d and np.linalg.eigvalsh(0.5 * (A + A.T)).min() <= 0.0:
-            raise InputError("gaussian matrix must be positive definite")
+        if d:
+            require_spd(A, "gaussian matrix")
         if not (theta > 0.0 and np.isfinite(theta)):
             raise InputError("gaussian scale theta must be positive")
         self.domain = domain
@@ -117,9 +118,11 @@ class GaussianDensity(Density):
         return self.theta * math.exp(quad + 0.5 * d * math.log(math.pi) - 0.5 * logdet)
 
     def value(self, Z) -> np.ndarray:
+        return np.exp(self.log_value(Z))
+
+    def log_value(self, Z) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        expo = -np.einsum("ij,jk,ik->i", Z, self.A, Z) + Z @ (self.A @ self.b)
-        return self.theta * np.exp(expo)
+        return math.log(self.theta) + ((self.b - Z) @ self.A * Z).sum(axis=1)
 
     def shift(self, s) -> "GaussianDensity":
         s = np.asarray(s, dtype=float).reshape(self.domain.dim)
@@ -241,6 +244,10 @@ class FactorizedDensity(Density):
             out *= g.value(amb @ g.domain.basis)
         return out
 
+    def log_value(self, Z) -> np.ndarray:
+        amb = np.atleast_2d(np.asarray(Z, dtype=float)) @ self.domain.frame
+        return sum(g.log_value(amb @ g.domain.basis) for _, g in self.factors)
+
     def shift(self, s) -> "FactorizedDensity":
         s = np.asarray(s, dtype=float).reshape(self.domain.dim)
         amb = s @ self.domain.frame
@@ -277,14 +284,7 @@ class IneqEvaluation:
     est_error: float  # relative error budget
 
     def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "direction": self.direction,
-            "method": self.method,
-            "est_error": self.est_error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -328,17 +328,17 @@ def gaussian_bl_eval(d: GeometricBLDatum, A_list, tol: Tolerance = DEFAULT_TOL) 
     so ratio <= 1 is the determinantal inequality in disguise, with
     equality exactly on its certificates.
     """
-    check = determinantal_high_check(d, A_list, tol)
-    log_lhs = -0.5 * check.log_lhs
-    log_rhs = -0.5 * check.log_rhs
-    return IneqEvaluation(
-        lhs=math.exp(log_lhs),
-        rhs=math.exp(log_rhs),
-        ratio=math.exp(log_lhs - log_rhs),
-        direction="bl",
-        method="closed_form",
-        est_error=0.0,
-    )
+    return bl_eval_from_check(determinantal_high_check(d, A_list, tol))
+
+
+def bl_eval_from_check(check) -> IneqEvaluation:
+    """The Brascamp-Lieb sides read off a determinantal check of the same A_i."""
+    return _closed_form(-0.5 * check.log_lhs, -0.5 * check.log_rhs, "bl")
+
+
+def _closed_form(log_lhs: float, log_rhs: float, direction: str) -> IneqEvaluation:
+    return IneqEvaluation(math.exp(log_lhs), math.exp(log_rhs), math.exp(log_lhs - log_rhs),
+                          direction, "closed_form", 0.0)
 
 
 def gaussian_barthe_eval(d: GeometricBLDatum, Phi, tol: Tolerance = DEFAULT_TOL) -> IneqEvaluation:
@@ -353,10 +353,7 @@ def gaussian_barthe_eval(d: GeometricBLDatum, Phi, tol: Tolerance = DEFAULT_TOL)
     n = d.ambient_dim
     if Phi.shape != (n, n):
         raise InputError(f"Phi must be {n} x {n}")
-    if np.abs(Phi - Phi.T).max() > 1e-9 * max(1.0, np.abs(Phi).max()):
-        raise InputError("Phi must be symmetric")
-    if np.linalg.eigvalsh(0.5 * (Phi + Phi.T)).min() <= 0.0:
-        raise InputError("Phi must be positive definite")
+    require_spd(Phi, "Phi")
     _, spaces = cluster_eigenspaces(Phi)
     for V in spaces:
         if not is_critical(d, V, tol).is_critical:
@@ -370,14 +367,7 @@ def gaussian_barthe_eval(d: GeometricBLDatum, Phi, tol: Tolerance = DEFAULT_TOL)
             raise InternalError("Phi does not leave an entry invariant despite criticality")
         s, ld = np.linalg.slogdet(R)
         log_rhs += c * (0.5 * E.dim * math.log(math.pi) - float(ld))
-    return IneqEvaluation(
-        lhs=math.exp(log_lhs),
-        rhs=math.exp(log_rhs),
-        ratio=math.exp(log_lhs - log_rhs),
-        direction="barthe",
-        method="closed_form",
-        est_error=0.0,
-    )
+    return _closed_form(log_lhs, log_rhs, "barthe")
 
 
 def _cartesian_centers(spec: GridSpec, dim: int) -> np.ndarray:
@@ -386,23 +376,30 @@ def _cartesian_centers(spec: GridSpec, dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _log_values(density: Density, pts: np.ndarray) -> np.ndarray:
-    vals = density.value(pts)
-    out = np.full(vals.shape, -np.inf)
-    pos = vals > 0.0
-    out[pos] = np.log(vals[pos])
-    return out
+def _pivot_columns(C: np.ndarray) -> np.ndarray:
+    """The columns column-pivoted QR picks for a full-row-rank C: each time
+    the largest residual norm, ties to the first; returned in order."""
+    R, picked = np.array(C, dtype=float), []
+    for _ in range(R.shape[0]):
+        j = int(np.argmax((R * R).sum(axis=0)))
+        R -= np.outer(R[:, j], R[:, j] @ R) / (R[:, j] @ R[:, j])
+        picked.append(j)
+    return np.sort(picked)
 
 
 def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec,
                  tol: Tolerance = DEFAULT_TOL) -> IneqEvaluation:
     """Grid evaluation of Barthe's supremum side against the product side.
 
-    F(x) = sup { prod f_i(x_i)^{c_i} : x = sum c_i x_i, x_i in E_i } is
-    computed by enumerating the first k-1 blocks on their grids and
-    solving the last block from the constraint; a candidate is feasible
-    when the solved block lies in E_k up to a cell-sized residual.  F is
-    integrated by the midpoint rule.  The product side uses the same
+    F(x) = sup { prod f_i(x_i)^{c_i} : x = sum c_i x_i, x_i in E_i } is a
+    maximum over the fiber {y : C y = x}, where y stacks the frame
+    coordinates of all blocks and C = [c_1 F_1^T ... c_k F_k^T] is n x D.
+    Column-pivoted QR of C picks n solved coordinates; the other D - n
+    (free) coordinates run over the grid, blocks that are wholly free
+    only over their cells of positive mass.  The solved coordinates are
+    computed exactly, C_P^{-1} (x - C_Q y_Q), so every candidate lies on
+    the fiber and F is never overestimated at a grid point.  F is
+    integrated by the midpoint rule; the product side uses the same
     grid quadrature per factor.
     """
     require_validated(d)
@@ -420,52 +417,59 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec,
 
     h = grid.h
     weights = [c for _, c in d.entries]
+    dims = [f.domain.dim for f in densities]
 
     # per-entry grids in each density's own frame coordinates
-    pts = [_cartesian_centers(grid, f.domain.dim) for f in densities]
-    quads = [float(f.value(p).sum()) * h ** f.domain.dim for f, p in zip(densities, pts)]
+    pts = [_cartesian_centers(grid, m) for m in dims]
+    quads = [float(f.value(p).sum()) * h ** m for f, p, m in zip(densities, pts, dims)]
     if any(q <= 0.0 for q in quads):
         raise InputError("a density has zero mass on the declared box")
 
-    # enumerate the first k-1 blocks, keeping only cells of positive mass
-    S = np.zeros((1, n))
+    C = np.hstack([c * f.domain.basis for c, f in zip(weights, densities)])
+    D, starts = C.shape[1], np.cumsum([0] + dims)
+    solved = _pivot_columns(C)
+    free = np.setdiff1d(np.arange(D), solved)
+
+    # enumerate the free coordinates Y; L sums c_i log f_i over wholly free blocks
+    Y = np.zeros((1, 0))
     L = np.zeros(1)
-    for i in range(d.k - 1):
-        f, p, c = densities[i], pts[i], weights[i]
-        logs = _log_values(f, p)
-        keep = np.isfinite(logs)
-        amb = p[keep] @ f.domain.frame
-        contrib = c * amb
-        piece = c * logs[keep]
-        if S.shape[0] * contrib.shape[0] > SUPCONV_MAX_COMBOS:
+    for i, f in enumerate(densities):
+        own = free[(free >= starts[i]) & (free < starts[i + 1])]
+        if own.size == 0:
+            continue
+        if own.size == dims[i]:
+            logs = f.log_value(pts[i])
+            keep = np.isfinite(logs)
+            block, piece = pts[i][keep], weights[i] * logs[keep]
+        else:
+            block = _cartesian_centers(grid, own.size)
+            piece = np.zeros(block.shape[0])
+        if Y.shape[0] * block.shape[0] > SUPCONV_MAX_COMBOS:
             raise CapError("supconv enumeration", SUPCONV_MAX_COMBOS,
-                           S.shape[0] * contrib.shape[0])
-        S = (S[:, None, :] + contrib[None, :, :]).reshape(-1, n)
+                           Y.shape[0] * block.shape[0])
+        Y = np.hstack([np.repeat(Y, block.shape[0], axis=0), np.tile(block, (Y.shape[0], 1))])
         L = (L[:, None] + piece[None, :]).reshape(-1)
 
-    fk = densities[-1]
-    ck = weights[-1]
-    Bk = fk.domain.basis       # n x d_k
-    Fk = fk.domain.frame       # d_k x n
-    # worst-case off-E_k residual of snapping each enumerated block to its
-    # grid: sum_i c_i (h/2) sqrt(d_i), divided by c_k; anything beyond that
-    # is a genuinely infeasible decomposition, not lattice misalignment
-    snap = sum(c * math.sqrt(f.domain.dim) for c, f in zip(weights[:-1], densities[:-1]))
-    feas_tol = 0.5001 * h * (snap if d.k > 1 else math.sqrt(n)) / ck
-
+    # the fiber point over x with free part y_Q is y = K x - N y_Q
+    inv = np.linalg.inv(C[:, solved])
+    K = np.zeros((D, n))
+    K[solved] = inv
+    N = np.zeros((D, free.size))
+    N[solved] = inv @ C[:, free]
+    N[free] = -np.eye(free.size)
     X = _cartesian_centers(grid, n)
-    M = X.shape[0]
+    XK, YN = X @ K.T, Y @ N.T
+    blocks = [i for i in range(d.k) if K[starts[i]:starts[i + 1]].any()]
+    M, T = X.shape[0], Y.shape[0]
     F = np.zeros(M)
-    chunk = max(1, min(M, SUPCONV_MAX_COMBOS // max(S.shape[0], 1)))
+    chunk = max(1, min(M, SUPCONV_MAX_COMBOS // T))
     for a in range(0, M, chunk):
-        xs = X[a:a + chunk]
-        R = (xs[:, None, :] - S[None, :, :]) / ck          # candidate x_k, ambient
-        coords = R @ Bk                                     # (m, T, d_k)
-        resid = R - coords @ Fk
-        ok = np.linalg.norm(resid, axis=2) <= feas_tol
-        logs = _log_values(fk, coords.reshape(-1, fk.domain.dim)).reshape(coords.shape[:2])
-        total = L[None, :] + ck * logs
-        total[~ok] = -np.inf
+        total = L
+        for i in blocks:
+            cols = slice(starts[i], starts[i + 1])
+            yi = XK[a:a + chunk, None, cols] - YN[None, :, cols]
+            logs = densities[i].log_value(yi.reshape(-1, dims[i])).reshape(yi.shape[:2])
+            total = total + weights[i] * logs
         best = total.max(axis=1)
         F[a:a + chunk] = np.where(np.isfinite(best), np.exp(best), 0.0)
 
@@ -573,10 +577,7 @@ def build_extremizer(d: GeometricBLDatum, report: StructureReport,
         if params.A is None:
             raise InputError("the dependent subspace is non-zero: a matrix A is required")
         A = np.asarray(params.A, dtype=float).reshape(dep.dim, dep.dim)
-        if np.abs(A - A.T).max() > 1e-9 * max(1.0, np.abs(A).max()):
-            raise InputError("A must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (A + A.T)).min() <= 0.0:
-            raise InputError("A must be positive definite")
+        require_spd(A, "A")
         vals, sub = cluster_eigenspaces(A)
         for V in sub:  # eigenspaces within F_dep, embedded back to R^n
             emb = orthonormalize((dep.basis @ V.basis).T, tol, ambient_dim=n)
@@ -688,9 +689,8 @@ def convolve_density(f: Density, g: Density, tol: Tolerance = DEFAULT_TOL) -> De
     g = _unwrap(g)
     if isinstance(f, GaussianDensity) and isinstance(g, GaussianDensity):
         if np.abs(f.domain.frame - g.domain.frame).max() > 1e-12:
-            g = GaussianDensity(f.domain,
-                                _reframe_quadratic(g, f.domain),
-                                _reframe_center(g, f.domain), g.theta)
+            R = g.domain.frame @ f.domain.basis  # change of frame inside the same span
+            g = GaussianDensity(f.domain, R.T @ g.A @ R, R.T @ g.b, g.theta)
         mf, muf, Sf = f.moments()
         mg, mug, Sg = g.moments()
         Sh = Sf + Sg
@@ -716,13 +716,3 @@ def convolve_density(f: Density, g: Density, tol: Tolerance = DEFAULT_TOL) -> De
         vals = nd_convolve(fa.values, ga.values, method="direct") * h ** dim
     lo = fa.lo + ga.lo + 0.5 * h
     return GridDensity(fa.domain, lo, h, np.clip(vals, 0.0, None))
-
-
-def _reframe_quadratic(g: GaussianDensity, target: Subspace) -> np.ndarray:
-    R = g.domain.frame @ target.basis  # change of frame inside the same span
-    return R.T @ g.A @ R
-
-
-def _reframe_center(g: GaussianDensity, target: Subspace) -> np.ndarray:
-    R = g.domain.frame @ target.basis
-    return R.T @ g.b

@@ -97,6 +97,8 @@ class Subspace:
         except (KeyError, TypeError) as exc:
             raise InputError(f"subspace JSON needs 'n' and 'frame': {exc}") from exc
         vectors = [np.asarray(r, dtype=float) for r in rows]
+        if not all(np.isfinite(v).all() for v in vectors):
+            raise InputError("subspace frame entries must be finite")
         try:
             return Subspace(n, np.array(vectors).reshape(len(vectors), n))
         except InputError:

@@ -162,12 +162,13 @@ def linear_growth_estimate(T: MonotoneMap, interval=None,
                            flatten_rtol: float = 0.05) -> GrowthReport:
     """sup |T(x)| / sqrt(1 + x^2) with a leveling-off verdict.
 
-    The flag looks at the top decile of |x|: if the ratio still grows by
-    more than flatten_rtol across it, the map is not leveling off toward
-    a linear envelope.  (The ratio of a purely linear map increases
-    toward its asymptote, so a strict non-increase test would misflag
-    it; a capped relative increase keeps linear maps bounded and flags
-    polynomial growth.)
+    The flag looks at the outer decile of each end of the line on its
+    own: if the ratio still grows by more than flatten_rtol across it,
+    the map is not leveling off toward a linear envelope.  (The ratio of
+    a purely linear map increases toward its asymptote, so a strict
+    non-increase test would misflag it; a capped relative increase keeps
+    linear maps bounded and flags polynomial growth.  The two ends are
+    judged apart because an offset map has different asymptotes there.)
     """
     xs, ts = T.xs, T.ts
     if interval is not None:
@@ -178,9 +179,7 @@ def linear_growth_estimate(T: MonotoneMap, interval=None,
         raise InputError("growth estimate needs at least 10 samples")
     ratio = np.abs(ts) / np.sqrt(1.0 + xs ** 2)
     sup = float(ratio.max())
-    order = np.argsort(np.abs(xs))
-    decile = order[-max(2, xs.size // 10):]
-    r = ratio[decile]
-    base = max(float(r[0]), 1e-300)
-    bounded = float(r.max()) <= base * (1.0 + flatten_rtol)
+    ends = [ratio[end][np.argsort(np.abs(xs[end]))] for end in (xs < 0.0, xs >= 0.0)]
+    tails = [r[-max(2, r.size // 10):] for r in ends if r.size]
+    bounded = all(r.max() <= max(r[0], 1e-300) * (1.0 + flatten_rtol) for r in tails)
     return GrowthReport(sup_ratio=sup, growth_bounded=bool(bounded))

@@ -76,6 +76,24 @@ def indicator_density(intervals, h, radius):
     return GridDensity(line, np.array([-radius]), h, vals)
 
 
+def gaussian_sup_integral(d, A_list):
+    """Closed form of the integral of Barthe's supremum for f_i(y) = exp(-y^T A_i y).
+
+    With y the stacked frame coordinates, C = [c_i F_i^T] and
+    H = blockdiag(c_i A_i), the supremum over the fiber C y = x is
+    exp(-x^T Q x) with Q = (C H^-1 C^T)^-1, the minimum-norm solution of
+    the constraint, so the integral is pi^(n/2) det(Q)^(-1/2).
+    """
+    C = np.hstack([c * E.basis for E, c in d.entries])
+    H = np.zeros((C.shape[1], C.shape[1]))
+    at = 0
+    for (E, c), A in zip(d.entries, A_list):
+        H[at:at + E.dim, at:at + E.dim] = c * np.asarray(A, dtype=float)
+        at += E.dim
+    Q = np.linalg.inv(C @ np.linalg.solve(H, C.T))
+    return np.pi ** (d.ambient_dim / 2) / np.sqrt(np.linalg.det(Q))
+
+
 def random_uniform_cover(rng, n, s, max_blocks=None):
     """Union of s random partitions of [n]; each element is hit s times."""
     from blgeo.covers import UniformCover

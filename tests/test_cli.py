@@ -137,7 +137,7 @@ def test_barthe_eval_densities(files, tmp_path, capsys):
     report = json.loads(out)
     assert code == 0
     assert report["method"] == "grid"
-    assert abs(report["ratio"] - 1.0) <= max(0.02, report["est_error"])
+    assert abs(report["ratio"] - 1.0) <= report["est_error"]
 
 
 def test_transport_subcommand(files, capsys):
@@ -199,3 +199,50 @@ def test_reports_reparse_and_text_format(files, capsys):
     assert "independent_subspaces" in out
     code2, out2, _ = run_cli(capsys, ["analyze", files["lw3"]])
     json.loads(out2)  # round-trips
+
+
+LINE_JSON = {"n": 1, "frame": [[1.0]]}
+HOLDER_JSON = {"n": 1, "entries": [{"c": 0.5, "E": LINE_JSON}, {"c": 0.5, "E": LINE_JSON}]}
+GAUSS_JSON = {"kind": "gaussian", "domain": LINE_JSON, "A": [[1.0]]}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", [
+    "gaussian_without_A", "grid_without_values", "grid_without_h",
+    "factorized_without_factors", "nan_frame", "infinite_frame", "nan_operator",
+    "overflowing_report",
+])
+def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
+    def write(name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        return str(p)
+
+    holder = write("holder.json", json.dumps(HOLDER_JSON))
+    gauss = write("gauss.json", json.dumps(GAUSS_JSON))
+    grid = {"kind": "grid", "domain": LINE_JSON, "lo": [-1.0], "h": 0.5,
+            "values": [1.0, 1.0, 1.0, 1.0]}
+    bad_density = {
+        "gaussian_without_A": {"kind": "gaussian", "domain": LINE_JSON},
+        "grid_without_values": {k: v for k, v in grid.items() if k != "values"},
+        "grid_without_h": {k: v for k, v in grid.items() if k != "h"},
+        "factorized_without_factors": {"kind": "factorized", "domain": LINE_JSON},
+    }
+    if case in bad_density:
+        argv = ["transport", "--f", write("f.json", json.dumps(bad_density[case])), "--g", gauss]
+    elif case in ("nan_frame", "infinite_frame"):
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        value = float("nan") if case == "nan_frame" else float("inf")
+        datum = {"n": 1, "entries": [{"c": 1.0, "E": {"n": 1, "frame": [[value]]}}]}
+        argv = ["validate", write("datum.json", json.dumps(datum))]
+    elif case == "nan_operator":
+        argv = ["bl-eval", holder, "--A", write("A.json", "[[[NaN]], [[1.0]]]")]
+    else:
+        # finite inputs whose masses overflow: the report would hold NaN
+        huge = dict(grid, values=[1e308] * 4)
+        argv = ["barthe-eval", holder, "--densities", write("d.json", json.dumps([huge, huge])),
+                "--grid", "h=0.5,box=1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

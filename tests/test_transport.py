@@ -180,3 +180,12 @@ def test_monotone_map_validation():
         MonotoneMap(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.5]))
     with pytest.raises(InputError):
         MonotoneMap(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+
+
+def test_growth_offset_gaussian_pair_bounded():
+    # T(x) = x/2 + 0.65 is linear, but its ratio |T(x)| / sqrt(1 + x^2)
+    # tends to 1/2 from above at +8 and from below at -8; judged per end,
+    # neither end grows
+    f = GaussianDensity(LINE, [[2.0]], [2 * 0.5])
+    g = GaussianDensity(LINE, [[0.5]], [2 * -0.3])
+    assert linear_growth_estimate(brenier_1d(f, g, SPEC)).growth_bounded
