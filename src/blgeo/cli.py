@@ -3,19 +3,16 @@
 Exit codes: 0 on success, 1 on input errors (malformed JSON with line
 and column, cap violations, invalid data), 2 on internal-error
 conditions that valid inputs can never produce, including a verified
-violation of one of the inequalities.
+violation of one of the inequalities and a failed linear-algebra
+routine.
 
-Identical configurations produce byte-identical reports.  All code
-paths are sequential; BLGEO_THREADS is accepted as an upper bound on
-parallelism and anything it allows is still scheduled deterministically,
-so the setting cannot change the output bytes.
+Identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -72,17 +69,6 @@ def _emit(config: RunConfig, payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("BLGEO_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InputError(f"BLGEO_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InputError(f"BLGEO_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def _load_datum(path: str, config: RunConfig, *, must_be_valid: bool = True) -> GeometricBLDatum:
     d = GeometricBLDatum.from_json(_load_json(path), config.tol)
     report = validate_datum(d, config.tol)
@@ -95,7 +81,6 @@ def _load_datum(path: str, config: RunConfig, *, must_be_valid: bool = True) -> 
 
 def run(config: RunConfig):
     """Execute one command; returns (exit_code, report_text)."""
-    _threads_cap()
     cmd = config.command
 
     if cmd == "validate":
@@ -283,7 +268,8 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         code, text = run(config)
-    except InternalError as exc:
+    except (InternalError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except (InputError, ValueError) as exc:

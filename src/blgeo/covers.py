@@ -1,9 +1,10 @@
 """Uniform covers of [n] and the Bollobas-Thomason inequality with its dual.
 
 An s-uniform cover is a multiset of nonempty proper subsets of [n]
-hitting each element exactly s times.  Intersecting all sign patterns
-of the cover sets induces a partition of [n] (the 1-uniform cover); the
-coordinate subspaces of that partition are exactly the independent
+hitting each element exactly s times.  The nonempty intersections over
+all sign patterns of the cover sets partition [n] (the induced 1-uniform
+cover); they are the classes of elements with equal membership
+signatures, and their coordinate subspaces are exactly the independent
 subspaces of the datum the cover generates.
 
 The primal inequality |K|^s <= prod |P_{sigma_i} K| is checked exactly
@@ -29,7 +30,6 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import CapError, InputError, InternalError
 
-COVER_ENUMERATION_CAP = 24
 BODY_MAX_DIM = 4
 
 
@@ -86,41 +86,17 @@ def validate_cover(c: UniformCover):
 
 
 def induced_one_cover(c: UniformCover) -> tuple:
-    """The partition of [n] formed by all nonempty sign-pattern intersections.
+    """The partition of [n] into the nonempty sign-pattern intersections.
 
-    Walks patterns depth-first on bitmasks, pruning empty intersections;
-    the result is verified to be a partition exactly and returned sorted
-    by minimum element.
+    Element j lies in cap_i sigma_i^(eps(i)) exactly when its membership
+    signature (j in sigma_1, ..., j in sigma_k) is eps, so grouping [n]
+    by signature gives every block in O(nk).  Blocks come out sorted by
+    minimum element, since j runs upward.
     """
-    if c.k > COVER_ENUMERATION_CAP:
-        raise CapError("cover pattern enumeration", COVER_ENUMERATION_CAP, c.k)
-    masks = []
-    for sigma in c.sets:
-        m = 0
-        for j in sigma:
-            m |= 1 << (j - 1)
-        masks.append(m)
-    universe = (1 << c.n) - 1
-    blocks = set()
-
-    def walk(i: int, cur: int):
-        if cur == 0:
-            return
-        if i == len(masks):
-            blocks.add(cur)
-            return
-        walk(i + 1, cur & masks[i])
-        walk(i + 1, cur & (universe & ~masks[i]))
-
-    walk(0, universe)
-    out = []
-    for m in blocks:
-        out.append(frozenset(j + 1 for j in range(c.n) if m >> j & 1))
-    total = sum(len(b) for b in out)
-    union = frozenset().union(*out) if out else frozenset()
-    if total != c.n or union != frozenset(range(1, c.n + 1)):
-        raise InternalError("induced cover is not a partition of [n]")
-    return tuple(sorted(out, key=min))
+    blocks = {}
+    for j in range(1, c.n + 1):
+        blocks.setdefault(tuple(j in sigma for sigma in c.sets), []).append(j)
+    return tuple(frozenset(b) for b in blocks.values())
 
 
 # ---------------------------------------------------------------------------

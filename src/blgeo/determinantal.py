@@ -28,10 +28,9 @@ import numpy as np
 from .datum import GeometricBLDatum, RankOneDatum, require_validated
 from .errors import CapError, InputError, InternalError
 from .structure import bowtie_classes, is_critical
-from .subspace import DEFAULT_TOL, Tolerance, orthonormalize
+from .subspace import DEFAULT_TOL, Tolerance, cluster_eigenspaces
 
 MINOR_ENUMERATION_CAP = 10 ** 6
-EIGENVALUE_CLUSTER_RTOL = 1e-6  # repeated eigenvalues are the generic case here
 CLASS_CONSTANT_RTOL = 1e-9
 
 
@@ -166,27 +165,6 @@ def cauchy_binet_expansion(r: RankOneDatum, t) -> CauchyBinetExpansion:
             f"Cauchy-Binet sum {weighted:.15g} does not match determinant {det:.15g}"
         )
     return CauchyBinetExpansion(subsets, d_I, t_I, weighted, det)
-
-
-def cluster_eigenspaces(M: np.ndarray, rtol: float = EIGENVALUE_CLUSTER_RTOL):
-    """Eigen-decomposition with nearby eigenvalues merged into one space.
-
-    Returns (values, subspaces) where consecutive eigenvalues within a
-    relative gap of rtol share a subspace; naive per-eigenvector spaces
-    would noise-split the repeated eigenvalues that equality cases
-    produce.
-    """
-    w, U = np.linalg.eigh(0.5 * (M + M.T))
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    groups = []
-    start = 0
-    for j in range(1, len(w) + 1):
-        if j == len(w) or (w[j] - w[j - 1]) > rtol * scale:
-            groups.append((start, j))
-            start = j
-    values = [float(np.mean(w[a:b])) for a, b in groups]
-    spaces = [orthonormalize(U[:, a:b].T, ambient_dim=M.shape[0]) for a, b in groups]
-    return values, spaces
 
 
 def assemble_operator(d: GeometricBLDatum, A_list) -> np.ndarray:

@@ -29,10 +29,11 @@ import numpy as np
 from scipy.ndimage import maximum_filter, minimum_filter
 
 from .datum import GeometricBLDatum, require_validated
-from .determinantal import cluster_eigenspaces, determinantal_high_check, require_spd
+from .determinantal import determinantal_high_check, require_spd
 from .errors import CapError, InputError, InternalError
 from .structure import StructureReport, is_critical
-from .subspace import DEFAULT_TOL, Subspace, Tolerance, equal, intersect, orthonormalize
+from .subspace import (DEFAULT_TOL, Subspace, Tolerance, cluster_eigenspaces, equal, intersect,
+                       orthonormalize)
 
 SUPCONV_MAX_AMBIENT = 3
 SUPCONV_MAX_ENTRIES = 4
@@ -104,9 +105,12 @@ class GaussianDensity(Density):
             require_spd(A, "gaussian matrix")
         if not (theta > 0.0 and np.isfinite(theta)):
             raise InputError("gaussian scale theta must be positive")
+        b = np.zeros(d) if b is None else np.asarray(b, dtype=float).reshape(d)
+        if not np.all(np.isfinite(b)):
+            raise InputError("gaussian centre b must be finite")
         self.domain = domain
         self.A = 0.5 * (A + A.T)
-        self.b = np.zeros(d) if b is None else np.asarray(b, dtype=float).reshape(d)
+        self.b = b
         self.theta = float(theta)
 
     def integral(self) -> float:
@@ -158,10 +162,13 @@ class GridDensity(Density):
             raise InputError(f"values must be a {d}-dimensional array")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise InputError("grid values must be finite and nonnegative")
-        if not (h > 0.0):
-            raise InputError("cell size must be positive")
+        if not (0.0 < h < math.inf):
+            raise InputError("grid cell size h must be positive and finite")
+        lo = np.asarray(lo, dtype=float).reshape(d)
+        if not np.all(np.isfinite(lo)):
+            raise InputError("grid origin lo must be finite")
         self.domain = domain
-        self.lo = np.asarray(lo, dtype=float).reshape(d)
+        self.lo = lo
         self.h = float(h)
         self.values = values
 

@@ -1,17 +1,25 @@
 """Critical-subspace structure of a geometric Brascamp-Lieb datum.
 
 A non-zero subspace V is critical when sum_i c_i dim(E_i cap V) = dim V,
-equivalently when every E_i splits as (E_i cap V) + (E_i cap V-perp).
-Both characterizations are computed and cross-checked; a disagreement is
-an internal error, never silently resolved.
+equivalently when every E_i splits as (E_i cap V) + (E_i cap V-perp),
+equivalently when P_V commutes with every P_i = P_{E_i}.  is_critical
+computes the first two and cross-checks them; a disagreement is an
+internal error, never silently resolved.
 
-The finest pairwise-orthogonal critical decomposition is read off the
-rank-one expansion: two expansion vectors are related when they sit in a
-common minimal dependent set, and for a Parseval frame those classes are
-exactly the connected components of the non-orthogonality graph.  The
-independent subspaces are the non-zero intersections cap_i E_i^(eps(i))
-over sign patterns eps, with E^(0) = E and E^(1) = E-perp; whatever is
-left orthogonally is the dependent subspace.
+The structure comes from the third: the projections onto critical
+subspaces are those in the commutant of the *-algebra generated by the
+P_i.  Since sum c_i P_i = I, the map X -> sum c_i P_i X P_i is
+self-adjoint with spectrum in [0, 1] and <X, X - sum c_i P_i X P_i> =
+1/2 sum c_i |[P_i, X]|^2, so the commutant is its eigenvalue-1 space,
+and the eigenspaces of a generic symmetric element of the commutant are
+the pieces of a finest orthogonal critical decomposition (Murota, Kanno,
+Kojima & Kojima, JJIAM 27, 2010).  On a piece W, tr(P_i P_W) =
+dim(E_i cap W); pieces where this is 0 or dim W for every i lie in a
+joint 0/1 eigenspace cap_i E_i^(eps(i)), and those sharing one pattern
+eps sum to an independent subspace owned by the entries with
+eps(i) = 1.  The other pieces span the dependent subspace.  Nothing here
+depends on the frames inside the E_i, the entry order or a rotation of
+R^n.
 """
 
 from __future__ import annotations
@@ -21,23 +29,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated, validate_datum
-from .errors import CapError, InputError, InternalError
+from .errors import InputError, InternalError
 from .subspace import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    cluster_eigenspaces,
     complement,
     contains,
     equal,
-    full_subspace,
     intersect,
     orthonormalize,
+    projection_matrix,
     subspace_sum,
 )
 
-ENUMERATION_CAP = 24  # sign patterns are 2^k; beyond this we refuse
-
 INTEGER_SNAP_TOL = 1e-6  # weighted dimension sums of valid data are near-integers
+GENERIC_SEED = 20100101  # fixed, so the pieces chosen inside repeated blocks are reproducible
 
 
 @dataclass(frozen=True)
@@ -77,8 +85,7 @@ class StructureReport:
     independent_subspaces: tuple  # of IndependentSubspace
     dependent_subspace: Subspace
     indecomposable_decomposition: tuple  # of Subspace
-    rank_one_classes: tuple  # partition of expansion vector indices
-    decomposition_canonical_only: bool
+    rank_one_classes: tuple  # bowtie classes of the expansion of the given frames
 
     def to_json(self) -> dict:
         return {
@@ -86,7 +93,6 @@ class StructureReport:
             "dependent_subspace": self.dependent_subspace.to_json(),
             "indecomposable_decomposition": [V.to_json() for V in self.indecomposable_decomposition],
             "rank_one_classes": [list(c) for c in self.rank_one_classes],
-            "decomposition_canonical_only": self.decomposition_canonical_only,
         }
 
 
@@ -137,7 +143,10 @@ def bowtie_classes(r: RankOneDatum, tol: Tolerance = DEFAULT_TOL) -> tuple:
     the classes are pairwise orthogonal, which makes the component
     relation coincide with membership in a common minimal dependent set
     (the matroid-circuit relation); the exponential circuit search is
-    kept only as a small-instance test oracle.
+    kept only as a small-instance test oracle.  The classes depend on the
+    frames given inside each E_i: they are the equality classes of the
+    rank-one Ball-Barthe inequality for those vectors, not a structure of
+    the datum (rotating a frame inside its E_i can merge classes).
     """
     k = r.k
     gram = np.abs(r.vectors @ r.vectors.T)
@@ -164,22 +173,56 @@ def bowtie_classes(r: RankOneDatum, tol: Tolerance = DEFAULT_TOL) -> tuple:
 def indecomposable_decomposition(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> list:
     """Pairwise-orthogonal indecomposable critical subspaces spanning R^n.
 
-    Computed as the class spans of the canonical rank-one expansion.
-    Every output is verified critical; the direct sum must be all of R^n.
+    G = sum r_i P_i (fixed-seed random r) lies in the algebra, so the
+    commutant is block diagonal on G's clustered eigenspaces.  One on
+    which every P_i is 0 or 1 splits into lines.  On the rest, the
+    commutant is the eigenvalue-1 space of sum_i c_i kron(P_i, P_i)
+    compressed to those blocks, and the pieces are the clustered
+    eigenspaces of the symmetric part of a fixed-seed random element of
+    it.  The compression keeps the eigenproblem at sum_s mu_s^2 unknowns
+    (mu_s the block sizes), not n^2: OpenBLAS threads eigenproblems from
+    about 150 unknowns on, which changes the last bits, so this is what
+    keeps the output bytes independent of the BLAS thread count.  Where
+    a block repeats (paired planes) the finest decomposition is not
+    unique and the seed picks one.  Every piece is verified critical.
     """
     require_validated(d)
-    r = rank_one_expansion(d)
-    classes = bowtie_classes(r, tol)
-    spans = [orthonormalize(r.vectors[list(cls)], tol, ambient_dim=d.ambient_dim) for cls in classes]
+    n = d.ambient_dim
+    rng = np.random.default_rng(GENERIC_SEED)
+    projections = [projection_matrix(E) for E, _ in d.entries]
+    G = sum(r * P for r, P in zip(rng.uniform(1.0, 2.0, d.k), projections))
+    _, clusters = cluster_eigenspaces(G)
+    spans = []
+    blocks = []
+    for S in clusters:
+        # every E_i contains S or is orthogonal to it
+        if all(np.abs(E.frame @ S.basis).max() <= tol.residual_tol or contains(E, S, tol)
+               for E, _ in d.entries):
+            spans.extend(Subspace(n, row[None, :]) for row in S.frame)
+        else:
+            blocks.append(S.frame)
+    if blocks:
+        F = np.concatenate(blocks)  # orthonormal rows spanning the rest
+        idx = np.cumsum([0] + [len(b) for b in blocks])
+        pairs = np.array([(a, b) for lo, hi in zip(idx, idx[1:])
+                          for a in range(lo, hi) for b in range(lo, hi)])
+        rows, cols = pairs[:, 0], pairs[:, 1]
+        K = np.zeros((len(pairs), len(pairs)))
+        for (_, c), P in zip(d.entries, projections):
+            g = F @ P @ F.T
+            K += c * g[np.ix_(rows, rows)] * g[np.ix_(cols, cols)]
+        w, U = np.linalg.eigh(0.5 * (K + K.T))
+        fixed = U[:, w >= 1.0 - tol.rank_rel_tol]
+        Y = np.zeros((len(F), len(F)))
+        Y[rows, cols] = fixed @ (fixed.T @ rng.standard_normal(len(pairs)))
+        _, spaces = cluster_eigenspaces(Y + Y.T)
+        spans.extend(orthonormalize(V.frame @ F, tol, ambient_dim=n) for V in spaces)
     total = sum(V.dim for V in spans)
-    if total != d.ambient_dim:
-        raise InternalError(
-            f"class spans have total dimension {total}, expected {d.ambient_dim}"
-        )
+    if total != n:
+        raise InternalError(f"critical pieces have total dimension {total}, expected {n}")
     for V in spans:
-        rep = is_critical(d, V, tol)
-        if not rep.is_critical:
-            raise InternalError("a rank-one class span failed the criticality test")
+        if not is_critical(d, V, tol).is_critical:
+            raise InternalError("a computed piece failed the criticality test")
     spans.sort(key=lambda V: (V.dim, tuple(np.round(V.frame, 9).ravel())))
     return spans
 
@@ -187,37 +230,29 @@ def indecomposable_decomposition(d: GeometricBLDatum, tol: Tolerance = DEFAULT_T
 def independent_subspaces(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> StructureReport:
     """Independent subspaces, dependent subspace, and the class structure.
 
-    Sign patterns are walked depth-first, intersecting incrementally and
-    pruning as soon as the running intersection hits {0}; with k entries
-    that is at most 2^k leaves but typically far fewer.
+    A piece W of the decomposition lies in an independent subspace when
+    dim(E_i cap W) = tr(P_{E_i} P_W) is 0 or dim W for every i; the
+    pieces are grouped by the entries that contain them, their owners.
     """
-    require_validated(d)
-    if d.k > ENUMERATION_CAP:
-        raise CapError("independent-subspace enumeration", ENUMERATION_CAP, d.k)
     n = d.ambient_dim
-    comps = [complement(E, tol) for E, _ in d.entries]
-    found = []
-
-    def walk(i: int, W: Subspace):
-        if W.dim == 0:
-            return
-        if i == d.k:
-            found.append(W)
-            return
-        walk(i + 1, intersect(W, d.entries[i][0], tol))
-        walk(i + 1, intersect(W, comps[i], tol))
-
-    walk(0, full_subspace(n))
+    pieces = indecomposable_decomposition(d, tol)
+    groups = {}
+    dependent = []
+    for W in pieces:
+        meets = [int(round(np.linalg.norm(E.frame @ W.basis) ** 2)) for E, _ in d.entries]
+        if all(m in (0, W.dim) for m in meets):
+            groups.setdefault(tuple(i for i, m in enumerate(meets) if m), []).extend(W.frame)
+        else:
+            dependent.extend(W.frame)
 
     independents = []
-    for F in found:
-        owners = tuple(i for i, (E, _) in enumerate(d.entries) if contains(E, F, tol))
+    for owners, rows in groups.items():
         wsum = float(sum(d.entries[i][1] for i in owners))
         if abs(wsum - 1.0) > 1e-9:
             raise InternalError(
                 f"independent subspace has owner weight sum {wsum:.12g}, expected 1"
             )
-        independents.append(IndependentSubspace(F, wsum, owners))
+        independents.append(IndependentSubspace(orthonormalize(rows, tol, ambient_dim=n), wsum, owners))
     independents.sort(key=lambda f: (f.subspace.dim, tuple(np.round(f.subspace.frame, 9).ravel())))
 
     for a in range(len(independents)):
@@ -226,23 +261,15 @@ def independent_subspaces(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> 
             if np.abs(Fa.frame @ Fb.frame.T).max() > 1e-9:
                 raise InternalError("independent subspaces are not pairwise orthogonal")
 
-    if independents:
-        span = orthonormalize(
-            np.concatenate([f.subspace.frame for f in independents]), tol, ambient_dim=n
-        )
-        dep = complement(span, tol)
-    else:
-        dep = full_subspace(n)
+    dep = orthonormalize(dependent, tol, ambient_dim=n)
     if dep.dim + sum(f.subspace.dim for f in independents) != n:
         raise InternalError("independent/dependent dimensions do not add up to n")
 
-    r = rank_one_expansion(d)
     return StructureReport(
         independent_subspaces=tuple(independents),
         dependent_subspace=dep,
-        indecomposable_decomposition=tuple(indecomposable_decomposition(d, tol)),
-        rank_one_classes=bowtie_classes(r, tol),
-        decomposition_canonical_only=any(E.dim >= 2 for E, _ in d.entries),
+        indecomposable_decomposition=tuple(pieces),
+        rank_one_classes=bowtie_classes(rank_one_expansion(d), tol),
     )
 
 

@@ -38,6 +38,7 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+EIGENVALUE_CLUSTER_RTOL = 1e-6  # repeated eigenvalues are the generic case here
 
 
 class Subspace:
@@ -115,13 +116,9 @@ def full_subspace(n: int) -> Subspace:
 
 def _sign_fix(U: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Flip each column so its first entry above the rank threshold is positive."""
-    U = U.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        nz = np.nonzero(np.abs(col) > tol.rank_rel_tol)[0]
-        if nz.size and col[nz[0]] < 0:
-            U[:, j] = -col
-    return U
+    big = np.abs(U) > tol.rank_rel_tol
+    lead = U[big.argmax(axis=0), np.arange(U.shape[1])]
+    return np.where(big.any(axis=0) & (lead < 0), -U, U)
 
 
 def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL, *, ambient_dim: int | None = None) -> Subspace:
@@ -159,6 +156,27 @@ def projection_matrix(S: Subspace) -> np.ndarray:
     """Orthogonal projection onto S as a symmetric n x n matrix."""
     P = S.basis @ S.frame
     return 0.5 * (P + P.T)
+
+
+def cluster_eigenspaces(M: np.ndarray, rtol: float = EIGENVALUE_CLUSTER_RTOL):
+    """Eigen-decomposition with nearby eigenvalues merged into one space.
+
+    Returns (values, subspaces) where consecutive eigenvalues within a
+    relative gap of rtol share a subspace; naive per-eigenvector spaces
+    would noise-split the repeated eigenvalues that equality cases
+    produce.
+    """
+    w, U = np.linalg.eigh(0.5 * (M + M.T))
+    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
+    groups = []
+    start = 0
+    for j in range(1, len(w) + 1):
+        if j == len(w) or (w[j] - w[j - 1]) > rtol * scale:
+            groups.append((start, j))
+            start = j
+    values = [float(np.mean(w[a:b])) for a, b in groups]
+    spaces = [orthonormalize(U[:, a:b].T, ambient_dim=M.shape[0]) for a, b in groups]
+    return values, spaces
 
 
 def complement(A: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -65,6 +65,20 @@ def bowtie_oracle(vectors, tol=1e-9):
     return tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0]))
 
 
+def induced_partition_oracle(n, sets):
+    """Induced 1-uniform cover by its definition: the block of j is the
+    intersection of every cover set holding j with the complement of every
+    set missing j.  Returns the blocks as sorted lists, sorted."""
+    ground = frozenset(range(1, n + 1))
+    blocks = set()
+    for j in ground:
+        block = ground
+        for sigma in sets:
+            block &= sigma if j in sigma else ground - sigma
+        blocks.add(block)
+    return sorted(sorted(b) for b in blocks)
+
+
 def indicator_density(intervals, h, radius):
     """1-D indicator of a union of intervals, sampled at cell centers."""
     line = full_subspace(1)

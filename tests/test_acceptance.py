@@ -384,7 +384,7 @@ def test_criterion_10_determinism(tmp_path):
         seen = set()
         for threads in ("1", "4", "8"):
             for repeat in range(2):
-                env = dict(os.environ, BLGEO_THREADS=threads)
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
                 proc = subprocess.run(
                     [sys.executable, "-m", "blgeo"] + cmd,
                     capture_output=True, env=env, check=True,
@@ -392,4 +392,4 @@ def test_criterion_10_determinism(tmp_path):
                 seen.add(proc.stdout)
         outputs[cmd[0]] = seen
         assert len(seen) == 1, f"{cmd[0]} output varies across runs/thread caps"
-    report(10, True, "byte-identical across BLGEO_THREADS=1,4,8 x 2 repeats")
+    report(10, True, "byte-identical across OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1,4,8 x 2 repeats")

@@ -1,11 +1,23 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from blgeo.cli import main
 from blgeo.covers import UniformCover
-from blgeo.datum import make_datum_from_cover, paired_planes_datum
+from blgeo.datum import (
+    axis_datum,
+    direct_sum_data,
+    holder_datum,
+    make_datum_from_cover,
+    paired_planes_datum,
+    planar_lines_datum,
+    random_rotation,
+    rotate_datum,
+)
 from blgeo.integrals import GaussianDensity
 from blgeo.subspace import full_subspace, orthonormalize
 
@@ -176,6 +188,23 @@ def test_covers_induce_subcommand(files, capsys):
     assert report["partition"] == [[1], [2], [3]]
 
 
+def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # n = 16 with repeated blocks: an eigenproblem of size n^2 = 256 would be
+    # threaded inside LAPACK and change the last bits of the pieces
+    blocks = [paired_planes_datum(3), paired_planes_datum(4), holder_datum(2, [0.3, 0.7]),
+              planar_lines_datum(3), axis_datum(4)]
+    d = rotate_datum(direct_sum_data(blocks), random_rotation(np.random.default_rng(7), 16))
+    path = tmp_path / "d16.json"
+    path.write_text(json.dumps(d.to_json()))
+    seen = set()
+    for threads in ("1", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "blgeo", "analyze", str(path)],
+                              capture_output=True, env=env, check=True)
+        seen.add(proc.stdout)
+    assert len(seen) == 1
+
+
 def test_malformed_json_reports_position(files, capsys):
     code, out, err = run_cli(capsys, ["validate", files["broken"]])
     assert code == 1
@@ -210,7 +239,7 @@ GAUSS_JSON = {"kind": "gaussian", "domain": LINE_JSON, "A": [[1.0]]}
 @pytest.mark.parametrize("case", [
     "gaussian_without_A", "grid_without_values", "grid_without_h",
     "factorized_without_factors", "nan_frame", "infinite_frame", "nan_operator",
-    "overflowing_report",
+    "overflowing_report", "gaussian_nan_centre", "grid_nan_lo", "grid_infinite_h",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -227,7 +256,13 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         "grid_without_values": {k: v for k, v in grid.items() if k != "values"},
         "grid_without_h": {k: v for k, v in grid.items() if k != "h"},
         "factorized_without_factors": {"kind": "factorized", "domain": LINE_JSON},
+        "gaussian_nan_centre": dict(GAUSS_JSON, b=[float("nan")]),
+        "grid_nan_lo": dict(grid, lo=[float("nan")]),
+        "grid_infinite_h": dict(grid, h=float("inf")),
     }
+    # the message names the offending field
+    field = {"gaussian_nan_centre": "centre b", "grid_nan_lo": "origin lo",
+             "grid_infinite_h": "cell size h"}.get(case, "")
     if case in bad_density:
         argv = ["transport", "--f", write("f.json", json.dumps(bad_density[case])), "--g", gauss]
     elif case in ("nan_frame", "infinite_frame"):
@@ -246,3 +281,16 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert field in err
+
+
+def test_linear_algebra_failure_exits_two(files, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, yet it is an internal failure
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    code, out, err = run_cli(capsys, ["analyze", files["lw3"]])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal error: ")

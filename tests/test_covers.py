@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_uniform_cover
+from conftest import induced_partition_oracle, random_uniform_cover
 
 from blgeo.covers import (
     PointPolytope,
@@ -15,7 +15,7 @@ from blgeo.covers import (
     validate_cover,
 )
 from blgeo.datum import make_datum_from_cover
-from blgeo.errors import CapError, InputError
+from blgeo.errors import InputError
 from blgeo.structure import independent_subspaces
 from blgeo.subspace import equal, orthonormalize
 
@@ -66,11 +66,11 @@ def test_induced_cover_is_partition_random(rng):
         assert flat == list(range(1, n + 1))
 
 
-def test_induced_cap():
-    sets = tuple({1} if i % 2 else {2, 3} for i in range(25))
-    c = UniformCover(3, 13, sets)
-    with pytest.raises(CapError):
-        induced_one_cover(c)
+def test_induced_cover_many_sets_matches_oracle(rng):
+    for _ in range(10):
+        c = random_uniform_cover(rng, 9, 13)
+        assert c.k > 24
+        assert [sorted(b) for b in induced_one_cover(c)] == induced_partition_oracle(c.n, c.sets)
 
 
 def test_cover_datum_independent_subspaces_cross_module(rng):

@@ -16,8 +16,8 @@ from blgeo.determinantal import (
     min_norm_decomposition,
 )
 from blgeo.errors import CapError, InputError
-from blgeo.structure import bowtie_classes, indecomposable_decomposition
-from blgeo.subspace import projection_matrix
+from blgeo.structure import bowtie_classes, indecomposable_decomposition, is_critical
+from blgeo.subspace import orthonormalize, projection_matrix
 
 
 def class_constant_t(r, values):
@@ -211,9 +211,10 @@ def test_min_norm_identity_phi(rng):
 
 def test_min_norm_paired_planes_example():
     d = paired_planes_datum()
-    parts = indecomposable_decomposition(d)
-    u_plane = next(V for V in parts if abs(V.frame[0][0]) > 1e-9 or abs(V.frame[0][1]) > 1e-9)
-    v_plane = next(V for V in parts if V is not u_plane)
+    # the coordinate planes are one of a circle of finest critical decompositions
+    u_plane = orthonormalize([[1, 0, 0, 0], [0, 1, 0, 0]])
+    v_plane = orthonormalize([[0, 0, 1, 0], [0, 0, 0, 1]])
+    assert all(is_critical(d, V).is_critical for V in (u_plane, v_plane))
     Phi = 2.0 * projection_matrix(u_plane) + 3.0 * projection_matrix(v_plane)
     x = np.array([1.0, 0.0, 1.0, 0.0])  # u_1 + v_1
     res = min_norm_decomposition(d, Phi, x)

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bowtie_oracle
 
 from blgeo.covers import UniformCover
 from blgeo.datum import (
+    GeometricBLDatum,
     axis_datum,
     direct_sum_data,
     holder_datum,
     make_datum_from_cover,
+    pair_data,
     paired_planes_datum,
     planar_lines_datum,
     random_datum,
@@ -17,7 +21,7 @@ from blgeo.datum import (
     rotate_datum,
     validate_datum,
 )
-from blgeo.errors import CapError, InputError
+from blgeo.errors import InputError
 from blgeo.structure import (
     bowtie_classes,
     indecomposable_decomposition,
@@ -26,6 +30,7 @@ from blgeo.structure import (
     restrict_datum,
 )
 from blgeo.subspace import (
+    Subspace,
     complement,
     contains,
     equal,
@@ -174,6 +179,31 @@ def test_bowtie_matches_circuit_oracle_on_random_data(rng):
         done += 1
 
 
+def complex_lines_datum():
+    """Six complex lines of C^2 = R^4 (the eigenlines of the Pauli matrices),
+    weight 1/3 each: their projections generate M_2(C), an algebra of
+    complex type, so R^4 is one indecomposable piece of dimension 4."""
+    s = 1 / np.sqrt(2)
+    entries = []
+    for psi in ([1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]):
+        psi = np.array(psi, dtype=complex)
+        rows = [np.column_stack([v.real, v.imag]).ravel() for v in (psi, 1j * psi)]
+        entries.append((orthonormalize(rows), 1.0 / 3.0))
+    d = GeometricBLDatum(4, tuple(entries))
+    assert validate_datum(d).is_valid
+    return d
+
+
+def test_decomposition_complex_type():
+    d = complex_lines_datum()
+    assert [V.dim for V in indecomposable_decomposition(d)] == [4]
+    # two copies: the pieces are not unique, but each is one copy's worth
+    pair = rotate_datum(pair_data(d, d), random_rotation(np.random.default_rng(1), 8))
+    rep = independent_subspaces(pair)
+    assert [V.dim for V in rep.indecomposable_decomposition] == [4, 4]
+    assert rep.independent_subspaces == () and rep.dependent_subspace.dim == 8
+
+
 def test_decomposition_axis_datum():
     parts = indecomposable_decomposition(axis_datum(3))
     assert [V.dim for V in parts] == [1, 1, 1]
@@ -221,7 +251,6 @@ def test_paired_planes_all_dependent():
     rep = independent_subspaces(paired_planes_datum())
     assert rep.independent_subspaces == ()
     assert rep.dependent_subspace.dim == 4
-    assert rep.decomposition_canonical_only
 
 
 def test_holder_single_independent():
@@ -249,10 +278,75 @@ def test_structure_direct_sum_invariants(rng):
             assert is_critical(d, V).is_critical
 
 
-def test_enumeration_cap():
-    d = holder_datum(1, [1.0 / 25] * 25)
-    with pytest.raises(CapError):
-        independent_subspaces(d)
+def test_analyze_rotated_n32_k64(rng):
+    # 2^64 sign patterns: out of reach for a walk over patterns
+    blocks = [paired_planes_datum(3), paired_planes_datum(4), planar_lines_datum(5),
+              planar_lines_datum(6), holder_datum(2, [1.0 / 28] * 28),
+              loomis_whitney_datum(), axis_datum(15)]
+    d = rotate_datum(direct_sum_data(blocks), random_rotation(rng, 32))
+    assert (d.ambient_dim, d.k) == (32, 64)
+    rep = independent_subspaces(d)
+    assert sorted(V.dim for V in rep.indecomposable_decomposition) == [1] * 20 + [2] * 6
+    assert rep.dependent_subspace.dim == 12
+    got = sorted((f.subspace.dim, f.owners) for f in rep.independent_subspaces)
+    holder_owners = tuple(range(18, 46))
+    lw_owners = [(46, 47), (46, 48), (47, 48)]
+    axis_owners = [(i,) for i in range(49, 64)]
+    assert got == sorted([(2, holder_owners)] + [(1, o) for o in lw_owners + axis_owners])
+
+
+# one datum of each kind of block; entries of dimension >= 2 make the frame inside E_i matter
+INVARIANCE_BLOCKS = {
+    "axis": lambda: axis_datum(1),
+    "holder": lambda: holder_datum(2, [0.3, 0.7]),
+    "lines": lambda: planar_lines_datum(3),
+    "loomis_whitney": loomis_whitney_datum,
+    "paired3": lambda: paired_planes_datum(3),
+    "paired4": lambda: paired_planes_datum(4),
+    "complex_pair": lambda: pair_data(complex_lines_datum(), complex_lines_datum()),
+}
+
+
+@st.composite
+def reframed_data(draw):
+    """A direct sum of blocks and the same datum re-framed inside each E_i,
+    with its entries permuted and R^n rotated; perm[j] is the original
+    index of new entry j."""
+    names = draw(st.lists(st.sampled_from(sorted(INVARIANCE_BLOCKS)), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = [INVARIANCE_BLOCKS[name]() for name in names]
+    d = direct_sum_data(blocks) if len(blocks) > 1 else blocks[0]
+    n = d.ambient_dim
+    Q = random_rotation(rng, n)
+    perm = rng.permutation(d.k)
+    entries = []
+    for i in perm:
+        E, c = d.entries[i]
+        R = random_rotation(rng, E.dim)
+        entries.append((Subspace(n, R @ E.frame @ Q.T), c))
+    moved = GeometricBLDatum(n, tuple(entries))
+    assert validate_datum(moved).is_valid
+    return d, moved, Q, [int(i) for i in perm]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(reframed_data())
+def test_structure_invariant_under_reframing(case):
+    d, moved, Q, perm = case
+    rep, rep2 = independent_subspaces(d), independent_subspaces(moved)
+    assert sorted(V.dim for V in rep2.indecomposable_decomposition) == \
+        sorted(V.dim for V in rep.indecomposable_decomposition)
+    assert rep2.dependent_subspace.dim == rep.dependent_subspace.dim
+
+    def rotated(S):
+        return orthonormalize(S.frame @ Q.T, ambient_dim=d.ambient_dim)
+
+    assert equal(rotated(rep.dependent_subspace), rep2.dependent_subspace)
+    assert len(rep2.independent_subspaces) == len(rep.independent_subspaces)
+    for f in rep.independent_subspaces:
+        owners = tuple(j for j, i in enumerate(perm) if i in f.owners)
+        assert sum(g.owners == owners and equal(rotated(f.subspace), g.subspace)
+                   for g in rep2.independent_subspaces) == 1
 
 
 # ---------------------------------------------------------------------------
