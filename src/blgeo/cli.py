@@ -69,10 +69,10 @@ def _emit(config: RunConfig, payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_datum(path: str, config: RunConfig, *, must_be_valid: bool = True) -> GeometricBLDatum:
+def _load_datum(path: str, config: RunConfig) -> GeometricBLDatum:
     d = GeometricBLDatum.from_json(_load_json(path), config.tol)
     report = validate_datum(d, config.tol)
-    if must_be_valid and not report.is_valid:
+    if not report.is_valid:
         raise InputError(
             f"datum in {path} does not satisfy the identity (defect {report.defect:.3e})"
         )

@@ -28,7 +28,7 @@ from itertools import product as iter_product
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .errors import CapError, InputError, InternalError
+from .errors import CapError, InputError, InternalError, as_int
 
 BODY_MAX_DIM = 4
 
@@ -50,7 +50,8 @@ class UniformCover:
             raise InputError("ground set must be nonempty")
         if self.s < 1:
             raise InputError("multiplicity s must be >= 1")
-        sets = tuple(frozenset(int(j) for j in sigma) for sigma in self.sets)
+        sets = tuple(frozenset(as_int(j, "cover set element") for j in sigma)
+                     for sigma in self.sets)
         if not sets:
             raise InputError("cover needs at least one set")
         for sigma in sets:
@@ -70,7 +71,7 @@ class UniformCover:
     @staticmethod
     def from_json(obj: dict) -> "UniformCover":
         try:
-            return UniformCover(int(obj["n"]), int(obj["s"]),
+            return UniformCover(as_int(obj["n"], "cover n"), as_int(obj["s"], "cover s"),
                                 tuple(tuple(sigma) for sigma in obj["sets"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"cover JSON needs 'n', 's', 'sets': {exc}") from exc
@@ -113,7 +114,8 @@ class VoxelBody:
     def __post_init__(self):
         if not (1 <= self.n <= BODY_MAX_DIM):
             raise CapError("voxel dimension", BODY_MAX_DIM, self.n)
-        cells = frozenset(tuple(int(x) for x in cell) for cell in self.cells)
+        cells = frozenset(tuple(as_int(x, "voxel cell coordinate") for x in cell)
+                          for cell in self.cells)
         if not cells:
             raise InputError("voxel body must be nonempty")
         for cell in cells:
@@ -127,7 +129,7 @@ class VoxelBody:
     @staticmethod
     def from_json(obj: dict) -> "VoxelBody":
         try:
-            return VoxelBody(int(obj["n"]), frozenset(tuple(c) for c in obj["cells"]))
+            return VoxelBody(as_int(obj["n"], "voxel n"), frozenset(tuple(c) for c in obj["cells"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"voxel JSON needs 'n' and 'cells': {exc}") from exc
 
@@ -225,6 +227,8 @@ class PointPolytope:
         V = np.asarray(self.vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] != self.n or V.shape[0] < self.n + 1:
             raise InputError(f"need at least {self.n + 1} vertices of dimension {self.n}")
+        if not np.all(np.isfinite(V)):
+            raise InputError("polytope vertices must be finite")
         object.__setattr__(self, "vertices", tuple(tuple(map(float, v)) for v in V))
 
     def points(self) -> np.ndarray:
@@ -236,7 +240,8 @@ class PointPolytope:
     @staticmethod
     def from_json(obj: dict) -> "PointPolytope":
         try:
-            return PointPolytope(int(obj["n"]), tuple(tuple(v) for v in obj["vertices"]))
+            return PointPolytope(as_int(obj["n"], "polytope n"),
+                                 tuple(tuple(v) for v in obj["vertices"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"polytope JSON needs 'n' and 'vertices': {exc}") from exc
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapError, InputError, InternalError
+from .errors import CapError, InputError, InternalError, as_int
 from .subspace import (
     DEFAULT_TOL,
     Subspace,
@@ -94,10 +94,12 @@ class GeometricBLDatum:
     @staticmethod
     def from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> "GeometricBLDatum":
         try:
-            n = int(obj["n"])
+            n = as_int(obj["n"], "datum n")
             raw = obj["entries"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"datum JSON needs 'n' and 'entries': {exc}") from exc
+        if not isinstance(raw, list):
+            raise InputError(f"datum entries must be a list, got {raw!r}")
         entries = []
         for e in raw:
             try:
@@ -345,12 +347,6 @@ def pair_data(a: GeometricBLDatum, b: GeometricBLDatum) -> GeometricBLDatum:
 def random_rotation(rng, n: int) -> np.ndarray:
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     return Q * np.sign(np.diag(R))
-
-
-def random_subspace(rng, n: int, dim: int) -> Subspace:
-    if dim == 0:
-        return orthonormalize([], ambient_dim=n)
-    return orthonormalize(rng.standard_normal((dim, n)), ambient_dim=n)
 
 
 def random_datum(rng, *, max_dim: int = 6, max_vectors: int = 12,

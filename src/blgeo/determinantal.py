@@ -27,8 +27,8 @@ import numpy as np
 
 from .datum import GeometricBLDatum, RankOneDatum, require_validated
 from .errors import CapError, InputError, InternalError
-from .structure import bowtie_classes, is_critical
-from .subspace import DEFAULT_TOL, Tolerance, cluster_eigenspaces
+from .structure import bowtie_classes, has_critical_eigenspaces
+from .subspace import DEFAULT_TOL, Tolerance
 
 MINOR_ENUMERATION_CAP = 10 ** 6
 CLASS_CONSTANT_RTOL = 1e-9
@@ -167,11 +167,12 @@ def cauchy_binet_expansion(r: RankOneDatum, t) -> CauchyBinetExpansion:
     return CauchyBinetExpansion(subsets, d_I, t_I, weighted, det)
 
 
-def assemble_operator(d: GeometricBLDatum, A_list) -> np.ndarray:
-    """sum_i c_i A_i P_{E_i} as an ambient n x n matrix.
+def assemble_operator(d: GeometricBLDatum, A_list) -> tuple:
+    """sum_i c_i A_i P_{E_i} as an ambient n x n matrix, with the A_i.
 
     A_i is given in the frame coordinates of E_i; conjugating back gives
-    the symmetric contribution c_i F_i A_i F_i^T.
+    the symmetric contribution c_i F_i A_i F_i^T.  Returns (M, mats), mats
+    the symmetrized A_i.
     """
     require_validated(d)
     n = d.ambient_dim
@@ -193,7 +194,7 @@ def determinantal_high_check(d: GeometricBLDatum, A_list, tol: Tolerance = DEFAU
     """Higher-rank determinantal inequality with the Phi certificate.
 
     Equality is declared iff the eigenspaces of M = sum c_i A_i P_{E_i}
-    (after eigenvalue clustering) are all critical subspaces and M
+    are all critical subspaces (M commutes with every P_{E_i}) and M
     restricts to A_i on every E_i; the certificate is Phi = M itself.
     """
     M, mats = assemble_operator(d, A_list)
@@ -210,10 +211,7 @@ def determinantal_high_check(d: GeometricBLDatum, A_list, tol: Tolerance = DEFAU
         if np.abs(M @ E.basis - E.basis @ A).max() > tol.residual_tol * scale:
             restriction_ok = False
             break
-    equality = False
-    if restriction_ok:
-        _, spaces = cluster_eigenspaces(M)
-        equality = all(is_critical(d, V, tol).is_critical for V in spaces)
+    equality = restriction_ok and has_critical_eigenspaces(d, M, tol)
     return DetCheckResult(
         lhs=_safe_exp(float(log_lhs)),
         rhs=_safe_exp(log_rhs),

@@ -5,6 +5,8 @@ exceeded caps); the CLI maps it to exit code 1.  InternalError marks
 conditions that valid inputs can never produce (a verified inequality
 violation, a singular KKT system, inconsistent criticality verdicts);
 the CLI maps it to exit code 2.
+
+as_int is the one reading of an integer field at the input boundary.
 """
 
 
@@ -28,3 +30,14 @@ class CapError(InputError):
 
 class InternalError(BlgeoError):
     """A condition that should be impossible on valid inputs was detected."""
+
+
+def as_int(value, name: str) -> int:
+    """An integral number as int; InputError naming the field for anything
+    else (1.5, "3", true, NaN), never a silent truncation."""
+    try:
+        if not isinstance(value, (bool, str)) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{name} must be an integer, got {value!r}")

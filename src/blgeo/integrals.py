@@ -31,9 +31,8 @@ from scipy.ndimage import maximum_filter, minimum_filter
 from .datum import GeometricBLDatum, require_validated
 from .determinantal import determinantal_high_check, require_spd
 from .errors import CapError, InputError, InternalError
-from .structure import StructureReport, is_critical
-from .subspace import (DEFAULT_TOL, Subspace, Tolerance, cluster_eigenspaces, equal, intersect,
-                       orthonormalize)
+from .structure import StructureReport, critical_meet, has_critical_eigenspaces
+from .subspace import DEFAULT_TOL, Subspace, Tolerance, equal
 
 SUPCONV_MAX_AMBIENT = 3
 SUPCONV_MAX_ENTRIES = 4
@@ -361,10 +360,8 @@ def gaussian_barthe_eval(d: GeometricBLDatum, Phi, tol: Tolerance = DEFAULT_TOL)
     if Phi.shape != (n, n):
         raise InputError(f"Phi must be {n} x {n}")
     require_spd(Phi, "Phi")
-    _, spaces = cluster_eigenspaces(Phi)
-    for V in spaces:
-        if not is_critical(d, V, tol).is_critical:
-            raise InputError("the eigenspaces of Phi must be critical subspaces")
+    if not has_critical_eigenspaces(d, Phi, tol):
+        raise InputError("the eigenspaces of Phi must be critical subspaces")
     sign, logdet = np.linalg.slogdet(Phi)
     log_lhs = 0.5 * n * math.log(math.pi) - float(logdet)
     log_rhs = 0.0
@@ -585,12 +582,10 @@ def build_extremizer(d: GeometricBLDatum, report: StructureReport,
             raise InputError("the dependent subspace is non-zero: a matrix A is required")
         A = np.asarray(params.A, dtype=float).reshape(dep.dim, dep.dim)
         require_spd(A, "A")
-        vals, sub = cluster_eigenspaces(A)
-        for V in sub:  # eigenspaces within F_dep, embedded back to R^n
-            emb = orthonormalize((dep.basis @ V.basis).T, tol, ambient_dim=n)
-            if not is_critical(d, emb, tol).is_critical:
-                raise InputError("the eigenspaces of A must be critical subspaces")
+        # A_amb has the eigenspaces of A and its kernel F_dep-perp, critical as F_dep is
         A_amb = dep.basis @ A @ dep.frame
+        if not has_critical_eigenspaces(d, A_amb, tol):
+            raise InputError("the eigenspaces of A must be critical subspaces")
 
     k = d.k
     bs = params.b if params.b is not None else [np.zeros(n)] * k
@@ -606,7 +601,7 @@ def build_extremizer(d: GeometricBLDatum, report: StructureReport,
         theta_i = float(thetas[i])
         if theta_i <= 0.0:
             raise InputError("theta_i must be positive")
-        S0 = intersect(E, dep, tol)
+        S0 = critical_meet(E, dep, tol)
         if np.linalg.norm(b_i) > 0 and (
             S0.dim == 0 or np.linalg.norm(S0.basis @ (S0.frame @ b_i) - b_i) > 1e-9 * (1 + np.linalg.norm(b_i))
         ):

@@ -1,14 +1,15 @@
 """Critical-subspace structure of a geometric Brascamp-Lieb datum.
 
 A non-zero subspace V is critical when sum_i c_i dim(E_i cap V) = dim V,
-equivalently when every E_i splits as (E_i cap V) + (E_i cap V-perp),
-equivalently when P_V commutes with every P_i = P_{E_i}.  is_critical
-computes the first two and cross-checks them; a disagreement is an
-internal error, never silently resolved.
+equivalently when P_V commutes with every P_i = P_{E_i} (every E_i
+splits as (E_i cap V) + (E_i cap V-perp)).  is_critical computes both
+and cross-checks them; a disagreement is an internal error, never
+silently resolved.  A symmetric matrix has critical eigenspaces exactly
+when it commutes with every P_i, and for a critical V, E cap V = P_V E.
 
-The structure comes from the third: the projections onto critical
-subspaces are those in the commutant of the *-algebra generated by the
-P_i.  Since sum c_i P_i = I, the map X -> sum c_i P_i X P_i is
+The structure comes from the same algebra: the projections onto
+critical subspaces are those in the commutant of the *-algebra generated
+by the P_i.  Since sum c_i P_i = I, the map X -> sum c_i P_i X P_i is
 self-adjoint with spectrum in [0, 1] and <X, X - sum c_i P_i X P_i> =
 1/2 sum c_i |[P_i, X]|^2, so the commutant is its eigenvalue-1 space,
 and the eigenspaces of a generic symmetric element of the commutant are
@@ -30,19 +31,8 @@ import numpy as np
 
 from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated, validate_datum
 from .errors import InputError, InternalError
-from .subspace import (
-    DEFAULT_TOL,
-    Subspace,
-    Tolerance,
-    cluster_eigenspaces,
-    complement,
-    contains,
-    equal,
-    intersect,
-    orthonormalize,
-    projection_matrix,
-    subspace_sum,
-)
+from .subspace import (DEFAULT_TOL, Subspace, Tolerance, cluster_eigenspaces, contains,
+                       orthonormalize, projection_matrix)
 
 INTEGER_SNAP_TOL = 1e-6  # weighted dimension sums of valid data are near-integers
 GENERIC_SEED = 20100101  # fixed, so the pieces chosen inside repeated blocks are reproducible
@@ -99,26 +89,29 @@ class StructureReport:
 def is_critical(d: GeometricBLDatum, V: Subspace, tol: Tolerance = DEFAULT_TOL) -> CriticalityReport:
     """Test criticality of V through both characterizations.
 
-    The weighted dimension sum is snapped to the nearest integer before
+    dim(E_i cap V) is the number of singular values of F_i (I - P_V),
+    the sines of the principal angles, at most rank_rel_tol.  The
+    weighted dimension sum is snapped to the nearest integer before
     comparing with dim V (dimensions are integers, weights are floats;
-    criticality is a discrete property).  The splitting test
-    E_i = (E_i cap V) + (E_i cap V-perp) must agree, otherwise the rank
-    thresholds are inconsistent and we raise instead of guessing.
+    criticality is a discrete property).  The splitting test, every
+    commutator [P_i, P_V] within residual_tol in max-norm, must agree,
+    otherwise the thresholds are inconsistent and we raise instead of
+    guessing.
     """
     require_validated(d)
     if V.ambient_dim != d.ambient_dim:
         raise InputError("subspace ambient dimension does not match the datum")
     if V.dim == 0:
         raise InputError("criticality is defined for non-zero subspaces only")
-    Vp = complement(V, tol)
-    wds = 0.0
-    splitting_ok = True
+    PV = projection_matrix(V)
+    away = np.eye(d.ambient_dim) - PV
+    wds = commutator = 0.0
     for E, c in d.entries:
-        EV = intersect(E, V, tol)
-        EVp = intersect(E, Vp, tol)
-        wds += c * EV.dim
-        if not equal(E, subspace_sum(EV, EVp, tol), tol):
-            splitting_ok = False
+        sines = np.linalg.svd(E.frame @ away, compute_uv=False)
+        wds += c * int(np.count_nonzero(sines <= tol.rank_rel_tol))
+        X = projection_matrix(E) @ PV  # [P_i, P_V] = X - X^T
+        commutator = max(commutator, float(np.abs(X - X.T).max()))
+    splitting_ok = commutator <= tol.residual_tol
     near_int = abs(wds - round(wds)) <= INTEGER_SNAP_TOL
     dim_match = near_int and int(round(wds)) == V.dim
     if dim_match != splitting_ok:
@@ -133,6 +126,37 @@ def is_critical(d: GeometricBLDatum, V: Subspace, tol: Tolerance = DEFAULT_TOL) 
         is_critical=dim_match and splitting_ok,
         splitting_ok=splitting_ok,
     )
+
+
+def has_critical_eigenspaces(d: GeometricBLDatum, M, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether every eigenspace of the symmetric n x n matrix M is critical.
+
+    The eigenprojections of M are polynomials in M, so they all commute
+    with P_i exactly when M does.  Each commutator [P_i, M] is held to
+    residual_tol relative to the largest entry of M; no eigenvalues are
+    clustered, so the verdict has no eigenvalue-gap threshold.
+    """
+    require_validated(d)
+    M = 0.5 * (M + M.T)
+    bound = tol.residual_tol * float(np.abs(M).max())
+    for E, _ in d.entries:
+        X = projection_matrix(E) @ M  # [P_i, M] = X - X^T
+        if np.abs(X - X.T).max() > bound:
+            return False
+    return True
+
+
+def critical_meet(E: Subspace, V: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    """E cap V for a critical V, as the image of E under P_V.
+
+    P_V commutes with P_E, so the cosines of the principal angles between
+    E and V, the singular values of F_V F_E^T, are 0 or 1.  The dimension
+    counts those above rank_rel_tol, an absolute cut: a cut relative to
+    the largest would count round-off as rank when E is orthogonal to V.
+    """
+    U, cosines, _ = np.linalg.svd(V.frame @ E.basis, full_matrices=False)
+    r = int(np.count_nonzero(cosines > tol.rank_rel_tol))
+    return orthonormalize((V.basis @ U[:, :r]).T, tol, ambient_dim=V.ambient_dim)
 
 
 def bowtie_classes(r: RankOneDatum, tol: Tolerance = DEFAULT_TOL) -> tuple:
@@ -191,7 +215,7 @@ def indecomposable_decomposition(d: GeometricBLDatum, tol: Tolerance = DEFAULT_T
     rng = np.random.default_rng(GENERIC_SEED)
     projections = [projection_matrix(E) for E, _ in d.entries]
     G = sum(r * P for r, P in zip(rng.uniform(1.0, 2.0, d.k), projections))
-    _, clusters = cluster_eigenspaces(G)
+    clusters = cluster_eigenspaces(G)
     spans = []
     blocks = []
     for S in clusters:
@@ -215,7 +239,7 @@ def indecomposable_decomposition(d: GeometricBLDatum, tol: Tolerance = DEFAULT_T
         fixed = U[:, w >= 1.0 - tol.rank_rel_tol]
         Y = np.zeros((len(F), len(F)))
         Y[rows, cols] = fixed @ (fixed.T @ rng.standard_normal(len(pairs)))
-        _, spaces = cluster_eigenspaces(Y + Y.T)
+        spaces = cluster_eigenspaces(Y + Y.T)
         spans.extend(orthonormalize(V.frame @ F, tol, ambient_dim=n) for V in spaces)
     total = sum(V.dim for V in spans)
     if total != n:
@@ -279,17 +303,13 @@ def restrict_datum(d: GeometricBLDatum, V: Subspace, tol: Tolerance = DEFAULT_TO
     Keeps the entries with E_i cap V != {0}; criticality of V guarantees
     sum c_i P_{E_i cap V} = I_V, so the output validates in dim V.
     """
-    rep = is_critical(d, V, tol)
-    if not rep.is_critical:
+    if not is_critical(d, V, tol).is_critical:
         raise InputError("restriction requires a critical subspace")
-    B = V.basis  # n x dimV, orthonormal columns
     entries = []
     for E, c in d.entries:
-        W = intersect(E, V, tol)
-        if W.dim == 0:
-            continue
-        coords = (B.T @ W.basis).T  # rows in V coordinates, orthonormal
-        entries.append((orthonormalize(coords, tol, ambient_dim=V.dim), c))
+        W = critical_meet(E, V, tol)
+        if W.dim:  # its frame in V coordinates
+            entries.append((orthonormalize(W.frame @ V.basis, tol, ambient_dim=V.dim), c))
     out = GeometricBLDatum(V.dim, tuple(entries))
     report = validate_datum(out, tol)
     if not report.is_valid:

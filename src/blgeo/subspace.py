@@ -5,9 +5,10 @@ constructors funnel through :func:`orthonormalize`, which produces a
 deterministic, sign-fixed frame from an SVD, so repeated runs emit
 byte-identical output.  {0} and R^n are ordinary values, never errors.
 
-Rank decisions use a single relative singular-value threshold so that
-dimension counts (and hence criticality verdicts downstream) cannot
-disagree between operations.
+orthonormalize decides the rank of a span with a singular-value
+threshold relative to the largest; criticality (structure.py) compares
+sines and cosines of principal angles, which are absolute, with the
+same rank_rel_tol.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_int
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,12 @@ class Subspace:
         serialization round trip is exact; anything else is passed
         through orthonormalize to get the span."""
         try:
-            n = int(obj["n"])
+            n = as_int(obj["n"], "subspace n")
             rows = obj["frame"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"subspace JSON needs 'n' and 'frame': {exc}") from exc
+        if not isinstance(rows, list):
+            raise InputError(f"subspace frame must be a list of vectors, got {rows!r}")
         vectors = [np.asarray(r, dtype=float) for r in rows]
         if not all(np.isfinite(v).all() for v in vectors):
             raise InputError("subspace frame entries must be finite")
@@ -158,60 +161,23 @@ def projection_matrix(S: Subspace) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def cluster_eigenspaces(M: np.ndarray, rtol: float = EIGENVALUE_CLUSTER_RTOL):
-    """Eigen-decomposition with nearby eigenvalues merged into one space.
+def cluster_eigenspaces(M: np.ndarray, rtol: float = EIGENVALUE_CLUSTER_RTOL) -> list:
+    """Eigenspaces of a symmetric M, nearby eigenvalues merged into one space.
 
-    Returns (values, subspaces) where consecutive eigenvalues within a
-    relative gap of rtol share a subspace; naive per-eigenvector spaces
-    would noise-split the repeated eigenvalues that equality cases
-    produce.
+    Consecutive eigenvalues within a relative gap of rtol share a
+    subspace; naive per-eigenvector spaces would noise-split the repeated
+    eigenvalues that equality cases produce.
     """
     w, U = np.linalg.eigh(0.5 * (M + M.T))
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    groups = []
-    start = 0
-    for j in range(1, len(w) + 1):
-        if j == len(w) or (w[j] - w[j - 1]) > rtol * scale:
-            groups.append((start, j))
-            start = j
-    values = [float(np.mean(w[a:b])) for a, b in groups]
-    spaces = [orthonormalize(U[:, a:b].T, ambient_dim=M.shape[0]) for a, b in groups]
-    return values, spaces
-
-
-def complement(A: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Orthogonal complement; dim(A) + dim(complement(A)) == n exactly."""
-    n = A.ambient_dim
-    d = A.dim
-    if d == 0:
-        return full_subspace(n)
-    if d == n:
-        return zero_subspace(n)
-    U, _, _ = np.linalg.svd(A.basis, full_matrices=True)
-    return Subspace(n, _sign_fix(U[:, d:], tol).T)
-
-
-def subspace_sum(A: Subspace, B: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Span of A union B."""
-    _check_same_ambient(A, B)
-    return orthonormalize(list(A.frame) + list(B.frame), tol, ambient_dim=A.ambient_dim)
-
-
-def intersect(A: Subspace, B: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """A intersect B, computed as the complement of (A-perp + B-perp)."""
-    _check_same_ambient(A, B)
-    if A.dim == 0 or B.dim == 0:
-        return zero_subspace(A.ambient_dim)
-    if A.dim == A.ambient_dim:
-        return B
-    if B.dim == B.ambient_dim:
-        return A
-    return complement(subspace_sum(complement(A, tol), complement(B, tol), tol), tol)
+    cuts = [0, *(np.flatnonzero(np.diff(w) > rtol * scale) + 1), len(w)]
+    return [orthonormalize(U[:, a:b].T, ambient_dim=M.shape[0]) for a, b in zip(cuts, cuts[1:])]
 
 
 def contains(A: Subspace, B: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff B is contained in A (every frame vector of B projects onto itself)."""
-    _check_same_ambient(A, B)
+    if A.ambient_dim != B.ambient_dim:
+        raise InputError(f"ambient dimension mismatch: {A.ambient_dim} vs {B.ambient_dim}")
     if B.dim == 0:
         return True
     if B.dim > A.dim:
@@ -225,9 +191,3 @@ def equal(A: Subspace, B: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Subspace equality as mutual containment."""
     return contains(A, B, tol) and contains(B, A, tol)
 
-
-def _check_same_ambient(A: Subspace, B: Subspace):
-    if A.ambient_dim != B.ambient_dim:
-        raise InputError(
-            f"ambient dimension mismatch: {A.ambient_dim} vs {B.ambient_dim}"
-        )

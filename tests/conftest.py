@@ -2,7 +2,8 @@
 
 The oracles here recompute spec'd quantities along a different route
 than the library (brute-force circuit search, direct matrix sums, exact
-CDF bisection) so that agreement is evidence, not tautology.
+CDF bisection, the subspace lattice for criticality) so that agreement
+is evidence, not tautology.
 """
 
 from itertools import combinations
@@ -10,8 +11,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from blgeo.errors import InputError, InternalError
 from blgeo.integrals import GridDensity
-from blgeo.subspace import full_subspace
+from blgeo.structure import INTEGER_SNAP_TOL, CriticalityReport
+from blgeo.subspace import DEFAULT_TOL, Subspace, equal, full_subspace, orthonormalize, zero_subspace
 
 
 @pytest.fixture
@@ -77,6 +80,57 @@ def induced_partition_oracle(n, sets):
             block &= sigma if j in sigma else ground - sigma
         blocks.add(block)
     return sorted(sorted(b) for b in blocks)
+
+
+def complement(A, tol=DEFAULT_TOL):
+    """Orthogonal complement; dim(A) + dim(complement(A)) == n exactly."""
+    n, d = A.ambient_dim, A.dim
+    if d == 0:
+        return full_subspace(n)
+    if d == n:
+        return zero_subspace(n)
+    U, _, _ = np.linalg.svd(A.basis, full_matrices=True)
+    return Subspace(n, U[:, d:].T)
+
+
+def subspace_sum(A, B, tol=DEFAULT_TOL):
+    """Span of A union B."""
+    if A.ambient_dim != B.ambient_dim:
+        raise InputError(f"ambient dimension mismatch: {A.ambient_dim} vs {B.ambient_dim}")
+    return orthonormalize(list(A.frame) + list(B.frame), tol, ambient_dim=A.ambient_dim)
+
+
+def intersect(A, B, tol=DEFAULT_TOL):
+    """A intersect B, computed as the complement of (A-perp + B-perp)."""
+    if A.ambient_dim != B.ambient_dim:
+        raise InputError(f"ambient dimension mismatch: {A.ambient_dim} vs {B.ambient_dim}")
+    if A.dim == 0 or B.dim == 0:
+        return zero_subspace(A.ambient_dim)
+    if A.dim == A.ambient_dim:
+        return B
+    if B.dim == B.ambient_dim:
+        return A
+    return complement(subspace_sum(complement(A, tol), complement(B, tol), tol), tol)
+
+
+def is_critical_oracle(d, V, tol=DEFAULT_TOL):
+    """Criticality on the subspace lattice: sum c_i dim(E_i cap V) = dim V,
+    cross-checked against the splitting E_i = (E_i cap V) + (E_i cap V-perp),
+    each intersection computed through complements and sums of spans."""
+    Vp = complement(V, tol)
+    wds = 0.0
+    splitting_ok = True
+    for E, c in d.entries:
+        EV = intersect(E, V, tol)
+        EVp = intersect(E, Vp, tol)
+        wds += c * EV.dim
+        if not equal(E, subspace_sum(EV, EVp, tol), tol):
+            splitting_ok = False
+    near_int = abs(wds - round(wds)) <= INTEGER_SNAP_TOL
+    dim_match = near_int and int(round(wds)) == V.dim
+    if dim_match != splitting_ok:
+        raise InternalError(f"oracle characterizations disagree: {wds:.12g} vs dim {V.dim}")
+    return CriticalityReport(V, float(wds), V.dim, dim_match and splitting_ok, splitting_ok)
 
 
 def indicator_density(intervals, h, radius):

