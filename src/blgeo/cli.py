@@ -79,6 +79,31 @@ def _load_datum(path: str, config: RunConfig) -> GeometricBLDatum:
     return d
 
 
+def _load_side(config: RunConfig, key: str):
+    """The JSON in the file given to --t, --A, --phi or --densities, checked
+    for its kind; anything else is an InputError that names the flag."""
+    obj = _load_json(config.inputs[key])
+
+    def numbers(x, depth):  # lists nested depth deep of finite JSON numbers
+        if depth == 0:
+            return type(x) in (int, float) and abs(x) <= sys.float_info.max
+        return isinstance(x, list) and all(numbers(y, depth - 1) for y in x)
+
+    def square(M):
+        return numbers(M, 2) and all(len(row) == len(M) for row in M)
+
+    listed = isinstance(obj, list)
+    ok, kind = {
+        "t": (numbers(obj, 1), "a list of finite numbers"),
+        "phi": (square(obj), "a finite square matrix"),
+        "A": (listed and all(map(square, obj)), "a list of finite square matrices"),
+        "densities": (listed and all(isinstance(x, dict) for x in obj), "a list of density objects"),
+    }[key]
+    if not ok:
+        raise InputError(f"--{key} must be {kind}")
+    return obj
+
+
 def run(config: RunConfig):
     """Execute one command; returns (exit_code, report_text)."""
     cmd = config.command
@@ -102,12 +127,10 @@ def run(config: RunConfig):
     if cmd == "detcheck":
         d = _load_datum(config.inputs["datum"], config)
         if "t" in config.inputs:
-            r = rank_one_expansion(d)
-            t = np.asarray(_load_json(config.inputs["t"]), dtype=float)
-            result = det_mod.ball_barthe_check(r, t, config.tol)
+            t = _load_side(config, "t")
+            result = det_mod.ball_barthe_check(rank_one_expansion(d), t, config.tol)
         else:
-            A_list = [np.asarray(A, dtype=float) for A in _load_json(config.inputs["A"])]
-            result = det_mod.determinantal_high_check(d, A_list, config.tol)
+            result = det_mod.determinantal_high_check(d, _load_side(config, "A"), config.tol)
         if result.log_gap < -1e-9:
             raise InternalError(
                 f"determinantal inequality violated: log_gap = {result.log_gap:.3e}"
@@ -116,8 +139,7 @@ def run(config: RunConfig):
 
     if cmd == "bl-eval":
         d = _load_datum(config.inputs["datum"], config)
-        A_list = [np.asarray(A, dtype=float) for A in _load_json(config.inputs["A"])]
-        check = det_mod.determinantal_high_check(d, A_list, config.tol)
+        check = det_mod.determinantal_high_check(d, _load_side(config, "A"), config.tol)
         ev = int_mod.bl_eval_from_check(check)
         if ev.ratio > 1.0 + 1e-9:
             raise InternalError(f"Brascamp-Lieb ratio exceeds 1: {ev.ratio:.12g}")
@@ -128,11 +150,10 @@ def run(config: RunConfig):
     if cmd == "barthe-eval":
         d = _load_datum(config.inputs["datum"], config)
         if "phi" in config.inputs:
-            Phi = np.asarray(_load_json(config.inputs["phi"]), dtype=float)
-            ev = int_mod.gaussian_barthe_eval(d, Phi, config.tol)
+            ev = int_mod.gaussian_barthe_eval(d, _load_side(config, "phi"), config.tol)
         else:
             dens = [int_mod.Density.from_json(obj, config.tol)
-                    for obj in _load_json(config.inputs["densities"])]
+                    for obj in _load_side(config, "densities")]
             ev = int_mod.supconv_eval(d, dens, config.grid, config.tol)
         if ev.lhs < ev.rhs * (1.0 - max(ev.est_error, 1e-9)):
             raise InternalError(
@@ -241,13 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     tol = Tolerance(rank_rel_tol=args.rank_tol, residual_tol=args.residual_tol)
-    inputs = {}
-    for key in ("datum", "subspace", "cover", "body", "polytope"):
-        if getattr(args, key, None) is not None:
-            inputs[key] = getattr(args, key)
-    for key in ("t", "A", "phi", "densities", "f", "g"):
-        if getattr(args, key, None) is not None:
-            inputs[key] = getattr(args, key)
+    keys = ("datum", "subspace", "cover", "body", "polytope", "t", "A", "phi", "densities", "f", "g")
+    inputs = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     grid = None
     if getattr(args, "grid", None) is not None:
         grid = int_mod.GridSpec.parse(args.grid)

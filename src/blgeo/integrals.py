@@ -301,8 +301,8 @@ class GridSpec:
     radius: float
 
     def __post_init__(self):
-        if not (self.h > 0.0 and self.radius > self.h):
-            raise InputError("grid needs 0 < h < radius")
+        if not (math.isfinite(self.radius) and self.h > 0.0 and self.radius > self.h):
+            raise InputError("grid needs finite h and box with 0 < h < box")
 
     @property
     def count(self) -> int:

@@ -7,20 +7,17 @@ and cross-checks them; a disagreement is an internal error, never
 silently resolved.  A symmetric matrix has critical eigenspaces exactly
 when it commutes with every P_i, and for a critical V, E cap V = P_V E.
 
-The structure comes from the same algebra: the projections onto
-critical subspaces are those in the commutant of the *-algebra generated
-by the P_i.  Since sum c_i P_i = I, the map X -> sum c_i P_i X P_i is
-self-adjoint with spectrum in [0, 1] and <X, X - sum c_i P_i X P_i> =
-1/2 sum c_i |[P_i, X]|^2, so the commutant is its eigenvalue-1 space,
-and the eigenspaces of a generic symmetric element of the commutant are
-the pieces of a finest orthogonal critical decomposition (Murota, Kanno,
-Kojima & Kojima, JJIAM 27, 2010).  On a piece W, tr(P_i P_W) =
+The structure comes from the same algebra, the *-algebra generated by
+the P_i: the critical subspaces are its invariant subspaces, and the
+pieces of a finest orthogonal critical decomposition are irreducible
+cyclic modules, grown from eigenvectors of a generic element of it
+(Maehara & Murota, JJIAM 27, 2010).  On a piece W, tr(P_i P_W) =
 dim(E_i cap W); pieces where this is 0 or dim W for every i lie in a
 joint 0/1 eigenspace cap_i E_i^(eps(i)), and those sharing one pattern
 eps sum to an independent subspace owned by the entries with
-eps(i) = 1.  The other pieces span the dependent subspace.  Nothing here
-depends on the frames inside the E_i, the entry order or a rotation of
-R^n.
+eps(i) = 1.  The other pieces span the dependent subspace.  Nothing
+here depends on the frames inside the E_i, the entry order or a
+rotation of R^n.
 """
 
 from __future__ import annotations
@@ -31,8 +28,8 @@ import numpy as np
 
 from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated, validate_datum
 from .errors import InputError, InternalError
-from .subspace import (DEFAULT_TOL, Subspace, Tolerance, cluster_eigenspaces, contains,
-                       orthonormalize, projection_matrix)
+from .subspace import (DEFAULT_TOL, Subspace, Tolerance, cluster_eigenspaces, orthonormalize,
+                       projection_matrix)
 
 INTEGER_SNAP_TOL = 1e-6  # weighted dimension sums of valid data are near-integers
 GENERIC_SEED = 20100101  # fixed, so the pieces chosen inside repeated blocks are reproducible
@@ -197,53 +194,43 @@ def bowtie_classes(r: RankOneDatum, tol: Tolerance = DEFAULT_TOL) -> tuple:
 def indecomposable_decomposition(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> list:
     """Pairwise-orthogonal indecomposable critical subspaces spanning R^n.
 
-    G = sum r_i P_i (fixed-seed random r) lies in the algebra, so the
-    commutant is block diagonal on G's clustered eigenspaces.  One on
-    which every P_i is 0 or 1 splits into lines.  On the rest, the
-    commutant is the eigenvalue-1 space of sum_i c_i kron(P_i, P_i)
-    compressed to those blocks, and the pieces are the clustered
-    eigenspaces of the symmetric part of a fixed-seed random element of
-    it.  The compression keeps the eigenproblem at sum_s mu_s^2 unknowns
-    (mu_s the block sizes), not n^2: OpenBLAS threads eigenproblems from
-    about 150 unknowns on, which changes the last bits, so this is what
-    keeps the output bytes independent of the BLAS thread count.  Where
-    a block repeats (paired planes) the finest decomposition is not
-    unique and the seed picks one.  Every piece is verified critical.
+    G = A + AB + BA, A and B fixed-seed random combinations of the P_i,
+    is a symmetric element of their algebra, assumed generic: distinct
+    eigenvalues on non-isomorphic irreducibles, simple ones over the
+    real, complex or quaternion commutant of each.  Then the cyclic
+    module of any u in an eigenspace U of G, span{u} grown under every
+    P_i until it closes, is irreducible.  The projection on the pieces
+    found commutes with G, so U is covered when the squared singular
+    values of its rest, each 0 or 1, sum below 1/2: an absolute cut.
+    Only n x n linear algebra is used, too small for the BLAS to thread.
     """
     require_validated(d)
     n = d.ambient_dim
     rng = np.random.default_rng(GENERIC_SEED)
-    projections = [projection_matrix(E) for E, _ in d.entries]
-    G = sum(r * P for r, P in zip(rng.uniform(1.0, 2.0, d.k), projections))
-    clusters = cluster_eigenspaces(G)
+    projections = np.concatenate([projection_matrix(E) for E, _ in d.entries])  # (k n) x n
+    A, B = np.tensordot(rng.uniform(1.0, 2.0, (2, d.k)), projections.reshape(d.k, n, n), axes=1)
+    found = np.zeros((n, 0))
     spans = []
-    blocks = []
-    for S in clusters:
-        # every E_i contains S or is orthogonal to it
-        if all(np.abs(E.frame @ S.basis).max() <= tol.residual_tol or contains(E, S, tol)
-               for E, _ in d.entries):
-            spans.extend(Subspace(n, row[None, :]) for row in S.frame)
-        else:
-            blocks.append(S.frame)
-    if blocks:
-        F = np.concatenate(blocks)  # orthonormal rows spanning the rest
-        idx = np.cumsum([0] + [len(b) for b in blocks])
-        pairs = np.array([(a, b) for lo, hi in zip(idx, idx[1:])
-                          for a in range(lo, hi) for b in range(lo, hi)])
-        rows, cols = pairs[:, 0], pairs[:, 1]
-        K = np.zeros((len(pairs), len(pairs)))
-        for (_, c), P in zip(d.entries, projections):
-            g = F @ P @ F.T
-            K += c * g[np.ix_(rows, rows)] * g[np.ix_(cols, cols)]
-        w, U = np.linalg.eigh(0.5 * (K + K.T))
-        fixed = U[:, w >= 1.0 - tol.rank_rel_tol]
-        Y = np.zeros((len(F), len(F)))
-        Y[rows, cols] = fixed @ (fixed.T @ rng.standard_normal(len(pairs)))
-        spaces = cluster_eigenspaces(Y + Y.T)
-        spans.extend(orthonormalize(V.frame @ F, tol, ambient_dim=n) for V in spaces)
-    total = sum(V.dim for V in spans)
-    if total != n:
-        raise InternalError(f"critical pieces have total dimension {total}, expected {n}")
+    for U in cluster_eigenspaces(A + A @ B + B @ A):
+        while found.shape[1] < n:
+            rest = U.basis - found @ (found.T @ U.basis)
+            norms = np.linalg.norm(rest, axis=0)
+            if norms @ norms < 0.5:  # squared singular values, 0 or 1, sum to the dimension left
+                break
+            W = new = rest[:, [norms.argmax()]] / norms.max()
+            while new.shape[1] and W.shape[1] < n:  # a tiny rank_rel_tol passes round-off
+                # every P_i applied to the new directions in one product
+                images = (projections @ new).reshape(d.k, n, -1).transpose(1, 0, 2).reshape(n, -1)
+                images -= W @ (W.T @ images)
+                if np.linalg.norm(images) <= tol.rank_rel_tol:  # bounds every singular value
+                    break
+                left, s, _ = np.linalg.svd(images, full_matrices=False)
+                new = left[:, s > tol.rank_rel_tol]
+                W = np.hstack([W, new])
+            spans.append(orthonormalize(W.T, tol, ambient_dim=n))
+            found = np.hstack([found, spans[-1].basis])
+    if found.shape[1] != n:
+        raise InternalError(f"critical pieces have total dimension {found.shape[1]}, expected {n}")
     for V in spans:
         if not is_critical(d, V, tol).is_critical:
             raise InternalError("a computed piece failed the criticality test")
@@ -279,15 +266,10 @@ def independent_subspaces(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> 
         independents.append(IndependentSubspace(orthonormalize(rows, tol, ambient_dim=n), wsum, owners))
     independents.sort(key=lambda f: (f.subspace.dim, tuple(np.round(f.subspace.frame, 9).ravel())))
 
-    for a in range(len(independents)):
-        for b in range(a + 1, len(independents)):
-            Fa, Fb = independents[a].subspace, independents[b].subspace
-            if np.abs(Fa.frame @ Fb.frame.T).max() > 1e-9:
-                raise InternalError("independent subspaces are not pairwise orthogonal")
-
     dep = orthonormalize(dependent, tol, ambient_dim=n)
-    if dep.dim + sum(f.subspace.dim for f in independents) != n:
-        raise InternalError("independent/dependent dimensions do not add up to n")
+    F = np.concatenate([dep.frame] + [f.subspace.frame for f in independents])
+    if F.shape[0] != n or np.abs(F @ F.T - np.eye(n)).max() > 1e-9:
+        raise InternalError("independent and dependent subspaces do not split R^n orthogonally")
 
     return StructureReport(
         independent_subspaces=tuple(independents),

@@ -133,6 +133,25 @@ def is_critical_oracle(d, V, tol=DEFAULT_TOL):
     return CriticalityReport(V, float(wds), V.dim, dim_match and splitting_ok, splitting_ok)
 
 
+def is_indecomposable_oracle(d, W, tol=1e-8):
+    """A critical W is indecomposable when the only symmetric X on W with
+    [P_i|_W, X] = 0 for every i are the multiples of I_W: a critical
+    split W = W1 + W2 would give X = P_W1.  The map X -> ([P_i|_W, X])_i
+    on a basis of the symmetric matrices must have a one-dimensional
+    nullspace."""
+    m = W.dim
+    blocks = [W.frame @ E.basis @ E.frame @ W.basis for E, _ in d.entries]
+    columns = []
+    for a in range(m):
+        for b in range(a, m):
+            X = np.zeros((m, m))
+            X[a, b] = X[b, a] = 1.0
+            columns.append(np.concatenate([(P @ X - X @ P).ravel() for P in blocks]))
+    # k m^2 rows, at least as many as the m(m+1)/2 unknowns
+    s = np.linalg.svd(np.array(columns).T, compute_uv=False)
+    return int(np.count_nonzero(s <= tol)) == 1
+
+
 def indicator_density(intervals, h, radius):
     """1-D indicator of a union of intervals, sampled at cell centers."""
     line = full_subspace(1)

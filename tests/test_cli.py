@@ -13,6 +13,7 @@ from blgeo.datum import (
     direct_sum_data,
     holder_datum,
     make_datum_from_cover,
+    pair_data,
     paired_planes_datum,
     planar_lines_datum,
     random_rotation,
@@ -189,20 +190,26 @@ def test_covers_induce_subcommand(files, capsys):
 
 
 def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # n = 16 with repeated blocks: an eigenproblem of size n^2 = 256 would be
+    # n = 16 with repeated blocks, and 16 copies of one block in n = 32: an
+    # eigenproblem of size n^2, or of 16^2 unknowns on the copies, would be
     # threaded inside LAPACK and change the last bits of the pieces
     blocks = [paired_planes_datum(3), paired_planes_datum(4), holder_datum(2, [0.3, 0.7]),
               planar_lines_datum(3), axis_datum(4)]
-    d = rotate_datum(direct_sum_data(blocks), random_rotation(np.random.default_rng(7), 16))
-    path = tmp_path / "d16.json"
-    path.write_text(json.dumps(d.to_json()))
-    seen = set()
-    for threads in ("1", "4"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-m", "blgeo", "analyze", str(path)],
-                              capture_output=True, env=env, check=True)
-        seen.add(proc.stdout)
-    assert len(seen) == 1
+    copies = planar_lines_datum(3)
+    for _ in range(15):
+        copies = pair_data(copies, planar_lines_datum(3))
+    rng = np.random.default_rng(7)
+    for name, d in (("d16", direct_sum_data(blocks)), ("copies16", copies)):
+        d = rotate_datum(d, random_rotation(rng, d.ambient_dim))
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d.to_json()))
+        seen = set()
+        for threads in ("1", "2", "4"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "blgeo", "analyze", str(path)],
+                                  capture_output=True, env=env, check=True)
+            seen.add(proc.stdout)
+        assert len(seen) == 1, name
 
 
 def test_malformed_json_reports_position(files, capsys):
@@ -241,6 +248,7 @@ GAUSS_JSON = {"kind": "gaussian", "domain": LINE_JSON, "A": [[1.0]]}
     "factorized_without_factors", "nan_frame", "infinite_frame", "nan_operator",
     "overflowing_report", "gaussian_nan_centre", "grid_nan_lo", "grid_infinite_h",
     "entries_not_a_list", "frame_not_a_list", "fractional_cover_element", "nan_polytope_vertex",
+    "t_object", "phi_object", "A_scalar", "densities_scalar", "grid_infinite_box",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -265,7 +273,9 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     field = {"gaussian_nan_centre": "centre b", "grid_nan_lo": "origin lo",
              "grid_infinite_h": "cell size h", "entries_not_a_list": "entries",
              "frame_not_a_list": "frame", "fractional_cover_element": "cover set element",
-             "nan_polytope_vertex": "polytope vertices"}.get(case, "")
+             "nan_polytope_vertex": "polytope vertices", "t_object": "--t",
+             "phi_object": "--phi", "A_scalar": "--A", "densities_scalar": "--densities",
+             "grid_infinite_box": "grid"}.get(case, "")
     if case in bad_density:
         argv = ["transport", "--f", write("f.json", json.dumps(bad_density[case])), "--g", gauss]
     elif case in ("nan_frame", "infinite_frame"):
@@ -283,6 +293,15 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         square = [[float("nan"), 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         argv = ["dual-bt", write("cover.json", json.dumps({"n": 2, "s": 1, "sets": [[1], [2]]})),
                 write("polytope.json", json.dumps({"n": 2, "vertices": square}))]
+    elif case in ("t_object", "A_scalar"):
+        flag, value = ("--t", {"a": 1}) if case == "t_object" else ("--A", 5)
+        argv = ["detcheck", holder, flag, write("side.json", json.dumps(value))]
+    elif case in ("phi_object", "densities_scalar"):
+        flag, value = ("--phi", {"a": 1}) if case == "phi_object" else ("--densities", 5)
+        argv = ["barthe-eval", holder, flag, write("side.json", json.dumps(value))]
+    elif case == "grid_infinite_box":
+        argv = ["barthe-eval", holder, "--densities", write("d.json", json.dumps([GAUSS_JSON] * 2)),
+                "--grid", "h=0.05,box=inf"]
     elif case == "nan_operator":
         argv = ["bl-eval", holder, "--A", write("A.json", "[[[NaN]], [[1.0]]]")]
     else:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bowtie_oracle, complement, intersect, is_critical_oracle, subspace_sum
+from conftest import (bowtie_oracle, complement, intersect, is_critical_oracle,
+                      is_indecomposable_oracle, subspace_sum)
 
 from blgeo.covers import UniformCover
 from blgeo.datum import (
@@ -275,6 +276,34 @@ def test_decomposition_block_sum():
     for V in parts:
         assert is_critical(d, V).is_critical
     assert sum(V.dim for V in parts) == 5
+
+
+@st.composite
+def decomposable_data(draw):
+    """A rotated random datum, rotated copies of paired planes, or the
+    rotated pair of complex-line data."""
+    kind = draw(st.sampled_from(["random", "paired_planes", "complex_pair"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        d = random_datum(rng, max_dim=10, max_vectors=20, rotate=False)
+    elif kind == "paired_planes":
+        copies = [paired_planes_datum(int(rng.integers(3, 6))) for _ in range(int(rng.integers(1, 4)))]
+        d = direct_sum_data(copies) if len(copies) > 1 else copies[0]
+    else:
+        d = pair_data(complex_lines_datum(), complex_lines_datum())
+    return rotate_datum(d, random_rotation(rng, d.ambient_dim))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(decomposable_data())
+def test_decomposition_is_finest(d):
+    pieces = indecomposable_decomposition(d)
+    for V in pieces:
+        assert is_indecomposable_oracle(d, V)
+    frames = np.concatenate([V.frame for V in pieces])
+    assert frames.shape == (d.ambient_dim, d.ambient_dim)
+    # pairwise orthogonal, so together they span R^n
+    assert np.abs(frames @ frames.T - np.eye(d.ambient_dim)).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
