@@ -24,7 +24,7 @@ from . import integrals as int_mod
 from . import structure as struct_mod
 from . import transport as trans_mod
 from .datum import GeometricBLDatum, rank_one_expansion, validate_datum
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, read
 from .subspace import Subspace, Tolerance
 
 SCHEMA = "blgeo/1"
@@ -45,12 +45,14 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # integers over 4300 digits, deep nesting
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _emit(config: RunConfig, payload: dict) -> str:
@@ -80,27 +82,13 @@ def _load_datum(path: str, config: RunConfig) -> GeometricBLDatum:
 
 
 def _load_side(config: RunConfig, key: str):
-    """The JSON in the file given to --t, --A, --phi or --densities, checked
-    for its kind; anything else is an InputError that names the flag."""
-    obj = _load_json(config.inputs[key])
-
-    def numbers(x, depth):  # lists nested depth deep of finite JSON numbers
-        if depth == 0:
-            return type(x) in (int, float) and abs(x) <= sys.float_info.max
-        return isinstance(x, list) and all(numbers(y, depth - 1) for y in x)
-
-    def square(M):
-        return numbers(M, 2) and all(len(row) == len(M) for row in M)
-
-    listed = isinstance(obj, list)
-    ok, kind = {
-        "t": (numbers(obj, 1), "a list of finite numbers"),
-        "phi": (square(obj), "a finite square matrix"),
-        "A": (listed and all(map(square, obj)), "a list of finite square matrices"),
-        "densities": (listed and all(isinstance(x, dict) for x in obj), "a list of density objects"),
-    }[key]
-    if not ok:
-        raise InputError(f"--{key} must be {kind}")
+    """The JSON in the file given to --t, --A, --phi or --densities, read
+    as its kind; a matrix that is not square is refused too."""
+    shape = {"t": [float], "A": [[[float]]], "phi": [[float]], "densities": [{}]}[key]
+    obj = read(_load_json(config.inputs[key]), shape, f"--{key}")
+    mats = obj if key == "A" else [obj] if key == "phi" else []
+    if any(len(row) != len(M) for M in mats for row in M):
+        raise InputError(f"--{key} matrices must be square")
     return obj
 
 
@@ -152,8 +140,8 @@ def run(config: RunConfig):
         if "phi" in config.inputs:
             ev = int_mod.gaussian_barthe_eval(d, _load_side(config, "phi"), config.tol)
         else:
-            dens = [int_mod.Density.from_json(obj, config.tol)
-                    for obj in _load_side(config, "densities")]
+            dens = [int_mod.Density.from_json(obj, config.tol, f"--densities[{i}]")
+                    for i, obj in enumerate(_load_side(config, "densities"))]
             ev = int_mod.supconv_eval(d, dens, config.grid, config.tol)
         if ev.lhs < ev.rhs * (1.0 - max(ev.est_error, 1e-9)):
             raise InternalError(
@@ -163,8 +151,8 @@ def run(config: RunConfig):
         return 0, _emit(config, ev.to_json())
 
     if cmd == "transport":
-        f = int_mod.Density.from_json(_load_json(config.inputs["f"]), config.tol)
-        g = int_mod.Density.from_json(_load_json(config.inputs["g"]), config.tol)
+        f = int_mod.Density.from_json(_load_json(config.inputs["f"]), config.tol, "--f")
+        g = int_mod.Density.from_json(_load_json(config.inputs["g"]), config.tol, "--g")
         T = trans_mod.brenier_1d(f, g, config.grid)
         resid = trans_mod.monge_ampere_residual(T, f, g)
         growth = trans_mod.linear_growth_estimate(T)
@@ -199,9 +187,7 @@ def run(config: RunConfig):
 
     if cmd == "covers-induce":
         cover = covers_mod.UniformCover.from_json(_load_json(config.inputs["cover"]))
-        ok, counts = covers_mod.validate_cover(cover)
-        if not ok:
-            raise InputError(f"cover is not {cover.s}-uniform (multiplicities {counts})")
+        counts = covers_mod.require_uniform(cover)
         partition = covers_mod.induced_one_cover(cover)
         payload = {"partition": [sorted(b) for b in partition],
                    "multiplicities": list(counts)}

@@ -10,8 +10,8 @@ subspaces of the datum the cover generates.
 The primal inequality |K|^s <= prod |P_{sigma_i} K| is checked exactly
 on voxel bodies (cell counts are integers, projections are sets of
 integer tuples), and equality holds precisely when K is the direct sum
-of its projections onto the induced partition blocks, which is decided
-by exact cell-set comparison.  The dual inequality
+of its projections onto the induced partition blocks; K always lies in
+that product, so comparing cell counts decides it.  The dual inequality
 |K|^s >= (prod |sigma_i|! / (n!)^s) prod |K cap E_{sigma_i}| runs on
 V-polytopes with the origin strictly inside; volumes and coordinate
 sections come from facet enumeration at n <= 4, and equality holds
@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .errors import CapError, InputError, InternalError, as_int
+from .errors import CapError, InputError, InternalError, as_int, read
 
 BODY_MAX_DIM = 4
 
@@ -57,7 +56,7 @@ class UniformCover:
         for sigma in sets:
             if not sigma:
                 raise InputError("cover sets must be nonempty")
-            if not sigma <= set(range(1, self.n + 1)):
+            if not 1 <= min(sigma) <= max(sigma) <= self.n:
                 raise InputError(f"cover set {sorted(sigma)} is not a subset of [{self.n}]")
         object.__setattr__(self, "sets", sets)
 
@@ -69,12 +68,10 @@ class UniformCover:
         return {"n": self.n, "s": self.s, "sets": [sorted(sigma) for sigma in self.sets]}
 
     @staticmethod
-    def from_json(obj: dict) -> "UniformCover":
-        try:
-            return UniformCover(as_int(obj["n"], "cover n"), as_int(obj["s"], "cover s"),
-                                tuple(tuple(sigma) for sigma in obj["sets"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"cover JSON needs 'n', 's', 'sets': {exc}") from exc
+    def from_json(obj) -> "UniformCover":
+        obj = read(obj, {"n": float, "s": float, "sets": [[float]]}, "cover")
+        return UniformCover(as_int(obj["n"], "cover n"), as_int(obj["s"], "cover s"),
+                            tuple(obj["sets"]))
 
 
 def validate_cover(c: UniformCover):
@@ -84,6 +81,20 @@ def validate_cover(c: UniformCover):
         for j in sigma:
             counts[j - 1] += 1
     return all(m == c.s for m in counts), tuple(counts)
+
+
+def require_uniform(c: UniformCover) -> tuple:
+    """The multiplicities of an s-uniform cover; InputError for any other.
+    The sets must hold s * n elements in all, which is checked before
+    anything of size n is built: n can be far larger than its file."""
+    total = sum(len(sigma) for sigma in c.sets)
+    if total != c.s * c.n:
+        raise InputError(f"cover is not {c.s}-uniform: its sets hold {total} elements, "
+                         f"not s * n = {c.s * c.n}")
+    ok, counts = validate_cover(c)
+    if not ok:
+        raise InputError(f"cover is not {c.s}-uniform (multiplicities {counts})")
+    return counts
 
 
 def induced_one_cover(c: UniformCover) -> tuple:
@@ -127,11 +138,9 @@ class VoxelBody:
         return {"n": self.n, "cells": sorted(list(c) for c in self.cells)}
 
     @staticmethod
-    def from_json(obj: dict) -> "VoxelBody":
-        try:
-            return VoxelBody(as_int(obj["n"], "voxel n"), frozenset(tuple(c) for c in obj["cells"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"voxel JSON needs 'n' and 'cells': {exc}") from exc
+    def from_json(obj) -> "VoxelBody":
+        obj = read(obj, {"n": float, "cells": [[float]]}, "body")
+        return VoxelBody(as_int(obj["n"], "body n"), frozenset(map(tuple, obj["cells"])))
 
 
 def _project_cells(cells, axes) -> frozenset:
@@ -167,14 +176,13 @@ class BTCheckResult:
 def bt_check(K: VoxelBody, c: UniformCover) -> BTCheckResult:
     """|K|^s against prod |P_{sigma_i} K| in exact integer arithmetic.
 
-    Equality is decided structurally: rebuild the product body from the
-    projections onto the induced partition blocks and compare cell sets.
-    A numeric tie without a matching split (or vice versa) cannot happen
-    for voxel bodies and is reported as an internal error.
+    Equality is decided structurally: K always lies in the product of its
+    projections onto the induced partition blocks, so K is that product
+    exactly when their cell counts agree.  A numeric tie without a
+    matching split (or vice versa) cannot happen for voxel bodies and is
+    reported as an internal error.
     """
-    ok, counts = validate_cover(c)
-    if not ok:
-        raise InputError(f"cover is not {c.s}-uniform (multiplicities {counts})")
+    require_uniform(c)
     if K.n != c.n:
         raise InputError("body and cover dimensions differ")
     vol = len(K.cells)
@@ -183,21 +191,8 @@ def bt_check(K: VoxelBody, c: UniformCover) -> BTCheckResult:
     for sigma in c.sets:
         rhs *= len(_project_cells(K.cells, [j - 1 for j in sorted(sigma)]))
     partition = induced_one_cover(c)
-    blocks = [sorted(b) for b in partition]
-    projections = [_project_cells(K.cells, [j - 1 for j in b]) for b in blocks]
-    prod_size = 1
-    for p in projections:
-        prod_size *= len(p)
-    equality = False
-    if prod_size == vol:
-        rebuilt = set()
-        for combo in iter_product(*projections):
-            cell = [0] * K.n
-            for b, part in zip(blocks, combo):
-                for pos, axis in enumerate(b):
-                    cell[axis - 1] = part[pos]
-            rebuilt.add(tuple(cell))
-        equality = rebuilt == K.cells
+    projections = [_project_cells(K.cells, [j - 1 for j in sorted(b)]) for b in partition]
+    equality = math.prod(map(len, projections)) == vol
     if equality != (lhs == rhs):
         raise InternalError("voxel equality certificate disagrees with the integer values")
     return BTCheckResult(
@@ -238,12 +233,9 @@ class PointPolytope:
         return {"n": self.n, "vertices": [list(v) for v in self.vertices]}
 
     @staticmethod
-    def from_json(obj: dict) -> "PointPolytope":
-        try:
-            return PointPolytope(as_int(obj["n"], "polytope n"),
-                                 tuple(tuple(v) for v in obj["vertices"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"polytope JSON needs 'n' and 'vertices': {exc}") from exc
+    def from_json(obj) -> "PointPolytope":
+        obj = read(obj, {"n": float, "vertices": [[float]]}, "polytope")
+        return PointPolytope(as_int(obj["n"], "polytope n"), tuple(map(tuple, obj["vertices"])))
 
 
 def _hull_volume(points: np.ndarray) -> float:
@@ -259,10 +251,11 @@ def _hull_volume(points: np.ndarray) -> float:
 
 def _facets(points: np.ndarray):
     """Facet inequalities a.x <= b of the hull, derived from the vertices."""
-    hull = ConvexHull(points)
-    A = hull.equations[:, :-1]
-    b = -hull.equations[:, -1]
-    return A, b
+    try:
+        eq = ConvexHull(points).equations
+    except QhullError as exc:
+        raise InputError("qhull cannot take the facets of the polytope") from exc
+    return eq[:, :-1], -eq[:, -1]
 
 
 def _origin_interior(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
@@ -285,9 +278,10 @@ def _section_vertices(A: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
         ub = np.min(bsub[a > 1e-12] / a[a > 1e-12])
         lb = np.max(bsub[a < -1e-12] / a[a < -1e-12])
         return np.array([[lb], [ub]])
-    hs = np.column_stack([Asub, -bsub])
-    inter = HalfspaceIntersection(hs, np.zeros(d))
-    return inter.intersections
+    try:
+        return HalfspaceIntersection(np.column_stack([Asub, -bsub]), np.zeros(d)).intersections
+    except QhullError as exc:
+        raise InputError("qhull cannot take a coordinate section of the polytope") from exc
 
 
 def _embed(points: np.ndarray, axes, n: int) -> np.ndarray:
@@ -337,9 +331,7 @@ def dual_bt_check(K: PointPolytope, c: UniformCover, mc_samples: int = 0,
     adds a Monte Carlo estimate of |K| as a sanity figure; it never
     affects the verdict.
     """
-    ok, counts = validate_cover(c)
-    if not ok:
-        raise InputError(f"cover is not {c.s}-uniform (multiplicities {counts})")
+    require_uniform(c)
     if K.n != c.n:
         raise InputError("polytope and cover dimensions differ")
     pts = K.points()

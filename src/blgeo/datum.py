@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapError, InputError, InternalError, as_int
+from .errors import CapError, InputError, InternalError, as_int, read
 from .subspace import (
     DEFAULT_TOL,
     Subspace,
@@ -38,7 +38,7 @@ def parse_weight(w) -> float:
     if isinstance(w, str):
         try:
             value = float(Fraction(w))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"cannot parse weight {w!r}") from exc
     else:
         value = float(w)
@@ -92,23 +92,11 @@ class GeometricBLDatum:
         }
 
     @staticmethod
-    def from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> "GeometricBLDatum":
-        try:
-            n = as_int(obj["n"], "datum n")
-            raw = obj["entries"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"datum JSON needs 'n' and 'entries': {exc}") from exc
-        if not isinstance(raw, list):
-            raise InputError(f"datum entries must be a list, got {raw!r}")
-        entries = []
-        for e in raw:
-            try:
-                c = e["c"]
-                E = Subspace.from_json(e["E"], tol)
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"datum entry needs 'c' and 'E': {exc}") from exc
-            entries.append((E, c))
-        return GeometricBLDatum(n, tuple(entries))
+    def from_json(obj, tol: Tolerance = DEFAULT_TOL) -> "GeometricBLDatum":
+        obj = read(obj, {"n": float, "entries": [{"c": (float, str), "E": {}}]}, "datum")
+        return GeometricBLDatum(as_int(obj["n"], "datum n"), tuple(
+            (Subspace.from_json(e["E"], tol, f"datum entries[{i}].E"), e["c"])
+            for i, e in enumerate(obj["entries"])))
 
 
 @dataclass(frozen=True)
@@ -207,11 +195,9 @@ def make_datum_from_cover(cover) -> GeometricBLDatum:
     Each coordinate axis is hit by exactly s sets, so the weighted
     projections sum to the identity exactly.
     """
-    from .covers import validate_cover
+    from .covers import require_uniform
 
-    ok, counts = validate_cover(cover)
-    if not ok:
-        raise InputError(f"cover is not {cover.s}-uniform (multiplicities {counts})")
+    require_uniform(cover)
     n = cover.n
     entries = []
     for sigma in cover.sets:

@@ -6,8 +6,13 @@ conditions that valid inputs can never produce (a verified inequality
 violation, a singular KKT system, inconsistent criticality verdicts);
 the CLI maps it to exit code 2.
 
-as_int is the one reading of an integer field at the input boundary.
+This module is the input boundary: read checks a JSON value against
+the shape its kind declares, and as_int reads an integer field.  Value
+conditions (finite, positive, orthonormal, sized to the domain) stay in
+the constructors, which Python callers reach without JSON.
 """
+
+import sys
 
 
 class BlgeoError(Exception):
@@ -41,3 +46,43 @@ def as_int(value, name: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def field_of(name: str, key: str) -> str:
+    """The name of field key of the value called name: "datum" gives
+    "datum entries", and "datum entries[1]" gives "datum entries[1].c"."""
+    return f"{name}{'.' if ' ' in name else ' '}{key}"
+
+
+def read(obj, shape, name: str):
+    """obj as the JSON shape declares, every number a float; an InputError
+    naming the field path (as in "datum entries[1].c") for anything else.
+
+    A shape is float (a number; not a bool, nor an integer a double does
+    not hold exactly), str, (float, str) (a weight: a number or an
+    exact-rational string), [shape] (a list of that shape), or a dict of
+    key to shape, "?" ending an optional key; {} is any object.
+    """
+    if isinstance(shape, dict):
+        if type(obj) is not dict:
+            raise InputError(f"{name} must be an object")
+        out = dict(obj)
+        for key, sub in shape.items():
+            field = key.rstrip("?")
+            if field in obj:
+                out[field] = read(obj[field], sub, field_of(name, field))
+            elif field == key:
+                raise InputError(f"{name} needs the key {field!r}")
+        return out
+    if isinstance(shape, list):
+        if type(obj) is not list:
+            raise InputError(f"{name} must be a list")
+        return [read(x, shape[0], f"{name}[{i}]") for i, x in enumerate(obj)]
+    kinds = shape if isinstance(shape, tuple) else (shape,)
+    if str in kinds and type(obj) is str:
+        return obj
+    if float in kinds and (type(obj) is float or type(obj) is int
+                           and abs(obj) <= sys.float_info.max and float(obj) == obj):
+        return float(obj)
+    what = {float: "a double-precision number", str: "a string"}
+    raise InputError(f"{name} must be {' or '.join(what[k] for k in kinds)}")

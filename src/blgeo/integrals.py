@@ -30,7 +30,7 @@ from scipy.ndimage import maximum_filter, minimum_filter
 
 from .datum import GeometricBLDatum, require_validated
 from .determinantal import determinantal_high_check, require_spd
-from .errors import CapError, InputError, InternalError
+from .errors import CapError, InputError, InternalError, field_of, read
 from .structure import StructureReport, critical_meet, has_critical_eigenspaces
 from .subspace import DEFAULT_TOL, Subspace, Tolerance, equal
 
@@ -74,24 +74,24 @@ class Density:
         raise NotImplementedError
 
     @staticmethod
-    def from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> "Density":
-        try:
-            kind = obj["kind"]
-            domain = Subspace.from_json(obj["domain"], tol)
-            if kind == "gaussian":
-                return GaussianDensity(domain, np.asarray(obj["A"], dtype=float),
-                                       np.asarray(obj.get("b", np.zeros(domain.dim)), dtype=float),
-                                       float(obj.get("theta", 1.0)))
-            if kind == "grid":
-                return GridDensity(domain, np.asarray(obj["lo"], dtype=float),
-                                   float(obj["h"]), np.asarray(obj["values"], dtype=float))
-            if kind == "factorized":
-                return FactorizedDensity(domain, tuple(
-                    (Subspace.from_json(f["subspace"], tol), Density.from_json(f["density"], tol))
-                    for f in obj["factors"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"density JSON lacks a field or has a mistyped one: {exc}") from exc
-        raise InputError(f"unknown density kind {kind!r}")
+    def from_json(obj, tol: Tolerance = DEFAULT_TOL, name: str = "density") -> "Density":
+        head = read(obj, {"kind": str, "domain": {}}, name)
+        domain = Subspace.from_json(head["domain"], tol, field_of(name, "domain"))
+        values = (float, [float], [[float]], [[[float]]])[min(domain.dim, 3)]  # a level per axis
+        shape = {"gaussian": {"A": [[float]], "b?": [float], "theta?": float},
+                 "grid": {"lo": [float], "h": float, "values": values},
+                 "factorized": {"factors": [{"subspace": {}, "density": {}}]}}.get(head["kind"])
+        if shape is None:
+            raise InputError(f"{name} kind {head['kind']!r} is not gaussian, grid or factorized")
+        obj = read(obj, shape, name)
+        if head["kind"] == "gaussian":
+            return GaussianDensity(domain, obj["A"], obj.get("b"), obj.get("theta", 1.0))
+        if head["kind"] == "grid":
+            return GridDensity(domain, obj["lo"], obj["h"], obj["values"])
+        return FactorizedDensity(domain, tuple(
+            (Subspace.from_json(f["subspace"], tol, field_of(name, f"factors[{i}].subspace")),
+             Density.from_json(f["density"], tol, field_of(name, f"factors[{i}].density")))
+            for i, f in enumerate(obj["factors"])))
 
 
 class GaussianDensity(Density):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, as_int
+from .errors import InputError, as_int, field_of, read
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,8 @@ class Tolerance:
 
     rank_rel_tol: relative singular-value cutoff for rank decisions.
     residual_tol: max-norm threshold for matrix/vector residual tests.
+    Both lie in [1e-10, 1e-2): below 1e-10 the round-off of exact
+    intersections and identities on valid data can exceed them.
     """
 
     rank_rel_tol: float = 1e-9
@@ -34,8 +36,8 @@ class Tolerance:
     def __post_init__(self):
         for name in ("rank_rel_tol", "residual_tol"):
             v = getattr(self, name)
-            if not (0.0 < v < 1e-2):
-                raise InputError(f"{name} must lie in (0, 1e-2), got {v}")
+            if not (1e-10 <= v < 1e-2):
+                raise InputError(f"{name} must lie in [1e-10, 1e-2), got {v}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -89,24 +91,19 @@ class Subspace:
         return {"n": self.ambient_dim, "frame": [list(map(float, row)) for row in self.frame]}
 
     @staticmethod
-    def from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
+    def from_json(obj, tol: Tolerance = DEFAULT_TOL, name: str = "subspace") -> "Subspace":
         """Frames that are already orthonormal are kept verbatim, so a
         serialization round trip is exact; anything else is passed
         through orthonormalize to get the span."""
+        obj = read(obj, {"n": float, "frame": [[float]]}, name)
+        n = as_int(obj["n"], field_of(name, "n"))
+        rows = obj["frame"]
+        if not all(len(row) == n for row in rows) or not np.all(np.isfinite(rows)):
+            raise InputError(f"{field_of(name, 'frame')} rows must be n = {n} finite numbers each")
         try:
-            n = as_int(obj["n"], "subspace n")
-            rows = obj["frame"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"subspace JSON needs 'n' and 'frame': {exc}") from exc
-        if not isinstance(rows, list):
-            raise InputError(f"subspace frame must be a list of vectors, got {rows!r}")
-        vectors = [np.asarray(r, dtype=float) for r in rows]
-        if not all(np.isfinite(v).all() for v in vectors):
-            raise InputError("subspace frame entries must be finite")
-        try:
-            return Subspace(n, np.array(vectors).reshape(len(vectors), n))
+            return Subspace(n, rows)
         except InputError:
-            return orthonormalize(vectors, tol, ambient_dim=n)
+            return orthonormalize(rows, tol, ambient_dim=n)
 
 
 def zero_subspace(n: int) -> Subspace:

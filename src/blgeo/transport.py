@@ -98,22 +98,15 @@ def _invert_cdf(knots_x: np.ndarray, knots_u: np.ndarray, u):
     endpoint of the flat segment.
     """
     u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape)
     top = knots_u[-1]
-    for m, uu in np.ndenumerate(u):
-        if uu <= knots_u[0]:
-            out[m] = knots_x[0]
-            continue
-        if uu >= top:
-            out[m] = knots_x[int(np.searchsorted(knots_u, top, side="left"))]
-            continue
-        j = int(np.searchsorted(knots_u, uu, side="left"))
-        u0, u1 = knots_u[j - 1], knots_u[j]
-        if u1 <= u0:
-            out[m] = knots_x[j]
-        else:
-            out[m] = knots_x[j - 1] + (uu - u0) / (u1 - u0) * (knots_x[j] - knots_x[j - 1])
-    return out
+    # between the first knot and top, knot j is the first at or above u, so
+    # u0 < u <= u1: u at a plateau's level lands on x1, its left endpoint
+    j = np.clip(np.searchsorted(knots_u, u, side="left"), 1, knots_u.size - 1)
+    u0, u1, x0, x1 = knots_u[j - 1], knots_u[j], knots_x[j - 1], knots_x[j]
+    with np.errstate(divide="ignore", invalid="ignore"):  # only in lanes replaced below
+        inner = x0 + (u - u0) / (u1 - u0) * (x1 - x0)
+    return np.where(u <= knots_u[0], knots_x[0],
+                    np.where(u >= top, knots_x[np.searchsorted(knots_u, top, side="left")], inner))
 
 
 def brenier_1d(f: Density, g: Density, grid: GridSpec) -> MonotoneMap:

@@ -2,7 +2,8 @@
 
 The oracles here recompute spec'd quantities along a different route
 than the library (brute-force circuit search, direct matrix sums, exact
-CDF bisection, the subspace lattice for criticality) so that agreement
+CDF bisection, per-sample CDF inversion, the subspace lattice for
+criticality) so that agreement
 is evidence, not tautology.
 """
 
@@ -161,6 +162,28 @@ def indicator_density(intervals, h, radius):
     for a, b in intervals:
         vals[(centers >= a) & (centers <= b)] = 1.0
     return GridDensity(line, np.array([-radius]), h, vals)
+
+
+def invert_cdf_oracle(knots_x, knots_u, u):
+    """Left-continuous inverse of a piecewise-linear CDF, one sample at a
+    time; plateaus invert to their left endpoint."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape)
+    top = knots_u[-1]
+    for m, uu in np.ndenumerate(u):
+        if uu <= knots_u[0]:
+            out[m] = knots_x[0]
+            continue
+        if uu >= top:
+            out[m] = knots_x[int(np.searchsorted(knots_u, top, side="left"))]
+            continue
+        j = int(np.searchsorted(knots_u, uu, side="left"))
+        u0, u1 = knots_u[j - 1], knots_u[j]
+        if u1 <= u0:
+            out[m] = knots_x[j]
+        else:
+            out[m] = knots_x[j - 1] + (uu - u0) / (u1 - u0) * (knots_x[j] - knots_x[j - 1])
+    return out
 
 
 def gaussian_sup_integral(d, A_list):

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blgeo.cli import main
 from blgeo.covers import UniformCover
@@ -189,17 +194,22 @@ def test_covers_induce_subcommand(files, capsys):
     assert report["partition"] == [[1], [2], [3]]
 
 
+def sixteen_copies():
+    """16 paired copies of three lines in the plane: one datum on R^32."""
+    copies = planar_lines_datum(3)
+    for _ in range(15):
+        copies = pair_data(copies, planar_lines_datum(3))
+    return copies
+
+
 def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
     # n = 16 with repeated blocks, and 16 copies of one block in n = 32: an
     # eigenproblem of size n^2, or of 16^2 unknowns on the copies, would be
     # threaded inside LAPACK and change the last bits of the pieces
     blocks = [paired_planes_datum(3), paired_planes_datum(4), holder_datum(2, [0.3, 0.7]),
               planar_lines_datum(3), axis_datum(4)]
-    copies = planar_lines_datum(3)
-    for _ in range(15):
-        copies = pair_data(copies, planar_lines_datum(3))
     rng = np.random.default_rng(7)
-    for name, d in (("d16", direct_sum_data(blocks)), ("copies16", copies)):
+    for name, d in (("d16", direct_sum_data(blocks)), ("copies16", sixteen_copies())):
         d = rotate_datum(d, random_rotation(rng, d.ambient_dim))
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(d.to_json()))
@@ -210,6 +220,16 @@ def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
                                   capture_output=True, env=env, check=True)
             seen.add(proc.stdout)
         assert len(seen) == 1, name
+
+
+def test_tolerance_below_round_off_exits_one(tmp_path, capsys):
+    # at rank_rel_tol 1e-20 the sines of exact intersections (about 1e-16)
+    # would exceed the cut, and valid data would end in an internal error
+    path = tmp_path / "copies16.json"
+    path.write_text(json.dumps(sixteen_copies().to_json()))
+    code, out, err = run_cli(capsys, ["--rank-tol", "1e-20", "analyze", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "rank_rel_tol" in err
 
 
 def test_malformed_json_reports_position(files, capsys):
@@ -249,6 +269,9 @@ GAUSS_JSON = {"kind": "gaussian", "domain": LINE_JSON, "A": [[1.0]]}
     "overflowing_report", "gaussian_nan_centre", "grid_nan_lo", "grid_infinite_h",
     "entries_not_a_list", "frame_not_a_list", "fractional_cover_element", "nan_polytope_vertex",
     "t_object", "phi_object", "A_scalar", "densities_scalar", "grid_infinite_box",
+    "weight_list", "weight_null", "weight_true", "weight_400_digits", "frame_400_digits",
+    "theta_string", "h_string", "lo_string", "values_string", "cover_with_huge_n",
+    "flat_triangle_for_qhull",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -268,16 +291,40 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         "gaussian_nan_centre": dict(GAUSS_JSON, b=[float("nan")]),
         "grid_nan_lo": dict(grid, lo=[float("nan")]),
         "grid_infinite_h": dict(grid, h=float("inf")),
+        "theta_string": dict(GAUSS_JSON, theta="2"),
+        "h_string": dict(grid, h="0.5"),
+        "lo_string": dict(grid, lo=["-1"]),
+        "values_string": dict(grid, values=["1", 1, 1, 1]),
     }
+    weight = {"weight_list": [1], "weight_null": None, "weight_true": True,
+              "weight_400_digits": 10 ** 399}
     # the message names the offending field
     field = {"gaussian_nan_centre": "centre b", "grid_nan_lo": "origin lo",
              "grid_infinite_h": "cell size h", "entries_not_a_list": "entries",
              "frame_not_a_list": "frame", "fractional_cover_element": "cover set element",
              "nan_polytope_vertex": "polytope vertices", "t_object": "--t",
              "phi_object": "--phi", "A_scalar": "--A", "densities_scalar": "--densities",
-             "grid_infinite_box": "grid"}.get(case, "")
+             "grid_infinite_box": "grid", "frame_400_digits": "entries[0].E.frame[0][0]",
+             "theta_string": "theta", "h_string": "--f h", "lo_string": "lo[0]",
+             "values_string": "values[0]", "cover_with_huge_n": "uniform",
+             "flat_triangle_for_qhull": "polytope",
+             **dict.fromkeys(weight, "entries[0].c")}.get(case, "")
     if case in bad_density:
         argv = ["transport", "--f", write("f.json", json.dumps(bad_density[case])), "--g", gauss]
+    elif case in weight:
+        datum = {"n": 1, "entries": [{"c": weight[case], "E": LINE_JSON}]}
+        argv = ["validate", write("datum.json", json.dumps(datum))]
+    elif case == "frame_400_digits":
+        datum = {"n": 1, "entries": [{"c": 1, "E": {"n": 1, "frame": [[10 ** 399]]}}]}
+        argv = ["validate", write("datum.json", json.dumps(datum))]
+    elif case == "cover_with_huge_n":
+        # one multiplicity counter per element of [n] would be 10^12 counters
+        cover = {"n": 10 ** 12, "s": 1, "sets": [[1], [2]]}
+        argv = ["covers-induce", write("cover.json", json.dumps(cover))]
+    elif case == "flat_triangle_for_qhull":
+        triangle = [[1e200, 0], [-1e200, 1e200], [-1e200, -1e200]]
+        argv = ["dual-bt", write("cover.json", json.dumps({"n": 2, "s": 1, "sets": [[1], [2]]})),
+                write("polytope.json", json.dumps({"n": 2, "vertices": triangle}))]
     elif case in ("nan_frame", "infinite_frame"):
         # json.dumps writes NaN and Infinity, which json.load reads back
         value = float("nan") if case == "nan_frame" else float("inf")
@@ -314,6 +361,7 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert field in err
+    assert len(err) < 300
 
 
 def test_linear_algebra_failure_exits_two(files, capsys, monkeypatch):
@@ -326,3 +374,91 @@ def test_linear_algebra_failure_exits_two(files, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("internal error: ")
+
+
+def fuzz_calls():
+    """One valid call per command, JSON inputs inline and written at run time."""
+    r4 = paired_planes_datum().to_json()
+    lw = UniformCover(3, 2, ({2, 3}, {1, 3}, {1, 2}))
+    cover = lw.to_json()
+    holder = {"n": 1, "entries": [{"c": "1/2", "E": LINE_JSON}, {"c": 0.5, "E": LINE_JSON}]}
+    grid = {"kind": "grid", "domain": LINE_JSON, "lo": [-1.0], "h": 0.5,
+            "values": [1.0, 2.0, 0.0, 1.0]}
+    factorized = {"kind": "factorized", "domain": LINE_JSON,
+                  "factors": [{"subspace": LINE_JSON, "density": grid}]}
+    octahedron = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    return {
+        "validate": ["validate", r4],
+        "analyze": ["analyze", make_datum_from_cover(lw).to_json()],
+        "critical": ["critical", r4, {"n": 4, "frame": [[1, 0, 0, 0], [0, 1, 0, 0]]}],
+        "detcheck": ["detcheck", r4, "--t", [1.0, 2.0, 1.0, 2.0, 1.0, 2.0]],
+        "bl-eval": ["bl-eval", r4, "--A", [np.eye(2).tolist()] * 3],
+        "barthe-eval --phi": ["barthe-eval", r4, "--phi", np.eye(4).tolist()],
+        "barthe-eval --densities": ["barthe-eval", holder, "--densities",
+                                    [GAUSS_JSON, factorized], "--grid", "h=0.25,box=2"],
+        "transport": ["transport", "--f", grid, "--g", GAUSS_JSON, "--grid", "h=0.05,box=3"],
+        "bt": ["bt", cover, {"n": 3, "cells": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}],
+        "dual-bt": ["dual-bt", cover, {"n": 3, "vertices": octahedron}],
+        "covers-induce": ["covers-induce", cover],
+    }
+
+
+FUZZ_CALLS = fuzz_calls()
+DROP, WRAP = object(), object()
+FUZZ_NODES = [DROP, None, True, "x", [], {}, WRAP, 1.5, 0, -1, float("nan"), float("inf"),
+              10 ** 399]
+
+
+def json_paths(node, path=()):
+    """The path of every node of a JSON value, the root's () included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+@st.composite
+def fuzzed_calls(draw):
+    """A valid call with one node of one of its JSON inputs replaced, or with
+    the node removed from its object or list (the whole file at the root).
+    Each JSON input comes back as a 1-list, to be written to a file."""
+    argv = [a if isinstance(a, str) else [a]
+            for a in copy.deepcopy(FUZZ_CALLS[draw(st.sampled_from(sorted(FUZZ_CALLS)))])]
+    parent = argv[draw(st.sampled_from([i for i, a in enumerate(argv) if isinstance(a, list)]))]
+    path = (0,) + draw(st.sampled_from(list(json_paths(parent[0]))))
+    new = draw(st.sampled_from(FUZZ_NODES))
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = [parent[path[-1]]] if new is WRAP else new
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(fuzzed_calls())
+def test_fuzzed_inputs_end_in_a_report_or_a_message(fuzz_dir, argv):
+    def write(i, content):
+        path = fuzz_dir / f"input{i}.json"
+        path.write_text(json.dumps(content[0]) if content else "")
+        return str(path)
+
+    argv = [write(i, a) if isinstance(a, list) else a for i, a in enumerate(argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and json.loads(out)["command"] == argv[0]
+    elif argv[0] == "validate" and out:
+        assert code == 1 and json.loads(out)["is_valid"] is False
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err

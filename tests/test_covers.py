@@ -144,6 +144,37 @@ def test_bt_random_bodies_never_violate(rng):
         assert r.equality == (r.lhs == r.rhs)
 
 
+def test_bt_equality_is_a_product_over_the_induced_blocks(rng):
+    # oracle: rebuild the product of K's projections onto the blocks of the
+    # induced partition and compare cell sets; half the bodies are products
+    from itertools import product
+
+    def product_body(n, blocks, parts):
+        cells = set()
+        for combo in product(*parts):
+            cell = [0] * n
+            for b, part in zip(blocks, combo):
+                for axis, x in zip(b, part):
+                    cell[axis - 1] = x
+            cells.add(tuple(cell))
+        return cells
+
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        c = random_uniform_cover(rng, n, int(rng.integers(1, 3)))
+        blocks = induced_partition_oracle(n, c.sets)
+        if rng.random() < 0.5:
+            cells = product_body(n, blocks, [
+                {tuple(int(x) for x in rng.integers(0, 3, len(b))) for _ in range(3)}
+                for b in blocks])
+        else:
+            cells = {tuple(int(x) for x in rng.integers(0, 3, n)) for _ in range(8)}
+        projections = [{tuple(cell[a - 1] for a in b) for cell in cells} for b in blocks]
+        r = bt_check(VoxelBody(n, cells), c)
+        assert r.equality == (product_body(n, blocks, projections) == cells) == (r.lhs == r.rhs)
+        assert (r.split_certificate is not None) == r.equality
+
+
 def test_bt_dimension_mismatch():
     with pytest.raises(InputError):
         bt_check(VoxelBody(2, {(0, 0)}), LW)

@@ -93,6 +93,13 @@ def test_tolerance_bounds():
         Tolerance(residual_tol=-1e-9)
 
 
+def test_tolerance_floor_names_the_field():
+    Tolerance(rank_rel_tol=1e-10, residual_tol=1e-10)
+    for field in ("rank_rel_tol", "residual_tol"):
+        with pytest.raises(InputError, match=field):
+            Tolerance(**{field: 9e-11})
+
+
 def test_frame_orthonormality_enforced():
     with pytest.raises(InputError):
         Subspace(2, [[1.0, 1.0]])
