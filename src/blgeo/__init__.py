@@ -1,7 +1,7 @@
 """Structure and verification toolkit for geometric Brascamp-Lieb data."""
 
 from .datum import GeometricBLDatum, RankOneDatum, ValidationReport, validate_datum
-from .subspace import Subspace, Tolerance
+from .subspace import Subspace
 
 __version__ = "0.1.0"
 
@@ -9,7 +9,6 @@ __all__ = [
     "GeometricBLDatum",
     "RankOneDatum",
     "Subspace",
-    "Tolerance",
     "ValidationReport",
     "validate_datum",
     "__version__",

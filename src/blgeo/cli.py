@@ -1,4 +1,4 @@
-"""Command-line front end: JSON in, deterministic JSON (or text) out.
+"""Command-line front end: JSON in, deterministic JSON out.
 
 Exit codes: 0 on success, 1 on input errors (malformed JSON with line
 and column, cap violations, invalid data), 2 on internal-error
@@ -6,7 +6,9 @@ conditions that valid inputs can never produce, including a verified
 violation of one of the inequalities and a failed linear-algebra
 routine.
 
-Identical configurations produce byte-identical reports.
+A report depends on its input files alone (and on --grid for the two
+grid commands): the rank and residual thresholds are the fixed
+constants of subspace.py, and every report prints them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import structure as struct_mod
 from . import transport as trans_mod
 from .datum import GeometricBLDatum, rank_one_expansion, validate_datum
 from .errors import InputError, InternalError, read
-from .subspace import Subspace, Tolerance
+from .subspace import RANK_TOL, RESIDUAL_TOL, Subspace
 
 SCHEMA = "blgeo/1"
 
@@ -34,11 +36,7 @@ SCHEMA = "blgeo/1"
 class RunConfig:
     command: str
     inputs: dict
-    tol: Tolerance
     grid: object = None
-    seed: int = 0
-    out_format: str = "json"
-    mc_samples: int = 0
 
 
 def _load_json(path: str):
@@ -59,21 +57,14 @@ def _emit(config: RunConfig, payload: dict) -> str:
     payload = dict(payload)
     payload["schema"] = SCHEMA
     payload["command"] = config.command
-    payload["tolerances"] = {
-        "rank_rel_tol": config.tol.rank_rel_tol,
-        "residual_tol": config.tol.residual_tol,
-    }
+    payload["tolerances"] = {"rank_rel_tol": RANK_TOL, "residual_tol": RESIDUAL_TOL}
     # JSON has no NaN or infinity: such a report fails with ValueError (exit 1)
-    if config.out_format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    lines = [f"{k}: {json.dumps(payload[k], sort_keys=True, allow_nan=False)}"
-             for k in sorted(payload)]
-    return "\n".join(lines) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _load_datum(path: str, config: RunConfig) -> GeometricBLDatum:
-    d = GeometricBLDatum.from_json(_load_json(path), config.tol)
-    report = validate_datum(d, config.tol)
+def _load_datum(path: str) -> GeometricBLDatum:
+    d = GeometricBLDatum.from_json(_load_json(path))
+    report = validate_datum(d)
     if not report.is_valid:
         raise InputError(
             f"datum in {path} does not satisfy the identity (defect {report.defect:.3e})"
@@ -97,28 +88,28 @@ def run(config: RunConfig):
     cmd = config.command
 
     if cmd == "validate":
-        d = GeometricBLDatum.from_json(_load_json(config.inputs["datum"]), config.tol)
-        report = validate_datum(d, config.tol)
+        d = GeometricBLDatum.from_json(_load_json(config.inputs["datum"]))
+        report = validate_datum(d)
         return (0 if report.is_valid else 1), _emit(config, report.to_json())
 
     if cmd == "analyze":
-        d = _load_datum(config.inputs["datum"], config)
-        report = struct_mod.independent_subspaces(d, config.tol)
+        d = _load_datum(config.inputs["datum"])
+        report = struct_mod.independent_subspaces(d)
         return 0, _emit(config, report.to_json())
 
     if cmd == "critical":
-        d = _load_datum(config.inputs["datum"], config)
-        V = Subspace.from_json(_load_json(config.inputs["subspace"]), config.tol)
-        report = struct_mod.is_critical(d, V, config.tol)
+        d = _load_datum(config.inputs["datum"])
+        V = Subspace.from_json(_load_json(config.inputs["subspace"]))
+        report = struct_mod.is_critical(d, V)
         return 0, _emit(config, report.to_json())
 
     if cmd == "detcheck":
-        d = _load_datum(config.inputs["datum"], config)
+        d = _load_datum(config.inputs["datum"])
         if "t" in config.inputs:
             t = _load_side(config, "t")
-            result = det_mod.ball_barthe_check(rank_one_expansion(d), t, config.tol)
+            result = det_mod.ball_barthe_check(rank_one_expansion(d), t)
         else:
-            result = det_mod.determinantal_high_check(d, _load_side(config, "A"), config.tol)
+            result = det_mod.determinantal_high_check(d, _load_side(config, "A"))
         if result.log_gap < -1e-9:
             raise InternalError(
                 f"determinantal inequality violated: log_gap = {result.log_gap:.3e}"
@@ -126,8 +117,8 @@ def run(config: RunConfig):
         return 0, _emit(config, result.to_json())
 
     if cmd == "bl-eval":
-        d = _load_datum(config.inputs["datum"], config)
-        check = det_mod.determinantal_high_check(d, _load_side(config, "A"), config.tol)
+        d = _load_datum(config.inputs["datum"])
+        check = det_mod.determinantal_high_check(d, _load_side(config, "A"))
         ev = int_mod.bl_eval_from_check(check)
         if ev.ratio > 1.0 + 1e-9:
             raise InternalError(f"Brascamp-Lieb ratio exceeds 1: {ev.ratio:.12g}")
@@ -136,13 +127,13 @@ def run(config: RunConfig):
         return 0, _emit(config, payload)
 
     if cmd == "barthe-eval":
-        d = _load_datum(config.inputs["datum"], config)
+        d = _load_datum(config.inputs["datum"])
         if "phi" in config.inputs:
-            ev = int_mod.gaussian_barthe_eval(d, _load_side(config, "phi"), config.tol)
+            ev = int_mod.gaussian_barthe_eval(d, _load_side(config, "phi"))
         else:
-            dens = [int_mod.Density.from_json(obj, config.tol, f"--densities[{i}]")
+            dens = [int_mod.Density.from_json(obj, f"--densities[{i}]")
                     for i, obj in enumerate(_load_side(config, "densities"))]
-            ev = int_mod.supconv_eval(d, dens, config.grid, config.tol)
+            ev = int_mod.supconv_eval(d, dens, config.grid)
         if ev.lhs < ev.rhs * (1.0 - max(ev.est_error, 1e-9)):
             raise InternalError(
                 f"Barthe inequality violated beyond the error budget: "
@@ -151,8 +142,8 @@ def run(config: RunConfig):
         return 0, _emit(config, ev.to_json())
 
     if cmd == "transport":
-        f = int_mod.Density.from_json(_load_json(config.inputs["f"]), config.tol, "--f")
-        g = int_mod.Density.from_json(_load_json(config.inputs["g"]), config.tol, "--g")
+        f = int_mod.Density.from_json(_load_json(config.inputs["f"]), "--f")
+        g = int_mod.Density.from_json(_load_json(config.inputs["g"]), "--g")
         T = trans_mod.brenier_1d(f, g, config.grid)
         resid = trans_mod.monge_ampere_residual(T, f, g)
         growth = trans_mod.linear_growth_estimate(T)
@@ -177,8 +168,7 @@ def run(config: RunConfig):
     if cmd == "dual-bt":
         cover = covers_mod.UniformCover.from_json(_load_json(config.inputs["cover"]))
         body = covers_mod.PointPolytope.from_json(_load_json(config.inputs["polytope"]))
-        rng = np.random.default_rng(config.seed)
-        result = covers_mod.dual_bt_check(body, cover, mc_samples=config.mc_samples, rng=rng)
+        result = covers_mod.dual_bt_check(body, cover)
         if not result.holds:
             raise InternalError(
                 f"dual Bollobas-Thomason inequality violated: {result.lhs:.12g} < {result.rhs:.12g}"
@@ -203,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "inequalities, both integral inequalities, and "
                     "Bollobas-Thomason covers at desk scale.",
     )
-    p.add_argument("--rank-tol", type=float, default=1e-9, help="relative rank threshold")
-    p.add_argument("--residual-tol", type=float, default=1e-9, help="residual threshold")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized sanity checks")
-    p.add_argument("--format", choices=["json", "text"], default="json")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="check sum c_i P_{E_i} = I_n")
@@ -240,28 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dual-bt", help="dual Bollobas-Thomason on a polytope")
     sp.add_argument("cover")
     sp.add_argument("polytope")
-    sp.add_argument("--mc", type=int, default=0, help="Monte Carlo sanity samples")
     sp = sub.add_parser("covers-induce", help="induced 1-uniform cover")
     sp.add_argument("cover")
     return p
 
 
 def config_from_args(args) -> RunConfig:
-    tol = Tolerance(rank_rel_tol=args.rank_tol, residual_tol=args.residual_tol)
     keys = ("datum", "subspace", "cover", "body", "polytope", "t", "A", "phi", "densities", "f", "g")
     inputs = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     grid = None
     if getattr(args, "grid", None) is not None:
         grid = int_mod.GridSpec.parse(args.grid)
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        tol=tol,
-        grid=grid,
-        seed=args.seed,
-        out_format=args.format,
-        mc_samples=getattr(args, "mc", 0),
-    )
+    return RunConfig(command=args.command, inputs=inputs, grid=grid)
 
 
 def main(argv=None) -> int:

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .errors import CapError, InputError, InternalError, as_int, read
+from .errors import CapError, InputError, InternalError, as_array, as_int, read
 
 BODY_MAX_DIM = 4
+VOLUME_RTOL = 1e-9  # relative round-off allowed in hull volumes
 
 
 @dataclass(frozen=True)
@@ -219,8 +220,8 @@ class PointPolytope:
     def __post_init__(self):
         if not (1 <= self.n <= BODY_MAX_DIM):
             raise CapError("polytope dimension", BODY_MAX_DIM, self.n)
-        V = np.asarray(self.vertices, dtype=float)
-        if V.ndim != 2 or V.shape[1] != self.n or V.shape[0] < self.n + 1:
+        V = as_array(self.vertices, (None, self.n), "polytope vertices")
+        if V.shape[0] < self.n + 1:
             raise InputError(f"need at least {self.n + 1} vertices of dimension {self.n}")
         if not np.all(np.isfinite(V)):
             raise InputError("polytope vertices must be finite")
@@ -258,8 +259,8 @@ def _facets(points: np.ndarray):
     return eq[:, :-1], -eq[:, -1]
 
 
-def _origin_interior(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    return bool(np.all(b > tol * np.maximum(1.0, np.linalg.norm(A, axis=1))))
+def _origin_interior(A: np.ndarray, b: np.ndarray) -> bool:
+    return bool(np.all(b > 1e-9 * np.maximum(1.0, np.linalg.norm(A, axis=1))))
 
 
 def _section_vertices(A: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
@@ -299,7 +300,6 @@ class DualBTCheckResult:
     holds: bool
     equality: bool
     conv_certificate: object  # per-block section vertices when equality holds
-    mc_volume: object         # optional Monte Carlo cross-check of |K|
 
     def to_json(self) -> dict:
         cert = None
@@ -316,20 +316,16 @@ class DualBTCheckResult:
             "holds": self.holds,
             "equality": self.equality,
             "conv_certificate": cert,
-            "mc_volume": self.mc_volume,
         }
 
 
-def dual_bt_check(K: PointPolytope, c: UniformCover, mc_samples: int = 0,
-                  rng=None, rel_tol: float = 1e-9) -> DualBTCheckResult:
+def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
     """|K|^s against (prod |sigma_i|!/(n!)^s) prod |K cap E_{sigma_i}|.
 
     Requires the origin strictly inside K.  Equality is decided by
     rebuilding conv of the sections over the induced partition and
-    comparing volumes to relative 1e-9 (the hull of sections is always
-    contained in K, so volume equality is set equality).  mc_samples > 0
-    adds a Monte Carlo estimate of |K| as a sanity figure; it never
-    affects the verdict.
+    comparing volumes to relative VOLUME_RTOL (the hull of sections is
+    always contained in K, so volume equality is set equality).
     """
     require_uniform(c)
     if K.n != c.n:
@@ -352,7 +348,7 @@ def dual_bt_check(K: PointPolytope, c: UniformCover, mc_samples: int = 0,
         axes = [j - 1 for j in sorted(sigma)]
         section_vols.append(_hull_volume(_section_vertices(A, b, axes)))
     rhs = factor * float(np.prod(section_vols))
-    holds = lhs >= rhs * (1.0 - rel_tol)
+    holds = lhs >= rhs * (1.0 - VOLUME_RTOL)
 
     partition = induced_one_cover(c)
     cert = []
@@ -364,16 +360,7 @@ def dual_bt_check(K: PointPolytope, c: UniformCover, mc_samples: int = 0,
         cert.append((block, emb))
         all_pts.append(emb)
     hull_of_sections = _hull_volume(np.concatenate(all_pts))
-    equality = abs(hull_of_sections - vol) <= rel_tol * max(vol, 1e-300)
-
-    mc_volume = None
-    if mc_samples > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        samples = rng.uniform(lo, hi, size=(mc_samples, K.n))
-        inside = np.all(samples @ A.T <= b[None, :] + 1e-12, axis=1)
-        mc_volume = float(np.prod(hi - lo) * inside.mean())
+    equality = abs(hull_of_sections - vol) <= VOLUME_RTOL * max(vol, 1e-300)
 
     return DualBTCheckResult(
         lhs=float(lhs),
@@ -383,5 +370,4 @@ def dual_bt_check(K: PointPolytope, c: UniformCover, mc_samples: int = 0,
         holds=bool(holds),
         equality=bool(equality),
         conv_certificate=tuple(cert) if equality else None,
-        mc_volume=mc_volume,
     )

@@ -21,16 +21,15 @@ import numpy as np
 
 from .errors import CapError, InputError, InternalError, as_int, read
 from .subspace import (
-    DEFAULT_TOL,
+    MAX_AMBIENT_DIM,
+    RESIDUAL_TOL,
     Subspace,
-    Tolerance,
     full_subspace,
     orthonormalize,
     projection_matrix,
 )
 
 MAX_ENTRIES = 64
-MAX_AMBIENT_DIM = 32
 
 
 def parse_weight(w) -> float:
@@ -92,10 +91,10 @@ class GeometricBLDatum:
         }
 
     @staticmethod
-    def from_json(obj, tol: Tolerance = DEFAULT_TOL) -> "GeometricBLDatum":
+    def from_json(obj) -> "GeometricBLDatum":
         obj = read(obj, {"n": float, "entries": [{"c": (float, str), "E": {}}]}, "datum")
         return GeometricBLDatum(as_int(obj["n"], "datum n"), tuple(
-            (Subspace.from_json(e["E"], tol, f"datum entries[{i}].E"), e["c"])
+            (Subspace.from_json(e["E"], f"datum entries[{i}].E"), e["c"])
             for i, e in enumerate(obj["entries"])))
 
 
@@ -137,7 +136,7 @@ class RankOneDatum:
         return float(np.abs(M - np.eye(self.ambient_dim)).max())
 
 
-def validate_datum(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
+def validate_datum(d: GeometricBLDatum) -> ValidationReport:
     """Check sum c_i P_{E_i} = I_n; never raises on invalid data.
 
     The trace identity sum c_i dim E_i = n is reported separately: it is
@@ -149,7 +148,7 @@ def validate_datum(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> Validat
     defect = float(np.abs(M - np.eye(n)).max())
     trace_defect = float(abs(sum(c * E.dim for E, c in d.entries) - n))
     report = ValidationReport(
-        is_valid=defect <= tol.residual_tol,
+        is_valid=defect <= RESIDUAL_TOL,
         defect=defect,
         trace_defect=trace_defect,
         entry_dims=tuple(E.dim for E, _ in d.entries),
@@ -182,7 +181,7 @@ def rank_one_expansion(d: GeometricBLDatum) -> RankOneDatum:
         weights=np.array(ws),
         origin=tuple(origin),
     )
-    if r.gram_defect() > 10 * DEFAULT_TOL.residual_tol:
+    if r.gram_defect() > 10 * RESIDUAL_TOL:
         raise InternalError(
             f"rank-one expansion lost the Parseval identity (defect {r.gram_defect():.3e})"
         )
@@ -213,8 +212,8 @@ def make_datum_from_cover(cover) -> GeometricBLDatum:
 
 
 # ---------------------------------------------------------------------------
-# Constructions used throughout the tests: named building blocks plus a
-# seeded random generator that composes them.  Every output validates.
+# Constructions used throughout the tests: named building blocks that
+# compose into larger data.  Every output validates.
 # ---------------------------------------------------------------------------
 
 def axis_datum(n: int) -> GeometricBLDatum:
@@ -327,68 +326,4 @@ def pair_data(a: GeometricBLDatum, b: GeometricBLDatum) -> GeometricBLDatum:
         entries.append((Subspace(n, rows), c))
     d = GeometricBLDatum(n, tuple(entries))
     validate_datum(d)
-    return d
-
-
-def random_rotation(rng, n: int) -> np.ndarray:
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    return Q * np.sign(np.diag(R))
-
-
-def random_datum(rng, *, max_dim: int = 6, max_vectors: int = 12,
-                 rotate: bool = True) -> GeometricBLDatum:
-    """Seeded random valid datum built from the constructions above.
-
-    Blocks are axes, Hoelder repeats, planar line frames, and pairings of
-    two line frames; blocks are direct-summed and optionally rotated.
-    The expansion size (sum of entry dimensions) stays within
-    max_vectors and the ambient dimension within max_dim.
-    """
-    blocks = []
-    dim_used = 0
-    vecs_used = 0
-    while True:
-        room_d = max_dim - dim_used
-        room_v = max_vectors - vecs_used
-        if room_d <= 0 or room_v <= 0:
-            break
-        choices = ["axis"]
-        if room_d >= 1 and room_v >= 2:
-            choices.append("holder")
-        if room_d >= 2 and room_v >= 3:
-            choices.append("lines")
-        if room_d >= 4 and room_v >= 6:
-            choices.append("paired")
-        kind = choices[rng.integers(len(choices))]
-        if kind == "axis":
-            blocks.append(axis_datum(1))
-            dim_used += 1
-            vecs_used += 1
-        elif kind == "holder":
-            dim = int(rng.integers(1, min(2, room_d, room_v // 2) + 1))
-            parts = int(rng.integers(2, min(3, room_v // dim) + 1))
-            w = rng.dirichlet(np.ones(parts) * 5.0)
-            w = np.clip(w, 0.05, None)
-            w = w / w.sum()
-            blocks.append(holder_datum(dim, w))
-            dim_used += dim
-            vecs_used += dim * parts
-        elif kind == "lines":
-            m = int(rng.integers(3, min(4, room_v) + 1))
-            blocks.append(planar_lines_datum(m))
-            dim_used += 2
-            vecs_used += m
-        else:
-            m = int(rng.integers(3, min(4, room_v // 2) + 1))
-            blocks.append(paired_planes_datum(m))
-            dim_used += 4
-            vecs_used += 2 * m
-        if dim_used >= max_dim or rng.random() < 0.25:
-            break
-    d = direct_sum_data(blocks) if len(blocks) > 1 else blocks[0]
-    if rotate and rng.random() < 0.8:
-        d = rotate_datum(d, random_rotation(rng, d.ambient_dim))
-    report = validate_datum(d)
-    if not report.is_valid:
-        raise InternalError(f"random datum failed validation (defect {report.defect:.3e})")
     return d

@@ -28,7 +28,7 @@ import numpy as np
 from .datum import GeometricBLDatum, RankOneDatum, require_validated
 from .errors import CapError, InputError, InternalError
 from .structure import bowtie_classes, has_critical_eigenspaces
-from .subspace import DEFAULT_TOL, Tolerance
+from .subspace import RESIDUAL_TOL
 
 MINOR_ENUMERATION_CAP = 10 ** 6
 CLASS_CONSTANT_RTOL = 1e-9
@@ -78,7 +78,7 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
-def ball_barthe_check(r: RankOneDatum, t, tol: Tolerance = DEFAULT_TOL) -> DetCheckResult:
+def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
     """det(sum c_i t_i u_i u_i^T) against prod t_i^{c_i}, in log domain.
 
     Equality is declared iff t is constant (relative 1e-9) on every
@@ -95,7 +95,7 @@ def ball_barthe_check(r: RankOneDatum, t, tol: Tolerance = DEFAULT_TOL) -> DetCh
     if sign <= 0:
         raise InternalError("weighted frame operator is not positive definite")
     log_rhs = float(np.dot(r.weights, np.log(t)))
-    classes = bowtie_classes(r, tol)
+    classes = bowtie_classes(r)
     equality = True
     for cls in classes:
         tc = t[list(cls)]
@@ -190,7 +190,7 @@ def assemble_operator(d: GeometricBLDatum, A_list) -> tuple:
     return 0.5 * (M + M.T), mats
 
 
-def determinantal_high_check(d: GeometricBLDatum, A_list, tol: Tolerance = DEFAULT_TOL) -> DetCheckResult:
+def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
     """Higher-rank determinantal inequality with the Phi certificate.
 
     Equality is declared iff the eigenspaces of M = sum c_i A_i P_{E_i}
@@ -208,10 +208,10 @@ def determinantal_high_check(d: GeometricBLDatum, A_list, tol: Tolerance = DEFAU
     scale = max(1.0, float(np.abs(M).max()))
     restriction_ok = True
     for (E, c), A in zip(d.entries, mats):
-        if np.abs(M @ E.basis - E.basis @ A).max() > tol.residual_tol * scale:
+        if np.abs(M @ E.basis - E.basis @ A).max() > RESIDUAL_TOL * scale:
             restriction_ok = False
             break
-    equality = restriction_ok and has_critical_eigenspaces(d, M, tol)
+    equality = restriction_ok and has_critical_eigenspaces(d, M)
     return DetCheckResult(
         lhs=_safe_exp(float(log_lhs)),
         rhs=_safe_exp(log_rhs),
@@ -237,7 +237,7 @@ class MinNormResult:
         }
 
 
-def min_norm_decomposition(d: GeometricBLDatum, Phi: np.ndarray, x, tol: Tolerance = DEFAULT_TOL) -> MinNormResult:
+def min_norm_decomposition(d: GeometricBLDatum, Phi: np.ndarray, x) -> MinNormResult:
     """min sum c_i |Phi x_i|^2 over decompositions x = sum c_i x_i, x_i in E_i.
 
     Solved exactly through the KKT system in frame coordinates: the

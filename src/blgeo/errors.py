@@ -7,12 +7,15 @@ violation, a singular KKT system, inconsistent criticality verdicts);
 the CLI maps it to exit code 2.
 
 This module is the input boundary: read checks a JSON value against
-the shape its kind declares, and as_int reads an integer field.  Value
+the shape its kind declares, as_int reads an integer field, and
+as_array reads an array of the extents its domain sets.  Value
 conditions (finite, positive, orthonormal, sized to the domain) stay in
 the constructors, which Python callers reach without JSON.
 """
 
 import sys
+
+import numpy as np
 
 
 class BlgeoError(Exception):
@@ -46,6 +49,23 @@ def as_int(value, name: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def as_array(value, shape: tuple, name: str) -> np.ndarray:
+    """value as a float array of the given shape, None standing for any
+    extent; an InputError naming the field for a ragged list or other
+    extents, which numpy would report naming none."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except ValueError:  # a ragged list
+        out = None
+    if out is not None and out.shape == (0,) and len(shape) > 1:  # [] holds no rows
+        out = out.reshape((0,) + tuple(want or 0 for want in shape[1:]))
+    if out is None or out.ndim != len(shape) or any(
+            want is not None and want != got for want, got in zip(shape, out.shape)):
+        extents = ", ".join("any" if want is None else str(want) for want in shape)
+        raise InputError(f"{name} must be an array of shape ({extents})")
+    return out
 
 
 def field_of(name: str, key: str) -> str:

@@ -30,9 +30,9 @@ from scipy.ndimage import maximum_filter, minimum_filter
 
 from .datum import GeometricBLDatum, require_validated
 from .determinantal import determinantal_high_check, require_spd
-from .errors import CapError, InputError, InternalError, field_of, read
+from .errors import CapError, InputError, InternalError, as_array, field_of, read
 from .structure import StructureReport, critical_meet, has_critical_eigenspaces
-from .subspace import DEFAULT_TOL, Subspace, Tolerance, equal
+from .subspace import Subspace, contains, equal
 
 SUPCONV_MAX_AMBIENT = 3
 SUPCONV_MAX_ENTRIES = 4
@@ -74,9 +74,9 @@ class Density:
         raise NotImplementedError
 
     @staticmethod
-    def from_json(obj, tol: Tolerance = DEFAULT_TOL, name: str = "density") -> "Density":
+    def from_json(obj, name: str = "density") -> "Density":
         head = read(obj, {"kind": str, "domain": {}}, name)
-        domain = Subspace.from_json(head["domain"], tol, field_of(name, "domain"))
+        domain = Subspace.from_json(head["domain"], field_of(name, "domain"))
         values = (float, [float], [[float]], [[[float]]])[min(domain.dim, 3)]  # a level per axis
         shape = {"gaussian": {"A": [[float]], "b?": [float], "theta?": float},
                  "grid": {"lo": [float], "h": float, "values": values},
@@ -89,8 +89,8 @@ class Density:
         if head["kind"] == "grid":
             return GridDensity(domain, obj["lo"], obj["h"], obj["values"])
         return FactorizedDensity(domain, tuple(
-            (Subspace.from_json(f["subspace"], tol, field_of(name, f"factors[{i}].subspace")),
-             Density.from_json(f["density"], tol, field_of(name, f"factors[{i}].density")))
+            (Subspace.from_json(f["subspace"], field_of(name, f"factors[{i}].subspace")),
+             Density.from_json(f["density"], field_of(name, f"factors[{i}].density")))
             for i, f in enumerate(obj["factors"])))
 
 
@@ -99,12 +99,12 @@ class GaussianDensity(Density):
 
     def __init__(self, domain: Subspace, A, b=None, theta: float = 1.0):
         d = domain.dim
-        A = np.asarray(A, dtype=float).reshape(d, d)
+        A = as_array(A, (d, d), "gaussian matrix A")
         if d:
             require_spd(A, "gaussian matrix")
         if not (theta > 0.0 and np.isfinite(theta)):
             raise InputError("gaussian scale theta must be positive")
-        b = np.zeros(d) if b is None else np.asarray(b, dtype=float).reshape(d)
+        b = np.zeros(d) if b is None else as_array(b, (d,), "gaussian centre b")
         if not np.all(np.isfinite(b)):
             raise InputError("gaussian centre b must be finite")
         self.domain = domain
@@ -156,14 +156,12 @@ class GridDensity(Density):
         d = domain.dim
         if d < 1 or d > 3:
             raise InputError("grid densities support dimensions 1..3")
-        values = np.asarray(values, dtype=float)
-        if values.ndim != d:
-            raise InputError(f"values must be a {d}-dimensional array")
+        values = as_array(values, (None,) * d, "grid values")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise InputError("grid values must be finite and nonnegative")
         if not (0.0 < h < math.inf):
             raise InputError("grid cell size h must be positive and finite")
-        lo = np.asarray(lo, dtype=float).reshape(d)
+        lo = as_array(lo, (d,), "grid origin lo")
         if not np.all(np.isfinite(lo)):
             raise InputError("grid origin lo must be finite")
         self.domain = domain
@@ -226,6 +224,8 @@ class FactorizedDensity(Density):
                 raise InputError("factor subspace has wrong ambient dimension")
             if not equal(S, g.domain):
                 raise InputError("factor density must live on its factor subspace")
+            if not contains(domain, S):
+                raise InputError("factor subspace must lie in the domain")
             total += S.dim
         if total != domain.dim:
             raise InputError("factor subspaces must span the domain")
@@ -327,14 +327,14 @@ class GridSpec:
         return GridSpec(h, radius)
 
 
-def gaussian_bl_eval(d: GeometricBLDatum, A_list, tol: Tolerance = DEFAULT_TOL) -> IneqEvaluation:
+def gaussian_bl_eval(d: GeometricBLDatum, A_list) -> IneqEvaluation:
     """Both Brascamp-Lieb sides for f_i(z) = exp(-pi <A_i z, z>), closed form.
 
     lhs = det(sum c_i A_i P_{E_i})^{-1/2} and rhs = prod (det A_i)^{-c_i/2},
     so ratio <= 1 is the determinantal inequality in disguise, with
     equality exactly on its certificates.
     """
-    return bl_eval_from_check(determinantal_high_check(d, A_list, tol))
+    return bl_eval_from_check(determinantal_high_check(d, A_list))
 
 
 def bl_eval_from_check(check) -> IneqEvaluation:
@@ -347,7 +347,7 @@ def _closed_form(log_lhs: float, log_rhs: float, direction: str) -> IneqEvaluati
                           direction, "closed_form", 0.0)
 
 
-def gaussian_barthe_eval(d: GeometricBLDatum, Phi, tol: Tolerance = DEFAULT_TOL) -> IneqEvaluation:
+def gaussian_barthe_eval(d: GeometricBLDatum, Phi) -> IneqEvaluation:
     """Barthe's two sides for the Gaussian family e^{-c_i |Phi x_i|^2}.
 
     Requires the eigenspaces of Phi to be critical; then the supremum
@@ -360,7 +360,7 @@ def gaussian_barthe_eval(d: GeometricBLDatum, Phi, tol: Tolerance = DEFAULT_TOL)
     if Phi.shape != (n, n):
         raise InputError(f"Phi must be {n} x {n}")
     require_spd(Phi, "Phi")
-    if not has_critical_eigenspaces(d, Phi, tol):
+    if not has_critical_eigenspaces(d, Phi):
         raise InputError("the eigenspaces of Phi must be critical subspaces")
     sign, logdet = np.linalg.slogdet(Phi)
     log_lhs = 0.5 * n * math.log(math.pi) - float(logdet)
@@ -391,8 +391,7 @@ def _pivot_columns(C: np.ndarray) -> np.ndarray:
     return np.sort(picked)
 
 
-def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec,
-                 tol: Tolerance = DEFAULT_TOL) -> IneqEvaluation:
+def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluation:
     """Grid evaluation of Barthe's supremum side against the product side.
 
     F(x) = sup { prod f_i(x_i)^{c_i} : x = sum c_i x_i, x_i in E_i } is a
@@ -416,7 +415,7 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec,
     if len(densities) != d.k:
         raise InputError(f"need one density per entry: expected {d.k}, got {len(densities)}")
     for (E, _), f in zip(d.entries, densities):
-        if not equal(E, f.domain, tol):
+        if not equal(E, f.domain):
             raise InputError("density domains must match the datum subspaces")
 
     h = grid.h
@@ -502,18 +501,18 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec,
 # extremizers
 # ---------------------------------------------------------------------------
 
-def is_log_concave(density: Density, rtol: float = 1e-9) -> bool:
+def is_log_concave(density: Density) -> bool:
     """Verify log-concavity where we can decide it.
 
     Gaussians always are; factorized densities are when every factor is;
-    a one-dimensional grid is checked by midpoint concavity of the logs
-    and contiguity of the support.  Multi-dimensional grids are refused
-    (raise) rather than guessed.
+    a one-dimensional grid is checked by midpoint concavity of the logs,
+    to relative 1e-9, and contiguity of the support.  Multi-dimensional
+    grids are refused (raise) rather than guessed.
     """
     if isinstance(density, GaussianDensity):
         return True
     if isinstance(density, FactorizedDensity):
-        return all(is_log_concave(g, rtol) for _, g in density.factors)
+        return all(is_log_concave(g) for _, g in density.factors)
     if isinstance(density, GridDensity):
         if density.domain.dim != 1:
             raise InputError("log-concavity check supports only 1-D grids")
@@ -524,7 +523,7 @@ def is_log_concave(density: Density, rtol: float = 1e-9) -> bool:
         if np.any(v[pos[0]:pos[-1] + 1] <= 0.0):
             return False  # interior zero: support not an interval
         w = v[pos[0]:pos[-1] + 1]
-        return bool(np.all(w[1:-1] ** 2 >= w[:-2] * w[2:] * (1.0 - rtol)))
+        return bool(np.all(w[1:-1] ** 2 >= w[:-2] * w[2:] * (1.0 - 1e-9)))
     raise InputError(f"cannot check log-concavity of {type(density).__name__}")
 
 
@@ -552,7 +551,7 @@ class ExtremizerParams:
 
 
 def build_extremizer(d: GeometricBLDatum, report: StructureReport,
-                     params: ExtremizerParams, tol: Tolerance = DEFAULT_TOL) -> list:
+                     params: ExtremizerParams) -> list:
     """Assemble the densities f_i that achieve equality in Barthe's inequality.
 
     f_i(x) = theta_i exp(-<A P_dep x, P_dep x - b_i>)
@@ -568,7 +567,7 @@ def build_extremizer(d: GeometricBLDatum, report: StructureReport,
         raise InputError(f"need one shared density per independent subspace "
                          f"({len(indep)}), got {len(params.h)}")
     for f_j, hj in zip(indep, params.h):
-        if not equal(hj.domain, f_j.subspace, tol):
+        if not equal(hj.domain, f_j.subspace):
             raise InputError("a shared density does not live on its independent subspace")
         if len(f_j.owners) >= 2 and not is_log_concave(hj):
             raise InputError(
@@ -584,7 +583,7 @@ def build_extremizer(d: GeometricBLDatum, report: StructureReport,
         require_spd(A, "A")
         # A_amb has the eigenspaces of A and its kernel F_dep-perp, critical as F_dep is
         A_amb = dep.basis @ A @ dep.frame
-        if not has_critical_eigenspaces(d, A_amb, tol):
+        if not has_critical_eigenspaces(d, A_amb):
             raise InputError("the eigenspaces of A must be critical subspaces")
 
     k = d.k
@@ -601,7 +600,7 @@ def build_extremizer(d: GeometricBLDatum, report: StructureReport,
         theta_i = float(thetas[i])
         if theta_i <= 0.0:
             raise InputError("theta_i must be positive")
-        S0 = critical_meet(E, dep, tol)
+        S0 = critical_meet(E, dep)
         if np.linalg.norm(b_i) > 0 and (
             S0.dim == 0 or np.linalg.norm(S0.basis @ (S0.frame @ b_i) - b_i) > 1e-9 * (1 + np.linalg.norm(b_i))
         ):
@@ -669,30 +668,37 @@ def materialize(density: Density, h: float, radius: float) -> GridDensity:
     return GridDensity(density.domain, lo, h, vals)
 
 
-def _unwrap(density: Density) -> Density:
-    """Strip a single-factor factorized wrapper when frames agree."""
+def in_frame(density: Density, domain: Subspace) -> Density:
+    """density written in the frame of domain, a frame of the same span,
+    looking through a one-factor factorized wrapper.  A Gaussian carries
+    over exactly (R^T A R, R^T b for the change of frame R), and so does
+    a 1-D grid (reversed on the negated line); a grid in a rotated frame
+    comes back as it is."""
+    inner = density
     if isinstance(density, FactorizedDensity) and len(density.factors) == 1:
-        _, g = density.factors[0]
-        if np.abs(g.domain.frame - density.domain.frame).max() < 1e-12:
-            return g
+        inner = density.factors[0][1]
+    R = inner.domain.frame @ domain.basis  # the point z of domain is R z in inner's frame
+    if np.abs(R - np.eye(domain.dim)).max() < 1e-12:
+        return inner
+    if isinstance(inner, GaussianDensity):
+        return GaussianDensity(domain, R.T @ inner.A @ R, R.T @ inner.b, inner.theta)
+    if isinstance(inner, GridDensity) and domain.dim == 1:
+        return GridDensity(domain, -inner.hi, inner.h, inner.values[::-1])
     return density
 
 
-def convolve_density(f: Density, g: Density, tol: Tolerance = DEFAULT_TOL) -> Density:
+def convolve_density(f: Density, g: Density) -> Density:
     """Convolution on a common domain; mass multiplies.
 
     Gaussian with Gaussian stays closed form (means add, covariances
     add); anything involving a grid is convolved by direct summation on
     a shared cell size.
     """
-    if not equal(f.domain, g.domain, tol):
+    if not equal(f.domain, g.domain):
         raise InputError("convolution needs densities on the same subspace")
-    f = _unwrap(f)
-    g = _unwrap(g)
+    f = in_frame(f, f.domain)
+    g = in_frame(g, f.domain)
     if isinstance(f, GaussianDensity) and isinstance(g, GaussianDensity):
-        if np.abs(f.domain.frame - g.domain.frame).max() > 1e-12:
-            R = g.domain.frame @ f.domain.basis  # change of frame inside the same span
-            g = GaussianDensity(f.domain, R.T @ g.A @ R, R.T @ g.b, g.theta)
         mf, muf, Sf = f.moments()
         mg, mug, Sg = g.moments()
         Sh = Sf + Sg
@@ -710,6 +716,8 @@ def convolve_density(f: Density, g: Density, tol: Tolerance = DEFAULT_TOL) -> De
         raise InputError("grid operands must share the same cell size")
     fa = f if isinstance(f, GridDensity) else materialize(f, h, _suggest_radius(f))
     ga = g if isinstance(g, GridDensity) else materialize(g, h, _suggest_radius(g))
+    if np.abs(fa.domain.frame - ga.domain.frame).max() > 1e-12:  # cells would pair up wrongly
+        raise InputError("grid convolution needs both operands in one frame")
     dim = fa.domain.dim
     if dim == 1:
         vals = np.convolve(fa.values, ga.values) * h

@@ -28,7 +28,7 @@ import numpy as np
 
 from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated, validate_datum
 from .errors import InputError, InternalError
-from .subspace import (DEFAULT_TOL, Subspace, Tolerance, cluster_eigenspaces, orthonormalize,
+from .subspace import (RANK_TOL, RESIDUAL_TOL, Subspace, cluster_eigenspaces, orthonormalize,
                        projection_matrix)
 
 INTEGER_SNAP_TOL = 1e-6  # weighted dimension sums of valid data are near-integers
@@ -83,15 +83,15 @@ class StructureReport:
         }
 
 
-def is_critical(d: GeometricBLDatum, V: Subspace, tol: Tolerance = DEFAULT_TOL) -> CriticalityReport:
+def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
     """Test criticality of V through both characterizations.
 
     dim(E_i cap V) is the number of singular values of F_i (I - P_V),
-    the sines of the principal angles, at most rank_rel_tol.  The
+    the sines of the principal angles, at most RANK_TOL.  The
     weighted dimension sum is snapped to the nearest integer before
     comparing with dim V (dimensions are integers, weights are floats;
     criticality is a discrete property).  The splitting test, every
-    commutator [P_i, P_V] within residual_tol in max-norm, must agree,
+    commutator [P_i, P_V] within RESIDUAL_TOL in max-norm, must agree,
     otherwise the thresholds are inconsistent and we raise instead of
     guessing.
     """
@@ -105,10 +105,10 @@ def is_critical(d: GeometricBLDatum, V: Subspace, tol: Tolerance = DEFAULT_TOL) 
     wds = commutator = 0.0
     for E, c in d.entries:
         sines = np.linalg.svd(E.frame @ away, compute_uv=False)
-        wds += c * int(np.count_nonzero(sines <= tol.rank_rel_tol))
+        wds += c * int(np.count_nonzero(sines <= RANK_TOL))
         X = projection_matrix(E) @ PV  # [P_i, P_V] = X - X^T
         commutator = max(commutator, float(np.abs(X - X.T).max()))
-    splitting_ok = commutator <= tol.residual_tol
+    splitting_ok = commutator <= RESIDUAL_TOL
     near_int = abs(wds - round(wds)) <= INTEGER_SNAP_TOL
     dim_match = near_int and int(round(wds)) == V.dim
     if dim_match != splitting_ok:
@@ -125,17 +125,17 @@ def is_critical(d: GeometricBLDatum, V: Subspace, tol: Tolerance = DEFAULT_TOL) 
     )
 
 
-def has_critical_eigenspaces(d: GeometricBLDatum, M, tol: Tolerance = DEFAULT_TOL) -> bool:
+def has_critical_eigenspaces(d: GeometricBLDatum, M) -> bool:
     """Whether every eigenspace of the symmetric n x n matrix M is critical.
 
     The eigenprojections of M are polynomials in M, so they all commute
     with P_i exactly when M does.  Each commutator [P_i, M] is held to
-    residual_tol relative to the largest entry of M; no eigenvalues are
+    RESIDUAL_TOL relative to the largest entry of M; no eigenvalues are
     clustered, so the verdict has no eigenvalue-gap threshold.
     """
     require_validated(d)
     M = 0.5 * (M + M.T)
-    bound = tol.residual_tol * float(np.abs(M).max())
+    bound = RESIDUAL_TOL * float(np.abs(M).max())
     for E, _ in d.entries:
         X = projection_matrix(E) @ M  # [P_i, M] = X - X^T
         if np.abs(X - X.T).max() > bound:
@@ -143,20 +143,20 @@ def has_critical_eigenspaces(d: GeometricBLDatum, M, tol: Tolerance = DEFAULT_TO
     return True
 
 
-def critical_meet(E: Subspace, V: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def critical_meet(E: Subspace, V: Subspace) -> Subspace:
     """E cap V for a critical V, as the image of E under P_V.
 
     P_V commutes with P_E, so the cosines of the principal angles between
     E and V, the singular values of F_V F_E^T, are 0 or 1.  The dimension
-    counts those above rank_rel_tol, an absolute cut: a cut relative to
+    counts those above RANK_TOL, an absolute cut: a cut relative to
     the largest would count round-off as rank when E is orthogonal to V.
     """
     U, cosines, _ = np.linalg.svd(V.frame @ E.basis, full_matrices=False)
-    r = int(np.count_nonzero(cosines > tol.rank_rel_tol))
-    return orthonormalize((V.basis @ U[:, :r]).T, tol, ambient_dim=V.ambient_dim)
+    r = int(np.count_nonzero(cosines > RANK_TOL))
+    return orthonormalize((V.basis @ U[:, :r]).T, ambient_dim=V.ambient_dim)
 
 
-def bowtie_classes(r: RankOneDatum, tol: Tolerance = DEFAULT_TOL) -> tuple:
+def bowtie_classes(r: RankOneDatum) -> tuple:
     """Partition of the expansion vectors into indecomposable classes.
 
     Connected components of the graph with an edge where |<u_i, u_j>|
@@ -181,7 +181,7 @@ def bowtie_classes(r: RankOneDatum, tol: Tolerance = DEFAULT_TOL) -> tuple:
 
     for i in range(k):
         for j in range(i + 1, k):
-            if gram[i, j] > tol.residual_tol:
+            if gram[i, j] > RESIDUAL_TOL:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
@@ -191,7 +191,7 @@ def bowtie_classes(r: RankOneDatum, tol: Tolerance = DEFAULT_TOL) -> tuple:
     return tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0]))
 
 
-def indecomposable_decomposition(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> list:
+def indecomposable_decomposition(d: GeometricBLDatum) -> list:
     """Pairwise-orthogonal indecomposable critical subspaces spanning R^n.
 
     G = A + AB + BA, A and B fixed-seed random combinations of the P_i,
@@ -218,27 +218,27 @@ def indecomposable_decomposition(d: GeometricBLDatum, tol: Tolerance = DEFAULT_T
             if norms @ norms < 0.5:  # squared singular values, 0 or 1, sum to the dimension left
                 break
             W = new = rest[:, [norms.argmax()]] / norms.max()
-            while new.shape[1] and W.shape[1] < n:  # a tiny rank_rel_tol passes round-off
+            while new.shape[1] and W.shape[1] < n:
                 # every P_i applied to the new directions in one product
                 images = (projections @ new).reshape(d.k, n, -1).transpose(1, 0, 2).reshape(n, -1)
                 images -= W @ (W.T @ images)
-                if np.linalg.norm(images) <= tol.rank_rel_tol:  # bounds every singular value
+                if np.linalg.norm(images) <= RANK_TOL:  # bounds every singular value
                     break
                 left, s, _ = np.linalg.svd(images, full_matrices=False)
-                new = left[:, s > tol.rank_rel_tol]
+                new = left[:, s > RANK_TOL]
                 W = np.hstack([W, new])
-            spans.append(orthonormalize(W.T, tol, ambient_dim=n))
+            spans.append(orthonormalize(W.T, ambient_dim=n))
             found = np.hstack([found, spans[-1].basis])
     if found.shape[1] != n:
         raise InternalError(f"critical pieces have total dimension {found.shape[1]}, expected {n}")
     for V in spans:
-        if not is_critical(d, V, tol).is_critical:
+        if not is_critical(d, V).is_critical:
             raise InternalError("a computed piece failed the criticality test")
     spans.sort(key=lambda V: (V.dim, tuple(np.round(V.frame, 9).ravel())))
     return spans
 
 
-def independent_subspaces(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> StructureReport:
+def independent_subspaces(d: GeometricBLDatum) -> StructureReport:
     """Independent subspaces, dependent subspace, and the class structure.
 
     A piece W of the decomposition lies in an independent subspace when
@@ -246,7 +246,7 @@ def independent_subspaces(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> 
     pieces are grouped by the entries that contain them, their owners.
     """
     n = d.ambient_dim
-    pieces = indecomposable_decomposition(d, tol)
+    pieces = indecomposable_decomposition(d)
     groups = {}
     dependent = []
     for W in pieces:
@@ -263,10 +263,10 @@ def independent_subspaces(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> 
             raise InternalError(
                 f"independent subspace has owner weight sum {wsum:.12g}, expected 1"
             )
-        independents.append(IndependentSubspace(orthonormalize(rows, tol, ambient_dim=n), wsum, owners))
+        independents.append(IndependentSubspace(orthonormalize(rows, ambient_dim=n), wsum, owners))
     independents.sort(key=lambda f: (f.subspace.dim, tuple(np.round(f.subspace.frame, 9).ravel())))
 
-    dep = orthonormalize(dependent, tol, ambient_dim=n)
+    dep = orthonormalize(dependent, ambient_dim=n)
     F = np.concatenate([dep.frame] + [f.subspace.frame for f in independents])
     if F.shape[0] != n or np.abs(F @ F.T - np.eye(n)).max() > 1e-9:
         raise InternalError("independent and dependent subspaces do not split R^n orthogonally")
@@ -275,25 +275,25 @@ def independent_subspaces(d: GeometricBLDatum, tol: Tolerance = DEFAULT_TOL) -> 
         independent_subspaces=tuple(independents),
         dependent_subspace=dep,
         indecomposable_decomposition=tuple(pieces),
-        rank_one_classes=bowtie_classes(rank_one_expansion(d), tol),
+        rank_one_classes=bowtie_classes(rank_one_expansion(d)),
     )
 
 
-def restrict_datum(d: GeometricBLDatum, V: Subspace, tol: Tolerance = DEFAULT_TOL) -> GeometricBLDatum:
+def restrict_datum(d: GeometricBLDatum, V: Subspace) -> GeometricBLDatum:
     """Restrict a datum to a critical subspace V, in V's own coordinates.
 
     Keeps the entries with E_i cap V != {0}; criticality of V guarantees
     sum c_i P_{E_i cap V} = I_V, so the output validates in dim V.
     """
-    if not is_critical(d, V, tol).is_critical:
+    if not is_critical(d, V).is_critical:
         raise InputError("restriction requires a critical subspace")
     entries = []
     for E, c in d.entries:
-        W = critical_meet(E, V, tol)
+        W = critical_meet(E, V)
         if W.dim:  # its frame in V coordinates
-            entries.append((orthonormalize(W.frame @ V.basis, tol, ambient_dim=V.dim), c))
+            entries.append((orthonormalize(W.frame @ V.basis, ambient_dim=V.dim), c))
     out = GeometricBLDatum(V.dim, tuple(entries))
-    report = validate_datum(out, tol)
+    report = validate_datum(out)
     if not report.is_valid:
         raise InternalError(
             f"restriction to a critical subspace failed validation (defect {report.defect:.3e})"

@@ -5,42 +5,25 @@ constructors funnel through :func:`orthonormalize`, which produces a
 deterministic, sign-fixed frame from an SVD, so repeated runs emit
 byte-identical output.  {0} and R^n are ordinary values, never errors.
 
-orthonormalize decides the rank of a span with a singular-value
-threshold relative to the largest; criticality (structure.py) compares
-sines and cosines of principal angles, which are absolute, with the
-same rank_rel_tol.
+Two thresholds, fixed so that a verdict depends on its input alone:
+RANK_TOL cuts singular values, relative to the largest when
+orthonormalize decides the rank of a span, and absolutely when
+criticality (structure.py) counts sines and cosines of principal
+angles; RESIDUAL_TOL bounds matrix and vector residuals.  Both are
+1e-9, far above the round-off (1e-16 to 1e-15) of exact intersections
+and identities on valid data.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, as_int, field_of, read
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Shared numerical thresholds.
-
-    rank_rel_tol: relative singular-value cutoff for rank decisions.
-    residual_tol: max-norm threshold for matrix/vector residual tests.
-    Both lie in [1e-10, 1e-2): below 1e-10 the round-off of exact
-    intersections and identities on valid data can exceed them.
-    """
-
-    rank_rel_tol: float = 1e-9
-    residual_tol: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("rank_rel_tol", "residual_tol"):
-            v = getattr(self, name)
-            if not (1e-10 <= v < 1e-2):
-                raise InputError(f"{name} must lie in [1e-10, 1e-2), got {v}")
-
-
-DEFAULT_TOL = Tolerance()
+RANK_TOL = 1e-9
+RESIDUAL_TOL = 1e-9
+MAX_AMBIENT_DIM = 32  # of every datum, and of every subspace read from JSON
 EIGENVALUE_CLUSTER_RTOL = 1e-6  # repeated eigenvalues are the generic case here
 
 
@@ -91,19 +74,21 @@ class Subspace:
         return {"n": self.ambient_dim, "frame": [list(map(float, row)) for row in self.frame]}
 
     @staticmethod
-    def from_json(obj, tol: Tolerance = DEFAULT_TOL, name: str = "subspace") -> "Subspace":
+    def from_json(obj, name: str = "subspace") -> "Subspace":
         """Frames that are already orthonormal are kept verbatim, so a
         serialization round trip is exact; anything else is passed
         through orthonormalize to get the span."""
         obj = read(obj, {"n": float, "frame": [[float]]}, name)
         n = as_int(obj["n"], field_of(name, "n"))
+        if not 1 <= n <= MAX_AMBIENT_DIM:  # before anything of size n is built
+            raise InputError(f"{field_of(name, 'n')} must lie in [1, {MAX_AMBIENT_DIM}], got {n:.3g}")
         rows = obj["frame"]
         if not all(len(row) == n for row in rows) or not np.all(np.isfinite(rows)):
             raise InputError(f"{field_of(name, 'frame')} rows must be n = {n} finite numbers each")
         try:
             return Subspace(n, rows)
         except InputError:
-            return orthonormalize(rows, tol, ambient_dim=n)
+            return orthonormalize(rows, ambient_dim=n)
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -114,19 +99,19 @@ def full_subspace(n: int) -> Subspace:
     return Subspace(n, np.eye(n))
 
 
-def _sign_fix(U: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _sign_fix(U: np.ndarray) -> np.ndarray:
     """Flip each column so its first entry above the rank threshold is positive."""
-    big = np.abs(U) > tol.rank_rel_tol
+    big = np.abs(U) > RANK_TOL
     lead = U[big.argmax(axis=0), np.arange(U.shape[1])]
     return np.where(big.any(axis=0) & (lead < 0), -U, U)
 
 
-def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL, *, ambient_dim: int | None = None) -> Subspace:
+def orthonormalize(vectors, *, ambient_dim: int | None = None) -> Subspace:
     """Span of the given vectors as a canonical orthonormal frame.
 
     The frame is the left-singular-vector basis of the column-stacked
     input, truncated at numerical rank (singular values above
-    rank_rel_tol times the largest) and sign-fixed.  An empty input
+    RANK_TOL times the largest) and sign-fixed.  An empty input
     yields {0} and then requires ambient_dim.
     """
     vs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
@@ -146,10 +131,10 @@ def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL, *, ambient_dim: int | 
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return zero_subspace(n)
-    rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
     if rank == 0:
         return zero_subspace(n)
-    return Subspace(n, _sign_fix(U[:, :rank], tol).T)
+    return Subspace(n, _sign_fix(U[:, :rank]).T)
 
 
 def projection_matrix(S: Subspace) -> np.ndarray:
@@ -158,20 +143,21 @@ def projection_matrix(S: Subspace) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def cluster_eigenspaces(M: np.ndarray, rtol: float = EIGENVALUE_CLUSTER_RTOL) -> list:
+def cluster_eigenspaces(M: np.ndarray) -> list:
     """Eigenspaces of a symmetric M, nearby eigenvalues merged into one space.
 
-    Consecutive eigenvalues within a relative gap of rtol share a
+    Consecutive eigenvalues within a relative gap of
+    EIGENVALUE_CLUSTER_RTOL share a
     subspace; naive per-eigenvector spaces would noise-split the repeated
     eigenvalues that equality cases produce.
     """
     w, U = np.linalg.eigh(0.5 * (M + M.T))
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    cuts = [0, *(np.flatnonzero(np.diff(w) > rtol * scale) + 1), len(w)]
+    cuts = [0, *(np.flatnonzero(np.diff(w) > EIGENVALUE_CLUSTER_RTOL * scale) + 1), len(w)]
     return [orthonormalize(U[:, a:b].T, ambient_dim=M.shape[0]) for a, b in zip(cuts, cuts[1:])]
 
 
-def contains(A: Subspace, B: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def contains(A: Subspace, B: Subspace) -> bool:
     """True iff B is contained in A (every frame vector of B projects onto itself)."""
     if A.ambient_dim != B.ambient_dim:
         raise InputError(f"ambient dimension mismatch: {A.ambient_dim} vs {B.ambient_dim}")
@@ -181,10 +167,10 @@ def contains(A: Subspace, B: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
         return False
     P = projection_matrix(A)
     resid = B.frame @ P.T - B.frame
-    return float(np.linalg.norm(resid, axis=1).max()) <= tol.residual_tol
+    return float(np.linalg.norm(resid, axis=1).max()) <= RESIDUAL_TOL
 
 
-def equal(A: Subspace, B: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def equal(A: Subspace, B: Subspace) -> bool:
     """Subspace equality as mutual containment."""
-    return contains(A, B, tol) and contains(B, A, tol)
+    return contains(A, B) and contains(B, A)
 

@@ -25,9 +25,10 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import InputError
-from .integrals import Density, FactorizedDensity, GaussianDensity, GridDensity, GridSpec
+from .integrals import Density, GaussianDensity, GridDensity, GridSpec, in_frame
 
 MONOTONE_SLACK = 1e-12
+FLATTEN_RTOL = 0.05
 
 
 @dataclass
@@ -57,8 +58,7 @@ class MonotoneMap:
 
 
 def _require_line(density: Density) -> Density:
-    if isinstance(density, FactorizedDensity) and len(density.factors) == 1:
-        density = density.factors[0][1]
+    density = in_frame(density, density.domain)
     if density.domain.dim != 1:
         raise InputError("transport works on densities over a 1-D subspace")
     return density
@@ -151,12 +151,11 @@ class GrowthReport:
         return {"sup_ratio": self.sup_ratio, "growth_bounded": self.growth_bounded}
 
 
-def linear_growth_estimate(T: MonotoneMap, interval=None,
-                           flatten_rtol: float = 0.05) -> GrowthReport:
+def linear_growth_estimate(T: MonotoneMap) -> GrowthReport:
     """sup |T(x)| / sqrt(1 + x^2) with a leveling-off verdict.
 
     The flag looks at the outer decile of each end of the line on its
-    own: if the ratio still grows by more than flatten_rtol across it,
+    own: if the ratio still grows by more than FLATTEN_RTOL across it,
     the map is not leveling off toward a linear envelope.  (The ratio of
     a purely linear map increases toward its asymptote, so a strict
     non-increase test would misflag it; a capped relative increase keeps
@@ -164,15 +163,11 @@ def linear_growth_estimate(T: MonotoneMap, interval=None,
     judged apart because an offset map has different asymptotes there.)
     """
     xs, ts = T.xs, T.ts
-    if interval is not None:
-        lo, hi = interval
-        keep = (xs >= lo) & (xs <= hi)
-        xs, ts = xs[keep], ts[keep]
     if xs.size < 10:
         raise InputError("growth estimate needs at least 10 samples")
     ratio = np.abs(ts) / np.sqrt(1.0 + xs ** 2)
     sup = float(ratio.max())
     ends = [ratio[end][np.argsort(np.abs(xs[end]))] for end in (xs < 0.0, xs >= 0.0)]
     tails = [r[-max(2, r.size // 10):] for r in ends if r.size]
-    bounded = all(r.max() <= max(r[0], 1e-300) * (1.0 + flatten_rtol) for r in tails)
+    bounded = all(r.max() <= max(r[0], 1e-300) * (1.0 + FLATTEN_RTOL) for r in tails)
     return GrowthReport(sup_ratio=sup, growth_bounded=bool(bounded))

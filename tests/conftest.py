@@ -12,10 +12,21 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from blgeo.datum import (
+    GeometricBLDatum,
+    axis_datum,
+    direct_sum_data,
+    holder_datum,
+    paired_planes_datum,
+    planar_lines_datum,
+    rotate_datum,
+    validate_datum,
+)
 from blgeo.errors import InputError, InternalError
 from blgeo.integrals import GridDensity
 from blgeo.structure import INTEGER_SNAP_TOL, CriticalityReport
-from blgeo.subspace import DEFAULT_TOL, Subspace, equal, full_subspace, orthonormalize, zero_subspace
+from blgeo.subspace import (RANK_TOL, Subspace, equal, full_subspace, orthonormalize,
+                            zero_subspace)
 
 
 @pytest.fixture
@@ -23,16 +34,16 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-def independent_vectors(vectors, idx, tol=1e-9):
+def independent_vectors(vectors, idx):
     """Numerical linear independence of the selected rows."""
     M = np.asarray(vectors)[list(idx)]
     if M.shape[0] == 0:
         return True
     s = np.linalg.svd(M, compute_uv=False)
-    return s[-1] > tol * s[0]
+    return s[-1] > RANK_TOL * s[0]
 
 
-def bowtie_oracle(vectors, tol=1e-9):
+def bowtie_oracle(vectors):
     """Brute-force circuit relation: i ~ j iff some (n-1)-subset U of the
     other indices makes both {i} u U and {j} u U independent.
 
@@ -45,8 +56,8 @@ def bowtie_oracle(vectors, tol=1e-9):
     for i, j in combinations(range(k), 2):
         others = [m for m in range(k) if m not in (i, j)]
         for U in combinations(others, n - 1):
-            if independent_vectors(vectors, (i,) + U, tol) and \
-               independent_vectors(vectors, (j,) + U, tol):
+            if independent_vectors(vectors, (i,) + U) and \
+               independent_vectors(vectors, (j,) + U):
                 related.add((i, j))
                 related.add((j, i))
                 break
@@ -83,7 +94,7 @@ def induced_partition_oracle(n, sets):
     return sorted(sorted(b) for b in blocks)
 
 
-def complement(A, tol=DEFAULT_TOL):
+def complement(A):
     """Orthogonal complement; dim(A) + dim(complement(A)) == n exactly."""
     n, d = A.ambient_dim, A.dim
     if d == 0:
@@ -94,14 +105,14 @@ def complement(A, tol=DEFAULT_TOL):
     return Subspace(n, U[:, d:].T)
 
 
-def subspace_sum(A, B, tol=DEFAULT_TOL):
+def subspace_sum(A, B):
     """Span of A union B."""
     if A.ambient_dim != B.ambient_dim:
         raise InputError(f"ambient dimension mismatch: {A.ambient_dim} vs {B.ambient_dim}")
-    return orthonormalize(list(A.frame) + list(B.frame), tol, ambient_dim=A.ambient_dim)
+    return orthonormalize(list(A.frame) + list(B.frame), ambient_dim=A.ambient_dim)
 
 
-def intersect(A, B, tol=DEFAULT_TOL):
+def intersect(A, B):
     """A intersect B, computed as the complement of (A-perp + B-perp)."""
     if A.ambient_dim != B.ambient_dim:
         raise InputError(f"ambient dimension mismatch: {A.ambient_dim} vs {B.ambient_dim}")
@@ -111,21 +122,21 @@ def intersect(A, B, tol=DEFAULT_TOL):
         return B
     if B.dim == B.ambient_dim:
         return A
-    return complement(subspace_sum(complement(A, tol), complement(B, tol), tol), tol)
+    return complement(subspace_sum(complement(A), complement(B)))
 
 
-def is_critical_oracle(d, V, tol=DEFAULT_TOL):
+def is_critical_oracle(d, V):
     """Criticality on the subspace lattice: sum c_i dim(E_i cap V) = dim V,
     cross-checked against the splitting E_i = (E_i cap V) + (E_i cap V-perp),
     each intersection computed through complements and sums of spans."""
-    Vp = complement(V, tol)
+    Vp = complement(V)
     wds = 0.0
     splitting_ok = True
     for E, c in d.entries:
-        EV = intersect(E, V, tol)
-        EVp = intersect(E, Vp, tol)
+        EV = intersect(E, V)
+        EVp = intersect(E, Vp)
         wds += c * EV.dim
-        if not equal(E, subspace_sum(EV, EVp, tol), tol):
+        if not equal(E, subspace_sum(EV, EVp)):
             splitting_ok = False
     near_int = abs(wds - round(wds)) <= INTEGER_SNAP_TOL
     dim_match = near_int and int(round(wds)) == V.dim
@@ -218,3 +229,67 @@ def random_uniform_cover(rng, n, s, max_blocks=None):
             sets.append(frozenset(int(x) for x in perm[start:cut]))
             start = cut
     return UniformCover(n, s, tuple(sets))
+
+
+def random_rotation(rng, n: int) -> np.ndarray:
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def random_datum(rng, *, max_dim: int = 6, max_vectors: int = 12,
+                 rotate: bool = True) -> GeometricBLDatum:
+    """Seeded random valid datum built from the constructions of blgeo.datum.
+
+    Blocks are axes, Hoelder repeats, planar line frames, and pairings of
+    two line frames; blocks are direct-summed and optionally rotated.
+    The expansion size (sum of entry dimensions) stays within
+    max_vectors and the ambient dimension within max_dim.
+    """
+    blocks = []
+    dim_used = 0
+    vecs_used = 0
+    while True:
+        room_d = max_dim - dim_used
+        room_v = max_vectors - vecs_used
+        if room_d <= 0 or room_v <= 0:
+            break
+        choices = ["axis"]
+        if room_d >= 1 and room_v >= 2:
+            choices.append("holder")
+        if room_d >= 2 and room_v >= 3:
+            choices.append("lines")
+        if room_d >= 4 and room_v >= 6:
+            choices.append("paired")
+        kind = choices[rng.integers(len(choices))]
+        if kind == "axis":
+            blocks.append(axis_datum(1))
+            dim_used += 1
+            vecs_used += 1
+        elif kind == "holder":
+            dim = int(rng.integers(1, min(2, room_d, room_v // 2) + 1))
+            parts = int(rng.integers(2, min(3, room_v // dim) + 1))
+            w = rng.dirichlet(np.ones(parts) * 5.0)
+            w = np.clip(w, 0.05, None)
+            w = w / w.sum()
+            blocks.append(holder_datum(dim, w))
+            dim_used += dim
+            vecs_used += dim * parts
+        elif kind == "lines":
+            m = int(rng.integers(3, min(4, room_v) + 1))
+            blocks.append(planar_lines_datum(m))
+            dim_used += 2
+            vecs_used += m
+        else:
+            m = int(rng.integers(3, min(4, room_v // 2) + 1))
+            blocks.append(paired_planes_datum(m))
+            dim_used += 4
+            vecs_used += 2 * m
+        if dim_used >= max_dim or rng.random() < 0.25:
+            break
+    d = direct_sum_data(blocks) if len(blocks) > 1 else blocks[0]
+    if rotate and rng.random() < 0.8:
+        d = rotate_datum(d, random_rotation(rng, d.ambient_dim))
+    report = validate_datum(d)
+    if not report.is_valid:
+        raise InternalError(f"random datum failed validation (defect {report.defect:.3e})")
+    return d

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from conftest import indicator_density, random_uniform_cover
+from conftest import indicator_density, random_datum, random_uniform_cover
 
 from blgeo.covers import (
     PointPolytope,
@@ -27,7 +27,6 @@ from blgeo.datum import (
     holder_datum,
     make_datum_from_cover,
     paired_planes_datum,
-    random_datum,
     rank_one_expansion,
     validate_datum,
 )

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import random_datum, random_rotation
+
 from blgeo.covers import UniformCover
 from blgeo.datum import (
     GeometricBLDatum,
@@ -12,10 +14,8 @@ from blgeo.datum import (
     paired_planes_datum,
     parse_weight,
     planar_lines_datum,
-    random_datum,
     rank_one_expansion,
     rotate_datum,
-    random_rotation,
     validate_datum,
 )
 from blgeo.errors import CapError, InputError

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import random_datum
+
 from blgeo.datum import (
     RankOneDatum,
     axis_datum,
     paired_planes_datum,
     planar_lines_datum,
-    random_datum,
     rank_one_expansion,
 )
 from blgeo.determinantal import (

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_sup_integral, indicator_density
+from conftest import gaussian_sup_integral, indicator_density, random_datum
 
 from blgeo.covers import UniformCover
 from blgeo.datum import (
@@ -14,7 +14,6 @@ from blgeo.datum import (
     make_datum_from_cover,
     paired_planes_datum,
     planar_lines_datum,
-    random_datum,
     validate_datum,
 )
 from blgeo.determinantal import determinantal_high_check
@@ -34,7 +33,7 @@ from blgeo.integrals import (
     supconv_eval,
 )
 from blgeo.structure import indecomposable_decomposition, independent_subspaces
-from blgeo.subspace import full_subspace, orthonormalize, projection_matrix
+from blgeo.subspace import Subspace, full_subspace, orthonormalize, projection_matrix
 
 LINE = full_subspace(1)
 
@@ -475,6 +474,13 @@ def test_convolve_domain_mismatch():
     e2 = orthonormalize([[0, 1]])
     with pytest.raises(InputError):
         convolve_density(GaussianDensity(e1, [[1.0]]), GaussianDensity(e2, [[1.0]]))
+    # one plane in two frames: the cells of a grid in the swapped frame do
+    # not pair up with those of a grid in the standard frame
+    swapped = Subspace(2, [[0.0, 1.0], [1.0, 0.0]])
+    grid = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(InputError):
+        convolve_density(GridDensity(full_subspace(2), [0.0, 0.0], 0.5, grid),
+                         GridDensity(swapped, [0.0, 0.0], 0.5, grid))
 
 
 def test_convolved_extremizers_stay_extremal():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (bowtie_oracle, complement, intersect, is_critical_oracle,
-                      is_indecomposable_oracle, subspace_sum)
+                      is_indecomposable_oracle, random_datum, random_rotation, subspace_sum)
 
 from blgeo.covers import UniformCover
 from blgeo.datum import (
@@ -16,8 +16,6 @@ from blgeo.datum import (
     pair_data,
     paired_planes_datum,
     planar_lines_datum,
-    random_datum,
-    random_rotation,
     rank_one_expansion,
     rotate_datum,
     validate_datum,

@@ -6,7 +6,6 @@ from conftest import complement, intersect, subspace_sum
 from blgeo.errors import InputError
 from blgeo.subspace import (
     Subspace,
-    Tolerance,
     contains,
     equal,
     full_subspace,
@@ -84,20 +83,6 @@ def test_sum_contains_equal_examples():
 def test_ambient_mismatch_raises():
     with pytest.raises(InputError):
         contains(full_subspace(2), full_subspace(3))
-
-
-def test_tolerance_bounds():
-    with pytest.raises(InputError):
-        Tolerance(rank_rel_tol=0.5)
-    with pytest.raises(InputError):
-        Tolerance(residual_tol=-1e-9)
-
-
-def test_tolerance_floor_names_the_field():
-    Tolerance(rank_rel_tol=1e-10, residual_tol=1e-10)
-    for field in ("rank_rel_tol", "residual_tol"):
-        with pytest.raises(InputError, match=field):
-            Tolerance(**{field: 9e-11})
 
 
 def test_frame_orthonormality_enforced():

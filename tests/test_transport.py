@@ -5,7 +5,7 @@ from scipy.special import erf
 from conftest import indicator_density, invert_cdf_oracle
 
 from blgeo.errors import InputError
-from blgeo.integrals import GaussianDensity, GridDensity, GridSpec
+from blgeo.integrals import Density, GaussianDensity, GridDensity, GridSpec
 from blgeo.subspace import full_subspace
 from blgeo.transport import (
     MonotoneMap,
@@ -171,6 +171,27 @@ def test_piecewise_constant_oracle_agreement(rng):
                 else:
                     hi_b = mid
             assert abs(float(T(x)) - 0.5 * (lo_b + hi_b)) < 1e-5
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "grid"])
+def test_one_factor_wrapper_on_the_negated_line_gives_the_plain_map(kind):
+    # the same f on e1, once plain and once as the one factor of a wrapper
+    # whose factor frame is -e1, where it reads as its mirror image
+    e1, minus_e1 = {"n": 1, "frame": [[1.0]]}, {"n": 1, "frame": [[-1.0]]}
+    if kind == "gaussian":  # centre -1
+        plain = {"kind": "gaussian", "domain": e1, "A": [[1.0]], "b": [-2.0]}
+        mirror = {"kind": "gaussian", "domain": minus_e1, "A": [[1.0]], "b": [2.0]}
+    else:
+        plain = {"kind": "grid", "domain": e1, "lo": [-0.5], "h": 0.25, "values": [3, 0, 2, 1]}
+        mirror = {"kind": "grid", "domain": minus_e1, "lo": [-0.5], "h": 0.25,
+                  "values": [1, 2, 0, 3]}
+    wrapped = {"kind": "factorized", "domain": e1,
+               "factors": [{"subspace": minus_e1, "density": mirror}]}
+    g = GaussianDensity(LINE, [[1.0]])
+    plain_map, wrapped_map = (brenier_1d(Density.from_json(f), g, SPEC) for f in (plain, wrapped))
+    if kind == "gaussian":
+        assert plain_map(0.0) == pytest.approx(-1.0, abs=1e-9)
+    assert np.abs(plain_map.ts - wrapped_map.ts).max() <= 1e-12
 
 
 def test_zero_mass_rejected():
