@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import CapError, InputError, InternalError, as_array, as_int, read
 
@@ -244,6 +243,7 @@ def _hull_volume(points: np.ndarray) -> float:
     dim = points.shape[1]
     if dim == 1:
         return float(points.max() - points.min())
+    from scipy.spatial import ConvexHull, QhullError  # lazy, for a fast cold start
     try:
         return float(ConvexHull(points).volume)
     except QhullError:
@@ -252,6 +252,7 @@ def _hull_volume(points: np.ndarray) -> float:
 
 def _facets(points: np.ndarray):
     """Facet inequalities a.x <= b of the hull, derived from the vertices."""
+    from scipy.spatial import ConvexHull, QhullError  # lazy, for a fast cold start
     try:
         eq = ConvexHull(points).equations
     except QhullError as exc:
@@ -279,6 +280,7 @@ def _section_vertices(A: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
         ub = np.min(bsub[a > 1e-12] / a[a > 1e-12])
         lb = np.max(bsub[a < -1e-12] / a[a < -1e-12])
         return np.array([[lb], [ub]])
+    from scipy.spatial import HalfspaceIntersection, QhullError  # lazy, for a fast cold start
     try:
         return HalfspaceIntersection(np.column_stack([Asub, -bsub]), np.zeros(d)).intersections
     except QhullError as exc:

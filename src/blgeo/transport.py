@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InputError
 from .integrals import Density, GaussianDensity, GridDensity, GridSpec, in_frame
@@ -83,6 +82,7 @@ def _cdf_knots(density: Density, span: GridSpec):
         return edges, cdf, total
     if isinstance(density, GaussianDensity):
         # theta * exp(-a z^2 + a b z): the shape CDF is theta-free
+        from scipy.special import erf  # lazy, for a fast cold start (math.erf differs in the last bit)
         a = float(density.A[0, 0])
         b = float(density.b[0])
         xs = np.linspace(-span.radius, span.radius, span.count + 1)

@@ -280,6 +280,7 @@ GAUSS_JSON = {"kind": "gaussian", "domain": LINE_JSON, "A": [[1.0]]}
     "theta_string", "h_string", "lo_string", "values_string", "cover_with_huge_n",
     "flat_triangle_for_qhull", "gaussian_ragged_A", "gaussian_A_of_a_plane", "grid_ragged_values",
     "polytope_ragged_vertices", "subspace_huge_n", "factor_outside_its_domain",
+    "grid_not_a_number", "grid_unknown_key",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -327,6 +328,7 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
              "gaussian_ragged_A": "gaussian matrix A", "gaussian_A_of_a_plane": "gaussian matrix A",
              "grid_ragged_values": "grid values", "polytope_ragged_vertices": "polytope vertices",
              "subspace_huge_n": "subspace n", "factor_outside_its_domain": "factor subspace",
+             "grid_not_a_number": "--grid h", "grid_unknown_key": "--grid has unknown key 'size'",
              **dict.fromkeys(weight, "entries[0].c")}.get(case, "")
     if case in bad_density:
         argv = ["transport", "--f", write("f.json", json.dumps(bad_density[case])), "--g", gauss]
@@ -372,6 +374,9 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     elif case == "grid_infinite_box":
         argv = ["barthe-eval", holder, "--densities", write("d.json", json.dumps([GAUSS_JSON] * 2)),
                 "--grid", "h=0.05,box=inf"]
+    elif case in ("grid_not_a_number", "grid_unknown_key"):
+        spec = "h=abc,box=4" if case == "grid_not_a_number" else "h=0.5,box=4,size=9"
+        argv = ["transport", "--f", gauss, "--g", gauss, "--grid", spec]
     elif case == "nan_operator":
         argv = ["bl-eval", holder, "--A", write("A.json", "[[[NaN]], [[1.0]]]")]
     else:
@@ -397,6 +402,36 @@ def test_linear_algebra_failure_exits_two(files, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("internal error: ")
+
+
+def test_scipy_free_commands_load_no_scipy(files, tmp_path):
+    # importing scipy is most of a cold start; only dual-bt and transport need it
+    holder = tmp_path / "holder.json"
+    holder.write_text(json.dumps(HOLDER_JSON))
+    densities = tmp_path / "densities.json"
+    densities.write_text(json.dumps([json.loads(Path(files["gauss"]).read_text())] * 2))
+    calls = [
+        ["validate", files["r4"]],
+        ["analyze", files["lw3"]],
+        ["critical", files["r4"], files["uplane"]],
+        ["detcheck", files["r4"], "--t", files["t_eq"]],
+        ["detcheck", files["r4"], "--A", files["A_eye"]],
+        ["bl-eval", files["r4"], "--A", files["A_eye"]],
+        ["barthe-eval", files["r4"], "--phi", files["phi_eye"]],
+        ["barthe-eval", str(holder), "--densities", str(densities), "--grid", "h=0.05,box=±4"],
+        ["bt", files["lw_cover"], files["tromino"]],
+        ["covers-induce", files["lw_cover"]],
+    ]
+    script = ("import contextlib, io, json, sys\n"
+              "from blgeo.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert main(argv) == 0, argv\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
 
 
 def fuzz_calls():

@@ -25,6 +25,7 @@ from blgeo.integrals import (
     GaussianDensity,
     GridDensity,
     GridSpec,
+    _filter3,
     build_extremizer,
     convolve_density,
     gaussian_barthe_eval,
@@ -339,6 +340,19 @@ def test_supconv_block_split_between_solved_and_free():
     exact = gaussian_sup_integral(d, precisions)
     assert abs(ev.lhs - exact) <= ev.est_error * ev.lhs
     assert abs(ev.lhs / exact - 1.0) < 0.04
+
+
+def test_filter3_matches_scipy_ndimage_bit_for_bit():
+    from scipy.ndimage import maximum_filter, minimum_filter
+
+    rng = np.random.default_rng(11)
+    shapes = [(1,), (2,), (3,), (401,), (1, 1), (1, 5), (2, 1), (2, 2), (7, 2), (13, 11),
+              (1, 2, 3), (2, 2, 2), (9, 1, 6), (5, 6, 7)]
+    for shape in shapes:
+        # sup-convolution grids hold many exact ties (zeros), so test those too
+        for a in (rng.standard_normal(shape), rng.integers(0, 3, shape) * rng.random(shape)):
+            assert np.array_equal(_filter3(a, np.maximum), maximum_filter(a, size=3, mode="nearest"))
+            assert np.array_equal(_filter3(a, np.minimum), minimum_filter(a, size=3, mode="nearest"))
 
 
 def test_supconv_caps():
