@@ -14,10 +14,12 @@ shape the characterized extremizers take).
 On grids the Barthe supremum is a maximum over the exact constraint
 fiber: some coordinates of the decomposition run over the grid and the
 rest are solved from x = sum c_i x_i, so no candidate leaves the fiber
-and no slack is needed.  The sup is taken in log space so products of
-powers cannot underflow.  Reported errors combine a cell-variation
-(inner/outer Riemann) bound with the mass each input loses to
-truncation.
+and no slack is needed.  The output cells x free tuples table is taken
+in tiles of SUPCONV_TILE candidates, joined by a running maximum, so
+memory is bounded by the tile, not by the grid.  The sup is taken in
+log space so products of powers cannot underflow.  Reported errors
+combine a cell-variation (inner/outer Riemann) bound with the mass each
+input loses to truncation.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .subspace import Subspace, contains, equal
 
 SUPCONV_MAX_AMBIENT = 3
 SUPCONV_MAX_ENTRIES = 4
-SUPCONV_MAX_COMBOS = 4_000_000
+SUPCONV_MAX_COMBOS = 4_000_000  # caps only the enumerated free tuples T
+SUPCONV_TILE = 1 << 14  # candidates per tile: 128 KiB work arrays, L2-resident
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +405,10 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     (free) coordinates run over the grid, blocks that are wholly free
     only over their cells of positive mass.  The solved coordinates are
     computed exactly, C_P^{-1} (x - C_Q y_Q), so every candidate lies on
-    the fiber and F is never overestimated at a grid point.  F is
+    the fiber and F is never overestimated at a grid point.  The M x T
+    table of output cells by free tuples is evaluated in tiles of at most
+    SUPCONV_TILE candidates: blocks of rows and, when T exceeds the tile,
+    column slabs joined by a running per-row maximum.  F is
     integrated by the midpoint rule; the product side uses the same
     grid quadrature per factor.
     """
@@ -466,16 +472,18 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     blocks = [i for i in range(d.k) if K[starts[i]:starts[i + 1]].any()]
     M, T = X.shape[0], Y.shape[0]
     F = np.zeros(M)
-    chunk = max(1, min(M, SUPCONV_MAX_COMBOS // T))
-    for a in range(0, M, chunk):
-        total = L
-        for i in blocks:
-            cols = slice(starts[i], starts[i + 1])
-            yi = XK[a:a + chunk, None, cols] - YN[None, :, cols]
-            logs = densities[i].log_value(yi.reshape(-1, dims[i])).reshape(yi.shape[:2])
-            total = total + weights[i] * logs
-        best = total.max(axis=1)
-        F[a:a + chunk] = np.where(np.isfinite(best), np.exp(best), 0.0)
+    rows, width = max(1, SUPCONV_TILE // T), min(T, SUPCONV_TILE)
+    for a in range(0, M, rows):
+        best = np.full(min(rows, M - a), -np.inf)
+        for b in range(0, T, width):
+            total = L[b:b + width]
+            for i in blocks:
+                cols = slice(starts[i], starts[i + 1])
+                yi = XK[a:a + rows, None, cols] - YN[None, b:b + width, cols]
+                logs = densities[i].log_value(yi.reshape(-1, dims[i])).reshape(yi.shape[:2])
+                total = total + weights[i] * logs
+            best = np.maximum(best, total.max(axis=1))
+        F[a:a + rows] = np.where(np.isfinite(best), np.exp(best), 0.0)
 
     lhs = float(F.sum()) * h ** n
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import gaussian_sup_integral, indicator_density, random_datum
 
+from blgeo import integrals
 from blgeo.covers import UniformCover
 from blgeo.datum import (
     GeometricBLDatum,
@@ -360,6 +363,69 @@ def test_supconv_caps():
     g = GaussianDensity(full_subspace(4), np.eye(4))
     with pytest.raises(CapError):
         supconv_eval(d, [g, g], GridSpec(0.5, 2.0))
+
+
+def tile_cases():
+    """Datum, densities and grid for each input kind of the grid Barthe
+    evaluation, in n = 1, 2, 3 with k up to 4, each a small table."""
+    far = [GaussianDensity(LINE, [[a]], [b], t) for a, b, t in
+           ((1.0, 2.5, 1.7), (2.0, -3.0, 0.4), (0.5, 1.5, 3.0), (1.5, -2.0, 0.8))]
+    lines = planar_lines_datum(3)
+    line_fs = [GaussianDensity(E, [[a]], [b], t) for (E, _), a, b, t in
+               zip(lines.entries, (1.0, 2.0, 0.5), (2.5, -3.0, 1.5), (1.7, 0.4, 3.0))]
+    unit = indicator_density([(0.0, 1.0)], 0.1, 3.0)
+    bimodal = indicator_density([(0.0, 1.0), (2.0, 3.0)], 0.1, 4.0)
+    axes = direct_sum_data([axis_datum(1), axis_datum(1)])
+    rep = independent_subspaces(axes)
+    h1 = GridDensity(rep.independent_subspaces[0].subspace, bimodal.lo, bimodal.h, bimodal.values)
+    h2 = GaussianDensity(rep.independent_subspaces[1].subspace, [[2.0]], [1.0], 2.0)
+    holder = holder_datum(1, [0.5, 0.5])
+    tri = GridDensity(LINE, np.array([-3.0]), 0.1,
+                      np.clip(1.0 - np.abs(-3.0 + (np.arange(60) + 0.5) * 0.1), 0.0, None))
+    shifted = build_extremizer(holder, independent_subspaces(holder), ExtremizerParams(
+        w=[np.array([0.4]), np.array([-0.2])], h=(tri,)))
+    lines_ex = build_extremizer(lines, independent_subspaces(lines), ExtremizerParams(
+        A=1.3 * np.eye(2), b=[2.0 * E.frame[0] for E, _ in lines.entries], theta=(1.5, 0.5, 2.0)))
+    space = direct_sum_data([planar_lines_datum(3), axis_datum(1)])
+    space_fs = [GaussianDensity(E, [[a]], [b], t) for (E, _), a, b, t in
+                zip(space.entries, (1.0, 2.0, 0.5, 1.5), (1.0, -1.0, 0.5, 2.0), (1.7, 0.4, 3.0, 0.8))]
+    return [
+        (holder_datum(1, [0.3, 0.7]), far[:2], GridSpec(0.05, 6.0)),
+        (holder_datum(1, [0.25, 0.25, 0.25, 0.25]), far, GridSpec(0.5, 4.0)),
+        (lines, line_fs, GridSpec(0.3, 4.2)),
+        (holder_datum(1, [0.5, 0.5]), [unit, unit], GridSpec(0.05, 3.0)),
+        (holder_datum(1, [0.3, 0.3, 0.4]), [bimodal] * 3, GridSpec(0.1, 4.0)),
+        (axes, build_extremizer(axes, rep, ExtremizerParams(h=(h1, h2))), GridSpec(0.2, 4.0)),
+        (holder, shifted, GridSpec(0.05, 3.0)),
+        (lines, lines_ex, GridSpec(0.25, 4.0)),
+        (space, space_fs, GridSpec(0.5, 3.0)),
+    ]
+
+
+def test_supconv_tiles_do_not_change_a_float(monkeypatch):
+    # one table as at v >= M T; ragged row blocks and column slabs at 7 and 1001
+    for d, fs, grid in tile_cases():
+        monkeypatch.setattr(integrals, "SUPCONV_TILE", 10 ** 9)
+        whole = supconv_eval(d, fs, grid)
+        for tile in (7, 1001):
+            monkeypatch.setattr(integrals, "SUPCONV_TILE", tile)
+            ev = supconv_eval(d, fs, grid)
+            assert (ev.lhs, ev.rhs, ev.est_error) == (whole.lhs, whole.rhs, whole.est_error), \
+                (d.ambient_dim, d.k, tile)
+
+
+def test_supconv_memory_is_bounded_by_the_tile():
+    # three lines at the CLI's default grid: 160^2 output cells x 160 free
+    # cells; one untiled table held 155 MB
+    d = planar_lines_datum(3)
+    fs = [GaussianDensity(E, [[a]]) for (E, _), a in zip(d.entries, (1.0, 2.0, 0.5))]
+    tracemalloc.start()
+    try:
+        supconv_eval(d, fs, GridSpec(0.05, 4.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
