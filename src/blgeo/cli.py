@@ -253,6 +253,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory for this input ({exc})", file=sys.stderr)
+        return 1
     sys.stdout.write(text)
     return code
 

@@ -11,26 +11,27 @@ Everything is computed in the log domain; equality detection is
 structural (class-constancy of t, or the Phi certificate), never a
 floating-point comparison of the two sides.
 
-The Cauchy-Binet expansion is kept as an independent oracle: with
-v_i = sqrt(c_i) u_i the squared n x n minors d_I form a probability
-measure with marginals sum_{I owns i} d_I = c_i, and
-sum_I d_I t_I reproduces the determinant.
+The same check solves the Gaussian fiber problem.  For positive
+definite A_i on E_i in frame coordinates, the minimum of
+sum c_i <A_i y_i, y_i> over sum c_i F_i y_i = x is <Q x, x>, where
+Q^-1 = sum c_i F_i A_i^-1 F_i^T is the operator assembled from the
+A_i^-1, and the minimizer is y_i = A_i^-1 F_i^T Q x.  Barthe's two sides
+for f_i(y) = exp(-<A_i y, y>) are then pi^(n/2) exp(log_lhs / 2) and
+pi^(n/2) exp(log_rhs / 2) of determinantal_high_check(d, [A_i^-1]).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .datum import GeometricBLDatum, RankOneDatum, require_validated
-from .errors import CapError, InputError, InternalError
+from .errors import InputError, InternalError
 from .structure import bowtie_classes, has_critical_eigenspaces
 from .subspace import RESIDUAL_TOL
 
-MINOR_ENUMERATION_CAP = 10 ** 6
 CLASS_CONSTANT_RTOL = 1e-9
 
 
@@ -113,60 +114,6 @@ def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
     )
 
 
-@dataclass(frozen=True)
-class CauchyBinetExpansion:
-    subsets: tuple          # n-element index tuples
-    minor_weights: np.ndarray  # d_I = det[v_i : i in I]^2
-    t_products: np.ndarray     # t_I = prod_{i in I} t_i
-    weighted_sum: float        # sum_I d_I t_I
-    determinant: float         # det(sum c_i t_i u_i u_i^T)
-
-    def to_json(self) -> dict:
-        return {
-            "subsets": [list(I) for I in self.subsets],
-            "minor_weights": [float(x) for x in self.minor_weights],
-            "t_products": [float(x) for x in self.t_products],
-            "weighted_sum": self.weighted_sum,
-            "determinant": self.determinant,
-        }
-
-
-def cauchy_binet_expansion(r: RankOneDatum, t) -> CauchyBinetExpansion:
-    """Enumerate all n x n minors of the scaled frame and cross-check.
-
-    Verifies sum_I d_I = 1, the marginals sum_{I owns i} d_I = c_i, and
-    that sum_I d_I t_I matches the dense determinant to relative 1e-9;
-    any failure is an internal error because valid inputs cannot
-    produce one.
-    """
-    t = np.asarray(t, dtype=float)
-    n, k = r.ambient_dim, r.k
-    count = math.comb(k, n)
-    if count > MINOR_ENUMERATION_CAP:
-        raise CapError("minor enumeration", MINOR_ENUMERATION_CAP, count)
-    v = r.vectors * np.sqrt(r.weights)[:, None]
-    subsets = tuple(combinations(range(k), n))
-    idx = np.array(subsets, dtype=int)
-    dets = np.linalg.det(v[idx])          # (count,) minors det[v_i : i in I]
-    d_I = dets ** 2
-    t_I = np.prod(t[idx], axis=1)
-    weighted = float(np.dot(d_I, t_I))
-    M = (r.vectors.T * (r.weights * t)) @ r.vectors
-    det = float(np.linalg.det(M))
-
-    if abs(float(d_I.sum()) - 1.0) > 1e-9:
-        raise InternalError(f"sum of minor weights is {d_I.sum():.12g}, expected 1")
-    marg = np.zeros(k)
-    np.add.at(marg, idx.ravel(), np.repeat(d_I, n))
-    if np.abs(marg - r.weights).max() > 1e-9:
-        raise InternalError("minor-weight marginals do not reproduce the weights c_i")
-    if abs(weighted - det) > 1e-9 * max(abs(det), 1e-300):
-        raise InternalError(
-            f"Cauchy-Binet sum {weighted:.15g} does not match determinant {det:.15g}"
-        )
-    return CauchyBinetExpansion(subsets, d_I, t_I, weighted, det)
-
-
 def assemble_operator(d: GeometricBLDatum, A_list) -> tuple:
     """sum_i c_i A_i P_{E_i} as an ambient n x n matrix, with the A_i.
 
@@ -175,19 +122,35 @@ def assemble_operator(d: GeometricBLDatum, A_list) -> tuple:
     the symmetrized A_i.
     """
     require_validated(d)
-    n = d.ambient_dim
     if len(A_list) != d.k:
         raise InputError(f"need one operator per entry: expected {d.k}, got {len(A_list)}")
-    M = np.zeros((n, n))
     mats = []
-    for (E, c), A in zip(d.entries, A_list):
+    for (E, _), A in zip(d.entries, A_list):
         A = np.asarray(A, dtype=float)
         if A.shape != (E.dim, E.dim):
             raise InputError(f"operator shape {A.shape} does not match dim E = {E.dim}")
         require_spd(A, "operators")
         mats.append(0.5 * (A + A.T))
-        M += c * (E.basis @ mats[-1] @ E.frame)
-    return 0.5 * (M + M.T), mats
+    return _assemble(d, mats), mats
+
+
+def _assemble(d: GeometricBLDatum, mats) -> np.ndarray:
+    """sum_i c_i F_i A_i F_i^T, symmetrized, for A_i that are already checked."""
+    M = np.zeros((d.ambient_dim, d.ambient_dim))
+    for (E, c), A in zip(d.entries, mats):
+        M += c * (E.basis @ A @ E.frame)
+    return 0.5 * (M + M.T)
+
+
+def _log_sides(d: GeometricBLDatum, M: np.ndarray, mats) -> tuple:
+    """(log det M, sum_i c_i log det A_i) for M assembled from the A_i."""
+    sign, log_lhs = np.linalg.slogdet(M)
+    if sign <= 0:
+        raise InternalError("assembled operator is not positive definite")
+    log_rhs = 0.0
+    for (_, c), A in zip(d.entries, mats):
+        log_rhs += c * float(np.linalg.slogdet(A)[1])
+    return float(log_lhs), log_rhs
 
 
 def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
@@ -198,13 +161,7 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
     restricts to A_i on every E_i; the certificate is Phi = M itself.
     """
     M, mats = assemble_operator(d, A_list)
-    sign, log_lhs = np.linalg.slogdet(M)
-    if sign <= 0:
-        raise InternalError("assembled operator is not positive definite")
-    log_rhs = 0.0
-    for (E, c), A in zip(d.entries, mats):
-        s, ld = np.linalg.slogdet(A)
-        log_rhs += c * float(ld)
+    log_lhs, log_rhs = _log_sides(d, M, mats)
     scale = max(1.0, float(np.abs(M).max()))
     restriction_ok = True
     for (E, c), A in zip(d.entries, mats):
@@ -213,14 +170,33 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
             break
     equality = restriction_ok and has_critical_eigenspaces(d, M)
     return DetCheckResult(
-        lhs=_safe_exp(float(log_lhs)),
+        lhs=_safe_exp(log_lhs),
         rhs=_safe_exp(log_rhs),
-        log_lhs=float(log_lhs),
+        log_lhs=log_lhs,
         log_rhs=log_rhs,
-        log_gap=float(log_lhs) - log_rhs,
+        log_gap=log_lhs - log_rhs,
         equality=equality,
         equality_certificate=M if equality else None,
     )
+
+
+def _fiber_operator(d: GeometricBLDatum, Phi) -> tuple:
+    """(Phi, [A_i^-1], Q^-1) for A_i = F_i^T Phi^2 F_i, Phi checked as n x n SPD.
+
+    The A_i^-1 are positive definite because Phi is, so they skip the
+    per-operator checks of assemble_operator.
+    """
+    require_validated(d)
+    Phi = np.asarray(Phi, dtype=float)
+    n = d.ambient_dim
+    if Phi.shape != (n, n):
+        raise InputError(f"Phi must be {n} x {n}")
+    require_spd(Phi, "Phi")
+    inverses = []
+    for E, _ in d.entries:
+        G = Phi @ E.basis
+        inverses.append(np.linalg.inv(G.T @ G))
+    return Phi, inverses, _assemble(d, inverses)
 
 
 @dataclass(frozen=True)
@@ -240,53 +216,20 @@ class MinNormResult:
 def min_norm_decomposition(d: GeometricBLDatum, Phi: np.ndarray, x) -> MinNormResult:
     """min sum c_i |Phi x_i|^2 over decompositions x = sum c_i x_i, x_i in E_i.
 
-    Solved exactly through the KKT system in frame coordinates: the
-    Hessian is block diagonal (2 c_i F_i^T Phi^2 F_i) and the n coupling
-    constraints are sum c_i F_i y_i = x.  When the eigenspaces of Phi are
+    With x_i = F_i y_i the objective is sum c_i <A_i y_i, y_i> for
+    A_i = F_i^T Phi^2 F_i, so the fiber formula gives the minimum
+    <Q x, x> at y_i = A_i^-1 F_i^T Q x.  When the eigenspaces of Phi are
     critical the minimum equals |Phi x|^2 and x_i = P_{E_i} x attains it.
     """
-    require_validated(d)
-    Phi = np.asarray(Phi, dtype=float)
-    n = d.ambient_dim
-    if Phi.shape != (n, n):
-        raise InputError(f"Phi must be {n} x {n}")
-    require_spd(Phi, "Phi")
-    x = np.asarray(x, dtype=float).reshape(n)
-
-    dims = [E.dim for E, _ in d.entries]
-    D = sum(dims)
-    H = np.zeros((D, D))
-    C = np.zeros((n, D))
-    off = 0
-    for (E, c), dd in zip(d.entries, dims):
-        G = Phi @ E.basis
-        H[off:off + dd, off:off + dd] = 2.0 * c * (G.T @ G)
-        C[:, off:off + dd] = c * E.basis
-        off += dd
-    KKT = np.zeros((D + n, D + n))
-    KKT[:D, :D] = H
-    KKT[:D, D:] = C.T
-    KKT[D:, :D] = C
-    rhs = np.concatenate([np.zeros(D), x])
-    try:
-        sol = np.linalg.solve(KKT, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InternalError(f"singular KKT system: {exc}") from exc
-
-    minimizers = []
-    value = 0.0
-    recon = np.zeros(n)
-    off = 0
-    for (E, c), dd in zip(d.entries, dims):
-        xi = E.basis @ sol[off:off + dd]
-        minimizers.append(xi)
-        value += c * float(np.dot(Phi @ xi, Phi @ xi))
-        recon += c * xi
-        off += dd
+    Phi, inverses, Q_inv = _fiber_operator(d, Phi)
+    x = np.asarray(x, dtype=float).reshape(d.ambient_dim)
+    Qx = np.linalg.solve(Q_inv, x)
+    minimizers = tuple(E.basis @ (B @ (E.frame @ Qx)) for (E, _), B in zip(d.entries, inverses))
+    recon = sum(c * xi for (_, c), xi in zip(d.entries, minimizers))
     if np.linalg.norm(recon - x) > 1e-9 * (1.0 + np.linalg.norm(x)):
-        raise InternalError("KKT solution does not satisfy the decomposition constraint")
+        raise InternalError("the fiber minimizers do not rebuild x")
     return MinNormResult(
-        min_value=value,
-        minimizers=tuple(minimizers),
+        min_value=float(np.dot(x, Qx)),
+        minimizers=minimizers,
         reference=float(np.dot(Phi @ x, Phi @ x)),
     )

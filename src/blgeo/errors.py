@@ -3,7 +3,7 @@
 InputError covers everything a caller can fix (bad JSON, invalid data,
 exceeded caps); the CLI maps it to exit code 1.  InternalError marks
 conditions that valid inputs can never produce (a verified inequality
-violation, a singular KKT system, inconsistent criticality verdicts);
+violation, inconsistent criticality verdicts);
 the CLI maps it to exit code 2.
 
 This module is the input boundary: read checks a JSON value against

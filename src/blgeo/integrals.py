@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .datum import GeometricBLDatum, require_validated
-from .determinantal import determinantal_high_check, require_spd
+from .determinantal import _fiber_operator, _log_sides, determinantal_high_check, require_spd
 from .errors import CapError, InputError, InternalError, as_array, field_of, read
 from .structure import StructureReport, critical_meet, has_critical_eigenspaces
 from .subspace import Subspace, contains, equal
@@ -305,6 +305,8 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.h > 0.0 and self.radius > self.h):
             raise InputError("grid needs finite h and box with 0 < h < box")
+        if not math.isfinite(2.0 * self.radius / self.h):
+            raise InputError("grid cell count 2*box/h must be finite")
 
     @property
     def count(self) -> int:
@@ -354,28 +356,20 @@ def _closed_form(log_lhs: float, log_rhs: float, direction: str) -> IneqEvaluati
 def gaussian_barthe_eval(d: GeometricBLDatum, Phi) -> IneqEvaluation:
     """Barthe's two sides for the Gaussian family e^{-c_i |Phi x_i|^2}.
 
-    Requires the eigenspaces of Phi to be critical; then the supremum
-    side collapses to integral of e^{-|Phi x|^2} and both sides are
-    elementary Gaussian integrals whose ratio is 1 up to rounding.
+    The fiber formula of blgeo.determinantal with A_i = F_i^T Phi^2 F_i:
+    the sides are pi^(n/2) exp(log_lhs / 2) and pi^(n/2) exp(log_rhs / 2)
+    for the two sides log det Q^-1 and sum c_i log det A_i^-1 of the
+    determinantal inequality of the A_i^-1.  Phi must have critical
+    eigenspaces; then Q = Phi^2 and the ratio is 1 up to rounding.  The
+    equality certificate is not consulted: on Phi^-2 it would magnify the
+    rounding of a Phi typed to a few digits by about cond(Phi)^2.
     """
-    require_validated(d)
-    Phi = np.asarray(Phi, dtype=float)
-    n = d.ambient_dim
-    if Phi.shape != (n, n):
-        raise InputError(f"Phi must be {n} x {n}")
-    require_spd(Phi, "Phi")
+    Phi, inverses, Q_inv = _fiber_operator(d, Phi)
     if not has_critical_eigenspaces(d, Phi):
         raise InputError("the eigenspaces of Phi must be critical subspaces")
-    sign, logdet = np.linalg.slogdet(Phi)
-    log_lhs = 0.5 * n * math.log(math.pi) - float(logdet)
-    log_rhs = 0.0
-    for E, c in d.entries:
-        R = E.basis.T @ Phi @ E.basis
-        if np.abs(Phi @ E.basis - E.basis @ R).max() > 1e-7 * max(1.0, np.abs(Phi).max()):
-            raise InternalError("Phi does not leave an entry invariant despite criticality")
-        s, ld = np.linalg.slogdet(R)
-        log_rhs += c * (0.5 * E.dim * math.log(math.pi) - float(ld))
-    return _closed_form(log_lhs, log_rhs, "barthe")
+    log_lhs, log_rhs = _log_sides(d, Q_inv, inverses)
+    log_pi = 0.5 * d.ambient_dim * math.log(math.pi)
+    return _closed_form(log_pi + 0.5 * log_lhs, log_pi + 0.5 * log_rhs, "barthe")
 
 
 def _cartesian_centers(spec: GridSpec, dim: int) -> np.ndarray:

@@ -3,10 +3,13 @@
 The oracles here recompute spec'd quantities along a different route
 than the library (brute-force circuit search, direct matrix sums, exact
 CDF bisection, per-sample CDF inversion, the subspace lattice for
-criticality) so that agreement
-is evidence, not tautology.
+criticality, the Cauchy-Binet minor expansion of the rank-one
+determinant, the stacked constraint system of the Gaussian fiber) so
+that agreement is evidence, not tautology.
 """
 
+import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +25,7 @@ from blgeo.datum import (
     rotate_datum,
     validate_datum,
 )
-from blgeo.errors import InputError, InternalError
+from blgeo.errors import CapError, InputError, InternalError
 from blgeo.integrals import GridDensity
 from blgeo.structure import INTEGER_SNAP_TOL, CriticalityReport
 from blgeo.subspace import (RANK_TOL, Subspace, equal, full_subspace, orthonormalize,
@@ -164,6 +167,50 @@ def is_indecomposable_oracle(d, W, tol=1e-8):
     return int(np.count_nonzero(s <= tol)) == 1
 
 
+MINOR_ENUMERATION_CAP = 10 ** 6
+
+
+@dataclass(frozen=True)
+class CauchyBinetExpansion:
+    subsets: tuple          # n-element index tuples
+    minor_weights: np.ndarray  # d_I = det[v_i : i in I]^2
+    weighted_sum: float        # sum_I d_I t_I
+    determinant: float         # det(sum c_i t_i u_i u_i^T)
+
+
+def cauchy_binet_expansion(r, t):
+    """Enumerate all n x n minors of the scaled frame and cross-check.
+
+    With v_i = sqrt(c_i) u_i the squared minors d_I form a probability
+    measure with marginals sum_{I owns i} d_I = c_i, and sum_I d_I t_I
+    reproduces det(sum c_i t_i u_i u_i^T).  Verifies all three to 1e-9;
+    exponential in k, so capped at MINOR_ENUMERATION_CAP minors.
+    """
+    t = np.asarray(t, dtype=float)
+    n, k = r.ambient_dim, r.k
+    count = math.comb(k, n)
+    if count > MINOR_ENUMERATION_CAP:
+        raise CapError("minor enumeration", MINOR_ENUMERATION_CAP, count)
+    v = r.vectors * np.sqrt(r.weights)[:, None]
+    subsets = tuple(combinations(range(k), n))
+    idx = np.array(subsets, dtype=int)
+    d_I = np.linalg.det(v[idx]) ** 2
+    weighted = float(np.dot(d_I, np.prod(t[idx], axis=1)))  # sum_I d_I t_I
+    det = float(np.linalg.det((r.vectors.T * (r.weights * t)) @ r.vectors))
+
+    if abs(float(d_I.sum()) - 1.0) > 1e-9:
+        raise InternalError(f"sum of minor weights is {d_I.sum():.12g}, expected 1")
+    marg = np.zeros(k)
+    np.add.at(marg, idx.ravel(), np.repeat(d_I, n))
+    if np.abs(marg - r.weights).max() > 1e-9:
+        raise InternalError("minor-weight marginals do not reproduce the weights c_i")
+    if abs(weighted - det) > 1e-9 * max(abs(det), 1e-300):
+        raise InternalError(
+            f"Cauchy-Binet sum {weighted:.15g} does not match determinant {det:.15g}"
+        )
+    return CauchyBinetExpansion(subsets, d_I, weighted, det)
+
+
 def indicator_density(intervals, h, radius):
     """1-D indicator of a union of intervals, sampled at cell centers."""
     line = full_subspace(1)
@@ -197,13 +244,14 @@ def invert_cdf_oracle(knots_x, knots_u, u):
     return out
 
 
-def gaussian_sup_integral(d, A_list):
-    """Closed form of the integral of Barthe's supremum for f_i(y) = exp(-y^T A_i y).
+def gaussian_fiber_oracle(d, A_list):
+    """The Gaussian fiber problem for f_i(y) = exp(-y^T A_i y), stacked.
 
-    With y the stacked frame coordinates, C = [c_i F_i^T] and
-    H = blockdiag(c_i A_i), the supremum over the fiber C y = x is
-    exp(-x^T Q x) with Q = (C H^-1 C^T)^-1, the minimum-norm solution of
-    the constraint, so the integral is pi^(n/2) det(Q)^(-1/2).
+    With y the stacked frame coordinates, C = [c_i F_i] and
+    H = blockdiag(c_i A_i), the minimum of y^T H y over the fiber C y = x
+    is x^T Q x with Q = (C H^-1 C^T)^-1, so the supremum of Barthe's
+    product is exp(-x^T Q x) and its integral is pi^(n/2) det(Q)^(-1/2).
+    Returns Q and the log of that integral.
     """
     C = np.hstack([c * E.basis for E, c in d.entries])
     H = np.zeros((C.shape[1], C.shape[1]))
@@ -211,8 +259,9 @@ def gaussian_sup_integral(d, A_list):
     for (E, c), A in zip(d.entries, A_list):
         H[at:at + E.dim, at:at + E.dim] = c * np.asarray(A, dtype=float)
         at += E.dim
-    Q = np.linalg.inv(C @ np.linalg.solve(H, C.T))
-    return np.pi ** (d.ambient_dim / 2) / np.sqrt(np.linalg.det(Q))
+    Q_inv = C @ np.linalg.solve(H, C.T)
+    log_integral = 0.5 * d.ambient_dim * np.log(np.pi) + 0.5 * np.linalg.slogdet(Q_inv)[1]
+    return np.linalg.inv(Q_inv), float(log_integral)
 
 
 def random_uniform_cover(rng, n, s, max_blocks=None):

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from conftest import indicator_density, random_datum, random_uniform_cover
+from conftest import cauchy_binet_expansion, indicator_density, random_datum, random_uniform_cover
 
 from blgeo.covers import (
     PointPolytope,
@@ -32,7 +32,6 @@ from blgeo.datum import (
 )
 from blgeo.determinantal import (
     ball_barthe_check,
-    cauchy_binet_expansion,
     determinantal_high_check,
     min_norm_decomposition,
 )

@@ -280,7 +280,7 @@ GAUSS_JSON = {"kind": "gaussian", "domain": LINE_JSON, "A": [[1.0]]}
     "theta_string", "h_string", "lo_string", "values_string", "cover_with_huge_n",
     "flat_triangle_for_qhull", "gaussian_ragged_A", "gaussian_A_of_a_plane", "grid_ragged_values",
     "polytope_ragged_vertices", "subspace_huge_n", "factor_outside_its_domain",
-    "grid_not_a_number", "grid_unknown_key",
+    "grid_not_a_number", "grid_unknown_key", "grid_overflow",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -329,6 +329,7 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
              "grid_ragged_values": "grid values", "polytope_ragged_vertices": "polytope vertices",
              "subspace_huge_n": "subspace n", "factor_outside_its_domain": "factor subspace",
              "grid_not_a_number": "--grid h", "grid_unknown_key": "--grid has unknown key 'size'",
+             "grid_overflow": "grid cell count",
              **dict.fromkeys(weight, "entries[0].c")}.get(case, "")
     if case in bad_density:
         argv = ["transport", "--f", write("f.json", json.dumps(bad_density[case])), "--g", gauss]
@@ -371,9 +372,11 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     elif case in ("phi_object", "densities_scalar"):
         flag, value = ("--phi", {"a": 1}) if case == "phi_object" else ("--densities", 5)
         argv = ["barthe-eval", holder, flag, write("side.json", json.dumps(value))]
-    elif case == "grid_infinite_box":
+    elif case in ("grid_infinite_box", "grid_overflow"):
+        # 2 * 8 / 1e-320 is inf, so that cell count has no integer value
+        spec = "h=0.05,box=inf" if case == "grid_infinite_box" else "h=1e-320,box=8"
         argv = ["barthe-eval", holder, "--densities", write("d.json", json.dumps([GAUSS_JSON] * 2)),
-                "--grid", "h=0.05,box=inf"]
+                "--grid", spec]
     elif case in ("grid_not_a_number", "grid_unknown_key"):
         spec = "h=abc,box=4" if case == "grid_not_a_number" else "h=0.5,box=4,size=9"
         argv = ["transport", "--f", gauss, "--g", gauss, "--grid", spec]
@@ -390,6 +393,18 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
     assert field in err
     assert len(err) < 300
+
+
+def test_out_of_memory_exits_one_with_message(files, capsys, monkeypatch):
+    # a fine --grid can ask for more cells than memory holds; fake the failed allocation
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.16 TiB")
+
+    monkeypatch.setattr(np, "linspace", out_of_memory)
+    code, out, err = run_cli(capsys, ["transport", "--f", files["gauss"], "--g", files["gauss"]])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "memory" in err and "1.16 TiB" in err
 
 
 def test_linear_algebra_failure_exits_two(files, capsys, monkeypatch):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_datum
+from conftest import cauchy_binet_expansion, gaussian_fiber_oracle, random_datum
 
 from blgeo.datum import (
     RankOneDatum,
@@ -12,7 +14,6 @@ from blgeo.datum import (
 )
 from blgeo.determinantal import (
     ball_barthe_check,
-    cauchy_binet_expansion,
     determinantal_high_check,
     min_norm_decomposition,
 )
@@ -194,8 +195,26 @@ def test_non_pd_operator_rejected():
 
 
 # ---------------------------------------------------------------------------
-# constrained quadratic minimum
+# Gaussian fiber formula
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_fiber_formula_matches_the_stacked_oracle(seed):
+    # Barthe's sides for f_i(y) = exp(-<A_i y, y>) read off the check of the A_i^-1
+    rng = np.random.default_rng(seed)
+    d = random_datum(rng, max_dim=32, max_vectors=64)
+    A_list = [random_spd(rng, E.dim) for E, _ in d.entries]
+    check = determinantal_high_check(d, [np.linalg.inv(A) for A in A_list])
+    assert check.log_gap >= -1e-9
+    log_pi = 0.5 * np.log(np.pi)
+    _, log_sup = gaussian_fiber_oracle(d, A_list)
+    log_product = sum(c * (E.dim * log_pi - 0.5 * np.linalg.slogdet(A)[1])
+                      for (E, c), A in zip(d.entries, A_list))
+    assert abs(d.ambient_dim * log_pi + 0.5 * check.log_lhs - log_sup) <= 1e-12
+    assert abs(d.ambient_dim * log_pi + 0.5 * check.log_rhs - log_product) <= 1e-12
+
+
 
 def test_min_norm_identity_phi(rng):
     for _ in range(10):
@@ -233,6 +252,30 @@ def test_min_norm_feasibility(rng):
         assert np.linalg.norm(recon - x) <= 1e-9 * (1 + np.linalg.norm(x))
         for (E, _), xi in zip(d.entries, res.minimizers):
             assert np.linalg.norm(projection_matrix(E) @ xi - xi) <= 1e-9
+
+
+def test_min_norm_is_the_stacked_fiber_minimum(rng):
+    for _ in range(20):
+        d = random_datum(rng)
+        Phi = random_spd(rng, d.ambient_dim, 0.6)
+        x = rng.standard_normal(d.ambient_dim)
+        res = min_norm_decomposition(d, Phi, x)
+        Q, _ = gaussian_fiber_oracle(d, [E.frame @ Phi @ Phi @ E.basis for E, _ in d.entries])
+        assert res.min_value == pytest.approx(float(x @ Q @ x), rel=1e-10)
+        # moving the minimizers along the fiber sum c_i x_i = x never lowers the value
+        C = np.hstack([c * E.basis for E, c in d.entries])
+        y = np.concatenate([E.frame @ xi for (E, _), xi in zip(d.entries, res.minimizers)])
+        cuts = np.cumsum([E.dim for E, _ in d.entries])[:-1]
+        for _ in range(5):
+            r = rng.standard_normal(y.size)
+            r -= C.T @ np.linalg.solve(C @ C.T, C @ r)
+            for t in (1e-3, 1.0):
+                moved = [E.basis @ yi for (E, _), yi in zip(d.entries, np.split(y + t * r, cuts))]
+                recon = sum(c * xi for (_, c), xi in zip(d.entries, moved))
+                assert np.linalg.norm(recon - x) <= 1e-9 * (1 + np.linalg.norm(x))
+                value = sum(c * float(np.sum((Phi @ xi) ** 2))
+                            for (_, c), xi in zip(d.entries, moved))
+                assert value >= res.min_value * (1 - 1e-12)
 
 
 def test_min_norm_strict_for_rotated_axes():

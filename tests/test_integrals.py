@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_sup_integral, indicator_density, random_datum
+from conftest import gaussian_fiber_oracle, indicator_density, random_datum
 
 from blgeo import integrals
 from blgeo.covers import UniformCover
@@ -36,7 +36,7 @@ from blgeo.integrals import (
     is_log_concave,
     supconv_eval,
 )
-from blgeo.structure import indecomposable_decomposition, independent_subspaces
+from blgeo.structure import has_critical_eigenspaces, indecomposable_decomposition, independent_subspaces
 from blgeo.subspace import Subspace, full_subspace, orthonormalize, projection_matrix
 
 LINE = full_subspace(1)
@@ -164,6 +164,27 @@ def test_barthe_loomis_whitney_distinct_axes():
     d = loomis_whitney_datum()
     ev = gaussian_barthe_eval(d, np.diag([0.7, 1.9, 3.1]))
     assert ev.ratio == pytest.approx(1.0, abs=1e-10)
+
+
+def test_barthe_evaluates_a_rounded_critical_phi():
+    # a critical Phi typed to 9 digits is critical only within rounding; every
+    # one the criticality test on Phi accepts is evaluated, including those
+    # whose A_i^-1 fail the equality certificate, which magnifies rounding
+    rng = np.random.default_rng(11)
+    accepted = magnified = 0
+    for _ in range(60):
+        d = random_datum(rng, max_dim=8, max_vectors=16)
+        Phi = sum(np.exp(rng.uniform(-1.5, 1.5)) * projection_matrix(V)
+                  for V in indecomposable_decomposition(d))
+        Phi = np.array([[float(f"{v:.9g}") for v in row] for row in Phi])
+        if not has_critical_eigenspaces(d, Phi):
+            continue
+        accepted += 1
+        inverses = [np.linalg.inv(E.frame @ Phi @ Phi @ E.basis) for E, _ in d.entries]
+        magnified += not determinantal_high_check(d, inverses).equality
+        ev = gaussian_barthe_eval(d, Phi)
+        assert ev.ratio == pytest.approx(1.0, abs=1e-9)
+    assert accepted >= 40 and magnified > 0
 
 
 def test_barthe_rejects_non_critical_eigenspaces():
@@ -314,7 +335,7 @@ def test_supconv_budget_encloses_gaussian_closed_form(case):
     d, precisions, grid = case
     fs = [GaussianDensity(E, A) for (E, _), A in zip(d.entries, precisions)]
     ev = supconv_eval(d, fs, grid)
-    exact = gaussian_sup_integral(d, precisions)
+    exact = np.exp(gaussian_fiber_oracle(d, precisions)[1])
     assert abs(ev.lhs - exact) <= ev.est_error * ev.lhs, (ev.lhs, exact, ev.est_error)
 
 
@@ -325,7 +346,7 @@ def test_supconv_three_lines_on_the_exact_fiber():
     precisions = [[[1.0]], [[2.0]], [[0.5]]]
     fs = [GaussianDensity(E, A) for (E, _), A in zip(d.entries, precisions)]
     ev = supconv_eval(d, fs, GridSpec(0.1, 4.0))
-    assert abs(ev.lhs / gaussian_sup_integral(d, precisions) - 1.0) < 0.01
+    assert abs(ev.lhs / np.exp(gaussian_fiber_oracle(d, precisions)[1]) - 1.0) < 0.01
 
 
 def test_supconv_block_split_between_solved_and_free():
@@ -340,7 +361,7 @@ def test_supconv_block_split_between_solved_and_free():
     precisions = [[[1.0]], [[2.0]], [[0.7]], [[1.5, 0.9], [0.9, 1.0]]]
     fs = [GaussianDensity(E, A) for (E, _), A in zip(d.entries, precisions)]
     ev = supconv_eval(d, fs, GridSpec(0.3, 3.3))
-    exact = gaussian_sup_integral(d, precisions)
+    exact = np.exp(gaussian_fiber_oracle(d, precisions)[1])
     assert abs(ev.lhs - exact) <= ev.est_error * ev.lhs
     assert abs(ev.lhs / exact - 1.0) < 0.04
 
