@@ -17,7 +17,10 @@ rest are solved from x = sum c_i x_i, so no candidate leaves the fiber
 and no slack is needed.  The output cells x free tuples table is taken
 in tiles of SUPCONV_TILE candidates, joined by a running maximum, so
 memory is bounded by the tile, not by the grid.  The sup is taken in
-log space so products of powers cannot underflow.  Reported errors
+log space so products of powers cannot underflow.  A Gaussian block's
+log is a quadratic, so it enters a tile as a row term, a column term
+and a cross term of one multiply-add per frame coordinate; other
+densities are evaluated per candidate.  Reported errors
 combine a cell-variation (inner/outer Riemann) bound with the mass each
 input loses to truncation.
 """
@@ -113,6 +116,13 @@ class GaussianDensity(Density):
         self.A = 0.5 * (A + A.T)
         self.b = b
         self.theta = float(theta)
+        try:
+            mass = self.integral()
+        except OverflowError:
+            mass = math.inf
+        if not math.isfinite(mass):
+            raise InputError("gaussian centre b is too far out: the mass "
+                             "theta exp(<A b, b> / 4) sqrt(pi^d / det A) overflows a double")
 
     def integral(self) -> float:
         d = self.domain.dim
@@ -402,7 +412,16 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     the fiber and F is never overestimated at a grid point.  The M x T
     table of output cells by free tuples is evaluated in tiles of at most
     SUPCONV_TILE candidates: blocks of rows and, when T exceeds the tile,
-    column slabs joined by a running per-row maximum.  F is
+    column slabs joined by a running per-row maximum.  A solved block
+    whose density is Gaussian (alone or as the one factor of a
+    factorized density), f(z) = theta exp(-<A z, z - b>) at z = u - v
+    with u = K x per row and v = N y_Q per column, splits as
+        c log f = c (log theta + <A b, u> - <A u, u>)    row term
+                - c (<A b, v> + <A v, v>)                column term, into L
+                + 2c <A u, v>                            cross term,
+    so a tile costs it one broadcast multiply-add per frame coordinate,
+    summed in a fixed order, and the row term is added after the
+    per-row maximum.  Other densities are evaluated per candidate.  F is
     integrated by the midpoint rule; the product side uses the same
     grid quadrature per factor.
     """
@@ -465,19 +484,40 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     XK, YN = X @ K.T, Y @ N.T
     blocks = [i for i in range(d.k) if K[starts[i]:starts[i + 1]].any()]
     M, T = X.shape[0], Y.shape[0]
+
+    # Gaussian blocks: row term into R, column term into L, cross term (U, W),
+    # W = v^T so that each coordinate streams contiguously; None marks a block
+    # evaluated per candidate
+    R, cross = np.zeros(M), []
+    for i in blocks:
+        cols, c = slice(starts[i], starts[i + 1]), weights[i]
+        g = in_frame(densities[i], densities[i].domain)
+        if not isinstance(g, GaussianDensity):
+            cross.append(None)
+            continue
+        u, v, Ab = XK[:, cols], YN[:, cols], g.A @ g.b
+        R += c * (math.log(g.theta) + u @ Ab - (u @ g.A * u).sum(axis=1))
+        L = L - c * (v @ Ab + (v @ g.A * v).sum(axis=1))
+        cross.append((2.0 * c * (u @ g.A), np.ascontiguousarray(v.T)))
+
     F = np.zeros(M)
     rows, width = max(1, SUPCONV_TILE // T), min(T, SUPCONV_TILE)
     for a in range(0, M, rows):
         best = np.full(min(rows, M - a), -np.inf)
         for b in range(0, T, width):
             total = L[b:b + width]
-            for i in blocks:
+            for i, term in zip(blocks, cross):
+                if term is not None:
+                    U, W = term  # coordinate by coordinate: no BLAS, so no tile-dependent sums
+                    for j in range(dims[i]):
+                        total = total + U[a:a + rows, j, None] * W[j, None, b:b + width]
+                    continue
                 cols = slice(starts[i], starts[i + 1])
                 yi = XK[a:a + rows, None, cols] - YN[None, b:b + width, cols]
                 logs = densities[i].log_value(yi.reshape(-1, dims[i])).reshape(yi.shape[:2])
                 total = total + weights[i] * logs
             best = np.maximum(best, total.max(axis=1))
-        F[a:a + rows] = np.where(np.isfinite(best), np.exp(best), 0.0)
+        F[a:a + rows] = np.where(np.isfinite(best), np.exp(best + R[a:a + rows]), 0.0)
 
     lhs = float(F.sum()) * h ** n
 

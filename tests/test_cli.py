@@ -267,6 +267,8 @@ def test_reports_reparse(files, capsys):
 LINE_JSON = {"n": 1, "frame": [[1.0]]}
 HOLDER_JSON = {"n": 1, "entries": [{"c": 0.5, "E": LINE_JSON}, {"c": 0.5, "E": LINE_JSON}]}
 GAUSS_JSON = {"kind": "gaussian", "domain": LINE_JSON, "A": [[1.0]]}
+# mass sqrt(pi / 3) exp(3 * 2000^2 / 4): far beyond a double
+FAR_GAUSS_JSON = dict(GAUSS_JSON, A=[[3.0]], b=[2000.0])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -280,7 +282,8 @@ GAUSS_JSON = {"kind": "gaussian", "domain": LINE_JSON, "A": [[1.0]]}
     "theta_string", "h_string", "lo_string", "values_string", "cover_with_huge_n",
     "flat_triangle_for_qhull", "gaussian_ragged_A", "gaussian_A_of_a_plane", "grid_ragged_values",
     "polytope_ragged_vertices", "subspace_huge_n", "factor_outside_its_domain",
-    "grid_not_a_number", "grid_unknown_key", "grid_overflow",
+    "grid_not_a_number", "grid_unknown_key", "grid_overflow", "gaussian_mass_overflow",
+    "gaussian_mass_overflow_densities",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -298,6 +301,7 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         "grid_without_h": {k: v for k, v in grid.items() if k != "h"},
         "factorized_without_factors": {"kind": "factorized", "domain": LINE_JSON},
         "gaussian_nan_centre": dict(GAUSS_JSON, b=[float("nan")]),
+        "gaussian_mass_overflow": FAR_GAUSS_JSON,
         "grid_nan_lo": dict(grid, lo=[float("nan")]),
         "grid_infinite_h": dict(grid, h=float("inf")),
         "theta_string": dict(GAUSS_JSON, theta="2"),
@@ -316,7 +320,8 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     weight = {"weight_list": [1], "weight_null": None, "weight_true": True,
               "weight_400_digits": 10 ** 399}
     # the message names the offending field
-    field = {"gaussian_nan_centre": "centre b", "grid_nan_lo": "origin lo",
+    field = {"gaussian_nan_centre": "centre b", "gaussian_mass_overflow": "centre b",
+             "gaussian_mass_overflow_densities": "centre b", "grid_nan_lo": "origin lo",
              "grid_infinite_h": "cell size h", "entries_not_a_list": "entries",
              "frame_not_a_list": "frame", "fractional_cover_element": "cover set element",
              "nan_polytope_vertex": "polytope vertices", "t_object": "--t",
@@ -382,6 +387,9 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         argv = ["transport", "--f", gauss, "--g", gauss, "--grid", spec]
     elif case == "nan_operator":
         argv = ["bl-eval", holder, "--A", write("A.json", "[[[NaN]], [[1.0]]]")]
+    elif case == "gaussian_mass_overflow_densities":
+        argv = ["barthe-eval", holder, "--densities",
+                write("d.json", json.dumps([FAR_GAUSS_JSON, GAUSS_JSON]))]
     else:
         # finite inputs whose masses overflow: the report would hold NaN
         huge = dict(grid, values=[1e308] * 4)

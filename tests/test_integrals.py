@@ -435,6 +435,51 @@ def test_supconv_tiles_do_not_change_a_float(monkeypatch):
                 (d.ambient_dim, d.k, tile)
 
 
+class PerCandidate(Density):
+    """A density seen only through value, log_value and integral, so the
+    grid Barthe evaluation takes it candidate by candidate even when it is
+    a Gaussian."""
+
+    def __init__(self, f):
+        self.f, self.domain = f, f.domain
+
+    def integral(self):
+        return self.f.integral()
+
+    def value(self, Z):
+        return self.f.value(Z)
+
+    def log_value(self, Z):
+        return self.f.log_value(Z)
+
+
+def assert_split_matches_per_candidate(d, fs, grid):
+    split = supconv_eval(d, fs, grid)
+    generic = supconv_eval(d, [PerCandidate(f) for f in fs], grid)
+    for x, y in ((split.lhs, generic.lhs), (split.rhs, generic.rhs),
+                 (split.est_error, generic.est_error)):
+        assert abs(x - y) <= 1e-12 * abs(y), (d.ambient_dim, d.k, x, y)
+
+
+def test_supconv_gaussian_split_matches_per_candidate_route():
+    # Gaussian blocks enter a tile as row, column and cross terms; the
+    # opaque wrapper sends every block through log_value instead
+    for d, fs, grid in tile_cases():
+        assert_split_matches_per_candidate(d, fs, grid)
+
+
+@pytest.mark.parametrize("case", ["skewed_weights", "narrow", "wide", "three_far"])
+def test_supconv_gaussian_split_on_badly_scaled_data(case):
+    weights, A, b, grid = {
+        "skewed_weights": ((0.001, 0.999), (1e4, 1.0), (0.1, 0.0), GridSpec(0.001, 3.0)),
+        "narrow": ((0.5, 0.5), (1e4, 1e4), (0.1, -0.1), GridSpec(0.001, 2.0)),
+        "wide": ((0.5, 0.5), (1e-6, 1e-6), (0.0, 0.0), GridSpec(50.0, 5000.0)),
+        "three_far": ((0.3, 0.3, 0.4), (1.0, 2.0, 0.5), (3.0, -3.0, 3.0), GridSpec(0.1, 6.0)),
+    }[case]
+    fs = [GaussianDensity(LINE, [[a]], [c]) for a, c in zip(A, b)]
+    assert_split_matches_per_candidate(holder_datum(1, list(weights)), fs, grid)
+
+
 def test_supconv_memory_is_bounded_by_the_tile():
     # three lines at the CLI's default grid: 160^2 output cells x 160 free
     # cells; one untiled table held 155 MB
