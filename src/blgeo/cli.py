@@ -26,7 +26,7 @@ from . import integrals as int_mod
 from . import structure as struct_mod
 from . import transport as trans_mod
 from .datum import GeometricBLDatum, rank_one_expansion, validate_datum
-from .errors import InputError, InternalError, read
+from .errors import InputError, InternalError, plain, read
 from .subspace import RANK_TOL, RESIDUAL_TOL, Subspace
 
 SCHEMA = "blgeo/1"
@@ -53,12 +53,13 @@ def _load_json(path: str):
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _emit(config: RunConfig, payload: dict) -> str:
-    payload = dict(payload)
+def _emit(config: RunConfig, report) -> str:
+    """The report (a dataclass or a dict) as JSON text; a number JSON
+    cannot hold is an InputError naming its field (exit 1)."""
+    payload = plain(report, "report")
     payload["schema"] = SCHEMA
     payload["command"] = config.command
     payload["tolerances"] = {"rank_rel_tol": RANK_TOL, "residual_tol": RESIDUAL_TOL}
-    # JSON has no NaN or infinity: such a report fails with ValueError (exit 1)
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
@@ -90,18 +91,18 @@ def run(config: RunConfig):
     if cmd == "validate":
         d = GeometricBLDatum.from_json(_load_json(config.inputs["datum"]))
         report = validate_datum(d)
-        return (0 if report.is_valid else 1), _emit(config, report.to_json())
+        return (0 if report.is_valid else 1), _emit(config, report)
 
     if cmd == "analyze":
         d = _load_datum(config.inputs["datum"])
         report = struct_mod.independent_subspaces(d)
-        return 0, _emit(config, report.to_json())
+        return 0, _emit(config, report)
 
     if cmd == "critical":
         d = _load_datum(config.inputs["datum"])
         V = Subspace.from_json(_load_json(config.inputs["subspace"]))
         report = struct_mod.is_critical(d, V)
-        return 0, _emit(config, report.to_json())
+        return 0, _emit(config, report)
 
     if cmd == "detcheck":
         d = _load_datum(config.inputs["datum"])
@@ -114,7 +115,7 @@ def run(config: RunConfig):
             raise InternalError(
                 f"determinantal inequality violated: log_gap = {result.log_gap:.3e}"
             )
-        return 0, _emit(config, result.to_json())
+        return 0, _emit(config, result)
 
     if cmd == "bl-eval":
         d = _load_datum(config.inputs["datum"])
@@ -122,9 +123,7 @@ def run(config: RunConfig):
         ev = int_mod.bl_eval_from_check(check)
         if ev.ratio > 1.0 + 1e-9:
             raise InternalError(f"Brascamp-Lieb ratio exceeds 1: {ev.ratio:.12g}")
-        payload = ev.to_json()
-        payload["equality"] = check.equality
-        return 0, _emit(config, payload)
+        return 0, _emit(config, {**vars(ev), "equality": check.equality})
 
     if cmd == "barthe-eval":
         d = _load_datum(config.inputs["datum"])
@@ -139,21 +138,18 @@ def run(config: RunConfig):
                 f"Barthe inequality violated beyond the error budget: "
                 f"lhs {ev.lhs:.12g} < rhs {ev.rhs:.12g}"
             )
-        return 0, _emit(config, ev.to_json())
+        return 0, _emit(config, ev)
 
     if cmd == "transport":
         f = int_mod.Density.from_json(_load_json(config.inputs["f"]), "--f")
         g = int_mod.Density.from_json(_load_json(config.inputs["g"]), "--g")
         T = trans_mod.brenier_1d(f, g, config.grid)
-        resid = trans_mod.monge_ampere_residual(T, f, g)
-        growth = trans_mod.linear_growth_estimate(T)
-        payload = {
-            "map": T.to_json(),
-            "monge_ampere_residual": resid,
+        return 0, _emit(config, {
+            "map": T,
+            "monge_ampere_residual": trans_mod.monge_ampere_residual(T, f, g),
             "grid_h": config.grid.h,
-            "growth": growth.to_json(),
-        }
-        return 0, _emit(config, payload)
+            "growth": trans_mod.linear_growth_estimate(T),
+        })
 
     if cmd == "bt":
         cover = covers_mod.UniformCover.from_json(_load_json(config.inputs["cover"]))
@@ -163,7 +159,7 @@ def run(config: RunConfig):
             raise InternalError(
                 f"Bollobas-Thomason inequality violated: {result.lhs} > {result.rhs}"
             )
-        return 0, _emit(config, result.to_json())
+        return 0, _emit(config, result)
 
     if cmd == "dual-bt":
         cover = covers_mod.UniformCover.from_json(_load_json(config.inputs["cover"]))
@@ -173,15 +169,13 @@ def run(config: RunConfig):
             raise InternalError(
                 f"dual Bollobas-Thomason inequality violated: {result.lhs:.12g} < {result.rhs:.12g}"
             )
-        return 0, _emit(config, result.to_json())
+        return 0, _emit(config, result)
 
     if cmd == "covers-induce":
         cover = covers_mod.UniformCover.from_json(_load_json(config.inputs["cover"]))
         counts = covers_mod.require_uniform(cover)
-        partition = covers_mod.induced_one_cover(cover)
-        payload = {"partition": [sorted(b) for b in partition],
-                   "multiplicities": list(counts)}
-        return 0, _emit(config, payload)
+        return 0, _emit(config, {"partition": covers_mod.induced_one_cover(cover),
+                                 "multiplicities": counts})
 
     raise InputError(f"unknown command {cmd!r}")
 

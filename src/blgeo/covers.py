@@ -154,23 +154,7 @@ class BTCheckResult:
     holds: bool
     equality: bool
     induced_partition: tuple
-    split_certificate: object  # per-block projections when equality holds
-
-    def to_json(self) -> dict:
-        cert = None
-        if self.split_certificate is not None:
-            cert = [
-                {"block": sorted(block), "cells": sorted(list(c) for c in proj)}
-                for block, proj in self.split_certificate
-            ]
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "equality": self.equality,
-            "induced_partition": [sorted(b) for b in self.induced_partition],
-            "split_certificate": cert,
-        }
+    split_certificate: object  # {"block", "cells"} per block when equality holds, else None
 
 
 def bt_check(K: VoxelBody, c: UniformCover) -> BTCheckResult:
@@ -201,7 +185,9 @@ def bt_check(K: VoxelBody, c: UniformCover) -> BTCheckResult:
         holds=lhs <= rhs,
         equality=equality,
         induced_partition=partition,
-        split_certificate=tuple(zip(partition, projections)) if equality else None,
+        split_certificate=tuple({"block": block, "cells": cells}
+                                for block, cells in zip(partition, projections))
+        if equality else None,
     )
 
 
@@ -252,6 +238,8 @@ def _hull_volume(points: np.ndarray) -> float:
 
 def _facets(points: np.ndarray):
     """Facet inequalities a.x <= b of the hull, derived from the vertices."""
+    if points.shape[1] == 1:  # an interval: x <= max and -x <= -min
+        return np.array([[1.0], [-1.0]]), np.array([points.max(), -points.min()])
     from scipy.spatial import ConvexHull, QhullError  # lazy, for a fast cold start
     try:
         eq = ConvexHull(points).equations
@@ -301,24 +289,7 @@ class DualBTCheckResult:
     section_volumes: tuple
     holds: bool
     equality: bool
-    conv_certificate: object  # per-block section vertices when equality holds
-
-    def to_json(self) -> dict:
-        cert = None
-        if self.conv_certificate is not None:
-            cert = [
-                {"block": sorted(block), "vertices": [list(map(float, v)) for v in verts]}
-                for block, verts in self.conv_certificate
-            ]
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "factor": self.factor,
-            "section_volumes": list(self.section_volumes),
-            "holds": self.holds,
-            "equality": self.equality,
-            "conv_certificate": cert,
-        }
+    conv_certificate: object  # {"block", "vertices"} per block when equality holds, else None
 
 
 def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
@@ -354,14 +325,10 @@ def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
 
     partition = induced_one_cover(c)
     cert = []
-    all_pts = []
     for block in partition:
         axes = [j - 1 for j in sorted(block)]
-        verts = _section_vertices(A, b, axes)
-        emb = _embed(verts, axes, K.n)
-        cert.append((block, emb))
-        all_pts.append(emb)
-    hull_of_sections = _hull_volume(np.concatenate(all_pts))
+        cert.append({"block": block, "vertices": _embed(_section_vertices(A, b, axes), axes, K.n)})
+    hull_of_sections = _hull_volume(np.concatenate([piece["vertices"] for piece in cert]))
     equality = abs(hull_of_sections - vol) <= VOLUME_RTOL * max(vol, 1e-300)
 
     return DualBTCheckResult(

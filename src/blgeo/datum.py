@@ -105,14 +105,6 @@ class ValidationReport:
     trace_defect: float    # |sum c_i dim E_i - n|
     entry_dims: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "is_valid": self.is_valid,
-            "defect": self.defect,
-            "trace_defect": self.trace_defect,
-            "entry_dims": list(self.entry_dims),
-        }
-
 
 @dataclass(frozen=True)
 class RankOneDatum:

@@ -55,22 +55,6 @@ class DetCheckResult:
     equality: bool
     equality_certificate: object  # class partition, Phi matrix, or None
 
-    def to_json(self) -> dict:
-        cert = self.equality_certificate
-        if isinstance(cert, np.ndarray):
-            cert = [[float(x) for x in row] for row in cert]
-        elif isinstance(cert, tuple):
-            cert = [list(c) for c in cert]
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "log_lhs": self.log_lhs,
-            "log_rhs": self.log_rhs,
-            "log_gap": self.log_gap,
-            "equality": self.equality,
-            "equality_certificate": cert,
-        }
-
 
 def _safe_exp(x: float) -> float:
     try:
@@ -204,13 +188,6 @@ class MinNormResult:
     min_value: float
     minimizers: tuple  # one vector per entry, x_i in E_i
     reference: float   # |Phi x|^2 for the same x
-
-    def to_json(self) -> dict:
-        return {
-            "min_value": self.min_value,
-            "reference": self.reference,
-            "minimizers": [[float(v) for v in x] for x in self.minimizers],
-        }
 
 
 def min_norm_decomposition(d: GeometricBLDatum, Phi: np.ndarray, x) -> MinNormResult:

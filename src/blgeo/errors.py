@@ -6,13 +6,19 @@ conditions that valid inputs can never produce (a verified inequality
 violation, inconsistent criticality verdicts);
 the CLI maps it to exit code 2.
 
-This module is the input boundary: read checks a JSON value against
-the shape its kind declares, as_int reads an integer field, and
-as_array reads an array of the extents its domain sets.  Value
-conditions (finite, positive, orthonormal, sized to the domain) stay in
-the constructors, which Python callers reach without JSON.
+This module is the JSON boundary, both ways.  On input, read checks a
+JSON value against the shape its kind declares, as_int reads an integer
+field, and as_array reads an array of the extents its domain sets.
+Value conditions (finite, positive, orthonormal, sized to the domain)
+stay in the constructors, which Python callers reach without JSON.  On
+output, plain turns a report into JSON values: a report dataclass gives
+its fields, an input kind its own to_json, and a number JSON cannot hold
+(NaN, or a side that overflows a double) is an InputError naming its
+field path, as read names a bad input.
 """
 
+import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -106,3 +112,30 @@ def read(obj, shape, name: str):
         return float(obj)
     what = {float: "a double-precision number", str: "a string"}
     raise InputError(f"{name} must be {' or '.join(what[k] for k in kinds)}")
+
+
+def plain(obj, name: str):
+    """obj as JSON values: a report dataclass as the dict of its fields,
+    an input kind (Subspace, datum, density, ...) as its to_json, tuples
+    and lists element by element, sets as sorted lists, arrays whole.
+    A non-finite number is an InputError naming its field path, as in
+    "report conv_certificate[0].vertices"."""
+    if hasattr(obj, "to_json"):
+        return plain(obj.to_json(), name)
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: plain(value, field_of(name, key)) for key, value in obj.items()}
+    if isinstance(obj, (set, frozenset)):
+        obj = sorted(obj)
+    if isinstance(obj, (tuple, list)):
+        return [plain(x, f"{name}[{i}]") for i, x in enumerate(obj)]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            raise InputError(f"{name} is not finite: JSON cannot hold it")
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise InputError(f"{name} is {obj}: JSON cannot hold it")
+    return obj

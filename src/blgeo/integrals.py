@@ -28,12 +28,13 @@ input loses to truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datum import GeometricBLDatum, require_validated
-from .determinantal import _fiber_operator, _log_sides, determinantal_high_check, require_spd
+from .determinantal import (_fiber_operator, _log_sides, _safe_exp, determinantal_high_check,
+                            require_spd)
 from .errors import CapError, InputError, InternalError, as_array, field_of, read
 from .structure import StructureReport, critical_meet, has_critical_eigenspaces
 from .subspace import Subspace, contains, equal
@@ -301,9 +302,6 @@ class IneqEvaluation:
     method: str      # "closed_form" or "grid"
     est_error: float  # relative error budget
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -359,7 +357,8 @@ def bl_eval_from_check(check) -> IneqEvaluation:
 
 
 def _closed_form(log_lhs: float, log_rhs: float, direction: str) -> IneqEvaluation:
-    return IneqEvaluation(math.exp(log_lhs), math.exp(log_rhs), math.exp(log_lhs - log_rhs),
+    """A side that overflows a double is inf, which the report refuses."""
+    return IneqEvaluation(_safe_exp(log_lhs), _safe_exp(log_rhs), _safe_exp(log_lhs - log_rhs),
                           direction, "closed_form", 0.0)
 
 

@@ -43,28 +43,12 @@ class CriticalityReport:
     is_critical: bool
     splitting_ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "weighted_dim_sum": self.weighted_dim_sum,
-            "is_critical": self.is_critical,
-            "splitting_ok": self.splitting_ok,
-            "subspace": self.subspace.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class IndependentSubspace:
     subspace: Subspace
     weight_sum: float
     owners: tuple  # entry indices i with F_j contained in E_i
-
-    def to_json(self) -> dict:
-        return {
-            "subspace": self.subspace.to_json(),
-            "weight_sum": self.weight_sum,
-            "owners": list(self.owners),
-        }
 
 
 @dataclass(frozen=True)
@@ -73,14 +57,6 @@ class StructureReport:
     dependent_subspace: Subspace
     indecomposable_decomposition: tuple  # of Subspace
     rank_one_classes: tuple  # bowtie classes of the expansion of the given frames
-
-    def to_json(self) -> dict:
-        return {
-            "independent_subspaces": [f.to_json() for f in self.independent_subspaces],
-            "dependent_subspace": self.dependent_subspace.to_json(),
-            "indecomposable_decomposition": [V.to_json() for V in self.indecomposable_decomposition],
-            "rank_one_classes": [list(c) for c in self.rank_one_classes],
-        }
 
 
 def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:

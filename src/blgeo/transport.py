@@ -53,7 +53,7 @@ class MonotoneMap:
         return np.interp(x, self.xs, self.ts)
 
     def to_json(self) -> dict:
-        return {"x": [float(v) for v in self.xs], "T": [float(v) for v in self.ts]}
+        return {"x": self.xs, "T": self.ts}
 
 
 def _require_line(density: Density) -> Density:
@@ -146,9 +146,6 @@ def monge_ampere_residual(T: MonotoneMap, f: Density, g: Density) -> float:
 class GrowthReport:
     sup_ratio: float
     growth_bounded: bool
-
-    def to_json(self) -> dict:
-        return {"sup_ratio": self.sup_ratio, "growth_bounded": self.growth_bounded}
 
 
 def linear_growth_estimate(T: MonotoneMap) -> GrowthReport:

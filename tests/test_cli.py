@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from blgeo.datum import (
     planar_lines_datum,
     rotate_datum,
 )
+from blgeo.errors import InputError, plain
 from blgeo.integrals import GaussianDensity
 from blgeo.subspace import full_subspace, orthonormalize
 
@@ -190,6 +192,33 @@ def test_dual_bt_subcommand(files, capsys):
     assert report["equality"]
 
 
+def test_dual_bt_on_a_segment(tmp_path, capsys):
+    cover, segment = tmp_path / "cover.json", tmp_path / "segment.json"
+    cover.write_text(json.dumps({"n": 1, "s": 1, "sets": [[1]]}))
+    segment.write_text(json.dumps({"n": 1, "vertices": [[-1.0], [2.0]]}))
+    code, out, _ = run_cli(capsys, ["dual-bt", str(cover), str(segment)])
+    report = json.loads(out)
+    assert code == 0
+    assert report["lhs"] == pytest.approx(3.0) and report["rhs"] == pytest.approx(3.0)
+    assert report["equality"]
+    assert report["conv_certificate"] == [{"block": [1], "vertices": [[-1.0], [2.0]]}]
+
+
+def test_plain_names_the_field_json_cannot_hold():
+    @dataclass(frozen=True)
+    class Report:
+        classes: frozenset
+        matrix: np.ndarray
+        pieces: tuple
+
+    good = Report(frozenset({3, 1, 2}), np.eye(2), ({"value": 1.5},))
+    assert plain(good, "report") == {"classes": [1, 2, 3], "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                     "pieces": [{"value": 1.5}]}
+    bad = Report(frozenset(), np.eye(2), ({"value": 1.5}, {"value": float("nan")}))
+    with pytest.raises(InputError, match=re.escape("report pieces[1].value")):
+        plain(bad, "report")
+
+
 def test_covers_induce_subcommand(files, capsys):
     code, out, _ = run_cli(capsys, ["covers-induce", files["lw_cover"]])
     report = json.loads(out)
@@ -283,7 +312,8 @@ FAR_GAUSS_JSON = dict(GAUSS_JSON, A=[[3.0]], b=[2000.0])
     "flat_triangle_for_qhull", "gaussian_ragged_A", "gaussian_A_of_a_plane", "grid_ragged_values",
     "polytope_ragged_vertices", "subspace_huge_n", "factor_outside_its_domain",
     "grid_not_a_number", "grid_unknown_key", "grid_overflow", "gaussian_mass_overflow",
-    "gaussian_mass_overflow_densities",
+    "gaussian_mass_overflow_densities", "overflowing_bl_sides", "overflowing_barthe_sides",
+    "overflowing_ball_sides",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -334,7 +364,9 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
              "grid_ragged_values": "grid values", "polytope_ragged_vertices": "polytope vertices",
              "subspace_huge_n": "subspace n", "factor_outside_its_domain": "factor subspace",
              "grid_not_a_number": "--grid h", "grid_unknown_key": "--grid has unknown key 'size'",
-             "grid_overflow": "grid cell count",
+             "grid_overflow": "grid cell count", "overflowing_report": "lhs",
+             **dict.fromkeys(["overflowing_bl_sides", "overflowing_barthe_sides",
+                              "overflowing_ball_sides"], "lhs"),
              **dict.fromkeys(weight, "entries[0].c")}.get(case, "")
     if case in bad_density:
         argv = ["transport", "--f", write("f.json", json.dumps(bad_density[case])), "--g", gauss]
@@ -390,6 +422,14 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     elif case == "gaussian_mass_overflow_densities":
         argv = ["barthe-eval", holder, "--densities",
                 write("d.json", json.dumps([FAR_GAUSS_JSON, GAUSS_JSON]))]
+    elif case in ("overflowing_bl_sides", "overflowing_barthe_sides", "overflowing_ball_sides"):
+        # valid sides on the four axes of R^4 whose closed forms exceed a double
+        axes = write("axes.json", json.dumps(axis_datum(4).to_json()))
+        flag, value = {"overflowing_bl_sides": ("--A", [[[1e-300]]] * 4),
+                       "overflowing_barthe_sides": ("--phi", (1e-100 * np.eye(4)).tolist()),
+                       "overflowing_ball_sides": ("--t", [1e200] * 4)}[case]
+        command = {"--A": "bl-eval", "--phi": "barthe-eval", "--t": "detcheck"}[flag]
+        argv = [command, axes, flag, write("side.json", json.dumps(value))]
     else:
         # finite inputs whose masses overflow: the report would hold NaN
         huge = dict(grid, values=[1e308] * 4)

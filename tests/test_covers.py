@@ -119,8 +119,8 @@ def test_bt_product_body_equality():
     assert r.equality
     assert [sorted(b) for b in r.induced_partition] == [[1, 2], [3]]
     # certificate soundness: rebuild K from the block projections
-    blocks = [sorted(b) for b, _ in r.split_certificate]
-    projs = [p for _, p in r.split_certificate]
+    blocks = [sorted(piece["block"]) for piece in r.split_certificate]
+    projs = [piece["cells"] for piece in r.split_certificate]
     rebuilt = set()
     for p12 in projs[0]:
         for p3 in projs[1]:
