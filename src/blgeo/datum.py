@@ -26,7 +26,7 @@ from .subspace import (
     Subspace,
     full_subspace,
     orthonormalize,
-    projection_matrix,
+    projection_stack,
 )
 
 MAX_ENTRIES = 64
@@ -52,11 +52,15 @@ class GeometricBLDatum:
 
     The `validated` flag is set only by :func:`validate_datum`; operations
     that assume sum_i c_i P_{E_i} = I_n refuse unvalidated input.
+    :func:`validate_datum` also sets `projections`, the read-only (k, n, n)
+    stack of the P_{E_i} in entry order, which the structural tests share
+    instead of rebuilding each P_i per call.
     """
 
     ambient_dim: int
     entries: tuple  # of (Subspace, float)
     validated: bool = field(default=False, compare=False)
+    projections: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.ambient_dim
@@ -79,9 +83,11 @@ class GeometricBLDatum:
         return len(self.entries)
 
     def weighted_projection_sum(self) -> np.ndarray:
+        if self.projections is None:
+            raise InputError("datum has no projection stack; validate it first")
         M = np.zeros((self.ambient_dim, self.ambient_dim))
-        for E, c in self.entries:
-            M += c * projection_matrix(E)
+        for P, (_, c) in zip(self.projections, self.entries):
+            M += c * P
         return M
 
     def to_json(self) -> dict:
@@ -131,11 +137,16 @@ class RankOneDatum:
 def validate_datum(d: GeometricBLDatum) -> ValidationReport:
     """Check sum c_i P_{E_i} = I_n; never raises on invalid data.
 
-    The trace identity sum c_i dim E_i = n is reported separately: it is
-    a consequence of the defining equation (compare traces) and gives a
-    cheap scalar diagnostic.
+    Sets `d.projections`, the read-only stack of the P_{E_i} that the
+    sum is taken over, and `d.validated`.  The trace identity
+    sum c_i dim E_i = n is reported separately: it is a consequence of
+    the defining equation (compare traces) and gives a cheap scalar
+    diagnostic.
     """
     n = d.ambient_dim
+    stack = projection_stack([E for E, _ in d.entries])
+    stack.setflags(write=False)
+    d.projections = stack
     M = d.weighted_projection_sum()
     defect = float(np.abs(M - np.eye(n)).max())
     trace_defect = float(abs(sum(c * E.dim for E, c in d.entries) - n))

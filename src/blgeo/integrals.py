@@ -181,6 +181,13 @@ class GridDensity(Density):
         self.lo = lo
         self.h = float(h)
         self.values = values
+        try:
+            with np.errstate(over="ignore"):
+                mass = self.integral()
+        except OverflowError:
+            mass = math.inf
+        if not math.isfinite(mass):
+            raise InputError("grid values are too large: the mass sum(values) h^d overflows a double")
 
     @property
     def hi(self) -> np.ndarray:

@@ -4,8 +4,11 @@ A non-zero subspace V is critical when sum_i c_i dim(E_i cap V) = dim V,
 equivalently when P_V commutes with every P_i = P_{E_i} (every E_i
 splits as (E_i cap V) + (E_i cap V-perp)).  is_critical computes both
 and cross-checks them; a disagreement is an internal error, never
-silently resolved.  A symmetric matrix has critical eigenspaces exactly
-when it commutes with every P_i, and for a critical V, E cap V = P_V E.
+silently resolved.  The sines that count dim(E_i cap V) come from one
+batched SVD per entry dimension, and the commutators from one product
+with the stack of the P_i that validate_datum keeps on the datum.  A
+symmetric matrix has critical eigenspaces exactly when it commutes
+with every P_i, and for a critical V, E cap V = P_V E.
 
 The structure comes from the same algebra, the *-algebra generated by
 the P_i: the critical subspaces are its invariant subspaces, and the
@@ -28,8 +31,8 @@ import numpy as np
 
 from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated, validate_datum
 from .errors import InputError, InternalError
-from .subspace import (RANK_TOL, RESIDUAL_TOL, Subspace, cluster_eigenspaces, orthonormalize,
-                       projection_matrix)
+from .subspace import (RANK_TOL, RESIDUAL_TOL, Subspace, _dim_groups, cluster_eigenspaces,
+                       orthonormalize, projection_matrix)
 
 INTEGER_SNAP_TOL = 1e-6  # weighted dimension sums of valid data are near-integers
 GENERIC_SEED = 20100101  # fixed, so the pieces chosen inside repeated blocks are reproducible
@@ -63,27 +66,34 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
     """Test criticality of V through both characterizations.
 
     dim(E_i cap V) is the number of singular values of F_i (I - P_V),
-    the sines of the principal angles, at most RANK_TOL.  The
-    weighted dimension sum is snapped to the nearest integer before
-    comparing with dim V (dimensions are integers, weights are floats;
-    criticality is a discrete property).  The splitting test, every
-    commutator [P_i, P_V] within RESIDUAL_TOL in max-norm, must agree,
-    otherwise the thresholds are inconsistent and we raise instead of
-    guessing.
+    the sines of the principal angles, at most RANK_TOL; the entries of
+    one dimension share one product and one batched SVD.  The weighted
+    dimension sum is snapped to the nearest integer before comparing
+    with dim V (dimensions are integers, weights are floats; criticality
+    is a discrete property).  The splitting test, every commutator
+    [P_i, P_V] within RESIDUAL_TOL in max-norm, takes one stacked
+    product with the P_i of the datum.  The two must agree, otherwise
+    the thresholds are inconsistent and we raise instead of guessing.
     """
     require_validated(d)
     if V.ambient_dim != d.ambient_dim:
         raise InputError("subspace ambient dimension does not match the datum")
     if V.dim == 0:
         raise InputError("criticality is defined for non-zero subspaces only")
+    n = d.ambient_dim
     PV = projection_matrix(V)
-    away = np.eye(d.ambient_dim) - PV
-    wds = commutator = 0.0
-    for E, c in d.entries:
-        sines = np.linalg.svd(E.frame @ away, compute_uv=False)
-        wds += c * int(np.count_nonzero(sines <= RANK_TOL))
-        X = projection_matrix(E) @ PV  # [P_i, P_V] = X - X^T
-        commutator = max(commutator, float(np.abs(X - X.T).max()))
+    away = np.eye(n) - PV
+    spaces = [E for E, _ in d.entries]
+    counts = np.zeros(d.k, dtype=int)
+    for dim, members in _dim_groups(spaces).items():
+        frames = np.concatenate([spaces[i].frame for i in members])
+        sines = np.linalg.svd((frames @ away).reshape(len(members), dim, n), compute_uv=False)
+        counts[members] = np.count_nonzero(sines <= RANK_TOL, axis=1)
+    wds = 0.0
+    for (_, c), count in zip(d.entries, counts.tolist()):  # entry order fixes the float sum
+        wds += c * count
+    X = d.projections @ PV  # [P_i, P_V] = X_i - X_i^T
+    commutator = float(np.abs(X - X.transpose(0, 2, 1)).max())
     splitting_ok = commutator <= RESIDUAL_TOL
     near_int = abs(wds - round(wds)) <= INTEGER_SNAP_TOL
     dim_match = near_int and int(round(wds)) == V.dim
@@ -112,11 +122,8 @@ def has_critical_eigenspaces(d: GeometricBLDatum, M) -> bool:
     require_validated(d)
     M = 0.5 * (M + M.T)
     bound = RESIDUAL_TOL * float(np.abs(M).max())
-    for E, _ in d.entries:
-        X = projection_matrix(E) @ M  # [P_i, M] = X - X^T
-        if np.abs(X - X.T).max() > bound:
-            return False
-    return True
+    X = d.projections @ M  # [P_i, M] = X_i - X_i^T
+    return bool(np.abs(X - X.transpose(0, 2, 1)).max() <= bound)
 
 
 def critical_meet(E: Subspace, V: Subspace) -> Subspace:
@@ -183,8 +190,8 @@ def indecomposable_decomposition(d: GeometricBLDatum) -> list:
     require_validated(d)
     n = d.ambient_dim
     rng = np.random.default_rng(GENERIC_SEED)
-    projections = np.concatenate([projection_matrix(E) for E, _ in d.entries])  # (k n) x n
-    A, B = np.tensordot(rng.uniform(1.0, 2.0, (2, d.k)), projections.reshape(d.k, n, n), axes=1)
+    projections = d.projections.reshape(d.k * n, n)
+    A, B = np.tensordot(rng.uniform(1.0, 2.0, (2, d.k)), d.projections, axes=1)
     found = np.zeros((n, 0))
     spans = []
     for U in cluster_eigenspaces(A + A @ B + B @ A):

@@ -139,8 +139,34 @@ def orthonormalize(vectors, *, ambient_dim: int | None = None) -> Subspace:
 
 def projection_matrix(S: Subspace) -> np.ndarray:
     """Orthogonal projection onto S as a symmetric n x n matrix."""
-    P = S.basis @ S.frame
-    return 0.5 * (P + P.T)
+    return _symmetric_gram(S.frame)
+
+
+def projection_stack(spaces) -> np.ndarray:
+    """The projections onto the given subspaces of R^n as a (k, n, n) stack.
+
+    The subspaces of one dimension share one batched product; slice i
+    equals projection_matrix(spaces[i]) bit for bit.
+    """
+    n = spaces[0].ambient_dim
+    stack = np.empty((len(spaces), n, n))
+    for members in _dim_groups(spaces).values():
+        stack[members] = _symmetric_gram(np.stack([spaces[i].frame for i in members]))
+    return stack
+
+
+def _dim_groups(spaces) -> dict:
+    """Indices of the subspaces of each dimension, in input order."""
+    groups = {}
+    for i, S in enumerate(spaces):
+        groups.setdefault(S.dim, []).append(i)
+    return groups
+
+
+def _symmetric_gram(F: np.ndarray) -> np.ndarray:
+    """F^T F, symmetrized, for one frame (dim, n) or a stack (g, dim, n)."""
+    P = F.swapaxes(-1, -2) @ F
+    return 0.5 * (P + P.swapaxes(-1, -2))
 
 
 def cluster_eigenspaces(M: np.ndarray) -> list:

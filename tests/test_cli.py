@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from blgeo.datum import (
 )
 from blgeo.errors import InputError, plain
 from blgeo.integrals import GaussianDensity
+from blgeo.structure import indecomposable_decomposition
 from blgeo.subspace import full_subspace, orthonormalize
 
 
@@ -237,7 +239,8 @@ def sixteen_copies():
 def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
     # n = 16 with repeated blocks, and 16 copies of one block in n = 32: an
     # eigenproblem of size n^2, or of 16^2 unknowns on the copies, would be
-    # threaded inside LAPACK and change the last bits of the pieces
+    # threaded inside LAPACK and change the last bits of the pieces; critical
+    # runs the batched SVD of the sines and the stacked commutator product
     blocks = [paired_planes_datum(3), paired_planes_datum(4), holder_datum(2, [0.3, 0.7]),
               planar_lines_datum(3), axis_datum(4)]
     rng = np.random.default_rng(7)
@@ -245,13 +248,20 @@ def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
         d = rotate_datum(d, random_rotation(rng, d.ambient_dim))
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(d.to_json()))
-        seen = set()
-        for threads in ("1", "2", "4"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-m", "blgeo", "analyze", str(path)],
-                                  capture_output=True, env=env, check=True)
-            seen.add(proc.stdout)
-        assert len(seen) == 1, name
+        piece = tmp_path / f"{name}-piece.json"
+        piece.write_text(json.dumps(indecomposable_decomposition(d)[-1].to_json()))
+        line = tmp_path / f"{name}-line.json"
+        line.write_text(json.dumps(orthonormalize([rng.standard_normal(d.ambient_dim)]).to_json()))
+        for args in (["analyze", path], ["critical", path, piece], ["critical", path, line]):
+            seen = set()
+            for threads in ("1", "2", "4"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+                proc = subprocess.run([sys.executable, "-m", "blgeo", *map(str, args)],
+                                      capture_output=True, env=env, check=True)
+                seen.add(proc.stdout)
+            assert len(seen) == 1, (name, args[0], Path(args[-1]).name)
+            if args[0] == "critical":
+                assert json.loads(seen.pop())["is_critical"] is (args[-1] is piece)
 
 
 def test_readme_cli_block_names_the_options_of_each_command():
@@ -300,7 +310,6 @@ GAUSS_JSON = {"kind": "gaussian", "domain": LINE_JSON, "A": [[1.0]]}
 FAR_GAUSS_JSON = dict(GAUSS_JSON, A=[[3.0]], b=[2000.0])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", [
     "gaussian_without_A", "grid_without_values", "grid_without_h",
     "factorized_without_factors", "nan_frame", "infinite_frame", "nan_operator",
@@ -313,7 +322,7 @@ FAR_GAUSS_JSON = dict(GAUSS_JSON, A=[[3.0]], b=[2000.0])
     "polytope_ragged_vertices", "subspace_huge_n", "factor_outside_its_domain",
     "grid_not_a_number", "grid_unknown_key", "grid_overflow", "gaussian_mass_overflow",
     "gaussian_mass_overflow_densities", "overflowing_bl_sides", "overflowing_barthe_sides",
-    "overflowing_ball_sides",
+    "overflowing_ball_sides", "grid_mass_overflow",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -325,6 +334,7 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     gauss = write("gauss.json", json.dumps(GAUSS_JSON))
     grid = {"kind": "grid", "domain": LINE_JSON, "lo": [-1.0], "h": 0.5,
             "values": [1.0, 1.0, 1.0, 1.0]}
+    huge = dict(grid, values=[1e308] * 4)  # finite cells whose mass overflows a double
     bad_density = {
         "gaussian_without_A": {"kind": "gaussian", "domain": LINE_JSON},
         "grid_without_values": {k: v for k, v in grid.items() if k != "values"},
@@ -364,7 +374,8 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
              "grid_ragged_values": "grid values", "polytope_ragged_vertices": "polytope vertices",
              "subspace_huge_n": "subspace n", "factor_outside_its_domain": "factor subspace",
              "grid_not_a_number": "--grid h", "grid_unknown_key": "--grid has unknown key 'size'",
-             "grid_overflow": "grid cell count", "overflowing_report": "lhs",
+             "grid_overflow": "grid cell count", "overflowing_report": "grid values",
+             "grid_mass_overflow": "grid values",
              **dict.fromkeys(["overflowing_bl_sides", "overflowing_barthe_sides",
                               "overflowing_ball_sides"], "lhs"),
              **dict.fromkeys(weight, "entries[0].c")}.get(case, "")
@@ -431,16 +442,23 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         command = {"--A": "bl-eval", "--phi": "barthe-eval", "--t": "detcheck"}[flag]
         argv = [command, axes, flag, write("side.json", json.dumps(value))]
     else:
-        # finite inputs whose masses overflow: the report would hold NaN
-        huge = dict(grid, values=[1e308] * 4)
         argv = ["barthe-eval", holder, "--densities", write("d.json", json.dumps([huge, huge])),
                 "--grid", "h=0.5,box=1"]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert field in err
-    assert len(err) < 300
+    runs = [argv]
+    if case == "grid_mass_overflow":
+        runs.append(["transport", "--f", write("f.json", json.dumps(huge)), "--g", gauss])
+    for argv in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert field in err
+        assert len(err) < 300
+        # refused at input, before numpy overflows and warns
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_out_of_memory_exits_one_with_message(files, capsys, monkeypatch):

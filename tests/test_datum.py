@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_datum, random_rotation
+from conftest import is_critical_oracle, random_datum, random_rotation
 
 from blgeo.covers import UniformCover
 from blgeo.datum import (
@@ -19,6 +19,7 @@ from blgeo.datum import (
     validate_datum,
 )
 from blgeo.errors import CapError, InputError
+from blgeo.structure import is_critical
 from blgeo.subspace import full_subspace, orthonormalize, projection_matrix
 
 
@@ -34,6 +35,28 @@ def test_paired_planes_is_valid_datum():
     assert rep.is_valid
     assert rep.defect < 1e-12
     assert rep.entry_dims == (2, 2, 2)
+
+
+def test_projection_stack_is_a_read_only_invariant(rng):
+    # mixed entry dimensions, so that is_critical's groups by dimension
+    # hold one, two and several entries; the lone R^3 is a group of one
+    group_sizes = set()
+    for _ in range(20):
+        base = random_datum(rng, max_dim=8, max_vectors=16)
+        for d in (base, direct_sum_data([base, holder_datum(3, [1.0])])):
+            n = d.ambient_dim
+            assert d.projections.shape == (d.k, n, n)
+            for P, (E, _) in zip(d.projections, d.entries):
+                assert np.array_equal(P, projection_matrix(E))
+            with pytest.raises(ValueError):
+                d.projections[0, 0, 0] = 0.5
+            dims = [E.dim for E, _ in d.entries]
+            group_sizes.update(dims.count(m) for m in set(dims))
+            for V in (full_subspace(n), orthonormalize([rng.standard_normal(n)])):
+                rep, ref = is_critical(d, V), is_critical_oracle(d, V)
+                assert (rep.is_critical, rep.weighted_dim_sum) == (ref.is_critical,
+                                                                   ref.weighted_dim_sum)
+    assert {1, 2} <= group_sizes and max(group_sizes) > 2
 
 
 def test_underweighted_entry_invalid():
