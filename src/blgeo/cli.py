@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +29,6 @@ from .errors import InputError, InternalError, plain, read
 from .subspace import RANK_TOL, RESIDUAL_TOL, Subspace
 
 SCHEMA = "blgeo/1"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: dict
-    grid: object = None
 
 
 def _load_json(path: str):
@@ -53,131 +45,125 @@ def _load_json(path: str):
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _emit(config: RunConfig, report) -> str:
+def _emit(command: str, report) -> str:
     """The report (a dataclass or a dict) as JSON text; a number JSON
     cannot hold is an InputError naming its field (exit 1)."""
     payload = plain(report, "report")
     payload["schema"] = SCHEMA
-    payload["command"] = config.command
+    payload["command"] = command
     payload["tolerances"] = {"rank_rel_tol": RANK_TOL, "residual_tol": RESIDUAL_TOL}
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _load_datum(path: str) -> GeometricBLDatum:
     d = GeometricBLDatum.from_json(_load_json(path))
-    report = validate_datum(d)
-    if not report.is_valid:
-        raise InputError(
-            f"datum in {path} does not satisfy the identity (defect {report.defect:.3e})"
-        )
+    if not d.validated:
+        raise InputError(f"datum in {path} does not satisfy the identity (defect {d.defect:.3e})")
     return d
 
 
-def _load_side(config: RunConfig, key: str):
+def _load_side(args, key: str):
     """The JSON in the file given to --t, --A, --phi or --densities, read
     as its kind; a matrix that is not square is refused too."""
     shape = {"t": [float], "A": [[[float]]], "phi": [[float]], "densities": [{}]}[key]
-    obj = read(_load_json(config.inputs[key]), shape, f"--{key}")
+    obj = read(_load_json(getattr(args, key)), shape, f"--{key}")
     mats = obj if key == "A" else [obj] if key == "phi" else []
     if any(len(row) != len(M) for M in mats for row in M):
         raise InputError(f"--{key} matrices must be square")
     return obj
 
 
-def run(config: RunConfig):
-    """Execute one command; returns (exit_code, report_text)."""
-    cmd = config.command
+def run(args):
+    """Execute the command of the parsed arguments; returns (exit_code, report_text)."""
+    cmd = args.command
 
     if cmd == "validate":
-        d = GeometricBLDatum.from_json(_load_json(config.inputs["datum"]))
+        d = GeometricBLDatum.from_json(_load_json(args.datum))
         report = validate_datum(d)
-        return (0 if report.is_valid else 1), _emit(config, report)
+        return (0 if report.is_valid else 1), _emit(cmd, report)
 
     if cmd == "analyze":
-        d = _load_datum(config.inputs["datum"])
+        d = _load_datum(args.datum)
         report = struct_mod.independent_subspaces(d)
-        return 0, _emit(config, report)
+        return 0, _emit(cmd, report)
 
     if cmd == "critical":
-        d = _load_datum(config.inputs["datum"])
-        V = Subspace.from_json(_load_json(config.inputs["subspace"]))
+        d = _load_datum(args.datum)
+        V = Subspace.from_json(_load_json(args.subspace))
         report = struct_mod.is_critical(d, V)
-        return 0, _emit(config, report)
+        return 0, _emit(cmd, report)
 
     if cmd == "detcheck":
-        d = _load_datum(config.inputs["datum"])
-        if "t" in config.inputs:
-            t = _load_side(config, "t")
+        d = _load_datum(args.datum)
+        if args.t is not None:
+            t = _load_side(args, "t")
             result = det_mod.ball_barthe_check(rank_one_expansion(d), t)
         else:
-            result = det_mod.determinantal_high_check(d, _load_side(config, "A"))
+            result = det_mod.determinantal_high_check(d, _load_side(args, "A"))
         if result.log_gap < -1e-9:
             raise InternalError(
                 f"determinantal inequality violated: log_gap = {result.log_gap:.3e}"
             )
-        return 0, _emit(config, result)
+        return 0, _emit(cmd, result)
 
     if cmd == "bl-eval":
-        d = _load_datum(config.inputs["datum"])
-        check = det_mod.determinantal_high_check(d, _load_side(config, "A"))
+        d = _load_datum(args.datum)
+        check = det_mod.determinantal_high_check(d, _load_side(args, "A"))
         ev = int_mod.bl_eval_from_check(check)
         if ev.ratio > 1.0 + 1e-9:
             raise InternalError(f"Brascamp-Lieb ratio exceeds 1: {ev.ratio:.12g}")
-        return 0, _emit(config, {**vars(ev), "equality": check.equality})
+        return 0, _emit(cmd, {**vars(ev), "equality": check.equality})
 
     if cmd == "barthe-eval":
-        d = _load_datum(config.inputs["datum"])
-        if "phi" in config.inputs:
-            ev = int_mod.gaussian_barthe_eval(d, _load_side(config, "phi"))
+        d = _load_datum(args.datum)
+        if args.phi is not None:
+            ev = int_mod.gaussian_barthe_eval(d, _load_side(args, "phi"))
         else:
             dens = [int_mod.Density.from_json(obj, f"--densities[{i}]")
-                    for i, obj in enumerate(_load_side(config, "densities"))]
-            ev = int_mod.supconv_eval(d, dens, config.grid)
+                    for i, obj in enumerate(_load_side(args, "densities"))]
+            ev = int_mod.supconv_eval(d, dens, args.grid)
         if ev.lhs < ev.rhs * (1.0 - max(ev.est_error, 1e-9)):
             raise InternalError(
                 f"Barthe inequality violated beyond the error budget: "
                 f"lhs {ev.lhs:.12g} < rhs {ev.rhs:.12g}"
             )
-        return 0, _emit(config, ev)
+        return 0, _emit(cmd, ev)
 
     if cmd == "transport":
-        f = int_mod.Density.from_json(_load_json(config.inputs["f"]), "--f")
-        g = int_mod.Density.from_json(_load_json(config.inputs["g"]), "--g")
-        T = trans_mod.brenier_1d(f, g, config.grid)
-        return 0, _emit(config, {
+        f = int_mod.Density.from_json(_load_json(args.f), "--f")
+        g = int_mod.Density.from_json(_load_json(args.g), "--g")
+        T = trans_mod.brenier_1d(f, g, args.grid)
+        return 0, _emit(cmd, {
             "map": T,
             "monge_ampere_residual": trans_mod.monge_ampere_residual(T, f, g),
-            "grid_h": config.grid.h,
+            "grid_h": args.grid.h,
             "growth": trans_mod.linear_growth_estimate(T),
         })
 
     if cmd == "bt":
-        cover = covers_mod.UniformCover.from_json(_load_json(config.inputs["cover"]))
-        body = covers_mod.VoxelBody.from_json(_load_json(config.inputs["body"]))
+        cover = covers_mod.UniformCover.from_json(_load_json(args.cover))
+        body = covers_mod.VoxelBody.from_json(_load_json(args.body))
         result = covers_mod.bt_check(body, cover)
         if not result.holds:
             raise InternalError(
                 f"Bollobas-Thomason inequality violated: {result.lhs} > {result.rhs}"
             )
-        return 0, _emit(config, result)
+        return 0, _emit(cmd, result)
 
     if cmd == "dual-bt":
-        cover = covers_mod.UniformCover.from_json(_load_json(config.inputs["cover"]))
-        body = covers_mod.PointPolytope.from_json(_load_json(config.inputs["polytope"]))
+        cover = covers_mod.UniformCover.from_json(_load_json(args.cover))
+        body = covers_mod.PointPolytope.from_json(_load_json(args.polytope))
         result = covers_mod.dual_bt_check(body, cover)
         if not result.holds:
             raise InternalError(
                 f"dual Bollobas-Thomason inequality violated: {result.lhs:.12g} < {result.rhs:.12g}"
             )
-        return 0, _emit(config, result)
+        return 0, _emit(cmd, result)
 
-    if cmd == "covers-induce":
-        cover = covers_mod.UniformCover.from_json(_load_json(config.inputs["cover"]))
-        counts = covers_mod.require_uniform(cover)
-        return 0, _emit(config, {"partition": covers_mod.induced_one_cover(cover),
-                                 "multiplicities": counts})
-
-    raise InputError(f"unknown command {cmd!r}")
+    # covers-induce, the last command the parser admits
+    cover = covers_mod.UniformCover.from_json(_load_json(args.cover))
+    return 0, _emit(cmd, {"partition": covers_mod.induced_one_cover(cover),
+                          "multiplicities": (cover.s,) * cover.n})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,11 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--phi", help="JSON PD matrix with critical eigenspaces")
     g.add_argument("--densities", help="JSON list of densities, one per entry")
-    sp.add_argument("--grid", default="h=0.05,box=±4", help="grid spec, e.g. h=0.05,box=±4")
+    sp.add_argument("--grid", default="h=0.05,box=±4", type=int_mod.GridSpec.parse,
+                    help="grid spec, e.g. h=0.05,box=±4")
     sp = sub.add_parser("transport", help="1-D monotone rearrangement")
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
-    sp.add_argument("--grid", default="h=0.001,box=±8")
+    sp.add_argument("--grid", default="h=0.001,box=±8", type=int_mod.GridSpec.parse)
     sp = sub.add_parser("bt", help="Bollobas-Thomason on a voxel body")
     sp.add_argument("cover")
     sp.add_argument("body")
@@ -225,21 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def config_from_args(args) -> RunConfig:
-    keys = ("datum", "subspace", "cover", "body", "polytope", "t", "A", "phi", "densities", "f", "g")
-    inputs = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
-    grid = None
-    if getattr(args, "grid", None) is not None:
-        grid = int_mod.GridSpec.parse(args.grid)
-    return RunConfig(command=args.command, inputs=inputs, grid=grid)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        code, text = run(config)
+        # a --grid that GridSpec.parse refuses raises InputError here, before any file is read
+        code, text = run(build_parser().parse_args(argv))
     except (InternalError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"internal error: {exc}", file=sys.stderr)

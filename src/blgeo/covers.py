@@ -37,7 +37,10 @@ class UniformCover:
     """Cover of [n] = {1..n} by nonempty subsets, each element hit exactly s times.
 
     The full set [n] is allowed as a member (it contributes the whole
-    space as one of the subspaces); empty sets are rejected.
+    space as one of the subspaces); empty sets are rejected.  Uniformity
+    is checked at construction, so every UniformCover is s-uniform.  The
+    sets must hold s * n elements in all, which is checked before
+    anything of size n is built: n can be far larger than its file.
     """
 
     n: int
@@ -58,6 +61,16 @@ class UniformCover:
                 raise InputError("cover sets must be nonempty")
             if not 1 <= min(sigma) <= max(sigma) <= self.n:
                 raise InputError(f"cover set {sorted(sigma)} is not a subset of [{self.n}]")
+        total = sum(map(len, sets))
+        if total != self.s * self.n:
+            raise InputError(f"cover is not {self.s}-uniform: its sets hold {total} elements, "
+                             f"not s * n = {self.s * self.n}")
+        counts = [0] * self.n
+        for sigma in sets:
+            for j in sigma:
+                counts[j - 1] += 1
+        if any(m != self.s for m in counts):
+            raise InputError(f"cover is not {self.s}-uniform (multiplicities {tuple(counts)})")
         object.__setattr__(self, "sets", sets)
 
     @property
@@ -72,29 +85,6 @@ class UniformCover:
         obj = read(obj, {"n": float, "s": float, "sets": [[float]]}, "cover")
         return UniformCover(as_int(obj["n"], "cover n"), as_int(obj["s"], "cover s"),
                             tuple(obj["sets"]))
-
-
-def validate_cover(c: UniformCover):
-    """Exact multiplicity count; True iff every element is hit s times."""
-    counts = [0] * c.n
-    for sigma in c.sets:
-        for j in sigma:
-            counts[j - 1] += 1
-    return all(m == c.s for m in counts), tuple(counts)
-
-
-def require_uniform(c: UniformCover) -> tuple:
-    """The multiplicities of an s-uniform cover; InputError for any other.
-    The sets must hold s * n elements in all, which is checked before
-    anything of size n is built: n can be far larger than its file."""
-    total = sum(len(sigma) for sigma in c.sets)
-    if total != c.s * c.n:
-        raise InputError(f"cover is not {c.s}-uniform: its sets hold {total} elements, "
-                         f"not s * n = {c.s * c.n}")
-    ok, counts = validate_cover(c)
-    if not ok:
-        raise InputError(f"cover is not {c.s}-uniform (multiplicities {counts})")
-    return counts
 
 
 def induced_one_cover(c: UniformCover) -> tuple:
@@ -166,7 +156,6 @@ def bt_check(K: VoxelBody, c: UniformCover) -> BTCheckResult:
     matching split (or vice versa) cannot happen for voxel bodies and is
     reported as an internal error.
     """
-    require_uniform(c)
     if K.n != c.n:
         raise InputError("body and cover dimensions differ")
     vol = len(K.cells)
@@ -300,7 +289,6 @@ def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
     comparing volumes to relative VOLUME_RTOL (the hull of sections is
     always contained in K, so volume equality is set equality).
     """
-    require_uniform(c)
     if K.n != c.n:
         raise InputError("polytope and cover dimensions differ")
     pts = K.points()

@@ -46,21 +46,23 @@ def parse_weight(w) -> float:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeometricBLDatum:
     """Subspaces E_i with weights c_i > 0 on a common ambient R^n.
 
-    The `validated` flag is set only by :func:`validate_datum`; operations
-    that assume sum_i c_i P_{E_i} = I_n refuse unvalidated input.
-    :func:`validate_datum` also sets `projections`, the read-only (k, n, n)
-    stack of the P_{E_i} in entry order, which the structural tests share
-    instead of rebuilding each P_i per call.
+    Construction builds `projections`, the read-only (k, n, n) stack of
+    the P_{E_i} in entry order, which the structural tests share instead
+    of rebuilding each P_i per call, and `defect`, the max-norm of
+    sum_i c_i P_{E_i} - I_n.  A datum is `validated` when the defect is
+    within RESIDUAL_TOL; operations that assume sum_i c_i P_{E_i} = I_n
+    refuse any other.  The datum is frozen, so the stack and the defect
+    always describe its entries.
     """
 
     ambient_dim: int
     entries: tuple  # of (Subspace, float)
-    validated: bool = field(default=False, compare=False)
-    projections: np.ndarray | None = field(default=None, compare=False, repr=False)
+    projections: np.ndarray = field(init=False, compare=False, repr=False)
+    defect: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.ambient_dim
@@ -76,15 +78,22 @@ class GeometricBLDatum:
                 )
             if E.dim < 1:
                 raise InputError("datum entries must be non-zero subspaces")
-        self.entries = entries
+        object.__setattr__(self, "entries", entries)
+        stack = projection_stack([E for E, _ in entries])
+        stack.setflags(write=False)
+        object.__setattr__(self, "projections", stack)
+        defect = float(np.abs(self.weighted_projection_sum() - np.eye(n)).max())
+        object.__setattr__(self, "defect", defect)
 
     @property
     def k(self) -> int:
         return len(self.entries)
 
+    @property
+    def validated(self) -> bool:
+        return self.defect <= RESIDUAL_TOL
+
     def weighted_projection_sum(self) -> np.ndarray:
-        if self.projections is None:
-            raise InputError("datum has no projection stack; validate it first")
         M = np.zeros((self.ambient_dim, self.ambient_dim))
         for P, (_, c) in zip(self.projections, self.entries):
             M += c * P
@@ -135,34 +144,24 @@ class RankOneDatum:
 
 
 def validate_datum(d: GeometricBLDatum) -> ValidationReport:
-    """Check sum c_i P_{E_i} = I_n; never raises on invalid data.
+    """Report how far d is from sum c_i P_{E_i} = I_n; never raises.
 
-    Sets `d.projections`, the read-only stack of the P_{E_i} that the
-    sum is taken over, and `d.validated`.  The trace identity
-    sum c_i dim E_i = n is reported separately: it is a consequence of
-    the defining equation (compare traces) and gives a cheap scalar
-    diagnostic.
+    The defect and the stack it is taken over were built with the datum.
+    The trace identity sum c_i dim E_i = n is reported separately: it is
+    a consequence of the defining equation (compare traces) and gives a
+    cheap scalar diagnostic.
     """
-    n = d.ambient_dim
-    stack = projection_stack([E for E, _ in d.entries])
-    stack.setflags(write=False)
-    d.projections = stack
-    M = d.weighted_projection_sum()
-    defect = float(np.abs(M - np.eye(n)).max())
-    trace_defect = float(abs(sum(c * E.dim for E, c in d.entries) - n))
-    report = ValidationReport(
-        is_valid=defect <= RESIDUAL_TOL,
-        defect=defect,
-        trace_defect=trace_defect,
+    return ValidationReport(
+        is_valid=d.validated,
+        defect=d.defect,
+        trace_defect=float(abs(sum(c * E.dim for E, c in d.entries) - d.ambient_dim)),
         entry_dims=tuple(E.dim for E, _ in d.entries),
     )
-    d.validated = report.is_valid
-    return report
 
 
 def require_validated(d: GeometricBLDatum):
     if not d.validated:
-        raise InputError("datum has not passed validate_datum; validate it first")
+        raise InputError(f"datum does not satisfy sum c_i P_{{E_i}} = I_n (defect {d.defect:.3e})")
 
 
 def rank_one_expansion(d: GeometricBLDatum) -> RankOneDatum:
@@ -197,9 +196,6 @@ def make_datum_from_cover(cover) -> GeometricBLDatum:
     Each coordinate axis is hit by exactly s sets, so the weighted
     projections sum to the identity exactly.
     """
-    from .covers import require_uniform
-
-    require_uniform(cover)
     n = cover.n
     entries = []
     for sigma in cover.sets:
@@ -208,9 +204,8 @@ def make_datum_from_cover(cover) -> GeometricBLDatum:
             rows[r, j - 1] = 1.0
         entries.append((Subspace(n, rows), 1.0 / cover.s))
     d = GeometricBLDatum(n, tuple(entries))
-    report = validate_datum(d)
-    if not report.is_valid:
-        raise InternalError(f"cover datum failed validation (defect {report.defect:.3e})")
+    if not d.validated:
+        raise InternalError(f"cover datum failed validation (defect {d.defect:.3e})")
     return d
 
 
@@ -221,17 +216,13 @@ def make_datum_from_cover(cover) -> GeometricBLDatum:
 
 def axis_datum(n: int) -> GeometricBLDatum:
     """The n coordinate axes with weight 1 each."""
-    d = GeometricBLDatum(n, tuple((orthonormalize([np.eye(n)[i]]), 1.0) for i in range(n)))
-    validate_datum(d)
-    return d
+    return GeometricBLDatum(n, tuple((orthonormalize([np.eye(n)[i]]), 1.0) for i in range(n)))
 
 
 def holder_datum(n: int, weights) -> GeometricBLDatum:
     """E_i = R^n repeated, with weights summing to 1."""
     ws = [parse_weight(w) for w in weights]
-    d = GeometricBLDatum(n, tuple((full_subspace(n), w) for w in ws))
-    validate_datum(d)
-    return d
+    return GeometricBLDatum(n, tuple((full_subspace(n), w) for w in ws))
 
 
 def planar_lines_datum(m: int) -> GeometricBLDatum:
@@ -247,9 +238,7 @@ def planar_lines_datum(m: int) -> GeometricBLDatum:
     for j in range(m):
         a = np.pi * j / m
         entries.append((orthonormalize([np.array([np.cos(a), np.sin(a)])]), 2.0 / m))
-    d = GeometricBLDatum(2, tuple(entries))
-    validate_datum(d)
-    return d
+    return GeometricBLDatum(2, tuple(entries))
 
 
 def paired_planes_datum(m: int = 3) -> GeometricBLDatum:
@@ -269,9 +258,7 @@ def paired_planes_datum(m: int = 3) -> GeometricBLDatum:
         u = np.array([np.cos(a), np.sin(a), 0.0, 0.0])
         v = np.array([0.0, 0.0, np.cos(a), np.sin(a)])
         entries.append((orthonormalize([u, v]), 2.0 / m))
-    d = GeometricBLDatum(4, tuple(entries))
-    validate_datum(d)
-    return d
+    return GeometricBLDatum(4, tuple(entries))
 
 
 def rotate_datum(d: GeometricBLDatum, Q: np.ndarray) -> GeometricBLDatum:
@@ -281,9 +268,7 @@ def rotate_datum(d: GeometricBLDatum, Q: np.ndarray) -> GeometricBLDatum:
         (orthonormalize([Q @ row for row in E.frame], ambient_dim=n), c)
         for E, c in d.entries
     )
-    out = GeometricBLDatum(n, entries)
-    validate_datum(out)
-    return out
+    return GeometricBLDatum(n, entries)
 
 
 def direct_sum_data(parts) -> GeometricBLDatum:
@@ -300,9 +285,7 @@ def direct_sum_data(parts) -> GeometricBLDatum:
             rows[:, off:off + p.ambient_dim] = E.frame
             entries.append((Subspace(n, rows), c))
         off += p.ambient_dim
-    d = GeometricBLDatum(n, tuple(entries))
-    validate_datum(d)
-    return d
+    return GeometricBLDatum(n, tuple(entries))
 
 
 def pair_data(a: GeometricBLDatum, b: GeometricBLDatum) -> GeometricBLDatum:
@@ -327,6 +310,4 @@ def pair_data(a: GeometricBLDatum, b: GeometricBLDatum) -> GeometricBLDatum:
         rows[:Ea.dim, :a.ambient_dim] = Ea.frame
         rows[Ea.dim:, a.ambient_dim:] = Eb.frame
         entries.append((Subspace(n, rows), c))
-    d = GeometricBLDatum(n, tuple(entries))
-    validate_datum(d)
-    return d
+    return GeometricBLDatum(n, tuple(entries))

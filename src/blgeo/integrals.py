@@ -193,9 +193,6 @@ class GridDensity(Density):
     def hi(self) -> np.ndarray:
         return self.lo + self.h * np.array(self.values.shape)
 
-    def centers(self, axis: int) -> np.ndarray:
-        return self.lo[axis] + (np.arange(self.values.shape[axis]) + 0.5) * self.h
-
     def integral(self) -> float:
         return float(self.values.sum()) * self.h ** self.domain.dim
 
@@ -249,10 +246,9 @@ class FactorizedDensity(Density):
             total += S.dim
         if total != domain.dim:
             raise InputError("factor subspaces must span the domain")
-        for a in range(len(factors)):
-            for b in range(a + 1, len(factors)):
-                if np.abs(factors[a][0].frame @ factors[b][0].frame.T).max() > 1e-9:
-                    raise InputError("factor subspaces must be pairwise orthogonal")
+        F = np.concatenate([S.frame for S, _ in factors])
+        if np.abs(F @ F.T - np.eye(len(F))).max() > 1e-9:
+            raise InputError("factor subspaces must be pairwise orthogonal")
         self.domain = domain
         self.factors = factors
 
@@ -776,11 +772,7 @@ def convolve_density(f: Density, g: Density) -> Density:
     ga = g if isinstance(g, GridDensity) else materialize(g, h, _suggest_radius(g))
     if np.abs(fa.domain.frame - ga.domain.frame).max() > 1e-12:  # cells would pair up wrongly
         raise InputError("grid convolution needs both operands in one frame")
-    dim = fa.domain.dim
-    if dim == 1:
-        vals = np.convolve(fa.values, ga.values) * h
-    else:
-        from scipy.signal import convolve as nd_convolve  # lazy, for a fast cold start
-        vals = nd_convolve(fa.values, ga.values, method="direct") * h ** dim
+    from scipy.signal import convolve  # lazy, for a fast cold start
+    vals = convolve(fa.values, ga.values, method="direct") * h ** fa.domain.dim
     lo = fa.lo + ga.lo + 0.5 * h
     return GridDensity(fa.domain, lo, h, np.clip(vals, 0.0, None))

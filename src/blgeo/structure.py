@@ -6,7 +6,7 @@ splits as (E_i cap V) + (E_i cap V-perp)).  is_critical computes both
 and cross-checks them; a disagreement is an internal error, never
 silently resolved.  The sines that count dim(E_i cap V) come from one
 batched SVD per entry dimension, and the commutators from one product
-with the stack of the P_i that validate_datum keeps on the datum.  A
+with the stack of the P_i that the datum builds when it is made.  A
 symmetric matrix has critical eigenspaces exactly when it commutes
 with every P_i, and for a critical V, E cap V = P_V E.
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated, validate_datum
+from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated
 from .errors import InputError, InternalError
 from .subspace import (RANK_TOL, RESIDUAL_TOL, Subspace, _dim_groups, cluster_eigenspaces,
                        orthonormalize, projection_matrix)
@@ -276,9 +276,8 @@ def restrict_datum(d: GeometricBLDatum, V: Subspace) -> GeometricBLDatum:
         if W.dim:  # its frame in V coordinates
             entries.append((orthonormalize(W.frame @ V.basis, ambient_dim=V.dim), c))
     out = GeometricBLDatum(V.dim, tuple(entries))
-    report = validate_datum(out)
-    if not report.is_valid:
+    if not out.validated:
         raise InternalError(
-            f"restriction to a critical subspace failed validation (defect {report.defect:.3e})"
+            f"restriction to a critical subspace failed validation (defect {out.defect:.3e})"
         )
     return out

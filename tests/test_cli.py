@@ -322,7 +322,7 @@ FAR_GAUSS_JSON = dict(GAUSS_JSON, A=[[3.0]], b=[2000.0])
     "polytope_ragged_vertices", "subspace_huge_n", "factor_outside_its_domain",
     "grid_not_a_number", "grid_unknown_key", "grid_overflow", "gaussian_mass_overflow",
     "gaussian_mass_overflow_densities", "overflowing_bl_sides", "overflowing_barthe_sides",
-    "overflowing_ball_sides", "grid_mass_overflow",
+    "overflowing_ball_sides", "grid_mass_overflow", "grid_before_missing_datum",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -374,6 +374,7 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
              "grid_ragged_values": "grid values", "polytope_ragged_vertices": "polytope vertices",
              "subspace_huge_n": "subspace n", "factor_outside_its_domain": "factor subspace",
              "grid_not_a_number": "--grid h", "grid_unknown_key": "--grid has unknown key 'size'",
+             "grid_before_missing_datum": "--grid h",
              "grid_overflow": "grid cell count", "overflowing_report": "grid values",
              "grid_mass_overflow": "grid values",
              **dict.fromkeys(["overflowing_bl_sides", "overflowing_barthe_sides",
@@ -428,6 +429,10 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     elif case in ("grid_not_a_number", "grid_unknown_key"):
         spec = "h=abc,box=4" if case == "grid_not_a_number" else "h=0.5,box=4,size=9"
         argv = ["transport", "--f", gauss, "--g", gauss, "--grid", spec]
+    elif case == "grid_before_missing_datum":
+        # --grid is read before any file, so the missing datum goes unnamed
+        argv = ["barthe-eval", str(tmp_path / "missing.json"), "--densities", gauss,
+                "--grid", "h=abc,box=4"]
     elif case == "nan_operator":
         argv = ["bl-eval", holder, "--A", write("A.json", "[[[NaN]], [[1.0]]]")]
     elif case == "gaussian_mass_overflow_densities":

@@ -12,7 +12,6 @@ from blgeo.covers import (
     bt_check,
     dual_bt_check,
     induced_one_cover,
-    validate_cover,
 )
 from blgeo.datum import make_datum_from_cover
 from blgeo.errors import InputError
@@ -27,12 +26,11 @@ LW = UniformCover(3, 2, ({2, 3}, {1, 3}, {1, 2}))
 # ---------------------------------------------------------------------------
 
 def test_validate_cover_examples():
-    assert validate_cover(LW) == (True, (2, 2, 2))
-    part = UniformCover(3, 1, ({1}, {2}, {3}))
-    assert validate_cover(part)[0]
-    bad = UniformCover(3, 2, ({1, 2}, {1, 3}))
-    ok, counts = validate_cover(bad)
-    assert not ok and counts == (2, 1, 1)
+    assert (LW.n, LW.s, LW.k) == (3, 2, 3)
+    UniformCover(3, 1, ({1}, {2}, {3}))
+    # s * n elements in all, but element 1 is hit three times
+    with pytest.raises(InputError, match=r"multiplicities \(3, 2, 1\)"):
+        UniformCover(3, 2, ({1, 2}, {1, 3}, {1, 2}))
 
 
 def test_empty_set_rejected():
@@ -60,7 +58,6 @@ def test_induced_cover_is_partition_random(rng):
         n = int(rng.integers(2, 9))
         s = int(rng.integers(1, 4))
         c = random_uniform_cover(rng, n, s)
-        assert validate_cover(c)[0]
         blocks = induced_one_cover(c)
         flat = sorted(x for b in blocks for x in b)
         assert flat == list(range(1, n + 1))

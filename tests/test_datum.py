@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -18,9 +21,11 @@ from blgeo.datum import (
     rotate_datum,
     validate_datum,
 )
+from blgeo.determinantal import determinantal_high_check
 from blgeo.errors import CapError, InputError
 from blgeo.structure import is_critical
-from blgeo.subspace import full_subspace, orthonormalize, projection_matrix
+from blgeo.subspace import (RESIDUAL_TOL, full_subspace, orthonormalize, projection_matrix,
+                            projection_stack)
 
 
 def test_axis_datum_validates_exactly():
@@ -59,13 +64,43 @@ def test_projection_stack_is_a_read_only_invariant(rng):
     assert {1, 2} <= group_sizes and max(group_sizes) > 2
 
 
+def test_every_builder_carries_its_stack_and_defect(rng):
+    # built by the constructor itself: no validate_datum call here
+    lw = UniformCover(3, 2, ({2, 3}, {1, 3}, {1, 2}))
+    lines = planar_lines_datum(3)
+    built = [axis_datum(3), holder_datum(2, ["1/3", "2/3"]), lines, paired_planes_datum(4),
+             rotate_datum(lines, random_rotation(rng, 2)), direct_sum_data([lines, axis_datum(1)]),
+             pair_data(lines, planar_lines_datum(3)), make_datum_from_cover(lw),
+             GeometricBLDatum.from_json(paired_planes_datum().to_json())]
+    for d in built:
+        n = d.ambient_dim
+        assert d.validated and d.defect <= RESIDUAL_TOL
+        assert np.array_equal(d.projections, projection_stack([E for E, _ in d.entries]))
+        assert not d.projections.flags.writeable
+        assert d.defect == float(np.abs(d.weighted_projection_sum() - np.eye(n)).max())
+
+
+def test_datum_is_frozen():
+    d = planar_lines_datum(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.entries = axis_datum(2).entries
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.projections = axis_datum(2).projections
+    assert validate_datum(d) == validate_datum(d)
+
+
 def test_underweighted_entry_invalid():
     d = GeometricBLDatum(2, ((orthonormalize([[1, 0]]), 0.9),))
     rep = validate_datum(d)
-    assert not rep.is_valid
-    assert rep.defect >= 0.1
-    with pytest.raises(InputError):
+    assert not rep.is_valid and not d.validated
+    assert rep.defect >= 0.1 and rep.defect == d.defect
+    defect = re.escape(f"(defect {d.defect:.3e})")
+    with pytest.raises(InputError, match=defect):
         rank_one_expansion(d)
+    with pytest.raises(InputError, match=defect):
+        is_critical(d, full_subspace(2))
+    with pytest.raises(InputError, match=defect):
+        determinantal_high_check(d, [[[1.0]]])
 
 
 def test_expansion_axis_datum():
@@ -124,9 +159,9 @@ def test_datum_from_mixed_cover_direct_sum_oracle():
 
 
 def test_invalid_cover_rejected():
-    bad = UniformCover(3, 2, ({1, 2}, {1, 3}))
-    with pytest.raises(InputError):
-        make_datum_from_cover(bad)
+    # the cover refuses itself, so no datum can be made from it
+    with pytest.raises(InputError, match="not 2-uniform"):
+        make_datum_from_cover(UniformCover(3, 2, ({1, 2}, {1, 3})))
 
 
 def test_weight_parsing():
