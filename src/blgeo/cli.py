@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 on input errors (malformed JSON with line
 and column, cap violations, invalid data), 2 on internal-error
-conditions that valid inputs can never produce, including a verified
-violation of one of the inequalities and a failed linear-algebra
-routine.
+conditions that valid inputs can never produce: a failed linear-algebra
+routine, or a violated inequality, which the library's result types
+refuse where each verdict is made, so run only loads, calls and prints.
 
 A report depends on its input files alone (and on --grid for the two
 grid commands): the rank and residual thresholds are the fixed
@@ -96,22 +96,15 @@ def run(args):
     if cmd == "detcheck":
         d = _load_datum(args.datum)
         if args.t is not None:
-            t = _load_side(args, "t")
-            result = det_mod.ball_barthe_check(rank_one_expansion(d), t)
+            result = det_mod.ball_barthe_check(rank_one_expansion(d), _load_side(args, "t"))
         else:
             result = det_mod.determinantal_high_check(d, _load_side(args, "A"))
-        if result.log_gap < -1e-9:
-            raise InternalError(
-                f"determinantal inequality violated: log_gap = {result.log_gap:.3e}"
-            )
         return 0, _emit(cmd, result)
 
     if cmd == "bl-eval":
         d = _load_datum(args.datum)
         check = det_mod.determinantal_high_check(d, _load_side(args, "A"))
         ev = int_mod.bl_eval_from_check(check)
-        if ev.ratio > 1.0 + 1e-9:
-            raise InternalError(f"Brascamp-Lieb ratio exceeds 1: {ev.ratio:.12g}")
         return 0, _emit(cmd, {**vars(ev), "equality": check.equality})
 
     if cmd == "barthe-eval":
@@ -122,11 +115,6 @@ def run(args):
             dens = [int_mod.Density.from_json(obj, f"--densities[{i}]")
                     for i, obj in enumerate(_load_side(args, "densities"))]
             ev = int_mod.supconv_eval(d, dens, args.grid)
-        if ev.lhs < ev.rhs * (1.0 - max(ev.est_error, 1e-9)):
-            raise InternalError(
-                f"Barthe inequality violated beyond the error budget: "
-                f"lhs {ev.lhs:.12g} < rhs {ev.rhs:.12g}"
-            )
         return 0, _emit(cmd, ev)
 
     if cmd == "transport":
@@ -143,22 +131,12 @@ def run(args):
     if cmd == "bt":
         cover = covers_mod.UniformCover.from_json(_load_json(args.cover))
         body = covers_mod.VoxelBody.from_json(_load_json(args.body))
-        result = covers_mod.bt_check(body, cover)
-        if not result.holds:
-            raise InternalError(
-                f"Bollobas-Thomason inequality violated: {result.lhs} > {result.rhs}"
-            )
-        return 0, _emit(cmd, result)
+        return 0, _emit(cmd, covers_mod.bt_check(body, cover))
 
     if cmd == "dual-bt":
         cover = covers_mod.UniformCover.from_json(_load_json(args.cover))
         body = covers_mod.PointPolytope.from_json(_load_json(args.polytope))
-        result = covers_mod.dual_bt_check(body, cover)
-        if not result.holds:
-            raise InternalError(
-                f"dual Bollobas-Thomason inequality violated: {result.lhs:.12g} < {result.rhs:.12g}"
-            )
-        return 0, _emit(cmd, result)
+        return 0, _emit(cmd, covers_mod.dual_bt_check(body, cover))
 
     # covers-induce, the last command the parser admits
     cover = covers_mod.UniformCover.from_json(_load_json(args.cover))

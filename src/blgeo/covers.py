@@ -139,12 +139,18 @@ def _project_cells(cells, axes) -> frozenset:
 
 @dataclass(frozen=True)
 class BTCheckResult:
+    """The inequality is a theorem, so a result that does not hold is refused."""
+
     lhs: int
     rhs: int
     holds: bool
     equality: bool
     induced_partition: tuple
     split_certificate: object  # {"block", "cells"} per block when equality holds, else None
+
+    def __post_init__(self):
+        if not self.holds:
+            raise InternalError(f"Bollobas-Thomason inequality violated: {self.lhs} > {self.rhs}")
 
 
 def bt_check(K: VoxelBody, c: UniformCover) -> BTCheckResult:
@@ -272,6 +278,8 @@ def _embed(points: np.ndarray, axes, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualBTCheckResult:
+    """The inequality is a theorem, so a result that does not hold is refused."""
+
     lhs: float
     rhs: float
     factor: float        # prod |sigma_i|! / (n!)^s
@@ -279,6 +287,11 @@ class DualBTCheckResult:
     holds: bool
     equality: bool
     conv_certificate: object  # {"block", "vertices"} per block when equality holds, else None
+
+    def __post_init__(self):
+        if not self.holds:
+            raise InternalError(f"dual Bollobas-Thomason inequality violated: "
+                                f"{self.lhs:.12g} < {self.rhs:.12g}")
 
 
 def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:

@@ -47,6 +47,8 @@ def require_spd(M: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True)
 class DetCheckResult:
+    """Both sides, also as logs; the inequality is a theorem, so log_gap < -1e-9 is refused."""
+
     lhs: float
     rhs: float
     log_lhs: float
@@ -55,12 +57,22 @@ class DetCheckResult:
     equality: bool
     equality_certificate: object  # class partition, Phi matrix, or None
 
+    def __post_init__(self):
+        if self.log_gap < -1e-9:
+            raise InternalError(f"determinantal inequality violated: log_gap = {self.log_gap:.3e}")
+
 
 def _safe_exp(x: float) -> float:
     try:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _det_result(log_lhs: float, log_rhs: float, certificate) -> DetCheckResult:
+    """The result of the two log sides; equality holds iff there is a certificate."""
+    return DetCheckResult(_safe_exp(log_lhs), _safe_exp(log_rhs), log_lhs, log_rhs,
+                          log_lhs - log_rhs, certificate is not None, certificate)
 
 
 def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
@@ -87,15 +99,7 @@ def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
         if tc.max() - tc.min() > CLASS_CONSTANT_RTOL * tc.max():
             equality = False
             break
-    return DetCheckResult(
-        lhs=_safe_exp(float(log_lhs)),
-        rhs=_safe_exp(log_rhs),
-        log_lhs=float(log_lhs),
-        log_rhs=log_rhs,
-        log_gap=float(log_lhs) - log_rhs,
-        equality=equality,
-        equality_certificate=classes if equality else None,
-    )
+    return _det_result(float(log_lhs), log_rhs, classes if equality else None)
 
 
 def assemble_operator(d: GeometricBLDatum, A_list) -> tuple:
@@ -153,15 +157,7 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
             restriction_ok = False
             break
     equality = restriction_ok and has_critical_eigenspaces(d, M)
-    return DetCheckResult(
-        lhs=_safe_exp(log_lhs),
-        rhs=_safe_exp(log_rhs),
-        log_lhs=log_lhs,
-        log_rhs=log_rhs,
-        log_gap=log_lhs - log_rhs,
-        equality=equality,
-        equality_certificate=M if equality else None,
-    )
+    return _det_result(log_lhs, log_rhs, M if equality else None)
 
 
 def _fiber_operator(d: GeometricBLDatum, Phi) -> tuple:

@@ -15,14 +15,14 @@ On grids the Barthe supremum is a maximum over the exact constraint
 fiber: some coordinates of the decomposition run over the grid and the
 rest are solved from x = sum c_i x_i, so no candidate leaves the fiber
 and no slack is needed.  The output cells x free tuples table is taken
-in tiles of SUPCONV_TILE candidates, joined by a running maximum, so
-memory is bounded by the tile, not by the grid.  The sup is taken in
-log space so products of powers cannot underflow.  A Gaussian block's
-log is a quadratic, so it enters a tile as a row term, a column term
-and a cross term of one multiply-add per frame coordinate; other
-densities are evaluated per candidate.  Reported errors
-combine a cell-variation (inner/outer Riemann) bound with the mass each
-input loses to truncation.
+in tiles of SUPCONV_TILE candidates, joined by a running maximum; memory
+grows with the cells and the tuples, and the work with their product,
+all capped before any grid array is built.  The sup is taken in log
+space so products of powers cannot underflow.  A Gaussian block's log
+is a quadratic, so it enters a tile as a row term, a column term and a
+cross term of one multiply-add per frame coordinate; other densities
+are evaluated per candidate.  Reported errors combine a cell-variation
+(inner/outer Riemann) bound with the mass each input loses to truncation.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .structure import StructureReport, critical_meet, has_critical_eigenspaces
 from .subspace import Subspace, contains, equal
 
 SUPCONV_MAX_AMBIENT = 3
-SUPCONV_MAX_ENTRIES = 4
-SUPCONV_MAX_COMBOS = 4_000_000  # caps only the enumerated free tuples T
+SUPCONV_MAX_CELLS = 1 << 22  # output cells M, and free tuples T (a grid axis per free coordinate)
+SUPCONV_MAX_CANDIDATES = 1 << 30  # M x T: about 6 s for five Gaussians in R
 SUPCONV_TILE = 1 << 14  # candidates per tile: 128 KiB work arrays, L2-resident
 
 
@@ -298,12 +298,20 @@ class FactorizedDensity(Density):
 
 @dataclass(frozen=True)
 class IneqEvaluation:
+    """A "barthe" result with lhs < rhs (1 - max(est_error, 1e-9)) is refused; a "bl"
+    result comes from a determinantal check, whose refusal bounds its ratio by 1 + 1e-9."""
+
     lhs: float
     rhs: float
     ratio: float
     direction: str   # "bl" or "barthe"
     method: str      # "closed_form" or "grid"
     est_error: float  # relative error budget
+
+    def __post_init__(self):
+        if self.direction == "barthe" and self.lhs < self.rhs * (1.0 - max(self.est_error, 1e-9)):
+            raise InternalError(f"Barthe inequality violated beyond the error budget: "
+                                f"lhs {self.lhs:.12g} < rhs {self.rhs:.12g}")
 
 
 @dataclass(frozen=True)
@@ -431,8 +439,12 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     n = d.ambient_dim
     if n > SUPCONV_MAX_AMBIENT:
         raise CapError("supconv ambient dimension", SUPCONV_MAX_AMBIENT, n)
-    if d.k > SUPCONV_MAX_ENTRIES:
-        raise CapError("supconv entries", SUPCONV_MAX_ENTRIES, d.k)
+    cells, tuples = grid.count ** n, grid.count ** (sum(E.dim for E, _ in d.entries) - n)
+    for name, size in (("supconv output cells", cells), ("supconv free tuples", tuples)):
+        if size > SUPCONV_MAX_CELLS:
+            raise CapError(name, SUPCONV_MAX_CELLS, size)
+    if cells * tuples > SUPCONV_MAX_CANDIDATES:
+        raise CapError("supconv candidates", SUPCONV_MAX_CANDIDATES, cells * tuples)
     densities = list(densities)
     if len(densities) != d.k:
         raise InputError(f"need one density per entry: expected {d.k}, got {len(densities)}")
@@ -469,9 +481,6 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
         else:
             block = _cartesian_centers(grid, own.size)
             piece = np.zeros(block.shape[0])
-        if Y.shape[0] * block.shape[0] > SUPCONV_MAX_COMBOS:
-            raise CapError("supconv enumeration", SUPCONV_MAX_COMBOS,
-                           Y.shape[0] * block.shape[0])
         Y = np.hstack([np.repeat(Y, block.shape[0], axis=0), np.tile(block, (Y.shape[0], 1))])
         L = (L[:, None] + piece[None, :]).reshape(-1)
 

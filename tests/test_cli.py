@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,7 +155,7 @@ def test_barthe_eval_densities(files, tmp_path, capsys):
     ]}
     dp = tmp_path / "holder.json"
     dp.write_text(js.dumps(d))
-    dens = [json.loads(open(files["gauss"]).read())] * 2
+    dens = [json.loads(Path(files["gauss"]).read_text())] * 2
     densp = tmp_path / "dens.json"
     densp.write_text(js.dumps(dens))
     code, out, _ = run_cli(capsys, [
@@ -488,6 +489,35 @@ def test_linear_algebra_failure_exits_two(files, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("internal error: ")
+
+
+def test_violated_inequality_exits_two(files, capsys, monkeypatch):
+    # the library refuses a violated inequality where the verdict is made
+    from blgeo import determinantal as det_mod
+
+    monkeypatch.setattr(det_mod, "_log_sides", lambda *args: (0.0, 1.0))
+    for command in ("detcheck", "bl-eval"):
+        code, out, err = run_cli(capsys, [command, files["r4"], "--A", files["A_eye"]])
+        assert (code, out) == (2, "")
+        assert err.startswith("internal error: determinantal inequality violated")
+
+
+@pytest.mark.parametrize("d, grid, cap", [
+    (make_datum_from_cover(UniformCover(3, 2, ({2, 3}, {1, 3}, {1, 2}))), "h=0.05,box=3.9",
+     "cap 'supconv candidates'"),
+    (axis_datum(3), "h=0.01,box=4", "cap 'supconv output cells'"),
+])
+def test_grid_barthe_beyond_its_work_caps_exits_one_at_once(d, grid, cap, tmp_path, capsys):
+    dp, densp = tmp_path / "datum.json", tmp_path / "densities.json"
+    dp.write_text(json.dumps(d.to_json()))
+    fs = [GaussianDensity(E, np.eye(E.dim)).to_json() for E, _ in d.entries]
+    densp.write_text(json.dumps(fs))
+    t = time.perf_counter()
+    code, out, err = run_cli(capsys, ["barthe-eval", str(dp), "--densities", str(densp),
+                                      "--grid", grid])
+    assert time.perf_counter() - t < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + cap)
 
 
 def test_scipy_free_commands_load_no_scipy(files, tmp_path):

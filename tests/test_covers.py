@@ -6,6 +6,8 @@ import pytest
 from conftest import induced_partition_oracle, random_uniform_cover
 
 from blgeo.covers import (
+    BTCheckResult,
+    DualBTCheckResult,
     PointPolytope,
     UniformCover,
     VoxelBody,
@@ -14,7 +16,7 @@ from blgeo.covers import (
     induced_one_cover,
 )
 from blgeo.datum import make_datum_from_cover
-from blgeo.errors import InputError
+from blgeo.errors import InputError, InternalError
 from blgeo.structure import independent_subspaces
 from blgeo.subspace import equal, orthonormalize
 
@@ -175,6 +177,16 @@ def test_bt_equality_is_a_product_over_the_induced_blocks(rng):
 def test_bt_dimension_mismatch():
     with pytest.raises(InputError):
         bt_check(VoxelBody(2, {(0, 0)}), LW)
+
+
+def test_a_violated_bt_inequality_is_refused():
+    # the result type refuses holds == False: both inequalities are theorems
+    with pytest.raises(InternalError, match="Bollobas-Thomason inequality violated: 9 > 8"):
+        BTCheckResult(9, 8, False, False, (), None)
+    assert BTCheckResult(8, 8, True, True, (), ()).holds
+    with pytest.raises(InternalError, match="dual Bollobas-Thomason inequality violated: 0.5 < 1$"):
+        DualBTCheckResult(0.5, 1.0, 1.0, (1.0,), False, False, None)
+    assert DualBTCheckResult(1.0, 1.0, 1.0, (1.0,), True, True, ()).holds
 
 
 # ---------------------------------------------------------------------------

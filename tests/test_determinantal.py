@@ -13,11 +13,12 @@ from blgeo.datum import (
     rank_one_expansion,
 )
 from blgeo.determinantal import (
+    _det_result,
     ball_barthe_check,
     determinantal_high_check,
     min_norm_decomposition,
 )
-from blgeo.errors import CapError, InputError
+from blgeo.errors import CapError, InputError, InternalError
 from blgeo.structure import bowtie_classes, indecomposable_decomposition, is_critical
 from blgeo.subspace import orthonormalize, projection_matrix
 
@@ -74,6 +75,16 @@ def test_nonpositive_t_rejected():
     r = rank_one_expansion(axis_datum(2))
     with pytest.raises(InputError):
         ball_barthe_check(r, [1.0, 0.0])
+
+
+def test_a_violated_determinantal_inequality_is_refused():
+    # both checks build their result through _det_result; the inequality
+    # is a theorem, so a log_gap below -1e-9 is an internal error
+    with pytest.raises(InternalError, match="inequality violated: log_gap = -2.000e-09"):
+        _det_result(0.0, 2e-9, None)
+    r = _det_result(0.0, 5e-10, None)
+    assert (r.log_gap, r.equality) == (-5e-10, False)
+    assert _det_result(1.0, 1.0, "certificate").equality
 
 
 def test_scaling_covariance(rng):

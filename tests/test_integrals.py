@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from blgeo.datum import (
     validate_datum,
 )
 from blgeo.determinantal import determinantal_high_check
-from blgeo.errors import CapError, InputError
+from blgeo.errors import CapError, InputError, InternalError
 from blgeo.integrals import (
     Density,
     ExtremizerParams,
@@ -28,6 +29,7 @@ from blgeo.integrals import (
     GaussianDensity,
     GridDensity,
     GridSpec,
+    IneqEvaluation,
     _filter3,
     build_extremizer,
     convolve_density,
@@ -305,8 +307,9 @@ def mixed_axes_plane_datum():
 @st.composite
 def gaussian_supconv_cases(draw):
     """A datum, random centered Gaussian precisions (generically no
-    extremizer) and a grid that holds their mass."""
-    shape = draw(st.sampled_from(["lines", "axes", "mixed", "holder2", "holder3"]))
+    extremizer) and a grid that holds their mass; k = 5 runs because its
+    30^5 candidates fit the work cap."""
+    shape = draw(st.sampled_from(["lines", "axes", "mixed", "holder2", "holder3", "holder5"]))
     if shape.startswith("holder"):
         w = np.array([draw(st.floats(0.3, 1.0)) for _ in range(int(shape[-1]))])
         d = holder_datum(1, list(w / w.sum()))
@@ -324,7 +327,7 @@ def gaussian_supconv_cases(draw):
         precisions.append(lam)
     grid = {"lines": GridSpec(0.15, 4.5), "axes": GridSpec(0.1, 4.5),
             "mixed": GridSpec(0.2, 4.4), "holder2": GridSpec(0.05, 4.5),
-            "holder3": GridSpec(0.1, 4.5)}[shape]
+            "holder3": GridSpec(0.1, 4.5), "holder5": GridSpec(0.3, 4.5)}[shape]
     return d, precisions, grid
 
 
@@ -384,6 +387,35 @@ def test_supconv_caps():
     g = GaussianDensity(full_subspace(4), np.eye(4))
     with pytest.raises(CapError):
         supconv_eval(d, [g, g], GridSpec(0.5, 2.0))
+
+
+@pytest.mark.parametrize("d, grid, cap", [
+    # 156^3 output cells pass; 156^3 free tuples make 1.4e13 candidates
+    (loomis_whitney_datum(), GridSpec(0.05, 3.9), "supconv candidates"),
+    # 800^3 output cells: 12 GB of arrays if it were let through
+    (axis_datum(3), GridSpec(0.01, 4.0), "supconv output cells"),
+    # 64 cells, 2^30 candidates, but 64^4 free tuples of about 100 B each
+    (holder_datum(1, [0.2] * 5), GridSpec(0.125, 4.0), "supconv free tuples"),
+])
+def test_supconv_work_caps_refuse_before_allocating(d, grid, cap):
+    fs = [GaussianDensity(E, np.eye(E.dim)) for E, _ in d.entries]
+    t = time.perf_counter()
+    with pytest.raises(CapError, match=cap):
+        supconv_eval(d, fs, grid)
+    assert time.perf_counter() - t < 1.0
+
+
+def test_a_violated_barthe_inequality_is_refused():
+    # lhs below rhs (1 - max(est_error, 1e-9)) is an internal error
+    with pytest.raises(InternalError, match="Barthe inequality violated beyond the error budget: "
+                                            "lhs 0.85 < rhs 1"):
+        IneqEvaluation(0.85, 1.0, 0.85, "barthe", "grid", 0.1)
+    IneqEvaluation(0.95, 1.0, 0.95, "barthe", "grid", 0.1)
+    with pytest.raises(InternalError, match="Barthe inequality violated"):
+        IneqEvaluation(1.0 - 2e-9, 1.0, 1.0 - 2e-9, "barthe", "closed_form", 0.0)
+    IneqEvaluation(1.0 - 5e-10, 1.0, 1.0 - 5e-10, "barthe", "closed_form", 0.0)
+    # the Brascamp-Lieb direction has lhs <= rhs
+    IneqEvaluation(0.5, 1.0, 0.5, "bl", "closed_form", 0.0)
 
 
 def tile_cases():
