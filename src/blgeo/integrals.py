@@ -14,15 +14,16 @@ shape the characterized extremizers take).
 On grids the Barthe supremum is a maximum over the exact constraint
 fiber: some coordinates of the decomposition run over the grid and the
 rest are solved from x = sum c_i x_i, so no candidate leaves the fiber
-and no slack is needed.  The output cells x free tuples table is taken
-in tiles of SUPCONV_TILE candidates, joined by a running maximum; memory
-grows with the cells and the tuples, and the work with their product,
-all capped before any grid array is built.  The sup is taken in log
-space so products of powers cannot underflow.  A Gaussian block's log
-is a quadratic, so it enters a tile as a row term, a column term and a
-cross term of one multiply-add per frame coordinate; other densities
-are evaluated per candidate.  Reported errors combine a cell-variation
-(inner/outer Riemann) bound with the mass each input loses to truncation.
+and no slack is needed.  The sup is taken in log space so products of
+powers cannot underflow.  When every block with a solved coordinate is
+Gaussian and their bilinear cross term has rank one (n = 1, or one free
+coordinate), the sup over the free tuples is a one-dimensional discrete
+Legendre transform, found for every output cell by a divide and conquer
+in O(M + T log M) candidates.  Otherwise the output cells x free tuples
+table is taken in tiles of SUPCONV_TILE candidates, joined by a running
+maximum.  The cells, the tuples and their product are capped before any
+grid array is built.  Reported errors combine a cell-variation (inner/outer
+Riemann) bound with the mass each input loses to truncation.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .subspace import Subspace, contains, equal
 
 SUPCONV_MAX_AMBIENT = 3
 SUPCONV_MAX_CELLS = 1 << 22  # output cells M, and free tuples T (a grid axis per free coordinate)
-SUPCONV_MAX_CANDIDATES = 1 << 30  # M x T: about 6 s for five Gaussians in R
+SUPCONV_MAX_CANDIDATES = 1 << 30  # M x T: about 7 s in tiles for Gaussians on the planes of R^3
 SUPCONV_TILE = 1 << 14  # candidates per tile: 128 KiB work arrays, L2-resident
 
 
@@ -419,21 +420,24 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     (free) coordinates run over the grid, blocks that are wholly free
     only over their cells of positive mass.  The solved coordinates are
     computed exactly, C_P^{-1} (x - C_Q y_Q), so every candidate lies on
-    the fiber and F is never overestimated at a grid point.  The M x T
-    table of output cells by free tuples is evaluated in tiles of at most
-    SUPCONV_TILE candidates: blocks of rows and, when T exceeds the tile,
-    column slabs joined by a running per-row maximum.  A solved block
-    whose density is Gaussian (alone or as the one factor of a
+    the fiber and F is never overestimated at a grid point.  A solved
+    block whose density is Gaussian (alone or as the one factor of a
     factorized density), f(z) = theta exp(-<A z, z - b>) at z = u - v
-    with u = K x per row and v = N y_Q per column, splits as
+    with u = K x per output cell and v = N y_Q per free tuple, splits as
         c log f = c (log theta + <A b, u> - <A u, u>)    row term
-                - c (<A b, v> + <A v, v>)                column term, into L
-                + 2c <A u, v>                            cross term,
-    so a tile costs it one broadcast multiply-add per frame coordinate,
-    summed in a fixed order, and the row term is added after the
-    per-row maximum.  Other densities are evaluated per candidate.  F is
-    integrated by the midpoint rule; the product side uses the same
-    grid quadrature per factor.
+                - c (<A b, v> + <A v, v>)                column term
+                + 2c <A u, v>                            cross term.
+    Summed over the solved blocks, the cross term is x^T G y_Q for an
+    n x (D - n) matrix G.  When every solved block is Gaussian and G has
+    rank at most one (n = 1 or one free coordinate), a candidate is
+    R[a] + L[b] + p[a] t[b] with scalars p and t, and the maximum over
+    the free tuples is a discrete Legendre transform, found for all
+    output cells at once by _row_maxima in O(M + T log M) candidates in
+    place of the M x T table; with no free coordinate it is R + L.  This
+    route holds a few values per output cell and per free tuple.
+    Otherwise the table is walked in tiles (_tile_walk).  F is integrated
+    by the midpoint rule; the product side uses the same grid quadrature
+    per factor.
     """
     require_validated(d)
     n = d.ambient_dim
@@ -467,22 +471,17 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     solved = _pivot_columns(C)
     free = np.setdiff1d(np.arange(D), solved)
 
-    # enumerate the free coordinates Y; L sums c_i log f_i over wholly free blocks
-    Y = np.zeros((1, 0))
-    L = np.zeros(1)
+    # the free coordinates of each block that has one: its points, and the
+    # sum c_i log f_i over them when the block is wholly free (None otherwise)
+    factors = []
     for i, f in enumerate(densities):
         own = free[(free >= starts[i]) & (free < starts[i + 1])]
-        if own.size == 0:
-            continue
         if own.size == dims[i]:
             logs = f.log_value(pts[i])
             keep = np.isfinite(logs)
-            block, piece = pts[i][keep], weights[i] * logs[keep]
-        else:
-            block = _cartesian_centers(grid, own.size)
-            piece = np.zeros(block.shape[0])
-        Y = np.hstack([np.repeat(Y, block.shape[0], axis=0), np.tile(block, (Y.shape[0], 1))])
-        L = (L[:, None] + piece[None, :]).reshape(-1)
+            factors.append((pts[i][keep], weights[i] * logs[keep]))
+        elif own.size:
+            factors.append((_cartesian_centers(grid, own.size), None))
 
     # the fiber point over x with free part y_Q is y = K x - N y_Q
     inv = np.linalg.inv(C[:, solved])
@@ -491,44 +490,14 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     N = np.zeros((D, free.size))
     N[solved] = inv @ C[:, free]
     N[free] = -np.eye(free.size)
-    X = _cartesian_centers(grid, n)
-    XK, YN = X @ K.T, Y @ N.T
-    blocks = [i for i in range(d.k) if K[starts[i]:starts[i + 1]].any()]
-    M, T = X.shape[0], Y.shape[0]
+    # blocks holding a solved coordinate, each with its density in its own frame
+    solved_blocks = [(slice(starts[i], starts[i + 1]), weights[i], in_frame(f, f.domain), f)
+                     for i, f in enumerate(densities) if K[starts[i]:starts[i + 1]].any()]
 
-    # Gaussian blocks: row term into R, column term into L, cross term (U, W),
-    # W = v^T so that each coordinate streams contiguously; None marks a block
-    # evaluated per candidate
-    R, cross = np.zeros(M), []
-    for i in blocks:
-        cols, c = slice(starts[i], starts[i + 1]), weights[i]
-        g = in_frame(densities[i], densities[i].domain)
-        if not isinstance(g, GaussianDensity):
-            cross.append(None)
-            continue
-        u, v, Ab = XK[:, cols], YN[:, cols], g.A @ g.b
-        R += c * (math.log(g.theta) + u @ Ab - (u @ g.A * u).sum(axis=1))
-        L = L - c * (v @ Ab + (v @ g.A * v).sum(axis=1))
-        cross.append((2.0 * c * (u @ g.A), np.ascontiguousarray(v.T)))
-
-    F = np.zeros(M)
-    rows, width = max(1, SUPCONV_TILE // T), min(T, SUPCONV_TILE)
-    for a in range(0, M, rows):
-        best = np.full(min(rows, M - a), -np.inf)
-        for b in range(0, T, width):
-            total = L[b:b + width]
-            for i, term in zip(blocks, cross):
-                if term is not None:
-                    U, W = term  # coordinate by coordinate: no BLAS, so no tile-dependent sums
-                    for j in range(dims[i]):
-                        total = total + U[a:a + rows, j, None] * W[j, None, b:b + width]
-                    continue
-                cols = slice(starts[i], starts[i + 1])
-                yi = XK[a:a + rows, None, cols] - YN[None, b:b + width, cols]
-                logs = densities[i].log_value(yi.reshape(-1, dims[i])).reshape(yi.shape[:2])
-                total = total + weights[i] * logs
-            best = np.maximum(best, total.max(axis=1))
-        F[a:a + rows] = np.where(np.isfinite(best), np.exp(best + R[a:a + rows]), 0.0)
+    if min(n, free.size) <= 1 and all(isinstance(g, GaussianDensity) for _, _, g, _ in solved_blocks):
+        F = _legendre_route(grid, n, factors, K, N, solved_blocks)
+    else:
+        F = _tile_walk(grid, n, factors, K, N, solved_blocks)
 
     lhs = float(F.sum()) * h ** n
 
@@ -549,6 +518,187 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     est = quad_abs / denom + tail_rel
     return IneqEvaluation(lhs=lhs, rhs=rhs, ratio=lhs / rhs, direction="barthe",
                           method="grid", est_error=float(est))
+
+
+def _legendre_route(grid: GridSpec, n, factors, K, N, solved_blocks) -> np.ndarray:
+    """F at every output cell when every solved block is Gaussian and the
+    cross term has rank at most one.  The blocks' row and column terms sum
+    to quadratics R(x) = r0 + <r, x> - <Q x, x> and -<s, y> - <S y, y>, and
+    their cross terms to x^T G y; each is evaluated on its product grid
+    from the blocks' own rows of K and N, so the route holds a few values
+    per output cell and per free tuple and never their D coordinates."""
+    f = N.shape[1]
+    r0, r, Q = 0.0, np.zeros(n), np.zeros((n, n))
+    s, S, G = np.zeros(f), np.zeros((f, f)), np.zeros((n, f))
+    for cols, c, g, _ in solved_blocks:
+        Kb, Nb, Ab = K[cols], N[cols], g.A @ g.b
+        r0 += c * math.log(g.theta)
+        r += c * (Kb.T @ Ab)
+        Q += c * (Kb.T @ g.A @ Kb)
+        s += c * (Nb.T @ Ab)
+        S += c * (Nb.T @ g.A @ Nb)
+        G += 2.0 * c * (Kb.T @ g.A @ Nb)
+    axes = [grid.centers()[:, None]] * n
+    points = [P for P, _ in factors]
+    F = np.full([grid.count] * n, r0)
+    _add_quadratic(F, axes, r, -Q)
+    L = np.zeros([len(P) for P in points])
+    for m, (_, piece) in enumerate(factors):
+        if piece is not None:
+            L += _along(L.ndim, m, piece)
+    _add_quadratic(L, points, -s, -S)
+    F = F.reshape(-1)
+    if f == 0:
+        F += L
+    else:
+        # G = outer(row, col): with n = 1 row is 1, with one free coordinate col is 1
+        row, col = (np.ones(1), G[0]) if n == 1 else (G[:, 0], np.ones(1))
+        p = np.zeros([grid.count] * n)
+        _add_quadratic(p, axes, row, np.zeros((n, n)))
+        t = np.zeros(L.shape)
+        _add_quadratic(t, points, col, np.zeros((f, f)))
+        order = np.argsort(t, axis=None, kind="stable")
+        L, t = L.reshape(-1)[order], t.reshape(-1)[order]
+        del order
+        F += _row_maxima(p.reshape(-1), L, t)
+    return np.exp(F, out=F)
+
+
+def _along(ndim: int, axis: int, vec: np.ndarray) -> np.ndarray:
+    """vec laid along one axis of an ndim-dimensional product grid."""
+    return vec.reshape([-1 if a == axis else 1 for a in range(ndim)])
+
+
+def _add_quadratic(out: np.ndarray, points, lin, quad) -> None:
+    """out += <lin, z> + <quad z, z> at every z of the product of the point
+    sets in points, one set per axis of out.  Coordinates of one set are
+    summed along its axis first; a product of two sets' coordinates is
+    added into out in place.  The order is fixed, so no float depends on
+    the BLAS, and no temporary is larger than out."""
+    z = [_along(out.ndim, m, P[:, i]) for m, P in enumerate(points) for i in range(P.shape[1])]
+    axis = [m for m, P in enumerate(points) for _ in range(P.shape[1])]
+    for m in range(len(points)):
+        own = [j for j in range(len(z)) if axis[j] == m]
+        out += sum(lin[j] * z[j] + sum(quad[j, l] * z[j] * z[l] for l in own) for j in own)
+    for j in range(len(z)):
+        for l in range(j + 1, len(z)):
+            if axis[j] != axis[l] and quad[j, l] != 0.0:
+                out += 2.0 * quad[j, l] * z[j] * z[l]
+
+
+def _row_maxima(p: np.ndarray, L: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """max over b of L[b] + p[a] t[b] for every a, with t ascending.
+
+    With the rows sorted by p, the leftmost maximizing b never decreases
+    as p grows (the table is supermodular), so the maxima are found by
+    divide and conquer over the rows: the middle row of each segment is
+    searched over its segment's columns and splits them for the rows
+    above and below.  A segment of r rows and w columns with r w <= 2 (r + w)
+    (one or two rows, or about two columns) is searched whole at the end,
+    in tiles of about SUPCONV_TILE candidates that keep each row whole.
+    Each level is one vectorized pass over at most T + segments
+    candidates, each computed as in the whole table, so every maximum is
+    a value of the table and no float depends on the BLAS or the tile.
+    O(M + T log M) candidates in all."""
+    rows = np.argsort(p, kind="stable")
+    p, best = p[rows], np.empty(len(p))
+    seg = np.array([[0], [len(p)], [0], [len(t) - 1]])  # rows [r0, r1), columns [c0, c1]
+    narrow = []  # segments taken whole: every row over every column
+    while True:
+        height, width = seg[1] - seg[0], seg[3] - seg[2] + 1
+        done = height * width <= 2 * (height + width)
+        narrow.append(seg[:, done])
+        seg = seg[:, ~done]
+        if not seg.size:
+            break
+        r0, r1, c0, c1 = seg
+        mid, size = (r0 + r1) // 2, c1 - c0 + 1
+        first = np.cumsum(size) - size
+        col = _ranges(c0, size)
+        v = t[col]
+        v *= np.repeat(p[mid], size)
+        v += L[col]
+        top = np.maximum.reduceat(v, first)
+        hits = np.flatnonzero(v == np.repeat(top, size))
+        arg = col[hits[np.searchsorted(hits, first)]]
+        best[mid] = top
+        # the rows below mid, then those above: neither is empty, as a
+        # segment of one or two rows is always taken whole
+        seg = np.concatenate([seg, seg], axis=1)
+        seg[1, :mid.size], seg[3, :mid.size] = mid, arg
+        seg[0, mid.size:], seg[2, mid.size:] = mid + 1, arg
+    r0, r1, c0, c1 = np.concatenate(narrow, axis=1)
+    at = _ranges(r0, r1 - r0)
+    start, size = np.repeat(c0, r1 - r0), np.repeat(c1 - c0 + 1, r1 - r0)
+    ends = np.cumsum(size)
+    cuts = np.unique(np.searchsorted(ends, np.arange(SUPCONV_TILE, ends[-1], SUPCONV_TILE)))
+    for a, b in zip([0, *cuts], [*cuts, len(at)]):
+        col = _ranges(start[a:b], size[a:b])
+        v = t[col]
+        v *= np.repeat(p[at[a:b]], size[a:b])
+        v += L[col]
+        best[at[a:b]] = np.maximum.reduceat(v, np.cumsum(size[a:b]) - size[a:b])
+    out = np.empty_like(best)
+    out[rows] = best
+    return out
+
+
+def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """np.arange(s, s + m) for each s, m of start, size, concatenated."""
+    out = np.repeat(start - (np.cumsum(size) - size), size)
+    out += np.arange(len(out))
+    return out
+
+
+def _tile_walk(grid: GridSpec, n, factors, K, N, solved_blocks) -> np.ndarray:
+    """F at every output cell from the M x T table of output cells by free
+    tuples, in tiles of at most SUPCONV_TILE candidates: blocks of rows
+    and, when T exceeds the tile, column slabs joined by a running per-row
+    maximum.  A Gaussian block enters a tile as its cross term, one
+    broadcast multiply-add per frame coordinate summed in a fixed order,
+    with its row term added after the per-row maximum and its column term
+    in L; other densities are evaluated per candidate."""
+    Y = np.zeros((1, 0))
+    L = np.zeros(1)
+    for block, piece in factors:
+        piece = np.zeros(block.shape[0]) if piece is None else piece
+        Y = np.hstack([np.repeat(Y, block.shape[0], axis=0), np.tile(block, (Y.shape[0], 1))])
+        L = (L[:, None] + piece[None, :]).reshape(-1)
+    X = _cartesian_centers(grid, n)
+    XK, YN = X @ K.T, Y @ N.T
+    M, T = X.shape[0], Y.shape[0]
+
+    # Gaussian blocks: row term into R, column term into L, cross term (U, W),
+    # W = v^T so that each coordinate streams contiguously; None marks a block
+    # evaluated per candidate
+    R, cross = np.zeros(M), []
+    for cols, c, g, _ in solved_blocks:
+        if not isinstance(g, GaussianDensity):
+            cross.append(None)
+            continue
+        u, v, Ab = XK[:, cols], YN[:, cols], g.A @ g.b
+        R += c * (math.log(g.theta) + u @ Ab - (u @ g.A * u).sum(axis=1))
+        L = L - c * (v @ Ab + (v @ g.A * v).sum(axis=1))
+        cross.append((2.0 * c * (u @ g.A), np.ascontiguousarray(v.T)))
+
+    F = np.zeros(M)
+    rows, width = max(1, SUPCONV_TILE // T), min(T, SUPCONV_TILE)
+    for a in range(0, M, rows):
+        best = np.full(min(rows, M - a), -np.inf)
+        for b in range(0, T, width):
+            total = L[b:b + width]
+            for (cols, c, _, f), term in zip(solved_blocks, cross):
+                if term is not None:
+                    U, W = term  # coordinate by coordinate: no BLAS, so no tile-dependent sums
+                    for j in range(W.shape[0]):
+                        total = total + U[a:a + rows, j, None] * W[j, None, b:b + width]
+                    continue
+                yi = XK[a:a + rows, None, cols] - YN[None, b:b + width, cols]
+                logs = f.log_value(yi.reshape(-1, yi.shape[2])).reshape(yi.shape[:2])
+                total = total + c * logs
+            best = np.maximum(best, total.max(axis=1))
+        F[a:a + rows] = np.where(np.isfinite(best), np.exp(best + R[a:a + rows]), 0.0)
+    return F
 
 
 def _filter3(a: np.ndarray, op) -> np.ndarray:

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -442,6 +443,15 @@ def tile_cases():
     space = direct_sum_data([planar_lines_datum(3), axis_datum(1)])
     space_fs = [GaussianDensity(E, [[a]], [b], t) for (E, _), a, b, t in
                 zip(space.entries, (1.0, 2.0, 0.5, 1.5), (1.0, -1.0, 0.5, 2.0), (1.7, 0.4, 3.0, 0.8))]
+    # Gaussian cross terms of rank two (two solved axes, the plane free) and three
+    mixed = mixed_axes_plane_datum()
+    mixed_fs = [GaussianDensity(mixed.entries[0][0], [[1.5]], [0.5], 1.3),
+                GaussianDensity(mixed.entries[1][0], [[0.8]], [-1.0], 0.6),
+                GaussianDensity(mixed.entries[2][0], [[1.2, 0.4], [0.4, 0.9]], [0.3, -0.6], 2.0)]
+    lw = loomis_whitney_datum()
+    lw_fs = [GaussianDensity(E, A, b, t) for (E, _), A, b, t in zip(
+        lw.entries, ([[1.0, 0.3], [0.3, 2.0]], [[0.7, 0.0], [0.0, 1.4]], [[2.0, -0.5], [-0.5, 1.0]]),
+        ([0.4, -0.2], [0.0, 0.6], [-0.5, 0.1]), (1.5, 0.7, 2.2))]
     return [
         (holder_datum(1, [0.3, 0.7]), far[:2], GridSpec(0.05, 6.0)),
         (holder_datum(1, [0.25, 0.25, 0.25, 0.25]), far, GridSpec(0.5, 4.0)),
@@ -452,6 +462,8 @@ def tile_cases():
         (holder, shifted, GridSpec(0.05, 3.0)),
         (lines, lines_ex, GridSpec(0.25, 4.0)),
         (space, space_fs, GridSpec(0.5, 3.0)),
+        (mixed, mixed_fs, GridSpec(0.8, 4.0)),
+        (lw, lw_fs, GridSpec(1.0, 3.0)),
     ]
 
 
@@ -465,6 +477,17 @@ def test_supconv_tiles_do_not_change_a_float(monkeypatch):
             ev = supconv_eval(d, fs, grid)
             assert (ev.lhs, ev.rhs, ev.est_error) == (whole.lhs, whole.rhs, whole.est_error), \
                 (d.ambient_dim, d.k, tile)
+
+
+def test_tile_cases_keep_the_tile_walk_tested(monkeypatch):
+    # the Legendre route takes the rank-one Gaussian cases; the indicator,
+    # bimodal, extremizer-axes and -holder cases and the Gaussian cross
+    # terms of rank two and three still walk tiles
+    walked, tile_walk = [], integrals._tile_walk
+    monkeypatch.setattr(integrals, "_tile_walk", lambda *args: walked.append(1) or tile_walk(*args))
+    for d, fs, grid in tile_cases():
+        supconv_eval(d, fs, grid)
+    assert len(walked) == 6
 
 
 class PerCandidate(Density):
@@ -512,18 +535,109 @@ def test_supconv_gaussian_split_on_badly_scaled_data(case):
     assert_split_matches_per_candidate(holder_datum(1, list(weights)), fs, grid)
 
 
-def test_supconv_memory_is_bounded_by_the_tile():
-    # three lines at the CLI's default grid: 160^2 output cells x 160 free
-    # cells; one untiled table held 155 MB
-    d = planar_lines_datum(3)
-    fs = [GaussianDensity(E, [[a]]) for (E, _), a in zip(d.entries, (1.0, 2.0, 0.5))]
+def traced_peak(d, fs, grid):
     tracemalloc.start()
     try:
-        supconv_eval(d, fs, GridSpec(0.05, 4.0))
-        peak = tracemalloc.get_traced_memory()[1]
+        supconv_eval(d, fs, grid)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_supconv_memory_is_bounded_by_the_tile():
+    # three lines at the CLI's default grid, walked in tiles: 160^2 output
+    # cells x 160 free cells; one untiled table held 155 MB
+    d = planar_lines_datum(3)
+    fs = [PerCandidate(GaussianDensity(E, [[a]])) for (E, _), a in zip(d.entries, (1.0, 2.0, 0.5))]
+    peak = traced_peak(d, fs, GridSpec(0.05, 4.0))
     assert peak < 16 * 2 ** 20, peak
+
+
+def test_supconv_legendre_route_holds_one_value_per_cell_and_tuple():
+    # three axes in R^3 at the CLI's default grid (160^3 output cells, no
+    # free coordinate): F and the two 3 x 3 x 3 filters of the error budget
+    # need about 220 MB; whole-grid point arrays beside them held 501 MB
+    d = axis_datum(3)
+    fs = [GaussianDensity(E, [[a]]) for (E, _), a in zip(d.entries, (1.0, 2.0, 0.5))]
+    assert traced_peak(d, fs, GridSpec(0.05, 4.0)) < 300 * 2 ** 20
+    # three Gaussians in R as in the barthe-grid benchmark: 167 cells x
+    # 27,889 free tuples, 1.9 MB when the table was walked in tiles
+    d = holder_datum(1, [0.3, 0.3, 0.4])
+    fs = [GaussianDensity(LINE, [[a]]) for a in (1.0, 2.0, 0.5)]
+    assert traced_peak(d, fs, GridSpec(0.06, 5.0)) <= 2 * 2 ** 20
+
+
+def test_row_maxima_matches_the_whole_table():
+    # random rows and columns, and tables full of ties: constant L,
+    # repeated t, repeated p, a zero p, one row, one column
+    rng = np.random.default_rng(7)
+    cases = []
+    for M, T in ((1, 1), (1, 9), (9, 1), (2, 2), (3, 40), (37, 211), (300, 17), (64, 64), (500, 500)):
+        p, L, t = rng.standard_normal(M), rng.standard_normal(T), rng.standard_normal(T)
+        cases += [(p, L, t), (1e6 * p, L, 1e-3 * t), (p, np.full(T, 0.7), t), (p, L, np.round(t)),
+                  (np.round(p), L, t), (np.round(p), np.round(L), np.round(t)), (np.zeros(M), L, t)]
+    for p, L, t in cases:
+        order = np.argsort(t, kind="stable")
+        L, t = L[order], t[order]
+        table = L[None, :] + p[:, None] * t[None, :]
+        got = integrals._row_maxima(p, L, t)
+        assert np.all(got <= table.max(axis=1)), (len(p), len(t))
+        assert np.all(table.max(axis=1) - got <= 1e-15 * np.abs(table).max()), (len(p), len(t))
+
+
+RANK_ONE_SHAPES = ["holder2", "holder3", "holder4", "holder5", "grid",
+                   "lines", "axis+holder", "plane+holder", "space"]
+
+
+@st.composite
+def rank_one_cases(draw, shape):
+    """Gaussian solved blocks with random precisions, shifts b and scales
+    theta, whose cross term has rank at most one: n = 1 with k <= 5, and
+    n = 2, 3 with one free coordinate; in "grid" the free block of a
+    Holder pair is a grid density."""
+    w = draw(st.floats(0.2, 0.45))
+    if shape.startswith("holder"):
+        k = int(shape[-1])
+        weights = np.array([draw(st.floats(0.3, 1.0)) for _ in range(k)])
+        d = holder_datum(1, list(weights / weights.sum()))
+    else:
+        d = {"grid": lambda: holder_datum(1, [w, 1.0 - w]),
+             "lines": lambda: planar_lines_datum(3),
+             "axis+holder": lambda: direct_sum_data([axis_datum(1), holder_datum(1, [w, 1.0 - w])]),
+             "plane+holder": lambda: direct_sum_data([axis_datum(2), holder_datum(1, [w, 1.0 - w])]),
+             "space": lambda: direct_sum_data([planar_lines_datum(3), axis_datum(1)])}[shape]()
+    grid = {"holder2": GridSpec(0.04, 4.0), "holder3": GridSpec(0.16, 4.0), "holder4": GridSpec(0.4, 4.0),
+            "holder5": GridSpec(0.8, 4.0), "grid": GridSpec(0.05, 4.0), "lines": GridSpec(0.25, 4.0),
+            "axis+holder": GridSpec(0.25, 4.0), "plane+holder": GridSpec(0.5, 4.0),
+            "space": GridSpec(0.5, 4.0)}[shape]
+    fs = []
+    for E, _ in d.entries:
+        lam = np.diag([draw(st.floats(0.3, 3.0)) for _ in range(E.dim)])
+        if E.dim == 2:
+            a = draw(st.floats(0.0, np.pi))
+            R = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+            lam = R @ lam @ R.T
+        b = [draw(st.floats(-1.5, 1.5)) for _ in range(E.dim)]
+        fs.append(GaussianDensity(E, lam, b, draw(st.floats(0.2, 5.0))))
+    if shape == "grid":
+        # the lighter block is the free one; its cells carry random mass, some none
+        values = np.array([draw(st.floats(0.0, 2.0)) for _ in range(grid.count)])
+        values[grid.count // 2] = 1.0
+        fs[0] = GridDensity(LINE, np.array([-grid.radius]), grid.h, values)
+    return d, fs, grid
+
+
+@pytest.mark.parametrize("shape", RANK_ONE_SHAPES)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_supconv_legendre_route_matches_per_candidate_route(shape, data):
+    d, fs, grid = data.draw(rank_one_cases(shape))
+    with mock.patch.object(integrals, "_tile_walk", side_effect=AssertionError("walked tiles")):
+        route = supconv_eval(d, fs, grid)
+    generic = supconv_eval(d, [PerCandidate(f) for f in fs], grid)
+    for x, y in ((route.lhs, generic.lhs), (route.rhs, generic.rhs),
+                 (route.est_error, generic.est_error)):
+        assert abs(x - y) <= 1e-12 * abs(y), (d.ambient_dim, d.k, x, y)
 
 
 # ---------------------------------------------------------------------------
