@@ -15,15 +15,17 @@ On grids the Barthe supremum is a maximum over the exact constraint
 fiber: some coordinates of the decomposition run over the grid and the
 rest are solved from x = sum c_i x_i, so no candidate leaves the fiber
 and no slack is needed.  The sup is taken in log space so products of
-powers cannot underflow.  When every block with a solved coordinate is
-Gaussian and their bilinear cross term has rank one (n = 1, or one free
-coordinate), the sup over the free tuples is a one-dimensional discrete
-Legendre transform, found for every output cell by a divide and conquer
-in O(M + T log M) candidates.  Otherwise the output cells x free tuples
-table is taken in tiles of SUPCONV_TILE candidates, joined by a running
-maximum.  The cells, the tuples and their product are capped before any
-grid array is built.  Reported errors combine a cell-variation (inner/outer
-Riemann) bound with the mass each input loses to truncation.
+powers cannot underflow.  Gaussian blocks with a solved coordinate sum,
+in one set-up, to a term per output cell, a term per free tuple and a
+bilinear cross term of at most min(n, free coordinates) products.  When
+every such block is Gaussian and there is at most one product, the sup
+over the free tuples is a one-dimensional discrete Legendre transform,
+found for every output cell by a divide and conquer in O(M + T log M)
+candidates.  Otherwise the output cells x free tuples table is taken in
+tiles of SUPCONV_TILE candidates, joined by a running maximum.  The
+cells, the tuples and their product are capped before any grid array is
+built.  Reported errors combine a cell-variation (inner/outer Riemann)
+bound with the mass each input loses to truncation.
 """
 
 from __future__ import annotations
@@ -344,6 +346,8 @@ class GridSpec:
             key, val = key.strip(), val.replace("±", "").replace("+-", "").strip()
             if key not in ("h", "box"):
                 raise InputError(f"--grid has unknown key {key!r}; use 'h=0.05,box=±4'")
+            if key in spec:
+                raise InputError(f"--grid repeats key {key!r}; use 'h=0.05,box=±4'")
             try:
                 spec[key] = float(val)
             except ValueError:
@@ -427,17 +431,20 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
         c log f = c (log theta + <A b, u> - <A u, u>)    row term
                 - c (<A b, v> + <A v, v>)                column term
                 + 2c <A u, v>                            cross term.
-    Summed over the solved blocks, the cross term is x^T G y_Q for an
-    n x (D - n) matrix G.  When every solved block is Gaussian and G has
-    rank at most one (n = 1 or one free coordinate), a candidate is
-    R[a] + L[b] + p[a] t[b] with scalars p and t, and the maximum over
-    the free tuples is a discrete Legendre transform, found for all
-    output cells at once by _row_maxima in O(M + T log M) candidates in
-    place of the M x T table; with no free coordinate it is R + L.  This
-    route holds a few values per output cell and per free tuple.
-    Otherwise the table is walked in tiles (_tile_walk).  F is integrated
-    by the midpoint rule; the product side uses the same grid quadrature
-    per factor.
+    Summed over the Gaussian solved blocks, the row terms make R (one
+    value per output cell), the column terms join the wholly free blocks'
+    c log f in L (one value per free tuple), and the cross terms make
+    x^T G y_Q for an n x f matrix G, f = D - n, written as min(n, f)
+    products p_j[a] t_j[b].  Every other solved block keeps its
+    coordinates, K_b x per output cell and N_b y_Q per free tuple.  When
+    every solved block is Gaussian and there is at most one product
+    (n = 1 or f = 1), the maximum over the free tuples is a discrete
+    Legendre transform, found for all output cells at once by _row_maxima
+    in O(M + T log M) candidates in place of the M x T table; with no
+    free coordinate it is R + L.  Otherwise the table is walked in tiles
+    (_tile_walk).  Either way F is built from a few values per output
+    cell and per free tuple.  F is integrated by the midpoint rule; the
+    product side uses the same grid quadrature per factor.
     """
     require_validated(d)
     n = d.ambient_dim
@@ -458,47 +465,14 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
 
     h = grid.h
     weights = [c for _, c in d.entries]
-    dims = [f.domain.dim for f in densities]
 
     # per-entry grids in each density's own frame coordinates
-    pts = [_cartesian_centers(grid, m) for m in dims]
-    quads = [float(f.value(p).sum()) * h ** m for f, p, m in zip(densities, pts, dims)]
+    pts = [_cartesian_centers(grid, f.domain.dim) for f in densities]
+    quads = [float(f.value(p).sum()) * h ** f.domain.dim for f, p in zip(densities, pts)]
     if any(q <= 0.0 for q in quads):
         raise InputError("a density has zero mass on the declared box")
 
-    C = np.hstack([c * f.domain.basis for c, f in zip(weights, densities)])
-    D, starts = C.shape[1], np.cumsum([0] + dims)
-    solved = _pivot_columns(C)
-    free = np.setdiff1d(np.arange(D), solved)
-
-    # the free coordinates of each block that has one: its points, and the
-    # sum c_i log f_i over them when the block is wholly free (None otherwise)
-    factors = []
-    for i, f in enumerate(densities):
-        own = free[(free >= starts[i]) & (free < starts[i + 1])]
-        if own.size == dims[i]:
-            logs = f.log_value(pts[i])
-            keep = np.isfinite(logs)
-            factors.append((pts[i][keep], weights[i] * logs[keep]))
-        elif own.size:
-            factors.append((_cartesian_centers(grid, own.size), None))
-
-    # the fiber point over x with free part y_Q is y = K x - N y_Q
-    inv = np.linalg.inv(C[:, solved])
-    K = np.zeros((D, n))
-    K[solved] = inv
-    N = np.zeros((D, free.size))
-    N[solved] = inv @ C[:, free]
-    N[free] = -np.eye(free.size)
-    # blocks holding a solved coordinate, each with its density in its own frame
-    solved_blocks = [(slice(starts[i], starts[i + 1]), weights[i], in_frame(f, f.domain), f)
-                     for i, f in enumerate(densities) if K[starts[i]:starts[i + 1]].any()]
-
-    if min(n, free.size) <= 1 and all(isinstance(g, GaussianDensity) for _, _, g, _ in solved_blocks):
-        F = _legendre_route(grid, n, factors, K, N, solved_blocks)
-    else:
-        F = _tile_walk(grid, n, factors, K, N, solved_blocks)
-
+    F = _fiber_maximum(grid, densities, weights, pts)
     lhs = float(F.sum()) * h ** n
 
     log_rhs = sum(c * math.log(q) for c, q in zip(weights, quads))
@@ -520,48 +494,82 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
                           method="grid", est_error=float(est))
 
 
-def _legendre_route(grid: GridSpec, n, factors, K, N, solved_blocks) -> np.ndarray:
-    """F at every output cell when every solved block is Gaussian and the
-    cross term has rank at most one.  The blocks' row and column terms sum
-    to quadratics R(x) = r0 + <r, x> - <Q x, x> and -<s, y> - <S y, y>, and
-    their cross terms to x^T G y; each is evaluated on its product grid
-    from the blocks' own rows of K and N, so the route holds a few values
-    per output cell and per free tuple and never their D coordinates."""
-    f = N.shape[1]
+def _fiber_maximum(grid: GridSpec, densities, weights, pts) -> np.ndarray:
+    """F at every output cell, flat: the fiber set-up and the route."""
+    n = densities[0].domain.ambient_dim
+    C = np.hstack([c * g.domain.basis for c, g in zip(weights, densities)])
+    starts = np.cumsum([0] + [g.domain.dim for g in densities])
+    solved = _pivot_columns(C)
+    free = np.setdiff1d(np.arange(C.shape[1]), solved)
+    f = free.size
+
+    # the free coordinates of each block that has one: its points, and the
+    # sum c_i log f_i over them when the block is wholly free (None otherwise)
+    factors = []
+    for i, g in enumerate(densities):
+        own = free[(free >= starts[i]) & (free < starts[i + 1])]
+        if own.size == g.domain.dim:
+            logs = g.log_value(pts[i])
+            keep = np.isfinite(logs)
+            factors.append((pts[i][keep], weights[i] * logs[keep]))
+        elif own.size:
+            factors.append((_cartesian_centers(grid, own.size), None))
+    axes = [grid.centers()[:, None]] * n
+    points = [P for P, _ in factors]
+
+    # the fiber point over x with free part y is K x - N y; a block holding
+    # a solved coordinate is read in its own frame, and one that is not
+    # Gaussian keeps its coordinates K_b x per cell and N_b y per tuple
+    inv = np.linalg.inv(C[:, solved])
+    K = np.zeros((C.shape[1], n))
+    K[solved] = inv
+    N = np.zeros((C.shape[1], f))
+    N[solved] = inv @ C[:, free]
+    N[free] = -np.eye(f)
+    blocks = [(K[starts[i]:starts[i + 1]], N[starts[i]:starts[i + 1]], c, in_frame(g, g.domain), g)
+              for i, (g, c) in enumerate(zip(densities, weights)) if K[starts[i]:starts[i + 1]].any()]
+    gaussian = [(Kb, Nb, c, g) for Kb, Nb, c, g, _ in blocks if isinstance(g, GaussianDensity)]
+    others = [(c, g, _linear(axes, Kb), _linear(points, Nb))
+              for Kb, Nb, c, framed, g in blocks if not isinstance(framed, GaussianDensity)]
+
+    # Gaussian blocks: R(x) = r0 + <r, x> - <Q x, x> per output cell,
+    # -<s, y> - <S y, y> per free tuple into L, and the cross term x^T G y
     r0, r, Q = 0.0, np.zeros(n), np.zeros((n, n))
     s, S, G = np.zeros(f), np.zeros((f, f)), np.zeros((n, f))
-    for cols, c, g, _ in solved_blocks:
-        Kb, Nb, Ab = K[cols], N[cols], g.A @ g.b
+    for Kb, Nb, c, g in gaussian:
+        Ab = g.A @ g.b
         r0 += c * math.log(g.theta)
         r += c * (Kb.T @ Ab)
         Q += c * (Kb.T @ g.A @ Kb)
         s += c * (Nb.T @ Ab)
         S += c * (Nb.T @ g.A @ Nb)
         G += 2.0 * c * (Kb.T @ g.A @ Nb)
-    axes = [grid.centers()[:, None]] * n
-    points = [P for P, _ in factors]
-    F = np.full([grid.count] * n, r0)
-    _add_quadratic(F, axes, r, -Q)
+    R = np.full([grid.count] * n, r0)
+    _add_quadratic(R, axes, r, -Q)
     L = np.zeros([len(P) for P in points])
     for m, (_, piece) in enumerate(factors):
         if piece is not None:
             L += _along(L.ndim, m, piece)
     _add_quadratic(L, points, -s, -S)
-    F = F.reshape(-1)
-    if f == 0:
-        F += L
+    R, L = R.reshape(-1), L.reshape(-1)
+    # x^T G y as min(n, f) products p_j[a] t_j[b]: the coordinates of x
+    # against the rows of G, or the columns of G against the coordinates
+    # of y; none when no solved block is Gaussian
+    rows, cols = (np.eye(n), G) if n <= f else (G.T, np.eye(f))
+    rank = min(n, f) if gaussian else 0
+    products = list(zip(_linear(axes, rows[:rank]).T, _linear(points, cols[:rank]).T))
+
+    if others or len(products) > 1:
+        return _tile_walk(R, L, products, others)
+    if products:
+        (p, t), = products
+        order = np.argsort(t, kind="stable")
+        L, t = L[order], t[order]
+        del order, products  # the search holds only the sorted copies
+        R += _row_maxima(p, L, t)
     else:
-        # G = outer(row, col): with n = 1 row is 1, with one free coordinate col is 1
-        row, col = (np.ones(1), G[0]) if n == 1 else (G[:, 0], np.ones(1))
-        p = np.zeros([grid.count] * n)
-        _add_quadratic(p, axes, row, np.zeros((n, n)))
-        t = np.zeros(L.shape)
-        _add_quadratic(t, points, col, np.zeros((f, f)))
-        order = np.argsort(t, axis=None, kind="stable")
-        L, t = L.reshape(-1)[order], t.reshape(-1)[order]
-        del order
-        F += _row_maxima(p.reshape(-1), L, t)
-    return np.exp(F, out=F)
+        R += L.max()
+    return np.exp(R, out=R)
 
 
 def _along(ndim: int, axis: int, vec: np.ndarray) -> np.ndarray:
@@ -584,6 +592,16 @@ def _add_quadratic(out: np.ndarray, points, lin, quad) -> None:
         for l in range(j + 1, len(z)):
             if axis[j] != axis[l] and quad[j, l] != 0.0:
                 out += 2.0 * quad[j, l] * z[j] * z[l]
+
+
+def _linear(points, rows) -> np.ndarray:
+    """<row, z> for each row of rows at every z of the product of the point
+    sets in points, summed as _add_quadratic sums it: one column per row."""
+    shape = [len(P) for P in points]
+    out = np.zeros(shape + [len(rows)])
+    for j, row in enumerate(rows):
+        _add_quadratic(out[..., j], points, row, np.zeros((len(row), len(row))))
+    return out.reshape(math.prod(shape), len(rows))
 
 
 def _row_maxima(p: np.ndarray, L: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -650,51 +668,26 @@ def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tile_walk(grid: GridSpec, n, factors, K, N, solved_blocks) -> np.ndarray:
+def _tile_walk(R, L, products, others) -> np.ndarray:
     """F at every output cell from the M x T table of output cells by free
     tuples, in tiles of at most SUPCONV_TILE candidates: blocks of rows
     and, when T exceeds the tile, column slabs joined by a running per-row
-    maximum.  A Gaussian block enters a tile as its cross term, one
-    broadcast multiply-add per frame coordinate summed in a fixed order,
-    with its row term added after the per-row maximum and its column term
-    in L; other densities are evaluated per candidate."""
-    Y = np.zeros((1, 0))
-    L = np.zeros(1)
-    for block, piece in factors:
-        piece = np.zeros(block.shape[0]) if piece is None else piece
-        Y = np.hstack([np.repeat(Y, block.shape[0], axis=0), np.tile(block, (Y.shape[0], 1))])
-        L = (L[:, None] + piece[None, :]).reshape(-1)
-    X = _cartesian_centers(grid, n)
-    XK, YN = X @ K.T, Y @ N.T
-    M, T = X.shape[0], Y.shape[0]
-
-    # Gaussian blocks: row term into R, column term into L, cross term (U, W),
-    # W = v^T so that each coordinate streams contiguously; None marks a block
-    # evaluated per candidate
-    R, cross = np.zeros(M), []
-    for cols, c, g, _ in solved_blocks:
-        if not isinstance(g, GaussianDensity):
-            cross.append(None)
-            continue
-        u, v, Ab = XK[:, cols], YN[:, cols], g.A @ g.b
-        R += c * (math.log(g.theta) + u @ Ab - (u @ g.A * u).sum(axis=1))
-        L = L - c * (v @ Ab + (v @ g.A * v).sum(axis=1))
-        cross.append((2.0 * c * (u @ g.A), np.ascontiguousarray(v.T)))
-
+    maximum.  A candidate is L[b] plus each product p_j[a] t_j[b] plus,
+    for each non-Gaussian solved block, c log f at K_b x - N_b y, summed in
+    a fixed order, so no float depends on the tile; R is added after the
+    per-row maximum."""
+    M, T = R.size, L.size
     F = np.zeros(M)
     rows, width = max(1, SUPCONV_TILE // T), min(T, SUPCONV_TILE)
     for a in range(0, M, rows):
         best = np.full(min(rows, M - a), -np.inf)
         for b in range(0, T, width):
             total = L[b:b + width]
-            for (cols, c, _, f), term in zip(solved_blocks, cross):
-                if term is not None:
-                    U, W = term  # coordinate by coordinate: no BLAS, so no tile-dependent sums
-                    for j in range(W.shape[0]):
-                        total = total + U[a:a + rows, j, None] * W[j, None, b:b + width]
-                    continue
-                yi = XK[a:a + rows, None, cols] - YN[None, b:b + width, cols]
-                logs = f.log_value(yi.reshape(-1, yi.shape[2])).reshape(yi.shape[:2])
+            for p, t in products:
+                total = total + p[a:a + rows, None] * t[None, b:b + width]
+            for c, f, U, V in others:
+                z = U[a:a + rows, None] - V[None, b:b + width]
+                logs = f.log_value(z.reshape(-1, z.shape[2])).reshape(z.shape[:2])
                 total = total + c * logs
             best = np.maximum(best, total.max(axis=1))
         F[a:a + rows] = np.where(np.isfinite(best), np.exp(best + R[a:a + rows]), 0.0)

@@ -152,26 +152,18 @@ def bowtie_classes(r: RankOneDatum) -> tuple:
     rank-one Ball-Barthe inequality for those vectors, not a structure of
     the datum (rotating a frame inside its E_i can merge classes).
     """
-    k = r.k
-    gram = np.abs(r.vectors @ r.vectors.T)
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if gram[i, j] > RESIDUAL_TOL:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0]))
+    adj = np.abs(r.vectors @ r.vectors.T) > RESIDUAL_TOL
+    unseen, classes = np.ones(r.k, dtype=bool), []
+    while unseen.any():
+        # the smallest unseen vector starts a class, grown breadth-first
+        members = np.arange(r.k) == np.argmax(unseen)
+        frontier = members.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~members
+            members |= frontier
+        unseen &= ~members
+        classes.append(tuple(np.flatnonzero(members).tolist()))
+    return tuple(classes)
 
 
 def indecomposable_decomposition(d: GeometricBLDatum) -> list:

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapError, InputError
 from .integrals import Density, GaussianDensity, GridDensity, GridSpec, in_frame
 
 MONOTONE_SLACK = 1e-12
 FLATTEN_RTOL = 0.05
+TRANSPORT_MAX_SAMPLES = 1 << 20  # map samples: about 0.4 GB peak RSS for the CLI command at the cap
 
 
 @dataclass
@@ -115,6 +116,8 @@ def brenier_1d(f: Density, g: Density, grid: GridSpec) -> MonotoneMap:
     Both densities are normalized internally, so T only depends on their
     shapes; zero total mass is an error.
     """
+    if grid.count + 1 > TRANSPORT_MAX_SAMPLES:
+        raise CapError("transport samples", TRANSPORT_MAX_SAMPLES, grid.count + 1)
     fx, fu, fmass = _cdf_knots(f, grid)
     gx, gu, gmass = _cdf_knots(g, grid)
     if fmass <= 0.0 or gmass <= 0.0:

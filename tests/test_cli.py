@@ -321,9 +321,10 @@ FAR_GAUSS_JSON = dict(GAUSS_JSON, A=[[3.0]], b=[2000.0])
     "theta_string", "h_string", "lo_string", "values_string", "cover_with_huge_n",
     "flat_triangle_for_qhull", "gaussian_ragged_A", "gaussian_A_of_a_plane", "grid_ragged_values",
     "polytope_ragged_vertices", "subspace_huge_n", "factor_outside_its_domain",
-    "grid_not_a_number", "grid_unknown_key", "grid_overflow", "gaussian_mass_overflow",
-    "gaussian_mass_overflow_densities", "overflowing_bl_sides", "overflowing_barthe_sides",
-    "overflowing_ball_sides", "grid_mass_overflow", "grid_before_missing_datum",
+    "grid_not_a_number", "grid_unknown_key", "grid_repeated_key", "grid_overflow",
+    "gaussian_mass_overflow", "gaussian_mass_overflow_densities", "overflowing_bl_sides",
+    "overflowing_barthe_sides", "overflowing_ball_sides", "grid_mass_overflow",
+    "grid_before_missing_datum", "transport_samples",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -375,6 +376,8 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
              "grid_ragged_values": "grid values", "polytope_ragged_vertices": "polytope vertices",
              "subspace_huge_n": "subspace n", "factor_outside_its_domain": "factor subspace",
              "grid_not_a_number": "--grid h", "grid_unknown_key": "--grid has unknown key 'size'",
+             "grid_repeated_key": "--grid repeats key 'box'",
+             "transport_samples": "cap 'transport samples' exceeded: 160000001 > 1048576",
              "grid_before_missing_datum": "--grid h",
              "grid_overflow": "grid cell count", "overflowing_report": "grid values",
              "grid_mass_overflow": "grid values",
@@ -427,9 +430,13 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         spec = "h=0.05,box=inf" if case == "grid_infinite_box" else "h=1e-320,box=8"
         argv = ["barthe-eval", holder, "--densities", write("d.json", json.dumps([GAUSS_JSON] * 2)),
                 "--grid", spec]
-    elif case in ("grid_not_a_number", "grid_unknown_key"):
-        spec = "h=abc,box=4" if case == "grid_not_a_number" else "h=0.5,box=4,size=9"
+    elif case in ("grid_not_a_number", "grid_unknown_key", "grid_repeated_key"):
+        spec = {"grid_not_a_number": "h=abc,box=4", "grid_unknown_key": "h=0.5,box=4,size=9",
+                "grid_repeated_key": "h=0.05,box=4,box=9"}[case]
         argv = ["transport", "--f", gauss, "--g", gauss, "--grid", spec]
+    elif case == "transport_samples":
+        # 1.6e8 samples: several GB of arrays if it were let through
+        argv = ["transport", "--f", gauss, "--g", gauss, "--grid", "h=1e-7,box=8"]
     elif case == "grid_before_missing_datum":
         # --grid is read before any file, so the missing datum goes unnamed
         argv = ["barthe-eval", str(tmp_path / "missing.json"), "--densities", gauss,

@@ -567,6 +567,17 @@ def test_supconv_legendre_route_holds_one_value_per_cell_and_tuple():
     assert traced_peak(d, fs, GridSpec(0.06, 5.0)) <= 2 * 2 ** 20
 
 
+def test_supconv_tile_walk_holds_a_few_values_per_cell_and_tuple():
+    # a grid density on the first of three axes in R^3 at the CLI's default
+    # grid walks tiles (160^3 output cells, no free coordinate); the output
+    # points and their solved coordinates beside the tiles held 344 MB
+    d = axis_datum(3)
+    tent = np.clip(1.0 - np.abs(GridSpec(0.05, 4.0).centers()) / 2.0, 0.0, None)
+    fs = [GridDensity(d.entries[0][0], [-4.0], 0.05, tent),
+          GaussianDensity(d.entries[1][0], [[2.0]]), GaussianDensity(d.entries[2][0], [[0.5]])]
+    assert traced_peak(d, fs, GridSpec(0.05, 4.0)) < 300 * 2 ** 20
+
+
 def test_row_maxima_matches_the_whole_table():
     # random rows and columns, and tables full of ties: constant L,
     # repeated t, repeated p, a zero p, one row, one column
@@ -587,6 +598,21 @@ def test_row_maxima_matches_the_whole_table():
 
 RANK_ONE_SHAPES = ["holder2", "holder3", "holder4", "holder5", "grid",
                    "lines", "axis+holder", "plane+holder", "space"]
+
+
+def random_gaussians(draw, d):
+    """One Gaussian per entry of d, on a line or a plane, with a random
+    precision A, shift b and scale theta."""
+    fs = []
+    for E, _ in d.entries:
+        lam = np.diag([draw(st.floats(0.3, 3.0)) for _ in range(E.dim)])
+        if E.dim == 2:
+            a = draw(st.floats(0.0, np.pi))
+            R = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+            lam = R @ lam @ R.T
+        b = [draw(st.floats(-1.5, 1.5)) for _ in range(E.dim)]
+        fs.append(GaussianDensity(E, lam, b, draw(st.floats(0.2, 5.0))))
+    return fs
 
 
 @st.composite
@@ -610,15 +636,7 @@ def rank_one_cases(draw, shape):
             "holder5": GridSpec(0.8, 4.0), "grid": GridSpec(0.05, 4.0), "lines": GridSpec(0.25, 4.0),
             "axis+holder": GridSpec(0.25, 4.0), "plane+holder": GridSpec(0.5, 4.0),
             "space": GridSpec(0.5, 4.0)}[shape]
-    fs = []
-    for E, _ in d.entries:
-        lam = np.diag([draw(st.floats(0.3, 3.0)) for _ in range(E.dim)])
-        if E.dim == 2:
-            a = draw(st.floats(0.0, np.pi))
-            R = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-            lam = R @ lam @ R.T
-        b = [draw(st.floats(-1.5, 1.5)) for _ in range(E.dim)]
-        fs.append(GaussianDensity(E, lam, b, draw(st.floats(0.2, 5.0))))
+    fs = random_gaussians(draw, d)
     if shape == "grid":
         # the lighter block is the free one; its cells carry random mass, some none
         values = np.array([draw(st.floats(0.0, 2.0)) for _ in range(grid.count)])
@@ -638,6 +656,19 @@ def test_supconv_legendre_route_matches_per_candidate_route(shape, data):
     for x, y in ((route.lhs, generic.lhs), (route.rhs, generic.rhs),
                  (route.est_error, generic.est_error)):
         assert abs(x - y) <= 1e-12 * abs(y), (d.ambient_dim, d.k, x, y)
+
+
+@pytest.mark.parametrize("shape", ["mixed", "loomis-whitney"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_supconv_cross_terms_of_rank_two_and_three_match_per_candidate_route(shape, data):
+    # the axes and the plane of R^2 leave two free coordinates, the
+    # coordinate planes of R^3 three: two or three products in each tile
+    d, grid = {"mixed": (mixed_axes_plane_datum(), GridSpec(0.5, 4.0)),
+               "loomis-whitney": (loomis_whitney_datum(), GridSpec(1.0, 4.0))}[shape]
+    fs = random_gaussians(data.draw, d)
+    with mock.patch.object(integrals, "_row_maxima", side_effect=AssertionError("searched rows")):
+        assert_split_matches_per_candidate(d, fs, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,13 @@ def test_bowtie_axis_singletons():
     assert bowtie_classes(r) == ((0,), (1,), (2,), (3,))
 
 
+def test_bowtie_classes_at_the_caps():
+    # 64 copies of R^32 (n = 32, k = 64): 2048 vectors, one class per axis,
+    # ordered by smallest member, members ascending
+    r = rank_one_expansion(holder_datum(32, ["1/64"] * 64))
+    assert bowtie_classes(r) == tuple(tuple(range(j, 2048, 32)) for j in range(32))
+
+
 def test_bowtie_paired_planes_two_classes():
     d = paired_planes_datum()
     r = rank_one_expansion(d)

@@ -1,13 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from conftest import indicator_density, invert_cdf_oracle
 
-from blgeo.errors import InputError
+from blgeo.errors import CapError, InputError
 from blgeo.integrals import Density, GaussianDensity, GridDensity, GridSpec
 from blgeo.subspace import full_subspace
 from blgeo.transport import (
+    TRANSPORT_MAX_SAMPLES,
     MonotoneMap,
     _cdf_knots,
     _invert_cdf,
@@ -198,6 +201,16 @@ def test_zero_mass_rejected():
     empty = GridDensity(LINE, np.array([0.0]), 0.1, np.zeros(10))
     with pytest.raises(InputError):
         brenier_1d(empty, STD, SPEC)
+
+
+def test_sample_cap_refuses_before_allocating():
+    # 2^20 samples pass; 1.6e8 would be several GB of arrays
+    count = TRANSPORT_MAX_SAMPLES - 1
+    assert len(brenier_1d(STD, STD, GridSpec(8.0 / count, 4.0)).xs) == TRANSPORT_MAX_SAMPLES
+    t = time.perf_counter()
+    with pytest.raises(CapError, match="transport samples"):
+        brenier_1d(STD, STD, GridSpec(1e-7, 8.0))
+    assert time.perf_counter() - t < 1.0
 
 
 def test_monotone_map_validation():
