@@ -397,10 +397,23 @@ def gaussian_barthe_eval(d: GeometricBLDatum, Phi) -> IneqEvaluation:
     return _closed_form(log_pi + 0.5 * log_lhs, log_pi + 0.5 * log_rhs, "barthe")
 
 
-def _cartesian_centers(spec: GridSpec, dim: int) -> np.ndarray:
+def _cartesian_centers(spec: GridSpec, dim: int, rows=slice(None)) -> np.ndarray:
+    """The cell centres of spec in dim dimensions, the first axis slowest;
+    rows picks a range of the first axis."""
     axes = [spec.centers()] * dim
+    axes[0] = axes[0][rows]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _center_slabs(spec: GridSpec, dim: int):
+    """_cartesian_centers(spec, dim) in order, in chunks of whole first-axis
+    slabs of at least max(SUPCONV_TILE, count^2) points: a grid on a line or
+    a plane is one chunk, one in R^3 a slab or a few."""
+    count = spec.count
+    step = -(-max(SUPCONV_TILE, count ** 2) // count ** (dim - 1))
+    for a in range(0, count, step):
+        yield _cartesian_centers(spec, dim, slice(a, a + step))
 
 
 def _pivot_columns(C: np.ndarray) -> np.ndarray:
@@ -466,13 +479,13 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     h = grid.h
     weights = [c for _, c in d.entries]
 
-    # per-entry grids in each density's own frame coordinates
-    pts = [_cartesian_centers(grid, f.domain.dim) for f in densities]
-    quads = [float(f.value(p).sum()) * h ** f.domain.dim for f, p in zip(densities, pts)]
+    # per-entry grids in each density's own frame coordinates, summed flat
+    quads = [float(np.concatenate([f.value(P) for P in _center_slabs(grid, f.domain.dim)]).sum())
+             * h ** f.domain.dim for f in densities]
     if any(q <= 0.0 for q in quads):
         raise InputError("a density has zero mass on the declared box")
 
-    F = _fiber_maximum(grid, densities, weights, pts)
+    F = _fiber_maximum(grid, densities, weights)
     lhs = float(F.sum()) * h ** n
 
     log_rhs = sum(c * math.log(q) for c, q in zip(weights, quads))
@@ -494,7 +507,7 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
                           method="grid", est_error=float(est))
 
 
-def _fiber_maximum(grid: GridSpec, densities, weights, pts) -> np.ndarray:
+def _fiber_maximum(grid: GridSpec, densities, weights) -> np.ndarray:
     """F at every output cell, flat: the fiber set-up and the route."""
     n = densities[0].domain.ambient_dim
     C = np.hstack([c * g.domain.basis for c, g in zip(weights, densities)])
@@ -509,9 +522,12 @@ def _fiber_maximum(grid: GridSpec, densities, weights, pts) -> np.ndarray:
     for i, g in enumerate(densities):
         own = free[(free >= starts[i]) & (free < starts[i + 1])]
         if own.size == g.domain.dim:
-            logs = g.log_value(pts[i])
-            keep = np.isfinite(logs)
-            factors.append((pts[i][keep], weights[i] * logs[keep]))
+            kept = []
+            for P in _center_slabs(grid, own.size):
+                logs = g.log_value(P)
+                keep = np.isfinite(logs)
+                kept.append((P[keep], weights[i] * logs[keep]))
+            factors.append(tuple(np.concatenate(part) for part in zip(*kept)))
         elif own.size:
             factors.append((_cartesian_centers(grid, own.size), None))
     axes = [grid.centers()[:, None]] * n

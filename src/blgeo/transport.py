@@ -4,9 +4,9 @@ The Brenier map between densities on the line is the monotone
 rearrangement T = F_f^{-1} o F_g, which pushes the g-measure forward to
 the f-measure: the f-mass of T((-inf, x]) equals the g-mass of
 (-inf, x].  Cumulative distributions are computed exactly where the
-density kind allows it (error functions for Gaussians, cell-mass sums
-for grids) so the map error is dominated by interpolation, not
-quadrature.
+density kind allows it (erf to within rounding for Gaussians, by
+_gaussian_cdf on numpy alone; cell-mass sums for grids) so the map
+error is dominated by interpolation, not quadrature.
 
 Flat CDF segments (zero-density gaps) are inverted to their left
 endpoint, which makes plateau tie-breaking deterministic.
@@ -28,6 +28,9 @@ from .integrals import Density, GaussianDensity, GridDensity, GridSpec, in_frame
 
 MONOTONE_SLACK = 1e-12
 FLATTEN_RTOL = 0.05
+ERF_REACH = 0.03  # half-width in z of a Taylor block of _gaussian_cdf
+ERF_TERMS = 9  # Taylor terms per block: the remainder at ERF_REACH is below 2e-18
+ERF_SATURATION = 6.0  # erfc(6) < 2.2e-17, under half an ulp of 1: erf rounds to +-1 beyond
 TRANSPORT_MAX_SAMPLES = 1 << 20  # map samples: about 0.4 GB peak RSS for the CLI command at the cap
 
 
@@ -65,13 +68,16 @@ def _require_line(density: Density) -> Density:
 
 
 def _cdf_knots(density: Density, span: GridSpec):
-    """Knot points, normalized CDF values at them, and the total mass.
+    """Knot points, normalized CDF values at them, and the total mass of a
+    density on a line in its own frame (as _require_line returns it).
 
     The CDF is normalized analytically, so the overall mass scale of the
     density never enters the knot values: scaling a density cannot move
-    the plateau boundaries by rounding.
+    the plateau boundaries by rounding.  A grid's knots are its cell
+    edges; a Gaussian's are the sample points of span, where its CDF
+    0.5 (1 + erf(sqrt(a) (x - b/2))) is nondecreasing and within a few
+    ulp of the exact value.
     """
-    density = _require_line(density)
     if isinstance(density, GridDensity):
         edges = np.concatenate([[density.lo[0]], density.lo[0] + density.h * np.arange(1, density.values.size + 1)])
         masses = density.values * density.h
@@ -83,13 +89,81 @@ def _cdf_knots(density: Density, span: GridSpec):
         return edges, cdf, total
     if isinstance(density, GaussianDensity):
         # theta * exp(-a z^2 + a b z): the shape CDF is theta-free
-        from scipy.special import erf  # lazy, for a fast cold start (math.erf differs in the last bit)
-        a = float(density.A[0, 0])
-        b = float(density.b[0])
         xs = np.linspace(-span.radius, span.radius, span.count + 1)
-        cdf = 0.5 * (1.0 + erf(math.sqrt(a) * (xs - b / 2.0)))
+        cdf = _gaussian_cdf(xs, float(density.A[0, 0]), float(density.b[0]) / 2.0)
         return xs, cdf, float(density.integral())
     raise InputError(f"unsupported density kind for transport: {type(density).__name__}")
+
+
+def _gaussian_cdf(xs: np.ndarray, a: float, centre: float) -> np.ndarray:
+    """0.5 (1 + erf(z)), z = sqrt(a) (x - centre), at evenly spaced xs, on numpy alone.
+
+    Where |z| >= ERF_SATURATION, erf is +-1 to the double.  In between, the
+    knots are cut into blocks of s = 2 ERF_REACH / dz consecutive ones (dz
+    the step in z), each expanded about its middle knot z0, where math.erf
+    (math.erfc for |z0| >= 1) gives the value:
+        erf(z0 + d) = erf(z0) + sum_{m >= 1} g_{m-1} d^m / m,
+    with g_k the Taylor coefficients of erf' = (2 / sqrt(pi)) e^{-z^2} at
+    z0, which obey (k + 1) g_{k+1} = -2 (z0 g_k + g_{k-1}) because
+    erf'' = -2 z erf' (the Hermite recurrence).  The linear term takes each
+    knot's own d = z - z0.  The terms m >= 2 take the nominal offset
+    (r - s // 2) dz of the knot's place r in its block, the same in every
+    block, so they are one (terms x blocks) by (terms x s) product, which
+    einsum sums in a fixed order, free of the BLAS.  The nominal offset
+    misses d by the rounding e of z, which costs about erf''(z) d e: at
+    most 2 |z| ERF_REACH < 0.4 of the change erf' e that e makes to erf
+    itself, and a few ulp on the CLI's grids.  Everything but the +-1 of
+    erf(z0) is summed first, so each block is nondecreasing; a dip of an
+    ulp can sit only at a block boundary, where each block is floored by
+    the running maximum of the blocks before it.  That keeps every value
+    within its error of erf, as erf is nondecreasing too.
+    """
+    root = math.sqrt(a)
+    reach = ERF_SATURATION / root
+    lo = int(np.searchsorted(xs, centre - reach, side="left"))
+    hi = int(np.searchsorted(xs, centre + reach, side="right"))
+    cdf = np.empty(xs.size)
+    cdf[:lo], cdf[hi:] = 0.0, 1.0
+    n = hi - lo
+    if n == 0:
+        return cdf
+    dz = root * (xs[-1] - xs[0]) / (xs.size - 1)
+    s = max(1, int(min(n, 2.0 * ERF_REACH / dz)))
+    Z = np.empty((-(-n // s), s))  # z at knot lo + k s + r sits at [k, r]
+    flat = Z.reshape(-1)
+    np.subtract(xs[lo:hi], centre, out=flat[:n])
+    flat[:n] *= root
+    flat[n:] = flat[n - 1] + dz * np.arange(1, flat.size - n + 1)  # the progression continued
+    z0 = Z[:, s // 2].copy()
+    g = np.empty((ERF_TERMS, z0.size))  # g_0 .. g_{ERF_TERMS - 1} per block
+    g[0] = (2.0 / math.sqrt(math.pi)) * np.exp(-z0 * z0)
+    np.multiply(g[0], -2.0 * z0, out=g[1])
+    for k in range(1, ERF_TERMS - 1):
+        np.multiply(z0, g[k], out=g[k + 1])
+        g[k + 1] += g[k - 1]
+        g[k + 1] *= -2.0 / (k + 1)
+    offsets = dz * np.arange(-(s // 2), s - s // 2)
+    powers = np.cumprod(np.repeat(offsets[None, :], ERF_TERMS, axis=0), axis=0)
+    powers /= np.arange(1, ERF_TERMS + 1)[:, None]  # d^m / m for m = 1 .. ERF_TERMS
+    high = np.einsum("mk,mr->kr", g[1:], powers[1:])
+    Z -= z0[:, None]
+    Z *= g[0][:, None]
+    Z += high  # now erf - erf(z0)
+    # erf(z0) = base + rest: base = +-1 and rest = -+erfc(|z0|) where |z0| >= 1,
+    # else base = 0; rest keeps erfc's relative precision in the tails, so erf
+    # is rounded once there, when base is added last (as scipy rounds 1 - erfc)
+    base = np.where(np.abs(z0) >= 1.0, np.sign(z0), 0.0)
+    rest = np.fromiter((math.erf(v) if b == 0.0 else -b * math.erfc(b * v)
+                        for v, b in zip(z0.tolist(), base.tolist())), float, z0.size)
+    Z += rest[:, None]
+    Z += base[:, None]
+    ends = np.maximum.accumulate(Z[:-1, -1])
+    if np.any(Z[1:, 0] < ends):
+        np.maximum(Z[1:], ends[:, None], out=Z[1:])
+    live = cdf[lo:hi]
+    np.add(flat[:n], 1.0, out=live)
+    live *= 0.5
+    return cdf
 
 
 def _invert_cdf(knots_x: np.ndarray, knots_u: np.ndarray, u):
@@ -118,12 +192,16 @@ def brenier_1d(f: Density, g: Density, grid: GridSpec) -> MonotoneMap:
     """
     if grid.count + 1 > TRANSPORT_MAX_SAMPLES:
         raise CapError("transport samples", TRANSPORT_MAX_SAMPLES, grid.count + 1)
+    f, g = _require_line(f), _require_line(g)
     fx, fu, fmass = _cdf_knots(f, grid)
     gx, gu, gmass = _cdf_knots(g, grid)
     if fmass <= 0.0 or gmass <= 0.0:
         raise InputError("transport needs densities of positive mass")
-    xs = np.linspace(-grid.radius, grid.radius, grid.count + 1)
-    u = np.interp(xs, gx, gu, left=0.0, right=1.0)
+    if isinstance(g, GaussianDensity):  # its knots are the sample points
+        xs, u = gx, gu
+    else:
+        xs = np.linspace(-grid.radius, grid.radius, grid.count + 1)
+        u = np.interp(xs, gx, gu, left=0.0, right=1.0)
     ts = _invert_cdf(fx, fu, u)
     ts = np.maximum.accumulate(ts)  # guard against rounding-level dips
     return MonotoneMap(xs, ts)
@@ -167,7 +245,7 @@ def linear_growth_estimate(T: MonotoneMap) -> GrowthReport:
         raise InputError("growth estimate needs at least 10 samples")
     ratio = np.abs(ts) / np.sqrt(1.0 + xs ** 2)
     sup = float(ratio.max())
-    ends = [ratio[end][np.argsort(np.abs(xs[end]))] for end in (xs < 0.0, xs >= 0.0)]
-    tails = [r[-max(2, r.size // 10):] for r in ends if r.size]
+    zero = int(np.searchsorted(xs, 0.0))  # xs increases: |x| grows along each end read outward
+    tails = [r[-max(2, r.size // 10):] for r in (ratio[:zero][::-1], ratio[zero:]) if r.size]
     bounded = all(r.max() <= max(r[0], 1e-300) * (1.0 + FLATTEN_RTOL) for r in tails)
     return GrowthReport(sup_ratio=sup, growth_bounded=bool(bounded))

@@ -528,11 +528,14 @@ def test_grid_barthe_beyond_its_work_caps_exits_one_at_once(d, grid, cap, tmp_pa
 
 
 def test_scipy_free_commands_load_no_scipy(files, tmp_path):
-    # importing scipy is most of a cold start; only dual-bt and transport need it
+    # importing scipy is most of a cold start; only dual-bt needs it
     holder = tmp_path / "holder.json"
     holder.write_text(json.dumps(HOLDER_JSON))
     densities = tmp_path / "densities.json"
     densities.write_text(json.dumps([json.loads(Path(files["gauss"]).read_text())] * 2))
+    steps = tmp_path / "steps.json"
+    steps.write_text(json.dumps({"kind": "grid", "domain": LINE_JSON, "lo": [-1.0], "h": 0.5,
+                                 "values": [1.0, 2.0, 0.5, 1.0]}))
     calls = [
         ["validate", files["r4"]],
         ["analyze", files["lw3"]],
@@ -544,6 +547,8 @@ def test_scipy_free_commands_load_no_scipy(files, tmp_path):
         ["barthe-eval", str(holder), "--densities", str(densities), "--grid", "h=0.05,box=±4"],
         ["bt", files["lw_cover"], files["tromino"]],
         ["covers-induce", files["lw_cover"]],
+        ["transport", "--f", files["wide"], "--g", files["gauss"]],
+        ["transport", "--f", str(steps), "--g", files["gauss"]],
     ]
     script = ("import contextlib, io, json, sys\n"
               "from blgeo.cli import main\n"

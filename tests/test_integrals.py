@@ -479,6 +479,27 @@ def test_supconv_tiles_do_not_change_a_float(monkeypatch):
                 (d.ambient_dim, d.k, tile)
 
 
+def test_supconv_slabs_of_a_whole_space_entry_do_not_change_a_float(monkeypatch):
+    # entries on all of R^3, their grid points read whole, two slabs at a
+    # time and one at a time; the second case has a wholly free block with
+    # cells of zero mass, which it drops
+    R3 = full_subspace(3)
+    A = [[1.2, 0.3, 0.1], [0.3, 0.8, -0.2], [0.1, -0.2, 1.5]]
+    holes = np.random.default_rng(5).uniform(0.0, 1.0, (6, 6, 6)) * (np.arange(6) % 3 > 0)
+    cases = [(GeometricBLDatum(3, ((R3, 1.0),)), [GaussianDensity(R3, A, [0.3, -0.5, 0.2], 1.7)],
+              GridSpec(0.25, 4.0)),
+             (GeometricBLDatum(3, ((R3, 0.4), (R3, 0.6))),
+              [GridDensity(R3, [-1.5] * 3, 0.5, holes), GaussianDensity(R3, A)], GridSpec(1.0, 4.0))]
+    for d, fs, grid in cases:
+        slab = grid.count ** 2
+        results = []
+        for tile in (10 ** 9, 2 * slab, 7):
+            monkeypatch.setattr(integrals, "SUPCONV_TILE", tile)
+            ev = supconv_eval(d, fs, grid)
+            results.append((ev.lhs, ev.rhs, ev.est_error))
+        assert results[0] == results[1] == results[2], (d.k, results)
+
+
 def test_tile_cases_keep_the_tile_walk_tested(monkeypatch):
     # the Legendre route takes the rank-one Gaussian cases; the indicator,
     # bimodal, extremizer-axes and -holder cases and the Gaussian cross
@@ -565,6 +586,15 @@ def test_supconv_legendre_route_holds_one_value_per_cell_and_tuple():
     d = holder_datum(1, [0.3, 0.3, 0.4])
     fs = [GaussianDensity(LINE, [[a]]) for a in (1.0, 2.0, 0.5)]
     assert traced_peak(d, fs, GridSpec(0.06, 5.0)) <= 2 * 2 ** 20
+
+
+def test_supconv_grid_points_of_a_whole_space_entry_come_a_slab_at_a_time():
+    # one Gaussian on all of R^3 at the CLI's default grid: 160^3 points of
+    # 3 coordinates are 98 MB, and its value over them makes temporaries of
+    # that size; the whole grid at once peaked at 282 MB
+    R3 = full_subspace(3)
+    d = GeometricBLDatum(3, ((R3, 1.0),))
+    assert traced_peak(d, [GaussianDensity(R3, np.eye(3))], GridSpec(0.05, 4.0)) < 200 * 2 ** 20
 
 
 def test_supconv_tile_walk_holds_a_few_values_per_cell_and_tuple():

@@ -1,11 +1,15 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from conftest import indicator_density, invert_cdf_oracle
 
+from blgeo import transport
 from blgeo.errors import CapError, InputError
 from blgeo.integrals import Density, GaussianDensity, GridDensity, GridSpec
 from blgeo.subspace import full_subspace
@@ -244,3 +248,32 @@ def test_invert_cdf_matches_per_sample_oracle(rng):
         kx, ku, _ = _cdf_knots(f, SPEC)
         uu = np.concatenate([u, ku])
         assert _invert_cdf(kx, ku, uu).tobytes() == invert_cdf_oracle(kx, ku, uu).tobytes()
+
+
+CDF_GRIDS = [(0.001, 8.0), (0.05, 4.0), (0.07, 5.0), (0.25, 6.0), (0.0003, 2.0), (0.01, 30.0)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(0.05, 20.0), b=st.floats(-4.0, 4.0), a_f=st.floats(0.05, 20.0),
+       b_f=st.floats(-4.0, 4.0), grid=st.sampled_from(CDF_GRIDS), rng_seed=st.integers(0, 2 ** 32 - 1))
+def test_gaussian_cdf_knots_match_scipy_erf(a, b, a_f, b_f, grid, rng_seed):
+    def scipy_knots(xs, a, centre):
+        return 0.5 * (1.0 + erf(np.sqrt(a) * (xs - centre)))
+
+    spec = GridSpec(*grid)
+    g = GaussianDensity(LINE, [[a]], [b])
+    xs, cdf, _ = _cdf_knots(g, spec)
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert np.abs(cdf - scipy_knots(xs, a, b / 2.0)).max() <= 2e-15
+    # the maps of a Gaussian and of a positive step density to g, against
+    # the same maps on scipy knots; in the tails u is rounding-level (the
+    # knots saturate at 0 or 1 within an ulp), so there the inverse CDF of
+    # either is noise and exact agreement is neither possible nor meaningful
+    steps = np.random.default_rng(rng_seed).uniform(0.1, 1.0, 16)
+    for f in (GaussianDensity(LINE, [[a_f]], [b_f]), GridDensity(LINE, [-2.0], 0.25, steps)):
+        T = brenier_1d(f, g, spec)
+        with mock.patch.object(transport, "_gaussian_cdf", scipy_knots):
+            ref = brenier_1d(f, g, spec)
+        u = scipy_knots(ref.xs, a, b / 2.0)
+        win = (u >= 1e-6) & (u <= 1.0 - 1e-6)
+        assert np.abs(T.ts[win] - ref.ts[win]).max(initial=0.0) <= 1e-9
