@@ -13,23 +13,32 @@ integer tuples), and equality holds precisely when K is the direct sum
 of its projections onto the induced partition blocks; K always lies in
 that product, so comparing cell counts decides it.  The dual inequality
 |K|^s >= (prod |sigma_i|! / (n!)^s) prod |K cap E_{sigma_i}| runs on
-V-polytopes with the origin strictly inside; volumes and coordinate
-sections come from facet enumeration at n <= 4, and equality holds
-precisely when K is the convex hull of its sections by the induced
-partition subspaces.
+V-polytopes with the origin strictly inside, n <= 4, in exact rational
+arithmetic: one exact hull of K (hull.py) gives its facets, extreme
+points and volume, and each coordinate section is the polar of the
+projection of K's polar.  Equality holds precisely when K is the convex
+hull of its sections by the induced partition subspaces F_j, which is
+so exactly when every extreme point of K has its nonzero coordinates
+inside one block: then K = conv(extreme points) lies in the hull of the
+sections, which lies in K; and every extreme point of the hull of a
+compact set lies in the set, here in one section K cap F_j.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapError, InputError, InternalError, as_array, as_int, read
+from .hull import _primitive, convex_hull, polar_area
 
 BODY_MAX_DIM = 4
-VOLUME_RTOL = 1e-9  # relative round-off allowed in hull volumes
+# m vertices in R^4 can have m(m-3)/2 facets, as on the moment curve, where a
+# check takes about 2 s at 64 vertices, 12 s and 70 MB at 128, and minutes at 256
+POLYTOPE_MAX_VERTICES = 128
 
 
 @dataclass(frozen=True)
@@ -201,6 +210,8 @@ class PointPolytope:
         if not (1 <= self.n <= BODY_MAX_DIM):
             raise CapError("polytope dimension", BODY_MAX_DIM, self.n)
         V = as_array(self.vertices, (None, self.n), "polytope vertices")
+        if V.shape[0] > POLYTOPE_MAX_VERTICES:
+            raise CapError("polytope vertices", POLYTOPE_MAX_VERTICES, V.shape[0])
         if V.shape[0] < self.n + 1:
             raise InputError(f"need at least {self.n + 1} vertices of dimension {self.n}")
         if not np.all(np.isfinite(V)):
@@ -219,61 +230,41 @@ class PointPolytope:
         return PointPolytope(as_int(obj["n"], "polytope n"), tuple(map(tuple, obj["vertices"])))
 
 
-def _hull_volume(points: np.ndarray) -> float:
-    """Volume of conv(points) in its own dimension (0 for degenerate input)."""
-    dim = points.shape[1]
-    if dim == 1:
-        return float(points.max() - points.min())
-    from scipy.spatial import ConvexHull, QhullError  # lazy, for a fast cold start
-    try:
-        return float(ConvexHull(points).volume)
-    except QhullError:
-        return 0.0
+def _dyadic_rows(vertices) -> list:
+    """The points as homogeneous integer rows (x 2^k, 2^k), one k for all:
+    every double is a dyadic rational."""
+    ratios = [[x.as_integer_ratio() for x in v] for v in vertices]
+    den = max(q for row in ratios for _, q in row)
+    return [tuple(p * (den // q) for p, q in row) + (den,) for row in ratios]
 
 
-def _facets(points: np.ndarray):
-    """Facet inequalities a.x <= b of the hull, derived from the vertices."""
-    if points.shape[1] == 1:  # an interval: x <= max and -x <= -min
-        return np.array([[1.0], [-1.0]]), np.array([points.max(), -points.min()])
-    from scipy.spatial import ConvexHull, QhullError  # lazy, for a fast cold start
-    try:
-        eq = ConvexHull(points).equations
-    except QhullError as exc:
-        raise InputError("qhull cannot take the facets of the polytope") from exc
-    return eq[:, :-1], -eq[:, -1]
+def _section_volume(planes, axes) -> Fraction:
+    """|K cap E| for the coordinate subspace E of axes, K = {x : a.x <= b}
+    over the primitive rows (a, -b) of planes, b > 0.
 
-
-def _origin_interior(A: np.ndarray, b: np.ndarray) -> bool:
-    return bool(np.all(b > 1e-9 * np.maximum(1.0, np.linalg.norm(A, axis=1))))
-
-
-def _section_vertices(A: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-    """Vertices of {x : A x <= b} cap the coordinate subspace of `axes`.
-
-    Substituting zero for the other coordinates leaves an H-polytope in
-    the section coordinates with the origin still interior; its vertices
-    come from halfspace intersection (interval endpoints in dimension 1).
+    A line section is the interval its planes cut.  Otherwise, by
+    polarity, (K cap E)° is the projection onto E of K° = conv{a / b},
+    so the section is the polar of the hull of the rows (a_E, b): a
+    polygon in the plane, and in space the polar of a hull.
     """
-    Asub = A[:, axes]
-    keep = np.linalg.norm(Asub, axis=1) > 1e-12
-    Asub, bsub = Asub[keep], b[keep]
-    d = len(axes)
-    if d == 1:
-        a = Asub[:, 0]
-        ub = np.min(bsub[a > 1e-12] / a[a > 1e-12])
-        lb = np.max(bsub[a < -1e-12] / a[a < -1e-12])
-        return np.array([[lb], [ub]])
-    from scipy.spatial import HalfspaceIntersection, QhullError  # lazy, for a fast cold start
+    if len(axes) == 1:
+        (j,) = axes
+        return (min(Fraction(-h[-1], h[j]) for h in planes if h[j] > 0)
+                - max(Fraction(-h[-1], h[j]) for h in planes if h[j] < 0))
+    rows = sorted({_primitive(tuple(h[j] for j in axes) + (-h[-1],)) for h in planes})
+    if len(axes) == 2:
+        return polar_area(rows)
+    polar = convex_hull(rows)
+    if polar is None:
+        raise InternalError("the polar of a section with the origin inside is flat")
+    return polar.polar_volume()
+
+
+def _to_float(x: Fraction, what: str) -> float:
     try:
-        return HalfspaceIntersection(np.column_stack([Asub, -bsub]), np.zeros(d)).intersections
-    except QhullError as exc:
-        raise InputError("qhull cannot take a coordinate section of the polytope") from exc
-
-
-def _embed(points: np.ndarray, axes, n: int) -> np.ndarray:
-    out = np.zeros((points.shape[0], n))
-    out[:, axes] = points
-    return out
+        return float(x)  # rounded once
+    except OverflowError:
+        raise InputError(f"the {what} of the polytope exceeds the double range") from None
 
 
 @dataclass(frozen=True)
@@ -295,49 +286,62 @@ class DualBTCheckResult:
 
 
 def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
-    """|K|^s against (prod |sigma_i|!/(n!)^s) prod |K cap E_{sigma_i}|.
+    """|K|^s against (prod |sigma_i|!/(n!)^s) prod |K cap E_{sigma_i}|, exactly.
 
-    Requires the origin strictly inside K.  Equality is decided by
-    rebuilding conv of the sections over the induced partition and
-    comparing volumes to relative VOLUME_RTOL (the hull of sections is
-    always contained in K, so volume equality is set equality).
+    Requires the origin strictly inside K.  One exact hull of K gives its
+    facets, its extreme points and its volume; each distinct sigma's
+    section comes from K's polar points (_section_volume).  Both sides
+    are exact rationals, so holds is an exact comparison, and each value
+    is rounded to a float once, when it is reported.
+
+    Equality holds precisely when K = conv(union_j K cap F_j) over the
+    blocks F_j of the induced partition, and that is so exactly when
+    every extreme point of K has its nonzero coordinates inside one
+    block: if so, K = conv(extreme points) lies in the hull of the
+    sections, which lies in K; conversely every extreme point of the
+    hull of a compact set lies in the set.  Block j's certificate
+    vertices are then K's extreme points in F_j, in input order.  The
+    verdict is cross-checked against lhs == rhs.
     """
     if K.n != c.n:
         raise InputError("polytope and cover dimensions differ")
-    pts = K.points()
-    if np.linalg.matrix_rank(pts - pts[0], tol=1e-9) < K.n:
+    hull = convex_hull(_dyadic_rows(K.vertices))
+    if hull is None:
         raise InputError("polytope must affinely span R^n")
-    A, b = _facets(pts)
-    if not _origin_interior(A, b):
+    planes = hull.planes()
+    if any(h[-1] >= 0 for h in planes):  # a.x <= b with b <= 0
         raise InputError("the origin must lie strictly inside the polytope")
 
-    vol = _hull_volume(pts)
+    vol = hull.volume()
+    sections = {}
+    for sigma in c.sets:
+        if sigma not in sections:
+            axes = [j - 1 for j in sorted(sigma)]
+            sections[sigma] = vol if len(axes) == K.n else _section_volume(planes, axes)
+    section_vols = [sections[sigma] for sigma in c.sets]
+    factor = Fraction(math.prod(math.factorial(len(sigma)) for sigma in c.sets),
+                      math.factorial(K.n) ** c.s)
     lhs = vol ** c.s
-    factor = 1.0
-    for sigma in c.sets:
-        factor *= math.factorial(len(sigma))
-    factor /= math.factorial(K.n) ** c.s
-    section_vols = []
-    for sigma in c.sets:
-        axes = [j - 1 for j in sorted(sigma)]
-        section_vols.append(_hull_volume(_section_vertices(A, b, axes)))
-    rhs = factor * float(np.prod(section_vols))
-    holds = lhs >= rhs * (1.0 - VOLUME_RTOL)
+    rhs = factor * math.prod(v ** c.sets.count(sigma) for sigma, v in sections.items())
 
     partition = induced_one_cover(c)
-    cert = []
-    for block in partition:
-        axes = [j - 1 for j in sorted(block)]
-        cert.append({"block": block, "vertices": _embed(_section_vertices(A, b, axes), axes, K.n)})
-    hull_of_sections = _hull_volume(np.concatenate([piece["vertices"] for piece in cert]))
-    equality = abs(hull_of_sections - vol) <= VOLUME_RTOL * max(vol, 1e-300)
+    owner = {}
+    for i in hull.extreme():
+        support = {j + 1 for j, x in enumerate(K.vertices[i]) if x}
+        owner[i] = next((block for block in partition if support <= block), None)
+    equality = None not in owner.values()
+    if equality != (lhs == rhs):
+        raise InternalError("the extreme-point equality verdict disagrees with the exact volumes")
+    pts = K.points()
 
     return DualBTCheckResult(
-        lhs=float(lhs),
-        rhs=float(rhs),
+        lhs=_to_float(lhs, "volume power |K|^s"),
+        rhs=_to_float(rhs, "section product"),
         factor=float(factor),
-        section_volumes=tuple(float(v) for v in section_vols),
-        holds=bool(holds),
-        equality=bool(equality),
-        conv_certificate=tuple(cert) if equality else None,
+        section_volumes=tuple(_to_float(v, "section volume") for v in section_vols),
+        holds=lhs >= rhs,
+        equality=equality,
+        conv_certificate=tuple(
+            {"block": block, "vertices": pts[[i for i in owner if owner[i] == block]]}
+            for block in partition) if equality else None,
     )

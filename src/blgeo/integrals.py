@@ -909,6 +909,24 @@ def in_frame(density: Density, domain: Subspace) -> Density:
     return density
 
 
+def _direct_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The full discrete convolution of two arrays of one rank, by direct
+    summation: np.convolve on lines, otherwise one shifted copy of the
+    larger array added per cell of the smaller.  Each output sums its
+    products in the order of a's cells, as scipy.signal.convolve's direct
+    method does, so the values are that method's."""
+    if a.ndim == 1:
+        return np.convolve(a, b)
+    out = np.zeros(tuple(m + k - 1 for m, k in zip(a.shape, b.shape)))
+    if a.size <= b.size:
+        cells, small, large = np.ndindex(a.shape), a, b
+    else:  # the same order, read from b's side
+        cells, small, large = reversed(list(np.ndindex(b.shape))), b, a
+    for idx in cells:
+        out[tuple(slice(i, i + m) for i, m in zip(idx, large.shape))] += small[idx] * large
+    return out
+
+
 def convolve_density(f: Density, g: Density) -> Density:
     """Convolution on a common domain; mass multiplies.
 
@@ -940,7 +958,6 @@ def convolve_density(f: Density, g: Density) -> Density:
     ga = g if isinstance(g, GridDensity) else materialize(g, h, _suggest_radius(g))
     if np.abs(fa.domain.frame - ga.domain.frame).max() > 1e-12:  # cells would pair up wrongly
         raise InputError("grid convolution needs both operands in one frame")
-    from scipy.signal import convolve  # lazy, for a fast cold start
-    vals = convolve(fa.values, ga.values, method="direct") * h ** fa.domain.dim
+    vals = _direct_convolution(fa.values, ga.values) * h ** fa.domain.dim
     lo = fa.lo + ga.lo + 0.5 * h
     return GridDensity(fa.domain, lo, h, np.clip(vals, 0.0, None))

@@ -32,7 +32,7 @@ import numpy as np
 from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated
 from .errors import InputError, InternalError
 from .subspace import (RANK_TOL, RESIDUAL_TOL, Subspace, _dim_groups, cluster_eigenspaces,
-                       orthonormalize, projection_matrix)
+                       orthonormalize, projection_stack)
 
 INTEGER_SNAP_TOL = 1e-6  # weighted dimension sums of valid data are near-integers
 GENERIC_SEED = 20100101  # fixed, so the pieces chosen inside repeated blocks are reproducible
@@ -80,35 +80,45 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
         raise InputError("subspace ambient dimension does not match the datum")
     if V.dim == 0:
         raise InputError("criticality is defined for non-zero subspaces only")
+    return _criticality(d, [V])[0]
+
+
+def _criticality(d: GeometricBLDatum, spaces) -> list:
+    """is_critical for each of the non-zero subspaces, all at once: every
+    product and SVD runs once over the whole stack."""
     n = d.ambient_dim
-    PV = projection_matrix(V)
+    PV = projection_stack(spaces)
     away = np.eye(n) - PV
-    spaces = [E for E, _ in d.entries]
-    counts = np.zeros(d.k, dtype=int)
-    for dim, members in _dim_groups(spaces).items():
-        frames = np.concatenate([spaces[i].frame for i in members])
-        sines = np.linalg.svd((frames @ away).reshape(len(members), dim, n), compute_uv=False)
-        counts[members] = np.count_nonzero(sines <= RANK_TOL, axis=1)
-    wds = 0.0
-    for (_, c), count in zip(d.entries, counts.tolist()):  # entry order fixes the float sum
-        wds += c * count
-    X = d.projections @ PV  # [P_i, P_V] = X_i - X_i^T
-    commutator = float(np.abs(X - X.transpose(0, 2, 1)).max())
-    splitting_ok = commutator <= RESIDUAL_TOL
-    near_int = abs(wds - round(wds)) <= INTEGER_SNAP_TOL
-    dim_match = near_int and int(round(wds)) == V.dim
-    if dim_match != splitting_ok:
-        raise InternalError(
-            "criticality characterizations disagree: "
-            f"weighted dim sum {wds:.12g} vs dim {V.dim}, splitting_ok={splitting_ok}"
-        )
-    return CriticalityReport(
-        subspace=V,
-        weighted_dim_sum=float(wds),
-        dim=V.dim,
-        is_critical=dim_match and splitting_ok,
-        splitting_ok=splitting_ok,
-    )
+    entry_spaces = [E for E, _ in d.entries]
+    counts = np.zeros((len(spaces), d.k), dtype=int)
+    for dim, members in _dim_groups(entry_spaces).items():
+        frames = np.concatenate([entry_spaces[i].frame for i in members])
+        sines = np.linalg.svd((frames @ away).reshape(len(spaces), len(members), dim, n),
+                              compute_uv=False)
+        counts[:, members] = np.count_nonzero(sines <= RANK_TOL, axis=2)
+    X = d.projections @ PV[:, None]  # [P_i, P_V] = X_i - X_i^T
+    commutators = np.abs(X - X.swapaxes(-1, -2)).max(axis=(1, 2, 3))
+    reports = []
+    for V, row, commutator in zip(spaces, counts.tolist(), commutators.tolist()):
+        wds = 0.0
+        for (_, c), count in zip(d.entries, row):  # entry order fixes the float sum
+            wds += c * count
+        splitting_ok = commutator <= RESIDUAL_TOL
+        near_int = abs(wds - round(wds)) <= INTEGER_SNAP_TOL
+        dim_match = near_int and int(round(wds)) == V.dim
+        if dim_match != splitting_ok:
+            raise InternalError(
+                "criticality characterizations disagree: "
+                f"weighted dim sum {wds:.12g} vs dim {V.dim}, splitting_ok={splitting_ok}"
+            )
+        reports.append(CriticalityReport(
+            subspace=V,
+            weighted_dim_sum=float(wds),
+            dim=V.dim,
+            is_critical=dim_match and splitting_ok,
+            splitting_ok=splitting_ok,
+        ))
+    return reports
 
 
 def has_critical_eigenspaces(d: GeometricBLDatum, M) -> bool:
@@ -206,9 +216,8 @@ def indecomposable_decomposition(d: GeometricBLDatum) -> list:
             found = np.hstack([found, spans[-1].basis])
     if found.shape[1] != n:
         raise InternalError(f"critical pieces have total dimension {found.shape[1]}, expected {n}")
-    for V in spans:
-        if not is_critical(d, V).is_critical:
-            raise InternalError("a computed piece failed the criticality test")
+    if not all(r.is_critical for r in _criticality(d, spans)):
+        raise InternalError("a computed piece failed the criticality test")
     spans.sort(key=lambda V: (V.dim, tuple(np.round(V.frame, 9).ravel())))
     return spans
 
@@ -222,12 +231,13 @@ def independent_subspaces(d: GeometricBLDatum) -> StructureReport:
     """
     n = d.ambient_dim
     pieces = indecomposable_decomposition(d)
+    # meets[m, i] = tr(P_i P_W) for piece m: both projections are symmetric
+    meets = np.rint(np.einsum("iab,mab->mi", d.projections, projection_stack(pieces)))
     groups = {}
     dependent = []
-    for W in pieces:
-        meets = [int(round(np.linalg.norm(E.frame @ W.basis) ** 2)) for E, _ in d.entries]
-        if all(m in (0, W.dim) for m in meets):
-            groups.setdefault(tuple(i for i, m in enumerate(meets) if m), []).extend(W.frame)
+    for W, row in zip(pieces, meets.astype(int).tolist()):
+        if all(m in (0, W.dim) for m in row):
+            groups.setdefault(tuple(i for i, m in enumerate(row) if m), []).extend(W.frame)
         else:
             dependent.extend(W.frame)
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import re
@@ -263,6 +264,28 @@ def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
             assert len(seen) == 1, (name, args[0], Path(args[-1]).name)
             if args[0] == "critical":
                 assert json.loads(seen.pop())["is_critical"] is (args[-1] is piece)
+
+
+def test_dual_bt_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a cross-polytope, a box and a random polytope in R^4 under a cover with
+    # sections of every dimension: every verdict is exact, so no bit may move
+    rng = np.random.default_rng(11)
+    half = rng.uniform(0.5, 2.0, 4)
+    bodies = {"cross": [list(s * a * np.eye(4)[j]) for j, a in enumerate(half) for s in (1, -1)],
+              "box": [list(v) for v in itertools.product(*[(-a, a) for a in half])],
+              "random": rng.standard_normal((30, 4)).tolist()}
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"n": 4, "s": 2, "sets": [[1, 2, 3], [4], [1], [2, 3, 4]]}))
+    for name, vertices in bodies.items():
+        body = tmp_path / f"{name}.json"
+        body.write_text(json.dumps({"n": 4, "vertices": vertices}))
+        seen = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "blgeo", "dual-bt", str(cover), str(body)],
+                                  capture_output=True, env=env, check=True)
+            seen.add(proc.stdout)
+        assert len(seen) == 1, name
 
 
 def test_readme_cli_block_names_the_options_of_each_command():
@@ -528,7 +551,8 @@ def test_grid_barthe_beyond_its_work_caps_exits_one_at_once(d, grid, cap, tmp_pa
 
 
 def test_scipy_free_commands_load_no_scipy(files, tmp_path):
-    # importing scipy is most of a cold start; only dual-bt needs it
+    # importing scipy is most of a cold start, and no command needs it: qhull
+    # and erf are test oracles only
     holder = tmp_path / "holder.json"
     holder.write_text(json.dumps(HOLDER_JSON))
     densities = tmp_path / "densities.json"
@@ -536,6 +560,11 @@ def test_scipy_free_commands_load_no_scipy(files, tmp_path):
     steps = tmp_path / "steps.json"
     steps.write_text(json.dumps({"kind": "grid", "domain": LINE_JSON, "lo": [-1.0], "h": 0.5,
                                  "values": [1.0, 2.0, 0.5, 1.0]}))
+    unit_cover, segment, mixed = (tmp_path / name for name in ("unit.json", "segment.json",
+                                                                "mixed.json"))
+    unit_cover.write_text(json.dumps({"n": 1, "s": 1, "sets": [[1]]}))
+    segment.write_text(json.dumps({"n": 1, "vertices": [[-1.0], [2.0]]}))
+    mixed.write_text(json.dumps({"n": 3, "s": 2, "sets": [[1, 2], [3], [1, 2, 3]]}))
     calls = [
         ["validate", files["r4"]],
         ["analyze", files["lw3"]],
@@ -546,6 +575,9 @@ def test_scipy_free_commands_load_no_scipy(files, tmp_path):
         ["barthe-eval", files["r4"], "--phi", files["phi_eye"]],
         ["barthe-eval", str(holder), "--densities", str(densities), "--grid", "h=0.05,box=±4"],
         ["bt", files["lw_cover"], files["tromino"]],
+        ["dual-bt", files["lw_cover"], files["octa"]],
+        ["dual-bt", str(unit_cover), str(segment)],
+        ["dual-bt", str(mixed), files["octa"]],
         ["covers-induce", files["lw_cover"]],
         ["transport", "--f", files["wide"], "--g", files["gauss"]],
         ["transport", "--f", str(steps), "--g", files["gauss"]],

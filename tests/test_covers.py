@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import induced_partition_oracle, random_uniform_cover
 
 from blgeo.covers import (
+    POLYTOPE_MAX_VERTICES,
     BTCheckResult,
     DualBTCheckResult,
     PointPolytope,
@@ -16,7 +20,7 @@ from blgeo.covers import (
     induced_one_cover,
 )
 from blgeo.datum import make_datum_from_cover
-from blgeo.errors import InputError, InternalError
+from blgeo.errors import CapError, InputError, InternalError
 from blgeo.structure import independent_subspaces
 from blgeo.subspace import equal, orthonormalize
 
@@ -249,9 +253,11 @@ def test_dual_bt_mixed_cover_with_full_set():
 def test_polytope_volume_against_norm_identity_oracle():
     # integral of exp(-|x|_M) over R^n equals n! |M|; integrate on a grid
     K = cross_polytope([1.0, 2.0])
-    pts = K.points()
-    from blgeo.covers import _facets
-    A, b = _facets(pts)
+    from blgeo.covers import _dyadic_rows
+    from blgeo.hull import convex_hull
+    hull = convex_hull(_dyadic_rows(K.vertices))
+    A = np.array([h[:-1] for h in hull.planes()], dtype=float)
+    b = -np.array([h[-1] for h in hull.planes()], dtype=float)
     h = 0.05
     xs = np.arange(-30, 30, h) + h / 2
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -259,5 +265,119 @@ def test_polytope_volume_against_norm_identity_oracle():
     norms = np.max((P @ A.T) / b[None, :], axis=1)
     integral = float(np.exp(-np.clip(norms, 0, None)).sum()) * h * h
     vol = integral / math.factorial(2)
-    from blgeo.covers import _hull_volume
-    assert _hull_volume(pts) == pytest.approx(vol, rel=2e-3)
+    assert float(hull.volume()) == pytest.approx(vol, rel=2e-3)
+
+
+# ---------------------------------------------------------------------------
+# exact verdicts at every scale
+# ---------------------------------------------------------------------------
+
+def box(half):
+    return PointPolytope(len(half), tuple(itertools.product(*[(-a, a) for a in half])))
+
+
+def test_dual_bt_scaled_octahedron_equality():
+    r = dual_bt_check(cross_polytope([1e-10] * 3), LW)
+    assert r.equality and r.lhs == r.rhs
+    assert r.lhs == pytest.approx((4.0 / 3.0 * 1e-30) ** 2, rel=1e-15)
+
+
+def test_dual_bt_thin_polytope_volume():
+    # a cross-polytope of thickness 2e-10: |K| = 8 t / 3!, sections 2 t, 2 t and 2
+    t = 1e-10
+    r = dual_bt_check(cross_polytope([1.0, 1.0, t]), LW)
+    assert r.lhs == pytest.approx((8.0 * t / 6.0) ** 2, rel=1e-15)
+    assert sorted(r.section_volumes) == pytest.approx([2.0 * t, 2.0 * t, 2.0], rel=1e-15)
+    assert r.equality
+
+
+@pytest.mark.parametrize("e", [1e-10, 1e-15, 5e-324])
+def test_dual_bt_vertex_moved_off_its_axis_reads_strict(e):
+    # (e, e, -1) has nonzero coordinates in every block, and it stays extreme
+    verts = cross_polytope([1.0, 1.0, 1.0]).vertices[:-1] + ((e, e, -1.0),)
+    r = dual_bt_check(PointPolytope(3, verts), LW)
+    assert r.holds and not r.equality and r.conv_certificate is None
+
+
+def test_dual_bt_facet_close_to_the_origin():
+    # [-1e-10, 1] x [-1, 1]^2: |K| = 4a and the sections 4, 2a, 2a for a = 1 + 1e-10
+    a = 1.0 + 1e-10
+    K = PointPolytope(3, tuple(itertools.product((-1e-10, 1.0), (-1.0, 1.0), (-1.0, 1.0))))
+    r = dual_bt_check(K, LW)
+    assert r.lhs == pytest.approx(16.0 * a * a, rel=1e-15)
+    assert r.rhs == pytest.approx(32.0 * a * a / 9.0, rel=1e-15)
+    assert r.holds and not r.equality
+
+
+def test_dual_bt_origin_on_a_facet_is_refused():
+    K = PointPolytope(3, tuple(itertools.product((0.0, 2.0), (-1.0, 1.0), (-1.0, 1.0))))
+    with pytest.raises(InputError, match="strictly inside"):
+        dual_bt_check(K, LW)
+
+
+def test_dual_bt_edge_midpoint_is_not_a_vertex():
+    # the midpoint of the edge from e1 to e2 spans two blocks but is no vertex;
+    # added first, it is a vertex of the first simplices of the hull
+    verts = ((0.5, 0.5, 0.0),) + cross_polytope([1.0, 1.0, 1.0]).vertices
+    r = dual_bt_check(PointPolytope(3, verts), LW)
+    assert r.equality
+    assert [len(piece["vertices"]) for piece in r.conv_certificate] == [2, 2, 2]
+
+
+def test_polytope_vertex_cap_refuses_before_work():
+    with pytest.raises(CapError, match="polytope vertices"):
+        PointPolytope(2, tuple((float(i), 1.0) for i in range(POLYTOPE_MAX_VERTICES + 1)))
+
+
+@st.composite
+def hull_inputs(draw):
+    """Points in R^d, d <= 4, and which are extreme: "qhull" in general
+    position, None for an integer grid, and the known indices for boxes
+    and cross-polytopes with repeated vertices and points exactly on
+    their edges and facets (dyadic semi-axes and weights)."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "box", "cross", "grid"]))
+    scale = 2.0 ** draw(st.integers(-33, 33))  # about 1e-10 to 1e10
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        return rng.standard_normal((int(rng.integers(d + 1, 41)), d)) * scale, "qhull"
+    if kind == "grid":
+        return rng.integers(-2, 3, (int(rng.integers(d + 1, 41)), d)) * scale, None
+    if kind == "box":
+        V = np.array(list(itertools.product(*[(-1.0, 1.0)] * d))) * rng.uniform(0.5, 2.0, d) * scale
+        on = V[rng.integers(0, len(V), 12)]
+        inside = rng.uniform(-1.0, 1.0, on.shape) * V[-1]
+        free = rng.random(on.shape) < 0.5
+        free[:, 0] = False  # keep one coordinate on its face
+        on[free] = inside[free]
+    else:
+        V = np.concatenate([np.eye(d), -np.eye(d)]) * 2.0 ** rng.integers(-2, 3, d) * scale
+        i, j, k = rng.integers(0, len(V), (3, 12))
+        t, u = rng.integers(1, 8, (2, 12, 1)) / 16.0
+        on = t * V[i] + u * V[j] + (1.0 - t - u) * V[k]  # exact: every weight is dyadic
+    P = np.concatenate([on[:3], V, on[3:], V[:2]])
+    known = sorted(min(i for i, p in enumerate(P) if (p == v).all()) for v in V)
+    return P, known
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(hull_inputs())
+def test_exact_hull_against_qhull(case):
+    from scipy.spatial import ConvexHull
+
+    from blgeo.covers import _dyadic_rows
+    from blgeo.hull import convex_hull
+
+    P, extreme = case
+    hull = convex_hull(_dyadic_rows([tuple(map(float, p)) for p in P]))
+    if hull is None:  # a grid may lie in a hyperplane
+        assert extreme is None and np.linalg.matrix_rank(P - P[0]) < P.shape[1]
+        return
+    if P.shape[1] == 1:
+        volume, vertices = np.ptp(P), sorted({int(P.argmin()), int(P.argmax())})
+    else:
+        qhull = ConvexHull(P)
+        volume, vertices = qhull.volume, sorted(qhull.vertices.tolist())
+    assert float(hull.volume()) == pytest.approx(volume, rel=1e-12)
+    if extreme is not None:
+        assert hull.extreme() == (vertices if extreme == "qhull" else extreme)

@@ -822,6 +822,19 @@ def test_convolution_mass_multiplies(rng):
     assert conv2.integral() == pytest.approx(f.integral() * g.integral(), rel=1e-3)
 
 
+def test_grid_convolution_matches_scipy_direct(rng):
+    # the direct sums on numpy alone against scipy's direct method, in 1, 2 and 3 dims
+    from scipy.signal import convolve
+
+    from blgeo.integrals import _direct_convolution
+
+    for shapes in [((50,), (7,)), ((7,), (50,)), ((12, 5), (3, 9)), ((3, 4), (20, 30)),
+                   ((6, 3, 5), (2, 7, 4)), ((2, 2, 2), (8, 6, 7))]:
+        a, b = (rng.uniform(0.0, 1.0, shape) for shape in shapes)
+        ref = convolve(a, b, method="direct")
+        assert np.abs(_direct_convolution(a, b) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_convolve_domain_mismatch():
     e1 = orthonormalize([[1, 0]])
     e2 = orthonormalize([[0, 1]])
