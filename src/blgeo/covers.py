@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapError, InputError, InternalError, as_array, as_int, read
-from .hull import _primitive, convex_hull, polar_area
+from .hull import convex_hull, polar_area, primitive
 
 BODY_MAX_DIM = 4
 # m vertices in R^4 can have m(m-3)/2 facets, as on the moment curve, where a
@@ -248,16 +248,25 @@ def _section_volume(planes, axes) -> Fraction:
     polygon in the plane, and in space the polar of a hull.
     """
     if len(axes) == 1:
-        (j,) = axes
-        return (min(Fraction(-h[-1], h[j]) for h in planes if h[j] > 0)
-                - max(Fraction(-h[-1], h[j]) for h in planes if h[j] < 0))
-    rows = sorted({_primitive(tuple(h[j] for j in axes) + (-h[-1],)) for h in planes})
+        return _reach(planes, axes[0], 1) + _reach(planes, axes[0], -1)
+    rows = sorted({primitive(tuple(h[j] for j in axes) + (-h[-1],)) for h in planes})
     if len(axes) == 2:
         return polar_area(rows)
     polar = convex_hull(rows)
     if polar is None:
         raise InternalError("the polar of a section with the origin inside is flat")
     return polar.polar_volume()
+
+
+def _reach(planes, j, sign) -> Fraction:
+    """How far K = {x : a.x <= b} reaches along sign * e_j: the least
+    b / (sign a_j) over the planes with sign a_j > 0."""
+    best = None
+    for h in planes:
+        a, b = sign * h[j], -h[-1]
+        if a > 0 and (best is None or b * best[1] < best[0] * a):
+            best = b, a
+    return Fraction(*best)
 
 
 def _to_float(x: Fraction, what: str) -> float:
@@ -332,7 +341,6 @@ def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
     equality = None not in owner.values()
     if equality != (lhs == rhs):
         raise InternalError("the extreme-point equality verdict disagrees with the exact volumes")
-    pts = K.points()
 
     return DualBTCheckResult(
         lhs=_to_float(lhs, "volume power |K|^s"),
@@ -342,6 +350,6 @@ def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
         holds=lhs >= rhs,
         equality=equality,
         conv_certificate=tuple(
-            {"block": block, "vertices": pts[[i for i in owner if owner[i] == block]]}
+            {"block": block, "vertices": K.points()[[i for i in owner if owner[i] == block]]}
             for block in partition) if equality else None,
     )

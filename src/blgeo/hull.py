@@ -22,7 +22,10 @@ points are added in input order.  The facets a point sees strictly go,
 and each ridge between a seen and an unseen facet is coned to the point.
 A point on a facet's plane does not see it, so the boundary comes out
 triangulated, coplanar simplices included, and a point inside the hull
-or on its boundary (a repeated point too) is never added.
+or on its boundary (a repeated point too) is never added.  A Hull gives
+its distinct facet planes as primitive integer rows, its extreme points
+and its volume, and in R^3 the volume of its polar; polar_area does the
+last in the plane by Graham's scan, which is cheaper there.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ _LEIBNIZ = {k: _leibniz(k) for k in range(4)}
 # of each factor of each term of each cofactor
 _TERMS = {d: np.arange(d - 1) * d + _LEIBNIZ[d - 1][0] for d in range(1, 5)}
 _LAPLACE = {k: _laplace(k) for k in range(1, 5)}
+_FIRST = {d: np.repeat([1.0, -1.0, 1.0], d) for d in range(1, 5)}
 
 
 def cofactors(rows) -> tuple:
@@ -95,9 +99,11 @@ def cofactors(rows) -> tuple:
         for plus, minus in level:  # plain loops: this is the exact arithmetic's hot path
             m = 0
             for c, i in plus:
-                m += row[c] * vals[i]
+                if row[c]:  # the rows of boxes and cross-polytopes are mostly zeros
+                    m += row[c] * vals[i]
             for c, i in minus:
-                m -= row[c] * vals[i]
+                if row[c]:
+                    m -= row[c] * vals[i]
             minors.append(m)
         vals = minors
     return tuple(vals[i] if s > 0 else -vals[i] for s, i in top)
@@ -122,7 +128,8 @@ def _det(rows) -> int:
                * (r2[c] * r3[e] - r2[e] * r3[c]) for a, b, c, e in _PAIRS)
 
 
-_PAIRS = [(a, b) + tuple(c for c in range(4) if c not in (a, b)) for a, b in combinations(range(4), 2)]
+_PAIRS = [(a, b) + tuple(c for c in range(4) if c not in (a, b))
+          for a, b in combinations(range(4), 2)]
 
 
 def independent_rows(rows, limit: int) -> list:
@@ -142,9 +149,16 @@ def independent_rows(rows, limit: int) -> list:
     return chosen
 
 
-def _primitive(h) -> tuple:
+def primitive(h) -> tuple:
+    """The integer row divided by the gcd of its entries."""
     g = math.gcd(*h)
     return tuple(x // g for x in h)
+
+
+def _scaled(row) -> list:
+    """The integer row times a power of two, rounded to floats, largest entry in [1, 2]."""
+    k = max(abs(x).bit_length() for x in row) - 1
+    return [x / (1 << k) for x in row] if k > 0 else [float(x) for x in row]
 
 
 class Hull:
@@ -193,8 +207,8 @@ class Hull:
     def _normals(self, facets, signs):
         """Per facet, one row: the float normal N with N . (q - p_1)
         approximating signs * det[rows; q] up to a positive factor; _ERR
-        times the A-products of its terms; _SLACK where some term has no
-        exactly zero factor; and p_1's row of points."""
+        times the A-products of its terms, by cofactor; _SLACK where some
+        term of a cofactor has no exactly zero factor; and p_1."""
         d = self.d
         G = self.points[np.array(facets)]
         first, rest = G[:, :1], G[:, 1:]
@@ -207,8 +221,10 @@ class Hull:
         parts[2] = differs
         terms = parts.reshape(3, len(facets), (d - 1) * d)[:, :, _TERMS[d]].prod(axis=-1)
         N = np.einsum("fjt,jt->fj", terms[0], _LEIBNIZ[d - 1][1]) * np.array(signs)[:, None]
+        # p_1's row, with -|p_1|: a point's row minus this one is q - p_1, its
+        # A = |q| + |p_1|, and zero where an id is p_1's
         return np.concatenate([N * (-1) ** d, terms[1].sum(axis=-1) * _ERR[d],
-                               terms[2].max(axis=-1) * _SLACK, G[:, 0]], axis=1)
+                               terms[2].max(axis=-1) * _SLACK, G[:, 0] * _FIRST[d]], axis=1)
 
     def _differences(self, f: int):
         """The integer rows w_1 x_i - w_i x_1 of facet f, i > 1, divided by
@@ -232,13 +248,13 @@ class Hull:
         return self.exact[f]
 
     def _add(self, p: int):
-        d, q = self.d, self.points[p]
+        d = self.d
         W = self.W[:len(self.facets)]
-        differs = (q[2 * d:] != W[:, 5 * d:]).astype(float)
-        vals = np.einsum("ij,ij->i", W[:, :d], q[:d] - W[:, 3 * d:4 * d])
-        bounds = np.einsum("ij,ij->i", W[:, d:3 * d],
-                           np.concatenate([(q[d:2 * d] + W[:, 4 * d:5 * d]) * differs, differs],
-                                          axis=1))
+        R = self.points[p] - W[:, 3 * d:]
+        R[:, 2 * d:] = R[:, 2 * d:] != 0
+        R[:, d:2 * d] *= R[:, 2 * d:]
+        vals = np.einsum("ij,ij->i", W[:, :d], R[:, :d])
+        bounds = np.einsum("ij,ij->i", W[:, d:3 * d], R[:, d:])
         sees = vals > bounds
         for f in np.flatnonzero((np.abs(vals) <= bounds) & (bounds > 0)).tolist():
             sees[f] = sum(h * x for h, x in zip(self.plane(f), self.rows[p])) > 0
@@ -280,45 +296,33 @@ class Hull:
         self.gone = 0
 
     def faces(self):
-        """(planes, plane_of, scale): the distinct supporting hyperplanes
-        as primitive integer rows h, h . q <= 0 for every point q, in
-        order of first facet; the plane of each facet; and the positive
-        integer with plane(f) = scale[f] * planes[plane_of[f]].
+        """(planes, plane_of): the distinct supporting hyperplanes as
+        primitive integer rows h, h . q <= 0 for every point q, in order
+        of first facet, and the plane of each facet.
 
         A facet whose float normal points as an earlier plane's does is
-        tested against that plane exactly, vertex by vertex; then one
-        minor of its rows gives its scale.  Otherwise its plane is
-        computed in full.
+        tested against that plane exactly, vertex by vertex; otherwise
+        its plane is computed in full.
         """
         if self._faces is not None:
             return self._faces
-        planes, index, plane_of, scale = [], {}, [], []
-        near = {}
+        planes, index, plane_of, near = [], {}, [], {}
         with np.errstate(invalid="ignore", divide="ignore"):  # a normal lost to underflow
             N = self.W[:, :self.d]
             unit = np.round(N / np.linalg.norm(N, axis=1, keepdims=True), 6) + 0.0
         for f, verts in enumerate(self.facets):
             key = unit[f].tobytes()
             for p in near.get(key, ()):
-                h = planes[p]
-                if all(sum(a * x for a, x in zip(h, self.rows[v])) == 0 for v in verts):
-                    # entry j of the plane, from the one cofactor of the differences
-                    j = next(j for j, a in enumerate(h) if a)
-                    diffs, _, w1, g = self._differences(f)
-                    minor = _det([r[:j] + r[j + 1:] for r in diffs])
-                    scale.append(w1 * (-1) ** (self.d - 1 + j) * minor // g // h[j])
+                if all(sum(a * x for a, x in zip(planes[p], self.rows[v])) == 0 for v in verts):
                     break
             else:
-                h = self.plane(f)
-                g = math.gcd(*h)
-                primitive = tuple(x // g for x in h)
-                p = index.setdefault(primitive, len(planes))
+                h = primitive(self.plane(f))
+                p = index.setdefault(h, len(planes))
                 if p == len(planes):
-                    planes.append(primitive)
+                    planes.append(h)
                 near.setdefault(key, []).append(p)
-                scale.append(g)
             plane_of.append(p)
-        self._faces = planes, plane_of, scale
+        self._faces = planes, plane_of
         return self._faces
 
     def planes(self) -> list:
@@ -328,28 +332,54 @@ class Hull:
         """Indices of the extreme points, ascending.  A vertex of the
         triangulation is one when the normals of the distinct planes
         through it span R^d; a point inside a face of dimension >= 1 is
-        a vertex of some triangulations but never extreme."""
-        planes, plane_of, _ = self.faces()
+        a vertex of some triangulations but never extreme.
+
+        The normals, each scaled by a power of two and rounded, go
+        through one batched SVD: a smallest singular value above 1e-10
+        of the largest is far beyond the rounding of the normals and of
+        the SVD, so the exact normals span R^d too.  Any other vertex
+        is decided by exact elimination."""
+        planes, plane_of = self.faces()
         through = {}
         for verts, p in zip(self.facets, plane_of):
             for v in verts:
                 through.setdefault(v, {})[p] = None
-        def spans(normals):  # the first d are independent, as a rule
-            return len(normals) >= self.d and (
-                _det(normals[:self.d]) != 0 or len(independent_rows(normals, self.d)) == self.d)
-        return sorted(v for v, ps in through.items() if spans([planes[p][:-1] for p in ps]))
+        through = {v: list(ps) for v, ps in through.items() if len(ps) >= self.d}
+        if not through:
+            return []
+        unit = np.array([_scaled(h[:-1]) for h in planes])
+        stack = np.zeros((len(through), max(map(len, through.values())), self.d))
+        for i, ps in enumerate(through.values()):
+            stack[i, :len(ps)] = unit[ps]
+        sines = np.linalg.svd(stack, compute_uv=False)
+        sure = sines[:, -1] > 1e-10 * sines[:, 0]
+        return sorted(v for (v, ps), spans in zip(through.items(), sure.tolist())
+                      if spans or len(independent_rows([planes[p][:-1] for p in ps], self.d))
+                      == self.d)
 
     def volume(self) -> Fraction:
         """The exact volume: facet f coned to the interior point o of the
-        first simplex has volume -plane(f) . o / (d! o_w prod of its w)."""
-        planes, plane_of, scale = self.faces()
+        first simplex has volume -plane(f) . o / (d! o_w prod of its w).
+        plane(f) is a positive multiple of its primitive plane h, and one
+        cofactor of its differences, against a nonzero entry of h, gives
+        the multiple when plane(f) was not computed in full."""
+        planes, plane_of = self.faces()
         o = self.interior
         height = [-sum(a * x for a, x in zip(h, o)) for h in planes]
         sums = {}
-        for verts, p, s in zip(self.facets, plane_of, scale):
+        for f, (verts, p) in enumerate(zip(self.facets, plane_of)):
+            h = planes[p]
+            j = next(j for j, a in enumerate(h) if a)
+            if self.exact[f] is not None:
+                entry = self.exact[f][j]
+            else:
+                diffs, _, w1, g = self._differences(f)
+                minor = _det([r[:j] + r[j + 1:] for r in diffs])
+                entry = w1 * (-1) ** (self.d - 1 + j) * minor // g
             den = math.prod(self.rows[v][-1] for v in verts)
-            sums[den] = sums.get(den, 0) + s * height[p]
-        return sum(Fraction(num, den) for den, num in sums.items()) / (math.factorial(self.d) * o[-1])
+            sums[den] = sums.get(den, 0) + entry // h[j] * height[p]
+        total = sum(Fraction(num, den) for den, num in sums.items())
+        return total / (math.factorial(self.d) * o[-1])
 
     def polar_volume(self) -> Fraction:
         """The exact volume of the polar {y : z . y <= 1 for every point z},
@@ -358,7 +388,7 @@ class Hull:
         the hull of the vertices of the planes through z, in their order
         around z.  Coning a fan of each from the origin gives the volume;
         a triangulation vertex that is not extreme gives flat simplices."""
-        planes, plane_of, _ = self.faces()
+        planes, plane_of = self.faces()
         w = [(h[:-1], -h[-1]) for h in planes]
         fans = {}
         for verts, s, p in zip(self.facets, self.signs, plane_of):
