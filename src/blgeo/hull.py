@@ -110,11 +110,9 @@ def cofactors(rows) -> tuple:
 
 
 def _det(rows) -> int:
-    """det of a k x k integer matrix, written out for k <= 4."""
+    """det of a k x k integer matrix, k <= 4, written out."""
     if not rows:
         return 1
-    if len(rows) > 4:
-        return sum(h * x for h, x in zip(cofactors(rows[:-1]), rows[-1]))
     if len(rows) == 1:
         return rows[0][0]
     if len(rows) == 2:
@@ -187,7 +185,7 @@ class Hull:
         # per point: x, |x| and the ids (floats, exact below 2^53)
         self.points = np.hstack([X, np.abs(X), ids])
         self.interior = tuple(map(sum, zip(*(rows[i] for i in start))))
-        det = _det([rows[i] for i in start])
+        det = sum(h * x for h, x in zip(cofactors([rows[i] for i in start[:d]]), rows[start[d]]))
         # facet i omits start[i]; moving that row last takes d - i swaps,
         # and it must then lie on the negative side
         self.facets = [tuple(start[:i] + start[i + 1:]) for i in range(d + 1)]

@@ -329,6 +329,18 @@ def test_polytope_vertex_cap_refuses_before_work():
         PointPolytope(2, tuple((float(i), 1.0) for i in range(POLYTOPE_MAX_VERTICES + 1)))
 
 
+def test_hull_sees_a_point_beyond_by_an_underflowing_margin():
+    # (0, e) lies left of the edge from the origin to (e, 1) by e * e, which
+    # underflows to 0 in floats: the filter must defer to exact arithmetic
+    from blgeo.covers import _dyadic_rows
+    from blgeo.hull import convex_hull
+
+    e = 5e-324
+    points = [(0.0, 0.0), (e, 1.0), (1.0, 0.5), (0.0, e)]
+    for order in itertools.permutations(points):
+        assert convex_hull(_dyadic_rows(order)).extreme() == [0, 1, 2, 3]
+
+
 @st.composite
 def hull_inputs(draw):
     """Points in R^d, d <= 4, and which are extreme: "qhull" in general
