@@ -33,7 +33,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapError, InputError, InternalError, as_array, as_int, read
-from .hull import convex_hull, polar_area, primitive
 
 BODY_MAX_DIM = 4
 # m vertices in R^4 can have m(m-3)/2 facets, as on the moment curve, where a
@@ -247,6 +246,8 @@ def _section_volume(planes, axes) -> Fraction:
     so the section is the polar of the hull of the rows (a_E, b): a
     polygon in the plane, and in space the polar of a hull.
     """
+    from .hull import convex_hull, polar_area, primitive  # see dual_bt_check
+
     if len(axes) == 1:
         return _reach(planes, axes[0], 1) + _reach(planes, axes[0], -1)
     rows = sorted({primitive(tuple(h[j] for j in axes) + (-h[-1],)) for h in planes})
@@ -312,6 +313,9 @@ def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
     vertices are then K's extreme points in F_j, in input order.  The
     verdict is cross-checked against lhs == rhs.
     """
+    # imported here: a cold process of another command need not load it
+    from .hull import convex_hull
+
     if K.n != c.n:
         raise InputError("polytope and cover dimensions differ")
     hull = convex_hull(_dyadic_rows(K.vertices))
