@@ -15,13 +15,15 @@ that product, so comparing cell counts decides it.  The dual inequality
 |K|^s >= (prod |sigma_i|! / (n!)^s) prod |K cap E_{sigma_i}| runs on
 V-polytopes with the origin strictly inside, n <= 4, in exact rational
 arithmetic: one exact hull of K (hull.py) gives its facets, extreme
-points and volume, and each coordinate section is the polar of the
-projection of K's polar.  Equality holds precisely when K is the convex
-hull of its sections by the induced partition subspaces F_j, which is
-so exactly when every extreme point of K has its nonzero coordinates
-inside one block: then K = conv(extreme points) lies in the hull of the
-sections, which lies in K; and every extreme point of the hull of a
-compact set lies in the set, here in one section K cap F_j.
+points and volume; a section by a coordinate hyperplane is cut from its
+triangulated boundary, a plane section in R^4 is the polar of the
+projection of K's polar, and a line section is an interval.  Equality
+holds precisely when K is the convex hull of its sections by the
+induced partition subspaces F_j, which is so exactly when every extreme
+point of K has its nonzero coordinates inside one block: then
+K = conv(extreme points) lies in the hull of the sections, which lies
+in K; and every extreme point of the hull of a compact set lies in the
+set, here in one section K cap F_j.
 """
 
 from __future__ import annotations
@@ -237,26 +239,24 @@ def _dyadic_rows(vertices) -> list:
     return [tuple(p * (den // q) for p, q in row) + (den,) for row in ratios]
 
 
-def _section_volume(planes, axes) -> Fraction:
+def _section_volume(hull, axes) -> Fraction:
     """|K cap E| for the coordinate subspace E of axes, K = {x : a.x <= b}
-    over the primitive rows (a, -b) of planes, b > 0.
+    over the primitive rows (a, -b) of the hull's planes, b > 0.
 
-    A line section is the interval its planes cut.  Otherwise, by
-    polarity, (K cap E)° is the projection onto E of K° = conv{a / b},
-    so the section is the polar of the hull of the rows (a_E, b): a
-    polygon in the plane, and in space the polar of a hull.
+    A line section is the interval the planes cut.  A section by a
+    hyperplane x_j = 0 is cut from K's triangulated boundary.  A plane
+    section of K in R^4 is the polar of the projection onto E of
+    K° = conv{a / b}, the polygon of the rows (a_E, b): (K cap E)° is
+    that projection.
     """
-    from .hull import convex_hull, polar_area, primitive  # see dual_bt_check
+    from .hull import polar_area  # see dual_bt_check
 
+    planes = hull.planes()
     if len(axes) == 1:
         return _reach(planes, axes[0], 1) + _reach(planes, axes[0], -1)
-    rows = sorted({primitive(tuple(h[j] for j in axes) + (-h[-1],)) for h in planes})
-    if len(axes) == 2:
-        return polar_area(rows)
-    polar = convex_hull(rows)
-    if polar is None:
-        raise InternalError("the polar of a section with the origin inside is flat")
-    return polar.polar_volume()
+    if len(axes) == hull.d - 1:
+        return hull.slice_volume(next(j for j in range(hull.d) if j not in axes))
+    return polar_area(sorted({tuple(h[j] for j in axes) + (-h[-1],) for h in planes}))
 
 
 def _reach(planes, j, sign) -> Fraction:
@@ -299,8 +299,8 @@ def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
     """|K|^s against (prod |sigma_i|!/(n!)^s) prod |K cap E_{sigma_i}|, exactly.
 
     Requires the origin strictly inside K.  One exact hull of K gives its
-    facets, its extreme points and its volume; each distinct sigma's
-    section comes from K's polar points (_section_volume).  Both sides
+    facets, its extreme points, its volume and each distinct sigma's
+    section (_section_volume).  Both sides
     are exact rationals, so holds is an exact comparison, and each value
     is rounded to a float once, when it is reported.
 
@@ -330,7 +330,7 @@ def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
     for sigma in c.sets:
         if sigma not in sections:
             axes = [j - 1 for j in sorted(sigma)]
-            sections[sigma] = vol if len(axes) == K.n else _section_volume(planes, axes)
+            sections[sigma] = vol if len(axes) == K.n else _section_volume(hull, axes)
     section_vols = [sections[sigma] for sigma in c.sets]
     factor = Fraction(math.prod(math.factorial(len(sigma)) for sigma in c.sets),
                       math.factorial(K.n) ** c.s)

@@ -23,9 +23,10 @@ and each ridge between a seen and an unseen facet is coned to the point.
 A point on a facet's plane does not see it, so the boundary comes out
 triangulated, coplanar simplices included, and a point inside the hull
 or on its boundary (a repeated point too) is never added.  A Hull gives
-its distinct facet planes as primitive integer rows, its extreme points
-and its volume, and in R^3 the volume of its polar; polar_area does the
-last in the plane by Graham's scan, which is cheaper there.
+its distinct facet planes as primitive integer rows, its extreme points,
+its volume and the volume of its section by a coordinate hyperplane;
+polar_area gives the area of the polar of points in the plane, by
+Graham's scan.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 # the terms of the product of their A of the exact one, whatever the
 # order of the sums; _ERR doubles that for the rounding of the bound
 # itself.  Coordinates are scaled below 2, so underflow adds at most
-# about 2^-1060 for each term without a zero factor, which _SLACK covers.
+# about 2^-1060 for each term without a zero factor; _SLACK covers one.
 _ERR = {d: 2.0 * (5 * d + math.factorial(d - 1) - 3) * 2.0 ** -53 for d in range(1, 5)}
 _SLACK = 2.0 ** -1000
 
@@ -88,6 +89,11 @@ _LEIBNIZ = {k: _leibniz(k) for k in range(4)}
 _TERMS = {d: np.arange(d - 1) * d + _LEIBNIZ[d - 1][0] for d in range(1, 5)}
 _LAPLACE = {k: _laplace(k) for k in range(1, 5)}
 _FIRST = {d: np.repeat([1.0, -1.0, 1.0], d) for d in range(1, 5)}
+# what a facet's terms are summed with: their signs (and (-1)^d, from the
+# differences), _ERR for their A-products, _SLACK for those with no zero factor
+_WEIGHTS = {d: np.stack([_LEIBNIZ[d - 1][1] * (-1) ** d,
+                         np.full_like(_LEIBNIZ[d - 1][1], _ERR[d]),
+                         np.full_like(_LEIBNIZ[d - 1][1], _SLACK)]) for d in range(1, 5)}
 
 
 def cofactors(rows) -> tuple:
@@ -176,7 +182,8 @@ class Hull:
         k = max(abs(x).bit_length() - r[-1].bit_length() for r in rows for x in r[:-1])
         X = [[x / (r[-1] << k) if k >= 0 else (x << -k) / r[-1] for x in r[:-1]] for r in rows]
         seen = [{} for _ in range(d)]
-        if len({r[-1] for r in rows}) == 1:
+        self.common_w = len({r[-1] for r in rows}) == 1
+        if self.common_w:
             keys = [r[:-1] for r in rows]
         else:
             keys = [[(x // math.gcd(x, r[-1]), r[-1] // math.gcd(x, r[-1])) for x in r[:-1]]
@@ -192,7 +199,7 @@ class Hull:
         self.signs = [-(-1) ** (d - i) * (1 if det > 0 else -1) for i in range(d + 1)]
         self.exact = [None] * (d + 1)
         # the rows of W in use are those of the facets; a facet that goes
-        # is None in the lists and a zero row, until the next compaction
+        # is None in the lists, until the next compaction
         self.W = self._normals(self.facets, self.signs)
         self.gone = 0
         added = set(start)
@@ -204,9 +211,9 @@ class Hull:
 
     def _normals(self, facets, signs):
         """Per facet, one row: the float normal N with N . (q - p_1)
-        approximating signs * det[rows; q] up to a positive factor; _ERR
-        times the A-products of its terms, by cofactor; _SLACK where some
-        term of a cofactor has no exactly zero factor; and p_1."""
+        approximating signs * det[rows; q] up to a positive factor; by
+        cofactor, _ERR times the sum of its terms' A-products and _SLACK
+        times the number of its terms with no exactly zero factor; p_1."""
         d = self.d
         G = self.points[np.array(facets)]
         first, rest = G[:, :1], G[:, 1:]
@@ -218,22 +225,24 @@ class Hull:
         parts[1] *= differs
         parts[2] = differs
         terms = parts.reshape(3, len(facets), (d - 1) * d)[:, :, _TERMS[d]].prod(axis=-1)
-        N = np.einsum("fjt,jt->fj", terms[0], _LEIBNIZ[d - 1][1]) * np.array(signs)[:, None]
+        W = np.einsum("xfjt,xjt->fxj", terms, _WEIGHTS[d]).reshape(len(facets), 3 * d)
+        W[:, :d] *= np.array(signs)[:, None]
         # p_1's row, with -|p_1|: a point's row minus this one is q - p_1, its
         # A = |q| + |p_1|, and zero where an id is p_1's
-        return np.concatenate([N * (-1) ** d, terms[1].sum(axis=-1) * _ERR[d],
-                               terms[2].max(axis=-1) * _SLACK, G[:, 0] * _FIRST[d]], axis=1)
+        return np.concatenate([W, G[:, 0] * _FIRST[d]], axis=1)
 
-    def _differences(self, f: int):
+    def _differences(self, f: int, skip=None):
         """The integer rows w_1 x_i - w_i x_1 of facet f, i > 1, divided by
         w_1 when every w is w_1, and g: sign * det[rows; q] = e . (w_1 q_x
-        - q_w x_1) / g for e the cofactors of those rows."""
+        - q_w x_1) / g for e the cofactors of those rows.  Column skip
+        is left out of the rows."""
         rows = [self.rows[v] for v in self.facets[f]]
         x1, w1 = rows[0][:-1], rows[0][-1]
+        cols = [c for c in range(self.d) if c != skip]
         g = (-1) ** self.d * self.signs[f]
-        if all(r[-1] == w1 for r in rows):
-            return [[a - b for a, b in zip(r[:-1], x1)] for r in rows[1:]], x1, w1, g
-        diffs = [[w1 * a - r[-1] * b for a, b in zip(r[:-1], x1)] for r in rows[1:]]
+        if self.common_w or all(r[-1] == w1 for r in rows):
+            return [[r[c] - x1[c] for c in cols] for r in rows[1:]], x1, w1, g
+        diffs = [[w1 * r[c] - r[-1] * x1[c] for c in cols] for r in rows[1:]]
         return diffs, x1, w1, g * w1 ** (self.d - 1)
 
     def plane(self, f: int) -> tuple:
@@ -254,8 +263,10 @@ class Hull:
         vals = np.einsum("ij,ij->i", W[:, :d], R[:, :d])
         bounds = np.einsum("ij,ij->i", W[:, d:3 * d], R[:, d:])
         sees = vals > bounds
-        for f in np.flatnonzero((np.abs(vals) <= bounds) & (bounds > 0)).tolist():
-            sees[f] = sum(h * x for h, x in zip(self.plane(f), self.rows[p])) > 0
+        doubt = np.abs(vals) <= bounds
+        if doubt.any():
+            for f in np.flatnonzero(doubt & (bounds > 0)).tolist():
+                sees[f] = sum(h * x for h, x in zip(self.plane(f), self.rows[p])) > 0
         seen = np.flatnonzero(sees).tolist()
         if not seen:
             return
@@ -270,7 +281,7 @@ class Hull:
         # replaces lies inside the new hull, on its negative side
         new = [self.facets[f][:k] + (p,) + self.facets[f][k + 1:] for f, k in horizon.values()]
         new_signs = [self.signs[f] for f, _ in horizon.values()]
-        W[seen, :3 * d] = 0.0  # a zero row sees nothing and is never in doubt
+        W[seen, :d] = np.nan  # a gone facet's row neither sees nor is in doubt
         for f in seen:
             self.facets[f] = None
         self.gone += len(seen)
@@ -371,39 +382,44 @@ class Hull:
             if self.exact[f] is not None:
                 entry = self.exact[f][j]
             else:
-                diffs, _, w1, g = self._differences(f)
-                minor = _det([r[:j] + r[j + 1:] for r in diffs])
-                entry = w1 * (-1) ** (self.d - 1 + j) * minor // g
+                minor, _, w1, g = self._differences(f, skip=j)
+                entry = w1 * (-1) ** (self.d - 1 + j) * _det(minor) // g
             den = math.prod(self.rows[v][-1] for v in verts)
             sums[den] = sums.get(den, 0) + entry // h[j] * height[p]
         total = sum(Fraction(num, den) for den, num in sums.items())
         return total / (math.factorial(self.d) * o[-1])
 
-    def polar_volume(self) -> Fraction:
-        """The exact volume of the polar {y : z . y <= 1 for every point z},
-        for d = 3 and the origin inside.  Each plane (c, -e) of the hull
-        is a vertex c / e of the polar, and each extreme point z a facet:
-        the hull of the vertices of the planes through z, in their order
-        around z.  Coning a fan of each from the origin gives the volume;
-        a triangulation vertex that is not extreme gives flat simplices."""
-        planes, plane_of = self.faces()
-        w = [(h[:-1], -h[-1]) for h in planes]
-        fans = {}
-        for verts, s, p in zip(self.facets, self.signs, plane_of):
-            a, b, c = verts if s > 0 else verts[::-1]  # counterclockwise seen from outside
-            for z, u, v in ((a, b, c), (b, c, a), (c, a, b)):
-                fans.setdefault(z, {})[u] = (v, p)
-        sums = {}  # numerators by denominator
-        for fan in fans.values():
-            u, ring = next(iter(fan)), []
-            while len(ring) < len(fan):  # the triangle (z, u, v) is followed by (z, v, .)
-                u, p = fan[u]
-                ring.append(p)
-            for p, q in zip(ring[1:], ring[2:]):
-                (c0, e0), (c1, e1), (c2, e2) = w[ring[0]], w[p], w[q]
-                den = e0 * e1 * e2
-                sums[den] = sums.get(den, 0) + abs(_det([c0, c1, c2]))
-        return sum(Fraction(num, den) for den, num in sums.items()) / 6
+    def slice_volume(self, j: int) -> Fraction:
+        """The exact volume of the section by the hyperplane x_j = 0, in the
+        other coordinates, for d >= 3 and the origin inside.  Each facet
+        meets it in the hull of its vertices on it and of one point on
+        each edge that crosses it; coning those pieces from the origin
+        gives the volume.  A piece that is a whole facet of the facet is
+        met from both facets that share it, so each counts it half."""
+        d = self.d
+        t = [r[j] for r in self.rows]
+        rows = [r[:j] + r[j + 1:] for r in self.rows]
+        sums = {}
+        for verts in self.facets:
+            signs = [t[v] for v in verts]
+            if min(signs) > 0 or max(signs) < 0:
+                continue
+            on = [rows[v] for v in verts if t[v] == 0]
+            # the point where a-b crosses, -t_b a + t_a b, homogeneous with w > 0
+            piece = on + [[t[a] * y - t[b] * x for x, y in zip(rows[a], rows[b])]
+                          for a in verts if t[a] > 0 for b in verts if t[b] < 0]
+            if len(piece) < d - 1:
+                continue
+            if len(piece) == 4:  # two up, two down: a1b1, a1b2, a2b1, a2b2 go round as
+                piece = [piece[0], piece[1], piece[3], piece[2]]
+            # a segment in the plane, or a fan of triangles in space
+            simplices = [piece] if d == 3 else [[piece[0], p, q]
+                                                for p, q in zip(piece[1:], piece[2:])]
+            for simplex in simplices:
+                den = math.prod(r[-1] for r in simplex) * (2 if len(on) == d - 1 else 1)
+                sums[den] = sums.get(den, 0) + abs(_det([r[:-1] for r in simplex]))
+        total = sum(Fraction(num, den) for den, num in sums.items())
+        return total / math.factorial(d - 1)
 
 
 def polar_area(rows) -> Fraction:

@@ -393,3 +393,30 @@ def test_exact_hull_against_qhull(case):
     assert float(hull.volume()) == pytest.approx(volume, rel=1e-12)
     if extreme is not None:
         assert hull.extreme() == (vertices if extreme == "qhull" else extreme)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1), st.integers(-33, 33))
+def test_sections_against_qhull(n, seed, exponent):
+    # every coordinate section of a random polytope around the origin, from
+    # qhull's intersection of K's halfspaces with E
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    from blgeo.covers import _dyadic_rows, _section_volume
+    from blgeo.hull import convex_hull
+
+    rng = np.random.default_rng(seed)
+    points = np.concatenate([rng.standard_normal((int(rng.integers(0, 20)), n)),
+                             np.eye(n), -np.eye(n)]) * 2.0 ** exponent
+    hull = convex_hull(_dyadic_rows([tuple(map(float, p)) for p in points]))
+    rows = np.array([[x / max(map(abs, h)) for x in h] for h in hull.planes()])
+    for k in range(1, n):
+        for axes in itertools.combinations(range(n), k):
+            A, b = rows[:, list(axes)], -rows[:, -1]
+            if k == 1:
+                a = A[:, 0]
+                oracle = (b[a > 0] / a[a > 0]).min() - (b[a < 0] / a[a < 0]).max()
+            else:
+                cut = HalfspaceIntersection(np.column_stack([A, -b]), np.zeros(k))
+                oracle = ConvexHull(cut.intersections).volume
+            assert float(_section_volume(hull, list(axes))) == pytest.approx(oracle, rel=1e-9)
