@@ -128,11 +128,13 @@ def _det(rows) -> int:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     r0, r1, r2, r3 = rows  # Laplace along the first two rows: pairs of 2 x 2 minors
-    return sum((-1) ** (a + b + 1) * (r0[a] * r1[b] - r0[b] * r1[a])
-               * (r2[c] * r3[e] - r2[e] * r3[c]) for a, b, c, e in _PAIRS)
+    total = 0
+    for s, a, b, c, e in _PAIRS:
+        total += s * (r0[a] * r1[b] - r0[b] * r1[a]) * (r2[c] * r3[e] - r2[e] * r3[c])
+    return total
 
 
-_PAIRS = [(a, b) + tuple(c for c in range(4) if c not in (a, b))
+_PAIRS = [((-1) ** (a + b + 1), a, b) + tuple(c for c in range(4) if c not in (a, b))
           for a, b in combinations(range(4), 2)]
 
 
@@ -191,7 +193,6 @@ class Hull:
         ids = [[seen[j].setdefault(key, len(seen[j])) for j, key in enumerate(row)] for row in keys]
         # per point: x, |x| and the ids (floats, exact below 2^53)
         self.points = np.hstack([X, np.abs(X), ids])
-        self.interior = tuple(map(sum, zip(*(rows[i] for i in start))))
         det = sum(h * x for h, x in zip(cofactors([rows[i] for i in start[:d]]), rows[start[d]]))
         # facet i omits start[i]; moving that row last takes d - i swaps,
         # and it must then lie on the negative side
@@ -231,18 +232,16 @@ class Hull:
         # A = |q| + |p_1|, and zero where an id is p_1's
         return np.concatenate([W, G[:, 0] * _FIRST[d]], axis=1)
 
-    def _differences(self, f: int, skip=None):
+    def _differences(self, f: int):
         """The integer rows w_1 x_i - w_i x_1 of facet f, i > 1, divided by
         w_1 when every w is w_1, and g: sign * det[rows; q] = e . (w_1 q_x
-        - q_w x_1) / g for e the cofactors of those rows.  Column skip
-        is left out of the rows."""
+        - q_w x_1) / g for e the cofactors of those rows."""
         rows = [self.rows[v] for v in self.facets[f]]
         x1, w1 = rows[0][:-1], rows[0][-1]
-        cols = [c for c in range(self.d) if c != skip]
         g = (-1) ** self.d * self.signs[f]
         if self.common_w or all(r[-1] == w1 for r in rows):
-            return [[r[c] - x1[c] for c in cols] for r in rows[1:]], x1, w1, g
-        diffs = [[w1 * r[c] - r[-1] * x1[c] for c in cols] for r in rows[1:]]
+            return [[a - b for a, b in zip(r, x1)] for r in rows[1:]], x1, w1, g
+        diffs = [[w1 * a - r[-1] * b for a, b in zip(r, x1)] for r in rows[1:]]
         return diffs, x1, w1, g * w1 ** (self.d - 1)
 
     def plane(self, f: int) -> tuple:
@@ -367,27 +366,16 @@ class Hull:
                       == self.d)
 
     def volume(self) -> Fraction:
-        """The exact volume: facet f coned to the interior point o of the
-        first simplex has volume -plane(f) . o / (d! o_w prod of its w).
-        plane(f) is a positive multiple of its primitive plane h, and one
-        cofactor of its differences, against a nonzero entry of h, gives
-        the multiple when plane(f) was not computed in full."""
-        planes, plane_of = self.faces()
-        o = self.interior
-        height = [-sum(a * x for a, x in zip(h, o)) for h in planes]
+        """The exact volume: the facets coned to the origin, with signs,
+        sum to it wherever the origin lies.  Facet f's cone has signed
+        volume -signs[f] det[x / w of its vertices] / d!."""
         sums = {}
-        for f, (verts, p) in enumerate(zip(self.facets, plane_of)):
-            h = planes[p]
-            j = next(j for j, a in enumerate(h) if a)
-            if self.exact[f] is not None:
-                entry = self.exact[f][j]
-            else:
-                minor, _, w1, g = self._differences(f, skip=j)
-                entry = w1 * (-1) ** (self.d - 1 + j) * _det(minor) // g
-            den = math.prod(self.rows[v][-1] for v in verts)
-            sums[den] = sums.get(den, 0) + entry // h[j] * height[p]
+        for verts, s in zip(self.facets, self.signs):
+            rows = [self.rows[v] for v in verts]
+            den = math.prod(r[-1] for r in rows)
+            sums[den] = sums.get(den, 0) - s * _det([r[:-1] for r in rows])
         total = sum(Fraction(num, den) for den, num in sums.items())
-        return total / (math.factorial(self.d) * o[-1])
+        return total / math.factorial(self.d)
 
     def slice_volume(self, j: int) -> Fraction:
         """The exact volume of the section by the hyperplane x_j = 0, in the

@@ -216,7 +216,10 @@ def indecomposable_decomposition(d: GeometricBLDatum) -> list:
             found = np.hstack([found, spans[-1].basis])
     if found.shape[1] != n:
         raise InternalError(f"critical pieces have total dimension {found.shape[1]}, expected {n}")
-    if not all(r.is_critical for r in _criticality(d, spans)):
+    # pieces in batches whose (pieces, k, n, n) commutator stack is at most 2 MB
+    step = max(1, 2 ** 18 // (d.k * n * n))
+    if not all(r.is_critical for i in range(0, len(spans), step)
+               for r in _criticality(d, spans[i:i + step])):
         raise InternalError("a computed piece failed the criticality test")
     spans.sort(key=lambda V: (V.dim, tuple(np.round(V.frame, 9).ravel())))
     return spans
