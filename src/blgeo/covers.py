@@ -300,9 +300,9 @@ def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
 
     Requires the origin strictly inside K.  One exact hull of K gives its
     facets, its extreme points, its volume and each distinct sigma's
-    section (_section_volume).  Both sides
-    are exact rationals, so holds is an exact comparison, and each value
-    is rounded to a float once, when it is reported.
+    section (_section_volume).  Both sides are exact rationals, so holds
+    is an exact comparison, and each value is rounded to a float once,
+    when it is reported.
 
     Equality holds precisely when K = conv(union_j K cap F_j) over the
     blocks F_j of the induced partition, and that is so exactly when

@@ -32,7 +32,7 @@ import numpy as np
 from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated
 from .errors import InputError, InternalError
 from .subspace import (RANK_TOL, RESIDUAL_TOL, Subspace, _dim_groups, cluster_eigenspaces,
-                       orthonormalize, projection_stack)
+                       orthonormalize, projection_matrix, projection_stack)
 
 INTEGER_SNAP_TOL = 1e-6  # weighted dimension sums of valid data are near-integers
 GENERIC_SEED = 20100101  # fixed, so the pieces chosen inside repeated blocks are reproducible
@@ -80,14 +80,14 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
         raise InputError("subspace ambient dimension does not match the datum")
     if V.dim == 0:
         raise InputError("criticality is defined for non-zero subspaces only")
-    return _criticality(d, [V])[0]
+    return _criticality(d, [V], projection_matrix(V)[None])[0]
 
 
-def _criticality(d: GeometricBLDatum, spaces) -> list:
-    """is_critical for each of the non-zero subspaces, all at once: every
-    product and SVD runs once over the whole stack."""
+def _criticality(d: GeometricBLDatum, spaces, PV) -> list:
+    """is_critical for each of the non-zero subspaces, all at once, given
+    the stack PV of their projections: every product and SVD runs once
+    over the whole stack."""
     n = d.ambient_dim
-    PV = projection_stack(spaces)
     away = np.eye(n) - PV
     entry_spaces = [E for E, _ in d.entries]
     counts = np.zeros((len(spaces), d.k), dtype=int)
@@ -219,7 +219,7 @@ def indecomposable_decomposition(d: GeometricBLDatum) -> list:
     # pieces in batches whose (pieces, k, n, n) commutator stack is at most 2 MB
     step = max(1, 2 ** 18 // (d.k * n * n))
     if not all(r.is_critical for i in range(0, len(spans), step)
-               for r in _criticality(d, spans[i:i + step])):
+               for r in _criticality(d, spans[i:i + step], projection_stack(spans[i:i + step]))):
         raise InternalError("a computed piece failed the criticality test")
     spans.sort(key=lambda V: (V.dim, tuple(np.round(V.frame, 9).ravel())))
     return spans
