@@ -117,8 +117,6 @@ def cofactors(rows) -> tuple:
 
 def _det(rows) -> int:
     """det of a k x k integer matrix, k <= 4, written out."""
-    if not rows:
-        return 1
     if len(rows) == 1:
         return rows[0][0]
     if len(rows) == 2:

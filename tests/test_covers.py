@@ -272,10 +272,6 @@ def test_polytope_volume_against_norm_identity_oracle():
 # exact verdicts at every scale
 # ---------------------------------------------------------------------------
 
-def box(half):
-    return PointPolytope(len(half), tuple(itertools.product(*[(-a, a) for a in half])))
-
-
 def test_dual_bt_scaled_octahedron_equality():
     r = dual_bt_check(cross_polytope([1e-10] * 3), LW)
     assert r.equality and r.lhs == r.rhs
