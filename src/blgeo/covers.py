@@ -37,9 +37,11 @@ import numpy as np
 from .errors import CapError, InputError, InternalError, as_array, as_int, read
 
 BODY_MAX_DIM = 4
-# m vertices in R^4 can have m(m-3)/2 facets, as on the moment curve, where a
-# check takes about 0.4 s at 64 vertices, 2 s and 45 MB at 128, 21 s and 90 MB at 256
-POLYTOPE_MAX_VERTICES = 128
+# the most vertices of a polytope in R^n.  The hull's work grows with the
+# vertices times the facets, and m vertices in R^n have at most 2, m, 2m - 4
+# and m(m - 3)/2 facets for n = 1..4 (the upper bound theorem), all of them
+# on the moment curve, where each check at the cap takes about 2 s or less
+POLYTOPE_MAX_VERTICES = {1: 32768, 2: 4096, 3: 1024, 4: 128}
 
 
 @dataclass(frozen=True)
@@ -211,8 +213,9 @@ class PointPolytope:
         if not (1 <= self.n <= BODY_MAX_DIM):
             raise CapError("polytope dimension", BODY_MAX_DIM, self.n)
         V = as_array(self.vertices, (None, self.n), "polytope vertices")
-        if V.shape[0] > POLYTOPE_MAX_VERTICES:
-            raise CapError("polytope vertices", POLYTOPE_MAX_VERTICES, V.shape[0])
+        if V.shape[0] > POLYTOPE_MAX_VERTICES[self.n]:
+            raise CapError(f"polytope vertices in R^{self.n}", POLYTOPE_MAX_VERTICES[self.n],
+                           V.shape[0])
         if V.shape[0] < self.n + 1:
             raise InputError(f"need at least {self.n + 1} vertices of dimension {self.n}")
         if not np.all(np.isfinite(V)):
@@ -251,7 +254,7 @@ def _section_volume(hull, axes) -> Fraction:
     """
     from .hull import polar_area  # see dual_bt_check
 
-    planes = hull.planes()
+    planes = hull.planes
     if len(axes) == 1:
         return _reach(planes, axes[0], 1) + _reach(planes, axes[0], -1)
     if len(axes) == hull.d - 1:
@@ -321,7 +324,7 @@ def dual_bt_check(K: PointPolytope, c: UniformCover) -> DualBTCheckResult:
     hull = convex_hull(_dyadic_rows(K.vertices))
     if hull is None:
         raise InputError("polytope must affinely span R^n")
-    planes = hull.planes()
+    planes = hull.planes
     if any(h[-1] >= 0 for h in planes):  # a.x <= b with b <= 0
         raise InputError("the origin must lie strictly inside the polytope")
 

@@ -2,9 +2,10 @@
 
 A point is a homogeneous integer row (x_1, ..., x_d, w) with w > 0,
 standing for the rational point x / w.  Doubles are dyadic rationals,
-so a set of them becomes integral after scaling by one power of two,
-and the polar point a / b of a facet a.x <= b with integer a, b is an
-integral row as it stands.
+so a set of them becomes integral after scaling by one power of two:
+the points of a hull share one w.  The polar point a / b of a facet
+a.x <= b with integer a, b is an integral row as it stands, one w per
+point, as polar_area takes them.
 
 Every decision is the sign of an orientation determinant
 det[p_1, 1; ...; p_d, 1; q, 1].  It is first evaluated in floats, on
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import combinations, permutations
 
 import numpy as np
@@ -68,26 +69,32 @@ def _leibniz(k: int):
 
 
 def _laplace(k: int):
-    """The exact cofactors of a k x (k + 1) matrix as a program of minors,
-    bottom row first: level r holds every minor of rows r..k-1 on a
-    column subset of size k - r, as its (column, index of the minor one
-    level down) terms of sign + and those of sign -."""
-    levels, below = [], {(): 0}
+    """The cofactors of a k x (k + 1) integer matrix as straight-line
+    Python, compiled once: Laplace expansion from the bottom row up, the
+    minor of rows r..k-1 on each column subset of size k - r from those
+    one row down."""
+    names = {(): "1"}
+    body = [f"    {''.join(f'r{i}, ' for i in range(k))}= rows"] if k else []
     for r in range(k - 1, -1, -1):
-        subsets = list(combinations(range(k + 1), k - r))
-        levels.append([tuple([(c, below[s[:pos] + s[pos + 1:]]) for pos, c in enumerate(s)
-                              if pos % 2 == parity] for parity in (0, 1)) for s in subsets])
-        below = {s: i for i, s in enumerate(subsets)}
+        level = {}
+        for s in combinations(range(k + 1), k - r):
+            level[s] = f"m{r}_{len(level)}"
+            body.append(f"    {level[s]} = " + " ".join(
+                f"{'+-'[pos % 2]} r{r}[{c}] * {names[s[:pos] + s[pos + 1:]]}" for pos, c in enumerate(s)))
+        names = level
     # the cofactor of column j is (-1)^(k + j) times the minor without j
-    return levels, [((-1) ** (k + j), below[tuple(c for c in range(k + 1) if c != j)])
-                    for j in range(k + 1)]
+    top = "".join(f"{'-' if (k + j) % 2 else ''}{names[tuple(c for c in range(k + 1) if c != j)]}, "
+                  for j in range(k + 1))
+    namespace = {}
+    exec("def cofactors(rows):\n" + "\n".join(body) + f"\n    return ({top})", namespace)
+    return namespace["cofactors"]
 
 
 _LEIBNIZ = {k: _leibniz(k) for k in range(4)}
 # for a facet of dimension d, the flat index into its (d - 1) x d differences
 # of each factor of each term of each cofactor
 _TERMS = {d: np.arange(d - 1) * d + _LEIBNIZ[d - 1][0] for d in range(1, 5)}
-_LAPLACE = {k: _laplace(k) for k in range(1, 5)}
+_LAPLACE = {k: _laplace(k) for k in range(5)}
 _FIRST = {d: np.repeat([1.0, -1.0, 1.0], d) for d in range(1, 5)}
 # what a facet's terms are summed with: their signs (and (-1)^d, from the
 # differences), _ERR for their A-products, _SLACK for those with no zero factor
@@ -98,42 +105,12 @@ _WEIGHTS = {d: np.stack([_LEIBNIZ[d - 1][1] * (-1) ** d,
 
 def cofactors(rows) -> tuple:
     """The integers h with det[rows; q] = h . q for every integer row q."""
-    levels, top = _LAPLACE[len(rows)]
-    vals = [1]
-    for row, level in zip(reversed(rows), levels):
-        minors = []
-        for plus, minus in level:  # plain loops: this is the exact arithmetic's hot path
-            m = 0
-            for c, i in plus:
-                if row[c]:  # the rows of boxes and cross-polytopes are mostly zeros
-                    m += row[c] * vals[i]
-            for c, i in minus:
-                if row[c]:
-                    m -= row[c] * vals[i]
-            minors.append(m)
-        vals = minors
-    return tuple(vals[i] if s > 0 else -vals[i] for s, i in top)
+    return _LAPLACE[len(rows)](rows)
 
 
-def _det(rows) -> int:
-    """det of a k x k integer matrix, k <= 4, written out."""
-    if len(rows) == 1:
-        return rows[0][0]
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    if len(rows) == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    r0, r1, r2, r3 = rows  # Laplace along the first two rows: pairs of 2 x 2 minors
-    total = 0
-    for s, a, b, c, e in _PAIRS:
-        total += s * (r0[a] * r1[b] - r0[b] * r1[a]) * (r2[c] * r3[e] - r2[e] * r3[c])
-    return total
-
-
-_PAIRS = [((-1) ** (a + b + 1), a, b) + tuple(c for c in range(4) if c not in (a, b))
-          for a, b in combinations(range(4), 2)]
+def det(rows) -> int:
+    """det of a k x k integer matrix, 1 <= k <= 5, by cofactors along its last row."""
+    return sum(h * x for h, x in zip(cofactors(rows[:-1]), rows[-1]))
 
 
 def independent_rows(rows, limit: int) -> list:
@@ -159,14 +136,9 @@ def primitive(h) -> tuple:
     return tuple(x // g for x in h)
 
 
-def _scaled(row) -> list:
-    """The integer row times a power of two, rounded to floats, largest entry in [1, 2]."""
-    k = max(abs(x).bit_length() for x in row) - 1
-    return [x / (1 << k) for x in row] if k > 0 else [float(x) for x in row]
-
-
 class Hull:
-    """The triangulated boundary of conv(rows), rows full-dimensional.
+    """The triangulated boundary of conv(rows), rows full-dimensional and
+    sharing one w.
 
     facets[f] is a tuple of d point indices and signs[f] is +1 or -1:
     signs[f] * det[rows of facet f; q] is positive exactly when q lies
@@ -176,26 +148,20 @@ class Hull:
     def __init__(self, rows: list, start: list):
         self.rows = rows
         d = self.d = len(rows[0]) - 1
-        # the points x / w as floats, all scaled by one power of two to
-        # below 2 in size, and per coordinate an id that two points share
-        # exactly when that coordinate is equal
-        k = max(abs(x).bit_length() - r[-1].bit_length() for r in rows for x in r[:-1])
-        X = [[x / (r[-1] << k) if k >= 0 else (x << -k) / r[-1] for x in r[:-1]] for r in rows]
+        # the points as floats, all scaled by one power of two to below 1
+        # in size, and per coordinate an id that two points share exactly
+        # when that coordinate is equal
+        k = max(abs(x).bit_length() for r in rows for x in r[:-1])
+        X = [[x / (1 << k) for x in r[:-1]] for r in rows]
         seen = [{} for _ in range(d)]
-        self.common_w = len({r[-1] for r in rows}) == 1
-        if self.common_w:
-            keys = [r[:-1] for r in rows]
-        else:
-            keys = [[(x // math.gcd(x, r[-1]), r[-1] // math.gcd(x, r[-1])) for x in r[:-1]]
-                    for r in rows]
-        ids = [[seen[j].setdefault(key, len(seen[j])) for j, key in enumerate(row)] for row in keys]
+        ids = [[seen[j].setdefault(x, len(seen[j])) for j, x in enumerate(r[:-1])] for r in rows]
         # per point: x, |x| and the ids (floats, exact below 2^53)
         self.points = np.hstack([X, np.abs(X), ids])
-        det = sum(h * x for h, x in zip(cofactors([rows[i] for i in start[:d]]), rows[start[d]]))
         # facet i omits start[i]; moving that row last takes d - i swaps,
         # and it must then lie on the negative side
+        positive = det([rows[i] for i in start]) > 0
         self.facets = [tuple(start[:i] + start[i + 1:]) for i in range(d + 1)]
-        self.signs = [-(-1) ** (d - i) * (1 if det > 0 else -1) for i in range(d + 1)]
+        self.signs = [-(-1) ** (d - i) * (1 if positive else -1) for i in range(d + 1)]
         self.exact = [None] * (d + 1)
         # the rows of W in use are those of the facets; a facet that goes
         # is None in the lists, until the next compaction
@@ -206,7 +172,6 @@ class Hull:
             if p not in added:
                 self._add(p)
         self._compact()
-        self._faces = None
 
     def _normals(self, facets, signs):
         """Per facet, one row: the float normal N with N . (q - p_1)
@@ -230,25 +195,19 @@ class Hull:
         # A = |q| + |p_1|, and zero where an id is p_1's
         return np.concatenate([W, G[:, 0] * _FIRST[d]], axis=1)
 
-    def _differences(self, f: int):
-        """The integer rows w_1 x_i - w_i x_1 of facet f, i > 1, divided by
-        w_1 when every w is w_1, and g: sign * det[rows; q] = e . (w_1 q_x
-        - q_w x_1) / g for e the cofactors of those rows."""
-        rows = [self.rows[v] for v in self.facets[f]]
-        x1, w1 = rows[0][:-1], rows[0][-1]
-        g = (-1) ** self.d * self.signs[f]
-        if self.common_w or all(r[-1] == w1 for r in rows):
-            return [[a - b for a, b in zip(r, x1)] for r in rows[1:]], x1, w1, g
-        diffs = [[w1 * a - r[-1] * b for a, b in zip(r, x1)] for r in rows[1:]]
-        return diffs, x1, w1, g * w1 ** (self.d - 1)
-
     def plane(self, f: int) -> tuple:
-        """The exact plane of facet f: h . q is positive beyond it."""
+        """The exact plane of facet f as an integer row h: h . q is
+        positive beyond it.  With e the cofactors of the differences
+        x_i - x_1, i > 1, of its points, h = (w e, -e . x_1) times the
+        sign that points it outwards, and h . q is a positive multiple of
+        signs[f] det[rows; q]."""
         if self.exact[f] is None:
-            diffs, x1, w1, g = self._differences(f)
-            e = cofactors(diffs) if diffs else (1,)
-            h = [w1 * c for c in e] + [-sum(c * x for c, x in zip(e, x1))]
-            self.exact[f] = tuple(x // g for x in h)
+            rows = [self.rows[v] for v in self.facets[f]]
+            x1 = rows[0][:-1]
+            e = cofactors([[a - b for a, b in zip(r, x1)] for r in rows[1:]])
+            g = (-1) ** self.d * self.signs[f]
+            self.exact[f] = tuple([g * rows[0][-1] * c for c in e]
+                                  + [-g * sum(c * x for c, x in zip(e, x1))])
         return self.exact[f]
 
     def _add(self, p: int):
@@ -301,79 +260,37 @@ class Hull:
         self.W = self.W[live]
         self.gone = 0
 
-    def faces(self):
-        """(planes, plane_of): the distinct supporting hyperplanes as
-        primitive integer rows h, h . q <= 0 for every point q, in order
-        of first facet, and the plane of each facet.
+    @cached_property
+    def facet_planes(self) -> list:
+        """Each facet's plane as a primitive integer row h, h . q <= 0 for
+        every point q."""
+        return [primitive(self.plane(f)) for f in range(len(self.facets))]
 
-        A facet whose float normal points as an earlier plane's does is
-        tested against that plane exactly, vertex by vertex; otherwise
-        its plane is computed in full.
-        """
-        if self._faces is not None:
-            return self._faces
-        planes, index, plane_of, near = [], {}, [], {}
-        with np.errstate(invalid="ignore", divide="ignore"):  # a normal lost to underflow
-            N = self.W[:, :self.d]
-            unit = np.round(N / np.linalg.norm(N, axis=1, keepdims=True), 6) + 0.0
-        for f, verts in enumerate(self.facets):
-            key = unit[f].tobytes()
-            for p in near.get(key, ()):
-                if all(sum(a * x for a, x in zip(planes[p], self.rows[v])) == 0 for v in verts):
-                    break
-            else:
-                h = primitive(self.plane(f))
-                p = index.setdefault(h, len(planes))
-                if p == len(planes):
-                    planes.append(h)
-                near.setdefault(key, []).append(p)
-            plane_of.append(p)
-        self._faces = planes, plane_of
-        return self._faces
-
+    @cached_property
     def planes(self) -> list:
-        return self.faces()[0]
+        """The distinct supporting hyperplanes, in order of first facet."""
+        return list(dict.fromkeys(self.facet_planes))
 
     def extreme(self) -> list:
         """Indices of the extreme points, ascending.  A vertex of the
         triangulation is one when the normals of the distinct planes
         through it span R^d; a point inside a face of dimension >= 1 is
-        a vertex of some triangulations but never extreme.
-
-        The normals, each scaled by a power of two and rounded, go
-        through one batched SVD: a smallest singular value above 1e-10
-        of the largest is far beyond the rounding of the normals and of
-        the SVD, so the exact normals span R^d too.  Any other vertex
-        is decided by exact elimination."""
-        planes, plane_of = self.faces()
+        a vertex of some triangulations but never extreme."""
         through = {}
-        for verts, p in zip(self.facets, plane_of):
+        for verts, h in zip(self.facets, self.facet_planes):
             for v in verts:
-                through.setdefault(v, {})[p] = None
-        through = {v: list(ps) for v, ps in through.items() if len(ps) >= self.d}
-        if not through:
-            return []
-        unit = np.array([_scaled(h[:-1]) for h in planes])
-        stack = np.zeros((len(through), max(map(len, through.values())), self.d))
-        for i, ps in enumerate(through.values()):
-            stack[i, :len(ps)] = unit[ps]
-        sines = np.linalg.svd(stack, compute_uv=False)
-        sure = sines[:, -1] > 1e-10 * sines[:, 0]
-        return sorted(v for (v, ps), spans in zip(through.items(), sure.tolist())
-                      if spans or len(independent_rows([planes[p][:-1] for p in ps], self.d))
-                      == self.d)
+                through.setdefault(v, {})[h] = None
+        return sorted(v for v, hs in through.items() if len(hs) >= self.d
+                      and len(independent_rows([h[:-1] for h in hs], self.d)) == self.d)
 
     def volume(self) -> Fraction:
         """The exact volume: the facets coned to the origin, with signs,
         sum to it wherever the origin lies.  Facet f's cone has signed
-        volume -signs[f] det[x / w of its vertices] / d!."""
-        sums = {}
-        for verts, s in zip(self.facets, self.signs):
-            rows = [self.rows[v] for v in verts]
-            den = math.prod(r[-1] for r in rows)
-            sums[den] = sums.get(den, 0) - s * _det([r[:-1] for r in rows])
-        total = sum(Fraction(num, den) for den, num in sums.items())
-        return total / math.factorial(self.d)
+        volume -signs[f] det[x of its points] / (w^d d!), and that
+        determinant is (-1)^(d - 1) e . x_1, in the terms of plane(f):
+        the cone is -plane(f)[-1] / (w^d d!)."""
+        total = -sum(self.plane(f)[-1] for f in range(len(self.facets)))
+        return Fraction(total, self.rows[0][-1] ** self.d * math.factorial(self.d))
 
     def slice_volume(self, j: int) -> Fraction:
         """The exact volume of the section by the hyperplane x_j = 0, in the
@@ -403,7 +320,7 @@ class Hull:
                                                 for p, q in zip(piece[1:], piece[2:])]
             for simplex in simplices:
                 den = math.prod(r[-1] for r in simplex) * (2 if len(on) == d - 1 else 1)
-                sums[den] = sums.get(den, 0) + abs(_det([r[:-1] for r in simplex]))
+                sums[den] = sums.get(den, 0) + abs(det([r[:-1] for r in simplex]))
         total = sum(Fraction(num, den) for den, num in sums.items())
         return total / math.factorial(d - 1)
 
@@ -447,7 +364,7 @@ def polar_area(rows) -> Fraction:
 
 
 def convex_hull(rows: list):
-    """The hull of homogeneous integer rows (x, w), w > 0, in dimension
-    len(x) <= 4; None when the points do not affinely span R^d."""
+    """The hull of homogeneous integer rows (x, w) sharing one w > 0, in
+    dimension len(x) <= 4; None when the points do not affinely span R^d."""
     start = independent_rows(rows, len(rows[0]))
     return Hull(rows, start) if len(start) == len(rows[0]) else None

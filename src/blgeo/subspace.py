@@ -148,12 +148,9 @@ def projection_stack(spaces) -> np.ndarray:
     The subspaces of one dimension share one batched product; slice i
     equals projection_matrix(spaces[i]) bit for bit.
     """
-    groups = _dim_groups(spaces)
-    if len(groups) == 1:
-        return _symmetric_gram(np.stack([S.frame for S in spaces]))
     n = spaces[0].ambient_dim
     stack = np.empty((len(spaces), n, n))
-    for members in groups.values():
+    for members in _dim_groups(spaces).values():
         stack[members] = _symmetric_gram(np.stack([spaces[i].frame for i in members]))
     return stack
 

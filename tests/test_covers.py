@@ -256,8 +256,8 @@ def test_polytope_volume_against_norm_identity_oracle():
     from blgeo.covers import _dyadic_rows
     from blgeo.hull import convex_hull
     hull = convex_hull(_dyadic_rows(K.vertices))
-    A = np.array([h[:-1] for h in hull.planes()], dtype=float)
-    b = -np.array([h[-1] for h in hull.planes()], dtype=float)
+    A = np.array([h[:-1] for h in hull.planes], dtype=float)
+    b = -np.array([h[-1] for h in hull.planes], dtype=float)
     h = 0.05
     xs = np.arange(-30, 30, h) + h / 2
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -321,8 +321,11 @@ def test_dual_bt_edge_midpoint_is_not_a_vertex():
 
 
 def test_polytope_vertex_cap_refuses_before_work():
-    with pytest.raises(CapError, match="polytope vertices"):
-        PointPolytope(2, tuple((float(i), 1.0) for i in range(POLYTOPE_MAX_VERTICES + 1)))
+    for n, cap in POLYTOPE_MAX_VERTICES.items():
+        points = tuple((float(i),) * n for i in range(cap + 1))
+        assert len(PointPolytope(n, points[:cap]).vertices) == cap
+        with pytest.raises(CapError, match=rf"polytope vertices in R\^{n}"):
+            PointPolytope(n, points)
 
 
 def test_hull_sees_a_point_beyond_by_an_underflowing_margin():
@@ -405,7 +408,7 @@ def test_sections_against_qhull(n, seed, exponent):
     points = np.concatenate([rng.standard_normal((int(rng.integers(0, 20)), n)),
                              np.eye(n), -np.eye(n)]) * 2.0 ** exponent
     hull = convex_hull(_dyadic_rows([tuple(map(float, p)) for p in points]))
-    rows = np.array([[x / max(map(abs, h)) for x in h] for h in hull.planes()])
+    rows = np.array([[x / max(map(abs, h)) for x in h] for h in hull.planes])
     for k in range(1, n):
         for axes in itertools.combinations(range(n), k):
             A, b = rows[:, list(axes)], -rows[:, -1]
