@@ -328,6 +328,29 @@ def test_polytope_vertex_cap_refuses_before_work():
             PointPolytope(n, points)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_det_against_fraction_elimination(k):
+    from fractions import Fraction
+
+    from blgeo.hull import det
+    rng = np.random.default_rng(k)
+    for _ in range(50):
+        rows = [[int(x) for x in r] for r in
+                rng.integers(-2 ** 40, 2 ** 40, (k, k)) * (rng.random((k, k)) < 0.7)]
+        A, ref = [[Fraction(x) for x in r] for r in rows], Fraction(1)
+        for i in range(k):  # Gaussian elimination with row swaps
+            p = next((j for j in range(i, k) if A[j][i]), None)
+            if p is None:
+                ref = 0
+                break
+            if p != i:
+                A[i], A[p], ref = A[p], A[i], -ref
+            ref *= A[i][i]
+            for j in range(i + 1, k):
+                A[j] = [a - A[j][i] / A[i][i] * b for a, b in zip(A[j], A[i])]
+        assert det(rows) == ref
+
+
 def test_hull_sees_a_point_beyond_by_an_underflowing_margin():
     # (0, e) lies left of the edge from the origin to (e, 1) by e * e, which
     # underflows to 0 in floats: the filter must defer to exact arithmetic
