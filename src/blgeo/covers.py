@@ -178,9 +178,9 @@ def bt_check(K: VoxelBody, c: UniformCover) -> BTCheckResult:
         raise InputError("body and cover dimensions differ")
     vol = len(K.cells)
     lhs = vol ** c.s
-    rhs = 1
-    for sigma in c.sets:
-        rhs *= len(_project_cells(K.cells, [j - 1 for j in sorted(sigma)]))
+    sizes = {sigma: len(_project_cells(K.cells, [j - 1 for j in sorted(sigma)]))
+             for sigma in set(c.sets)}  # each distinct sigma projected once
+    rhs = math.prod(sizes[sigma] for sigma in c.sets)
     partition = induced_one_cover(c)
     projections = [_project_cells(K.cells, [j - 1 for j in sorted(b)]) for b in partition]
     equality = math.prod(map(len, projections)) == vol

@@ -24,9 +24,10 @@ from .subspace import (
     MAX_AMBIENT_DIM,
     RESIDUAL_TOL,
     Subspace,
+    _symmetric_gram,
+    frame_stacks,
     full_subspace,
     orthonormalize,
-    projection_stack,
 )
 
 MAX_ENTRIES = 64
@@ -50,17 +51,20 @@ def parse_weight(w) -> float:
 class GeometricBLDatum:
     """Subspaces E_i with weights c_i > 0 on a common ambient R^n.
 
-    Construction builds `projections`, the read-only (k, n, n) stack of
-    the P_{E_i} in entry order, which the structural tests share instead
-    of rebuilding each P_i per call, and `defect`, the max-norm of
+    Construction builds `frame_stacks`, the entries' frames stacked per
+    dimension (subspace.frame_stacks), so per-entry work runs once per
+    entry dimension while sums across entries keep entry order;
+    `projections`, the (k, n, n) stack of the P_{E_i} in entry order,
+    which the structural tests share; and `defect`, the max-norm of
     sum_i c_i P_{E_i} - I_n.  A datum is `validated` when the defect is
     within RESIDUAL_TOL; operations that assume sum_i c_i P_{E_i} = I_n
-    refuse any other.  The datum is frozen, so the stack and the defect
-    always describe its entries.
+    refuse any other.  The datum is frozen and its stacks read-only, so
+    they and the defect always describe its entries.
     """
 
     ambient_dim: int
     entries: tuple  # of (Subspace, float)
+    frame_stacks: tuple = field(init=False, compare=False, repr=False)
     projections: np.ndarray = field(init=False, compare=False, repr=False)
     defect: float = field(init=False, compare=False, repr=False)
 
@@ -79,9 +83,13 @@ class GeometricBLDatum:
             if E.dim < 1:
                 raise InputError("datum entries must be non-zero subspaces")
         object.__setattr__(self, "entries", entries)
-        stack = projection_stack([E for E, _ in entries])
-        stack.setflags(write=False)
-        object.__setattr__(self, "projections", stack)
+        stacks = frame_stacks([E for E, _ in entries])
+        projections = np.empty((len(entries), n, n))
+        for members, frames in stacks:
+            projections[members] = _symmetric_gram(frames)
+        projections.setflags(write=False)
+        object.__setattr__(self, "frame_stacks", stacks)
+        object.__setattr__(self, "projections", projections)
         defect = float(np.abs(self.weighted_projection_sum() - np.eye(n)).max())
         object.__setattr__(self, "defect", defect)
 

@@ -9,7 +9,10 @@ has critical eigenspaces and restricts to A_i on every E_i.
 
 Everything is computed in the log domain; equality detection is
 structural (class-constancy of t, or the Phi certificate), never a
-floating-point comparison of the two sides.
+floating-point comparison of the two sides.  Per-entry work (checks,
+conjugations, determinants, inverses) runs as one numpy call per entry
+dimension over the datum's frame stacks; sums across entries run in
+entry order, so every value is the one a loop over the entries gives.
 
 The same check solves the Gaussian fiber problem.  For positive
 definite A_i on E_i in frame coordinates, the minimum of
@@ -36,12 +39,13 @@ CLASS_CONSTANT_RTOL = 1e-9
 
 
 def require_spd(M: np.ndarray, name: str) -> None:
-    """Refuse a matrix that is not finite, symmetric and positive definite."""
+    """Refuse a matrix or a stack unless each is finite, symmetric and positive definite."""
     if not np.all(np.isfinite(M)):
         raise InputError(f"{name} must be finite")
-    if np.abs(M - M.T).max() > 1e-9 * max(1.0, np.abs(M).max()):
+    T, axes = M.swapaxes(-1, -2), (-2, -1)
+    if np.any(np.abs(M - T).max(axis=axes) > 1e-9 * np.maximum(1.0, np.abs(M).max(axis=axes))):
         raise InputError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(0.5 * (M + M.T)).min() <= 0.0:
+    if np.any(np.linalg.eigvalsh(0.5 * (M + T)).min(axis=-1) <= 0.0):
         raise InputError(f"{name} must be positive definite")
 
 
@@ -107,26 +111,33 @@ def assemble_operator(d: GeometricBLDatum, A_list) -> tuple:
 
     A_i is given in the frame coordinates of E_i; conjugating back gives
     the symmetric contribution c_i F_i A_i F_i^T.  Returns (M, mats), mats
-    the symmetrized A_i.
+    the symmetrized A_i, stacked as d.frame_stacks groups the entries.
     """
     require_validated(d)
     if len(A_list) != d.k:
         raise InputError(f"need one operator per entry: expected {d.k}, got {len(A_list)}")
-    mats = []
+    A_list = [np.asarray(A, dtype=float) for A in A_list]
     for (E, _), A in zip(d.entries, A_list):
-        A = np.asarray(A, dtype=float)
         if A.shape != (E.dim, E.dim):
             raise InputError(f"operator shape {A.shape} does not match dim E = {E.dim}")
+    mats = []
+    for members, _ in d.frame_stacks:
+        A = np.array([A_list[i] for i in members])
         require_spd(A, "operators")
-        mats.append(0.5 * (A + A.T))
+        mats.append(0.5 * (A + A.swapaxes(-1, -2)))
     return _assemble(d, mats), mats
 
 
 def _assemble(d: GeometricBLDatum, mats) -> np.ndarray:
-    """sum_i c_i F_i A_i F_i^T, symmetrized, for A_i that are already checked."""
-    M = np.zeros((d.ambient_dim, d.ambient_dim))
-    for (E, c), A in zip(d.entries, mats):
-        M += c * (E.basis @ A @ E.frame)
+    """sum_i c_i F_i A_i F_i^T in entry order, symmetrized, for checked A_i
+    stacked as d.frame_stacks groups them."""
+    n = d.ambient_dim
+    X = np.empty((d.k, n, n))
+    for (members, F), A in zip(d.frame_stacks, mats):
+        X[members] = F.swapaxes(-1, -2) @ A @ F
+    M = np.zeros((n, n))
+    for (_, c), X_i in zip(d.entries, X):
+        M += c * X_i
     return 0.5 * (M + M.T)
 
 
@@ -135,9 +146,12 @@ def _log_sides(d: GeometricBLDatum, M: np.ndarray, mats) -> tuple:
     sign, log_lhs = np.linalg.slogdet(M)
     if sign <= 0:
         raise InternalError("assembled operator is not positive definite")
+    logdets = np.empty(d.k)
+    for (members, _), A in zip(d.frame_stacks, mats):
+        logdets[members] = np.linalg.slogdet(A)[1]
     log_rhs = 0.0
-    for (_, c), A in zip(d.entries, mats):
-        log_rhs += c * float(np.linalg.slogdet(A)[1])
+    for (_, c), logdet in zip(d.entries, logdets.tolist()):
+        log_rhs += c * logdet
     return float(log_lhs), log_rhs
 
 
@@ -151,17 +165,15 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
     M, mats = assemble_operator(d, A_list)
     log_lhs, log_rhs = _log_sides(d, M, mats)
     scale = max(1.0, float(np.abs(M).max()))
-    restriction_ok = True
-    for (E, c), A in zip(d.entries, mats):
-        if np.abs(M @ E.basis - E.basis @ A).max() > RESIDUAL_TOL * scale:
-            restriction_ok = False
-            break
+    restriction_ok = all(np.abs(M @ F.swapaxes(-1, -2) - F.swapaxes(-1, -2) @ A).max()
+                         <= RESIDUAL_TOL * scale for (_, F), A in zip(d.frame_stacks, mats))
     equality = restriction_ok and has_critical_eigenspaces(d, M)
     return _det_result(log_lhs, log_rhs, M if equality else None)
 
 
 def _fiber_operator(d: GeometricBLDatum, Phi) -> tuple:
-    """(Phi, [A_i^-1], Q^-1) for A_i = F_i^T Phi^2 F_i, Phi checked as n x n SPD.
+    """(Phi, A_i^-1, Q^-1) for A_i = F_i^T Phi^2 F_i, Phi checked as n x n SPD,
+    the A_i^-1 stacked as d.frame_stacks groups the entries.
 
     The A_i^-1 are positive definite because Phi is, so they skip the
     per-operator checks of assemble_operator.
@@ -173,9 +185,9 @@ def _fiber_operator(d: GeometricBLDatum, Phi) -> tuple:
         raise InputError(f"Phi must be {n} x {n}")
     require_spd(Phi, "Phi")
     inverses = []
-    for E, _ in d.entries:
-        G = Phi @ E.basis
-        inverses.append(np.linalg.inv(G.T @ G))
+    for _, F in d.frame_stacks:
+        G = Phi @ F.swapaxes(-1, -2)
+        inverses.append(np.linalg.inv(G.swapaxes(-1, -2) @ G))
     return Phi, inverses, _assemble(d, inverses)
 
 
@@ -197,12 +209,14 @@ def min_norm_decomposition(d: GeometricBLDatum, Phi: np.ndarray, x) -> MinNormRe
     Phi, inverses, Q_inv = _fiber_operator(d, Phi)
     x = np.asarray(x, dtype=float).reshape(d.ambient_dim)
     Qx = np.linalg.solve(Q_inv, x)
-    minimizers = tuple(E.basis @ (B @ (E.frame @ Qx)) for (E, _), B in zip(d.entries, inverses))
+    minimizers = np.empty((d.k, d.ambient_dim))
+    for (members, F), B in zip(d.frame_stacks, inverses):
+        minimizers[members] = (F.swapaxes(-1, -2) @ (B @ (F @ Qx)[..., None]))[..., 0]
     recon = sum(c * xi for (_, c), xi in zip(d.entries, minimizers))
     if np.linalg.norm(recon - x) > 1e-9 * (1.0 + np.linalg.norm(x)):
         raise InternalError("the fiber minimizers do not rebuild x")
     return MinNormResult(
         min_value=float(np.dot(x, Qx)),
-        minimizers=minimizers,
+        minimizers=tuple(minimizers),
         reference=float(np.dot(Phi @ x, Phi @ x)),
     )

@@ -31,8 +31,8 @@ import numpy as np
 
 from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated
 from .errors import InputError, InternalError
-from .subspace import (RANK_TOL, RESIDUAL_TOL, Subspace, _dim_groups, cluster_eigenspaces,
-                       orthonormalize, projection_matrix, projection_stack)
+from .subspace import (RANK_TOL, RESIDUAL_TOL, Subspace, cluster_eigenspaces, orthonormalize,
+                       projection_matrix, projection_stack)
 
 INTEGER_SNAP_TOL = 1e-6  # weighted dimension sums of valid data are near-integers
 GENERIC_SEED = 20100101  # fixed, so the pieces chosen inside repeated blocks are reproducible
@@ -89,11 +89,9 @@ def _criticality(d: GeometricBLDatum, spaces, PV) -> list:
     over the whole stack."""
     n = d.ambient_dim
     away = np.eye(n) - PV
-    entry_spaces = [E for E, _ in d.entries]
     counts = np.zeros((len(spaces), d.k), dtype=int)
-    for dim, members in _dim_groups(entry_spaces).items():
-        frames = np.concatenate([entry_spaces[i].frame for i in members])
-        sines = np.linalg.svd((frames @ away).reshape(len(spaces), len(members), dim, n),
+    for members, frames in d.frame_stacks:
+        sines = np.linalg.svd((frames.reshape(-1, n) @ away).reshape(len(spaces), *frames.shape),
                               compute_uv=False)
         counts[:, members] = np.count_nonzero(sines <= RANK_TOL, axis=2)
     X = d.projections @ PV[:, None]  # [P_i, P_V] = X_i - X_i^T
@@ -162,18 +160,20 @@ def bowtie_classes(r: RankOneDatum) -> tuple:
     rank-one Ball-Barthe inequality for those vectors, not a structure of
     the datum (rotating a frame inside its E_i can merge classes).
     """
-    adj = np.abs(r.vectors @ r.vectors.T) > RESIDUAL_TOL
-    unseen, classes = np.ones(r.k, dtype=bool), []
-    while unseen.any():
-        # the smallest unseen vector starts a class, grown breadth-first
-        members = np.arange(r.k) == np.argmax(unseen)
-        frontier = members.copy()
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~members
-            members |= frontier
-        unseen &= ~members
-        classes.append(tuple(np.flatnonzero(members).tolist()))
-    return tuple(classes)
+    # hook and jump over the edges (both ways, and the loops i = i): each
+    # label points at a smaller or equal index.  An edge between two trees
+    # hooks the larger root onto the smaller, then pointer jumping flattens
+    # every tree onto its root, the smallest member of its class
+    i, j = np.nonzero(np.abs(r.vectors @ r.vectors.T) > RESIDUAL_TOL)
+    labels = np.arange(r.k)
+    while not np.array_equal(a := labels[i], b := labels[j]):
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+    order = np.argsort(labels, kind="stable")  # classes by smallest member, members ascending
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), r.k]
+    order = order.tolist()
+    return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def indecomposable_decomposition(d: GeometricBLDatum) -> list:

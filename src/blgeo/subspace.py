@@ -150,17 +150,22 @@ def projection_stack(spaces) -> np.ndarray:
     """
     n = spaces[0].ambient_dim
     stack = np.empty((len(spaces), n, n))
-    for members in _dim_groups(spaces).values():
-        stack[members] = _symmetric_gram(np.stack([spaces[i].frame for i in members]))
+    for members, frames in frame_stacks(spaces):
+        stack[members] = _symmetric_gram(frames)
     return stack
 
 
-def _dim_groups(spaces) -> dict:
-    """Indices of the subspaces of each dimension, in input order."""
+def frame_stacks(spaces) -> tuple:
+    """Read-only (members, frames) per dimension, in order of first
+    appearance: the indices of the subspaces of that dimension, in input
+    order, and their frames stacked as one (len(members), dim, n) array."""
     groups = {}
     for i, S in enumerate(spaces):
         groups.setdefault(S.dim, []).append(i)
-    return groups
+    stacks = tuple((np.array(m), np.stack([spaces[i].frame for i in m])) for m in groups.values())
+    for array in (a for stack in stacks for a in stack):
+        array.setflags(write=False)
+    return stacks
 
 
 def _symmetric_gram(F: np.ndarray) -> np.ndarray:

@@ -5,7 +5,10 @@ than the library (brute-force circuit search, direct matrix sums, exact
 CDF bisection, per-sample CDF inversion, the subspace lattice for
 criticality, the Cauchy-Binet minor expansion of the rank-one
 determinant, the stacked constraint system of the Gaussian fiber) so
-that agreement is evidence, not tautology.
+that agreement is evidence, not tautology.  The per-entry references
+are the other kind: loops over the entries that the batched layers
+must match bit for bit, and the breadth-first class search that
+bowtie_classes must match exactly.
 """
 
 import math
@@ -27,9 +30,9 @@ from blgeo.datum import (
 )
 from blgeo.errors import CapError, InputError, InternalError
 from blgeo.integrals import GridDensity
-from blgeo.structure import INTEGER_SNAP_TOL, CriticalityReport
-from blgeo.subspace import (RANK_TOL, Subspace, equal, full_subspace, orthonormalize,
-                            zero_subspace)
+from blgeo.structure import INTEGER_SNAP_TOL, CriticalityReport, has_critical_eigenspaces
+from blgeo.subspace import (RANK_TOL, RESIDUAL_TOL, Subspace, equal, full_subspace,
+                            orthonormalize, zero_subspace)
 
 
 @pytest.fixture
@@ -81,6 +84,24 @@ def bowtie_oracle(vectors):
     for i in range(k):
         groups.setdefault(find(i), []).append(i)
     return tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0]))
+
+
+def bowtie_bfs(vectors):
+    """Classes grown breadth-first, each from the smallest vector not yet
+    in a class, over the edges |<u_i, u_j>| > RESIDUAL_TOL."""
+    vectors = np.asarray(vectors, dtype=float)
+    k = vectors.shape[0]
+    adj = np.abs(vectors @ vectors.T) > RESIDUAL_TOL
+    unseen, classes = np.ones(k, dtype=bool), []
+    while unseen.any():
+        members = np.arange(k) == np.argmax(unseen)
+        frontier = members.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~members
+            members |= frontier
+        unseen &= ~members
+        classes.append(tuple(np.flatnonzero(members).tolist()))
+    return tuple(classes)
 
 
 def induced_partition_oracle(n, sets):
@@ -262,6 +283,47 @@ def gaussian_fiber_oracle(d, A_list):
     Q_inv = C @ np.linalg.solve(H, C.T)
     log_integral = 0.5 * d.ambient_dim * np.log(np.pi) + 0.5 * np.linalg.slogdet(Q_inv)[1]
     return np.linalg.inv(Q_inv), float(log_integral)
+
+
+# ---------------------------------------------------------------------------
+# per-entry references of the determinantal and fiber layers: one numpy
+# call per entry, in entry order
+# ---------------------------------------------------------------------------
+
+def assemble_per_entry(d, mats):
+    """sum_i c_i F_i A_i F_i^T, symmetrized."""
+    M = np.zeros((d.ambient_dim, d.ambient_dim))
+    for (E, c), A in zip(d.entries, mats):
+        M += c * (E.basis @ A @ E.frame)
+    return 0.5 * (M + M.T)
+
+
+def log_sides_per_entry(d, M, mats):
+    """(log det M, sum_i c_i log det A_i)."""
+    log_rhs = 0.0
+    for (_, c), A in zip(d.entries, mats):
+        log_rhs += c * float(np.linalg.slogdet(A)[1])
+    return float(np.linalg.slogdet(M)[1]), log_rhs
+
+
+def determinantal_per_entry(d, A_list):
+    """(log_lhs, log_rhs, M, certificate) of determinantal_high_check."""
+    mats = [0.5 * (A + A.T) for A in (np.asarray(A, dtype=float) for A in A_list)]
+    M = assemble_per_entry(d, mats)
+    scale = max(1.0, float(np.abs(M).max()))
+    restriction_ok = all(np.abs(M @ E.basis - E.basis @ A).max() <= RESIDUAL_TOL * scale
+                         for (E, _), A in zip(d.entries, mats))
+    equality = restriction_ok and has_critical_eigenspaces(d, M)
+    return (*log_sides_per_entry(d, M, mats), M, M if equality else None)
+
+
+def fiber_per_entry(d, Phi):
+    """([A_i^-1], Q^-1) of the Gaussian fiber for A_i = F_i^T Phi^2 F_i."""
+    inverses = []
+    for E, _ in d.entries:
+        G = Phi @ E.basis
+        inverses.append(np.linalg.inv(G.T @ G))
+    return inverses, assemble_per_entry(d, inverses)
 
 
 def random_uniform_cover(rng, n, s, max_blocks=None):

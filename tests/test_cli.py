@@ -497,6 +497,37 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+# entry dimensions 2, 1, 3, 1, 2 in R^3, so the dimension-2 operators are
+# checked apart from the dimension-1 ones between them
+MIXED_JSON = {"n": 3, "entries": [
+    {"c": 0.25, "E": {"n": 3, "frame": [[1, 0, 0], [0, 1, 0]]}},
+    {"c": 0.25, "E": {"n": 3, "frame": [[0, 0, 1]]}},
+    {"c": 0.5, "E": {"n": 3, "frame": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+    {"c": 0.25, "E": {"n": 3, "frame": [[0, 0, 1]]}},
+    {"c": 0.25, "E": {"n": 3, "frame": [[0.6, 0.8, 0], [-0.8, 0.6, 0]]}}]}
+MIXED_A = [[[2, 0.5], [0.5, 1]], [[3]], [[1, 0, 0], [0, 2, 0], [0, 0, 3]], [[1.5]],
+           [[0.7, 0.1], [0.1, 2]]]
+
+
+@pytest.mark.parametrize("command", ["detcheck", "bl-eval"])
+@pytest.mark.parametrize("entry, A, message", [
+    (1, [[1, 0], [0, 1]], "operator shape (2, 2) does not match dim E = 1"),
+    (4, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "operator shape (3, 3) does not match dim E = 2"),
+    (2, [[1, 0, 0], [0, float("nan"), 0], [0, 0, 1]], "operators must be finite"),
+    (3, [[float("inf")]], "operators must be finite"),
+    (4, [[0.7, 0.1], [0.2, 2]], "operators must be symmetric"),
+    (3, [[-1.5]], "operators must be positive definite"),
+    (4, [[1, 2], [2, 1]], "operators must be positive definite"),
+], ids=["shape", "shape-of-a-plane", "nan", "inf", "asymmetric", "negative", "indefinite"])
+def test_a_bad_operator_after_the_first_is_refused(command, entry, A, message, tmp_path, capsys):
+    datum, ops = tmp_path / "mixed.json", tmp_path / "A.json"
+    datum.write_text(json.dumps(MIXED_JSON))
+    ops.write_text(json.dumps(MIXED_A))
+    assert run_cli(capsys, [command, str(datum), "--A", str(ops)])[0] == 0
+    ops.write_text(json.dumps(MIXED_A[:entry] + [A] + MIXED_A[entry + 1:]))
+    assert run_cli(capsys, [command, str(datum), "--A", str(ops)]) == (1, "", f"error: {message}\n")
+
+
 def test_out_of_memory_exits_one_with_message(files, capsys, monkeypatch):
     # a fine --grid can ask for more cells than memory holds; fake the failed allocation
     def out_of_memory(*args, **kwargs):

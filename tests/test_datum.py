@@ -64,6 +64,25 @@ def test_projection_stack_is_a_read_only_invariant(rng):
     assert {1, 2} <= group_sizes and max(group_sizes) > 2
 
 
+def test_frame_stacks_are_a_read_only_invariant(rng):
+    # one stack per entry dimension, in order of first appearance, members
+    # in entry order, each slice the frame of its entry
+    for _ in range(20):
+        base = random_datum(rng, max_dim=8, max_vectors=16)
+        for d in (base, direct_sum_data([holder_datum(3, [1.0]), base, axis_datum(1)])):
+            dims = [E.dim for E, _ in d.entries]
+            assert [F.shape[1] for _, F in d.frame_stacks] == list(dict.fromkeys(dims))
+            for members, F in d.frame_stacks:
+                assert members.tolist() == [i for i, m in enumerate(dims) if m == F.shape[1]]
+                assert F.shape == (len(members), F.shape[1], d.ambient_dim)
+                for i, Fi in zip(members, F):
+                    assert np.array_equal(Fi, d.entries[i][0].frame)
+                with pytest.raises(ValueError):
+                    F[0, 0, 0] = 0.5
+                with pytest.raises(ValueError):
+                    members[0] = 0
+
+
 def test_every_builder_carries_its_stack_and_defect(rng):
     # built by the constructor itself: no validate_datum call here
     lw = UniformCover(3, 2, ({2, 3}, {1, 3}, {1, 2}))

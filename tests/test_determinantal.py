@@ -1,26 +1,36 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cauchy_binet_expansion, gaussian_fiber_oracle, random_datum
+from conftest import (cauchy_binet_expansion, determinantal_per_entry, fiber_per_entry,
+                      gaussian_fiber_oracle, log_sides_per_entry, random_datum, random_rotation)
 
 from blgeo.datum import (
+    GeometricBLDatum,
     RankOneDatum,
     axis_datum,
+    direct_sum_data,
+    holder_datum,
     paired_planes_datum,
     planar_lines_datum,
     rank_one_expansion,
+    rotate_datum,
 )
 from blgeo.determinantal import (
     _det_result,
+    assemble_operator,
     ball_barthe_check,
     determinantal_high_check,
     min_norm_decomposition,
+    require_spd,
 )
 from blgeo.errors import CapError, InputError, InternalError
+from blgeo.integrals import ExtremizerParams, GaussianDensity, gaussian_barthe_eval, gaussian_bl_eval
 from blgeo.structure import bowtie_classes, indecomposable_decomposition, is_critical
-from blgeo.subspace import orthonormalize, projection_matrix
+from blgeo.subspace import full_subspace, orthonormalize, projection_matrix
 
 
 def class_constant_t(r, values):
@@ -203,6 +213,69 @@ def test_non_pd_operator_rejected():
         determinantal_high_check(d, [np.array([[1.0]]), np.array([[-1.0]])])
     with pytest.raises(InputError):
         determinantal_high_check(d, [np.array([[1.0]])])
+
+
+def test_require_spd_refuses_one_bad_slice_of_a_stack(rng):
+    stack = np.stack([random_spd(rng, 3) for _ in range(4)])
+    require_spd(stack, "operators")
+    require_spd(stack[2], "operators")  # a single matrix is a stack of one
+    faults = {"finite": lambda A: A.__setitem__((0, 1), np.nan),
+              "symmetric": lambda A: A.__setitem__((0, 1), A[0, 1] + 0.1),
+              "positive definite": lambda A: A.__imul__(-1.0)}
+    for word, fault in faults.items():
+        bad = stack.copy()
+        fault(bad[2])
+        for M in (bad, bad[2]):
+            with pytest.raises(InputError, match=f"^operators must be {word}$"):
+                require_spd(M, "operators")
+    # the single-matrix callers
+    assert GaussianDensity(full_subspace(3), stack[1]).integral() > 0
+    with pytest.raises(InputError, match="gaussian matrix must be positive definite"):
+        GaussianDensity(full_subspace(3), -stack[1])
+    ExtremizerParams(A=stack[0])
+
+
+def interleaved_datum(rng):
+    """Entry dimensions 2, 1, 3, 1, 2, 1, so that the entries grouped by
+    dimension are not in entry order, with a Phi that has critical
+    eigenspaces: two Hoelder planes, three lines of a plane and R^3 in
+    direct sum, permuted and rotated, and Phi constant on each block."""
+    w = rng.uniform(0.2, 0.8)
+    blocks = [holder_datum(2, [w, 1.0 - w]), planar_lines_datum(3), holder_datum(3, [1.0])]
+    summed = direct_sum_data(blocks)  # dimensions 2, 2, 1, 1, 1, 3
+    Q = random_rotation(rng, summed.ambient_dim)
+    d = rotate_datum(GeometricBLDatum(summed.ambient_dim, tuple(
+        summed.entries[i] for i in (0, 2, 5, 3, 1, 4))), Q)
+    lambdas = np.repeat(rng.uniform(0.5, 2.0, 3), [2, 2, 3])
+    Phi = (Q * lambdas) @ Q.T
+    return d, 0.5 * (Phi + Phi.T)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_batched_layers_equal_the_per_entry_loops(seed):
+    rng = np.random.default_rng(seed)
+    d, Phi = interleaved_datum(rng)
+    assert [E.dim for E, _ in d.entries] == [2, 1, 3, 1, 2, 1]
+    assert [F.shape[1] for _, F in d.frame_stacks] == [2, 1, 3]
+    A_rand = [random_spd(rng, E.dim) for E, _ in d.entries]
+    A_eq = [E.frame @ Phi @ E.basis for E, _ in d.entries]
+    for A_list, equality in ((A_rand, False), (A_eq, True)):
+        log_lhs, log_rhs, M, certificate = determinantal_per_entry(d, A_list)
+        check = determinantal_high_check(d, A_list)
+        assert (check.log_lhs, check.log_rhs) == (log_lhs, log_rhs)
+        assert np.array_equal(assemble_operator(d, A_list)[0], M)
+        assert check.equality is equality is (certificate is not None)
+        assert check.equality_certificate is None if certificate is None else \
+            np.array_equal(check.equality_certificate, certificate)
+        bl = gaussian_bl_eval(d, A_list)
+        assert (bl.lhs, bl.rhs) == (math.exp(-0.5 * log_lhs), math.exp(-0.5 * log_rhs))
+    inverses, Q_inv = fiber_per_entry(d, Phi)
+    log_lhs, log_rhs = log_sides_per_entry(d, Q_inv, inverses)
+    log_pi = 0.5 * d.ambient_dim * math.log(math.pi)
+    barthe = gaussian_barthe_eval(d, Phi)
+    assert (barthe.lhs, barthe.rhs) == (math.exp(log_pi + 0.5 * log_lhs),
+                                        math.exp(log_pi + 0.5 * log_rhs))
 
 
 # ---------------------------------------------------------------------------

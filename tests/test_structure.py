@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bowtie_oracle, complement, intersect, is_critical_oracle,
+from conftest import (bowtie_bfs, bowtie_oracle, complement, intersect, is_critical_oracle,
                       is_indecomposable_oracle, random_datum, random_rotation, subspace_sum)
 
 from blgeo.covers import UniformCover
 from blgeo.datum import (
     GeometricBLDatum,
+    RankOneDatum,
     axis_datum,
     direct_sum_data,
     holder_datum,
@@ -233,6 +234,35 @@ def test_bowtie_matches_circuit_oracle_on_random_data(rng):
             continue
         assert bowtie_classes(r) == bowtie_oracle(r.vectors)
         done += 1
+
+
+def unit_rows(V):
+    """A RankOneDatum of the normalized rows of V: bowtie_classes reads the vectors alone."""
+    V = V / np.linalg.norm(V, axis=1, keepdims=True)
+    return RankOneDatum(V.shape[1], V, np.ones(len(V)), tuple((i, 0) for i in range(len(V))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_bowtie_classes_equal_the_breadth_first_search_on_sparse_frames(seed):
+    # each vector touches one to three of n coordinates: many classes, of all sizes
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, 80)), int(rng.integers(1, 60))
+    V = np.zeros((k, n))
+    for row in V:
+        support = rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False)
+        row[support] = rng.choice([-1.0, 1.0], support.size) * rng.uniform(0.5, 1.0, support.size)
+    r = unit_rows(V)
+    assert bowtie_classes(r) == bowtie_bfs(r.vectors)
+
+
+def test_bowtie_classes_equal_the_breadth_first_search_on_a_shuffled_path():
+    # vector m meets m + 1 only; shuffled, so labels hook in no useful order
+    k = 2000
+    V = np.zeros((k, k + 1))
+    V[np.arange(k), np.arange(k)] = V[np.arange(k), np.arange(k) + 1] = 1.0
+    r = unit_rows(V[np.random.default_rng(5).permutation(k)])
+    assert bowtie_classes(r) == bowtie_bfs(r.vectors) == (tuple(range(k)),)
 
 
 def complex_lines_datum():
