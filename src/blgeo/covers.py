@@ -37,10 +37,11 @@ import numpy as np
 from .errors import CapError, InputError, InternalError, as_array, as_int, read
 
 BODY_MAX_DIM = 4
-# the most vertices of a polytope in R^n.  The hull's work grows with the
-# vertices times the facets, and m vertices in R^n have at most 2, m, 2m - 4
-# and m(m - 3)/2 facets for n = 1..4 (the upper bound theorem), all of them
-# on the moment curve, where each check at the cap takes about 2 s or less
+# the most vertices of a polytope in R^n.  The hull tests each vertex against
+# every facet and makes an exact plane per facet it builds, and m vertices in
+# R^n have at most 2, m, 2m - 4 and m(m - 3)/2 facets for n = 1..4 (the upper
+# bound theorem), all of them on the moment curve, where the hull, volume and
+# extreme points at each cap take 0.4 s or less on a shared 2-core machine
 POLYTOPE_MAX_VERTICES = {1: 32768, 2: 4096, 3: 1024, 4: 128}
 
 

@@ -187,7 +187,15 @@ def _fiber_operator(d: GeometricBLDatum, Phi) -> tuple:
     inverses = []
     for _, F in d.frame_stacks:
         G = Phi @ F.swapaxes(-1, -2)
-        inverses.append(np.linalg.inv(G.swapaxes(-1, -2) @ G))
+        # Phi^2 can over- or underflow a double where Phi does not
+        with np.errstate(over="ignore"):
+            gram = G.swapaxes(-1, -2) @ G
+        if not np.all(np.isfinite(gram)):
+            raise InputError("Phi^2 overflows a double on an entry subspace")
+        try:
+            inverses.append(np.linalg.inv(gram))
+        except np.linalg.LinAlgError:
+            raise InputError("Phi^2 underflows to a singular matrix on an entry subspace") from None
     return Phi, inverses, _assemble(d, inverses)
 
 

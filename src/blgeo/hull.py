@@ -7,110 +7,90 @@ the points of a hull share one w.  The polar point a / b of a facet
 a.x <= b with integer a, b is an integral row as it stands, one w per
 point, as polar_area takes them.
 
-Every decision is the sign of an orientation determinant
-det[p_1, 1; ...; p_d, 1; q, 1].  It is first evaluated in floats, on
-the differences p_i - p_1 and q - p_1, against every facet at once, with
-a forward error bound that holds for any order of the sums (a static
-filter in the sense of Shewchuk, DCG 18, 1997).  A difference of two
-exactly equal coordinates is an exact zero, and a term of the
-determinant with a zero factor carries no error, so the coplanar points
-of boxes and cross-polytopes are decided in floats too.  Only a value
-inside its bound is recomputed exactly, in Python integers.
-
 The hull is built by beneath-beyond (Edelsbrunner, Algorithms in
 Combinatorial Geometry, 1987): from a first full-dimensional simplex,
-points are added in input order.  The facets a point sees strictly go,
-and each ridge between a seen and an unseen facet is coned to the point.
-A point on a facet's plane does not see it, so the boundary comes out
-triangulated, coplanar simplices included, and a point inside the hull
-or on its boundary (a repeated point too) is never added.  A Hull gives
-its distinct facet planes as primitive integer rows, its extreme points,
-its volume and the volume of its section by a coordinate hyperplane;
-polar_area gives the area of the polar of points in the plane, by
-Graham's scan.
+the other points are added one at a time.  The facets a point sees
+strictly go, and each ridge between a seen and an unseen facet is coned
+to the point.  A point on a facet's plane does not see it, so the
+boundary comes out triangulated, coplanar simplices included, and a
+point inside the hull or on its boundary is never added.  The points go
+in one fixed pseudo-random order, the same on every run: in a random
+order the expected number of facets ever made is of the order of the
+most a hull of that many points can have, whatever order the input
+came in (Clarkson and Shor, DCG 4, 1989), where the input order of
+points on the moment curve makes many times more.  A point equal to an
+earlier one is skipped, so a repeated extreme point is known by its
+first index.
+
+Each facet gets its exact plane when it is made: an integer row h with
+h . q > 0 exactly when q lies beyond it.  Its float copy, scaled by a
+power of two to below 1, is a row of a matrix W, and a point q, scaled
+likewise, is tested against every facet at once by W @ q, with a
+forward error bound that holds for any order of the sums (a static
+filter in the sense of Shewchuk, DCG 18, 1997).  Only a value inside
+its bound is decided exactly, by h . q in Python integers.  A Hull
+gives its distinct facet planes as primitive integer rows, its extreme
+points, its volume and the volume of its section by a coordinate
+hyperplane; polar_area gives the area of the polar of points in the
+plane, by Graham's scan.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import combinations, permutations
+from itertools import combinations
+from operator import mul
 
 import numpy as np
 
-# A term of the determinant is a product of d differences, each within
-# 3u A of its exact value (A = |x_a| + |x_b|: two rounded inputs and a
-# subtraction), and it goes through at most (d-1)! + 2d - 3 roundings:
-# the products inside the facet's normal, the sum over (d-1)! terms,
-# the product with the query's difference and the sum over d of those.
-# The float value is then within (5d + (d-1)! - 3) u times the sum over
-# the terms of the product of their A of the exact one, whatever the
-# order of the sums; _ERR doubles that for the rounding of the bound
-# itself.  Coordinates are scaled below 2, so underflow adds at most
-# about 2^-1060 for each term without a zero factor; _SLACK covers one.
-_ERR = {d: 2.0 * (5 * d + math.factorial(d - 1) - 3) * 2.0 ** -53 for d in range(1, 5)}
+# W @ q is within _ERR |W| @ |q| + _SLACK of h . q scaled: the d + 1
+# products and d sums of the dot product, and the rounding of W and q
+# to floats, make (d + 3) u, doubled for the terms of second order and
+# the rounding of the bound itself.  Entries are below 1 in size, so
+# underflow adds at most 2^-1074 for each rounding; _SLACK covers that.
+_ERR = {d: 2.0 * (d + 3) * 2.0 ** -53 for d in range(1, 5)}
 _SLACK = 2.0 ** -1000
 
 
-def _leibniz(k: int):
-    """Index tables of the cofactors of a k x (k + 1) matrix by the Leibniz
-    sum, for the row appended last: the column each row gives each term,
-    and the signs."""
-    cols, signs = [], []
-    for j in range(k + 1):
-        rest = [c for c in range(k + 1) if c != j]
-        for perm in permutations(range(k)):
-            inversions = sum(perm[a] > perm[b] for a, b in combinations(range(k), 2))
-            cols.append([rest[p] for p in perm])
-            signs.append((-1) ** (inversions + k + j))
-    return (np.array(cols, dtype=int).reshape(k + 1, math.factorial(k), k),
-            np.array(signs, dtype=float).reshape(k + 1, math.factorial(k)))
-
-
-def _laplace(k: int):
-    """The cofactors of a k x (k + 1) integer matrix as straight-line
-    Python, compiled once: Laplace expansion from the bottom row up, the
-    minor of rows r..k-1 on each column subset of size k - r from those
-    one row down."""
-    names = {(): "1"}
-    body = [f"    {''.join(f'r{i}, ' for i in range(k))}= rows"] if k else []
-    for r in range(k - 1, -1, -1):
+def _plane(d: int):
+    """The plane through d points (x_i, w) of one w as straight-line
+    Python, compiled once: h = (w e, -e . x_d), with e the cofactors of
+    the differences t_i = x_i - x_d, i < d, so that e . x = det[t; x];
+    then h . q = -det[rows; q].  The cofactors come by Laplace expansion
+    from the bottom row up, the minor of rows r..d-2 on each column
+    subset of size d - 1 - r from those one row down."""
+    k = d - 1
+    body = [f"    {''.join(f'x{i}_{c}, ' for c in range(d))}w = rows[{i}]" for i in range(d)]
+    body += [f"    t{i}_{c} = x{i}_{c} - x{k}_{c}" for i in range(k) for c in range(d)]
+    names = {(): "1"} if k == 0 else {(c,): f"t{k - 1}_{c}" for c in range(d)}
+    for r in range(k - 2, -1, -1):
         level = {}
-        for s in combinations(range(k + 1), k - r):
+        for s in combinations(range(d), k - r):
             level[s] = f"m{r}_{len(level)}"
             body.append(f"    {level[s]} = " + " ".join(
-                f"{'+-'[pos % 2]} r{r}[{c}] * {names[s[:pos] + s[pos + 1:]]}" for pos, c in enumerate(s)))
+                f"{'+-'[pos % 2]} t{r}_{c} * {names[s[:pos] + s[pos + 1:]]}" for pos, c in enumerate(s)))
         names = level
     # the cofactor of column j is (-1)^(k + j) times the minor without j
-    top = "".join(f"{'-' if (k + j) % 2 else ''}{names[tuple(c for c in range(k + 1) if c != j)]}, "
-                  for j in range(k + 1))
+    body += [f"    e{j} = {'-' * ((k + j) % 2)}{names[tuple(c for c in range(d) if c != j)]}"
+             for j in range(d)]
+    body.append(f"    return [{''.join(f'w * e{j}, ' for j in range(d))}"
+                f"-({' + '.join(f'e{j} * x{k}_{j}' for j in range(d))})]")
     namespace = {}
-    exec("def cofactors(rows):\n" + "\n".join(body) + f"\n    return ({top})", namespace)
-    return namespace["cofactors"]
+    exec("def plane(rows):\n" + "\n".join(body), namespace)
+    return namespace["plane"]
 
 
-_LEIBNIZ = {k: _leibniz(k) for k in range(4)}
-# for a facet of dimension d, the flat index into its (d - 1) x d differences
-# of each factor of each term of each cofactor
-_TERMS = {d: np.arange(d - 1) * d + _LEIBNIZ[d - 1][0] for d in range(1, 5)}
-_LAPLACE = {k: _laplace(k) for k in range(5)}
-_FIRST = {d: np.repeat([1.0, -1.0, 1.0], d) for d in range(1, 5)}
-# what a facet's terms are summed with: their signs (and (-1)^d, from the
-# differences), _ERR for their A-products, _SLACK for those with no zero factor
-_WEIGHTS = {d: np.stack([_LEIBNIZ[d - 1][1] * (-1) ** d,
-                         np.full_like(_LEIBNIZ[d - 1][1], _ERR[d]),
-                         np.full_like(_LEIBNIZ[d - 1][1], _SLACK)]) for d in range(1, 5)}
-
-
-def cofactors(rows) -> tuple:
-    """The integers h with det[rows; q] = h . q for every integer row q."""
-    return _LAPLACE[len(rows)](rows)
+_PLANES = {d: _plane(d) for d in range(1, 6)}
 
 
 def det(rows) -> int:
-    """det of a k x k integer matrix, 1 <= k <= 5, by cofactors along its last row."""
-    return sum(h * x for h, x in zip(cofactors(rows[:-1]), rows[-1]))
+    """det of a k x k integer matrix, 1 <= k <= 5: the plane through the
+    origin and its first k - 1 rows, at its last row."""
+    k = len(rows)
+    return sum(map(mul, _PLANES[k]([(*r, 1) for r in rows[:-1]] + [(0,) * k + (1,)]), rows[-1]))
 
 
 def independent_rows(rows, limit: int) -> list:
@@ -136,119 +116,86 @@ def primitive(h) -> tuple:
     return tuple(x // g for x in h)
 
 
+def _floats(rows) -> np.ndarray:
+    """Integer rows as floats, each divided by the power of two that
+    brings its largest entry into [1/2, 1): rounded once, and once more
+    only where that lands in the subnormals."""
+    try:
+        F = np.array(rows, dtype=float)  # each entry rounded once
+    except OverflowError:  # an entry beyond the double range: divide in integers
+        F = np.array([[a / (1 << max(map(abs, r)).bit_length()) for a in r] for r in rows])
+    return np.ldexp(F, -np.frexp(np.abs(F).max(axis=1))[1][:, None])
+
+
 class Hull:
     """The triangulated boundary of conv(rows), rows full-dimensional and
-    sharing one w.
+    sharing one w; start indexes d + 1 affinely independent rows.
 
-    facets[f] is a tuple of d point indices and signs[f] is +1 or -1:
-    signs[f] * det[rows of facet f; q] is positive exactly when q lies
-    beyond the facet's plane.
+    facets[f] is a tuple of d point indices, signs[f] is +1 or -1, and
+    exact[f] is signs[f] times the plane _plane gives for the facet's
+    points: h . q is positive exactly when q lies beyond the facet.
     """
 
     def __init__(self, rows: list, start: list):
         self.rows = rows
         d = self.d = len(rows[0]) - 1
-        # the points as floats, all scaled by one power of two to below 1
-        # in size, and per coordinate an id that two points share exactly
-        # when that coordinate is equal
-        k = max(abs(x).bit_length() for r in rows for x in r[:-1])
-        X = [[x / (1 << k) for x in r[:-1]] for r in rows]
-        seen = [{} for _ in range(d)]
-        ids = [[seen[j].setdefault(x, len(seen[j])) for j, x in enumerate(r[:-1])] for r in rows]
-        # per point: x, |x| and the ids (floats, exact below 2^53)
-        self.points = np.hstack([X, np.abs(X), ids])
-        # facet i omits start[i]; moving that row last takes d - i swaps,
-        # and it must then lie on the negative side
-        positive = det([rows[i] for i in start]) > 0
-        self.facets = [tuple(start[:i] + start[i + 1:]) for i in range(d + 1)]
-        self.signs = [-(-1) ** (d - i) * (1 if positive else -1) for i in range(d + 1)]
-        self.exact = [None] * (d + 1)
+        self.points = _floats(rows)
+        self.errs = _ERR[d] * np.abs(self.points)
         # the rows of W in use are those of the facets; a facet that goes
         # is None in the lists, until the next compaction
-        self.W = self._normals(self.facets, self.signs)
-        self.gone = 0
-        added = set(start)
-        for p in range(len(rows)):
-            if p not in added:
-                self._add(p)
+        self.facets, self.signs, self.exact, self.W, self.gone = [], [], [], np.empty((0, d + 1)), 0
+        # facet i omits start[i], and det[facet i; start[i]] is (-1)^(d - i)
+        # det[start]: the sign puts start[i] on the negative side
+        sign = 1 if det([rows[i] for i in start]) > 0 else -1
+        self._make([tuple(start[:i] + start[i + 1:]) for i in range(d + 1)],
+                   [sign * (-1) ** (d - i) for i in range(d + 1)])
+        first = {}
+        for p, r in enumerate(rows):
+            first.setdefault(tuple(r), p)
+        order = sorted(set(first.values()) - set(start))
+        random.Random(0).shuffle(order)
+        for p in order:
+            self._add(p)
         self._compact()
 
-    def _normals(self, facets, signs):
-        """Per facet, one row: the float normal N with N . (q - p_1)
-        approximating signs * det[rows; q] up to a positive factor; by
-        cofactor, _ERR times the sum of its terms' A-products and _SLACK
-        times the number of its terms with no exactly zero factor; p_1."""
-        d = self.d
-        G = self.points[np.array(facets)]
-        first, rest = G[:, :1], G[:, 1:]
-        differs = rest[..., 2 * d:] != first[..., 2 * d:]
-        # the differences p_i - p_1, their A and whether they are nonzero, by term
-        parts = np.empty((3,) + differs.shape)
-        np.subtract(rest[..., :d], first[..., :d], out=parts[0])
-        np.add(rest[..., d:2 * d], first[..., d:2 * d], out=parts[1])
-        parts[1] *= differs
-        parts[2] = differs
-        terms = parts.reshape(3, len(facets), (d - 1) * d)[:, :, _TERMS[d]].prod(axis=-1)
-        W = np.einsum("xfjt,xjt->fxj", terms, _WEIGHTS[d]).reshape(len(facets), 3 * d)
-        W[:, :d] *= np.array(signs)[:, None]
-        # p_1's row, with -|p_1|: a point's row minus this one is q - p_1, its
-        # A = |q| + |p_1|, and zero where an id is p_1's
-        return np.concatenate([W, G[:, 0] * _FIRST[d]], axis=1)
-
-    def plane(self, f: int) -> tuple:
-        """The exact plane of facet f as an integer row h: h . q is
-        positive beyond it.  With e the cofactors of the differences
-        x_i - x_1, i > 1, of its points, h = (w e, -e . x_1) times the
-        sign that points it outwards, and h . q is a positive multiple of
-        signs[f] det[rows; q]."""
-        if self.exact[f] is None:
-            rows = [self.rows[v] for v in self.facets[f]]
-            x1 = rows[0][:-1]
-            e = cofactors([[a - b for a, b in zip(r, x1)] for r in rows[1:]])
-            g = (-1) ** self.d * self.signs[f]
-            self.exact[f] = tuple([g * rows[0][-1] * c for c in e]
-                                  + [-g * sum(c * x for c, x in zip(e, x1))])
-        return self.exact[f]
+    def _make(self, new, signs):
+        """Add the facets of new, each a tuple of d point indices, with
+        their signs, exact planes and the planes' rows of W."""
+        used = len(self.facets)
+        if used + len(new) > len(self.W):
+            self.W = np.concatenate([self.W[:used], np.empty((used + 2 * len(new), self.d + 1))])
+        plane = _PLANES[self.d]
+        for verts, sign in zip(new, signs):
+            h = plane([self.rows[v] for v in verts])
+            self.exact.append(h if sign > 0 else [-a for a in h])
+        self.W[used:used + len(new)] = _floats(self.exact[used:])
+        self.facets += new
+        self.signs += signs
 
     def _add(self, p: int):
-        d = self.d
         W = self.W[:len(self.facets)]
-        R = self.points[p] - W[:, 3 * d:]
-        R[:, 2 * d:] = R[:, 2 * d:] != 0
-        R[:, d:2 * d] *= R[:, 2 * d:]
-        vals = np.einsum("ij,ij->i", W[:, :d], R[:, :d])
-        bounds = np.einsum("ij,ij->i", W[:, d:3 * d], R[:, d:])
+        vals = W @ self.points[p]
+        bounds = np.abs(W) @ self.errs[p] + _SLACK
         sees = vals > bounds
-        doubt = np.abs(vals) <= bounds
-        if doubt.any():
-            for f in np.flatnonzero(doubt & (bounds > 0)).tolist():
-                sees[f] = sum(h * x for h, x in zip(self.plane(f), self.rows[p])) > 0
-        seen = np.flatnonzero(sees).tolist()
+        for f in (np.abs(vals) <= bounds).nonzero()[0].tolist():
+            sees[f] = sum(map(mul, self.exact[f], self.rows[p])) > 0
+        seen = sees.nonzero()[0].tolist()
         if not seen:
             return
         horizon = {}
         for f in seen:
             verts = self.facets[f]
-            for k in range(d):
+            for k in range(self.d):
                 ridge = frozenset(verts[:k] + verts[k + 1:])
                 if horizon.pop(ridge, None) is None:  # a ridge of two seen facets is inside
-                    horizon[ridge] = (f, k)
-        # the new facet keeps the orientation of the seen one: the vertex p
-        # replaces lies inside the new hull, on its negative side
-        new = [self.facets[f][:k] + (p,) + self.facets[f][k + 1:] for f, k in horizon.values()]
-        new_signs = [self.signs[f] for f, _ in horizon.values()]
-        W[seen, :d] = np.nan  # a gone facet's row neither sees nor is in doubt
+                    # p in place of the vertex of a seen facet keeps its sign:
+                    # that vertex lies inside the new hull, on the negative side
+                    horizon[ridge] = verts[:k] + (p,) + verts[k + 1:], self.signs[f]
+        W[seen] = np.nan  # a gone facet's row neither sees nor is in doubt
         for f in seen:
             self.facets[f] = None
         self.gone += len(seen)
-        rows = self._normals(new, new_signs)
-        used = len(self.facets)
-        if used + len(new) > len(self.W):
-            self.W = np.concatenate([self.W[:used], np.empty((used + 2 * len(new), W.shape[1]))])
-        self.W[used:used + len(new)] = rows
-        self.facets += new
-        self.signs += new_signs
-        self.exact += [None] * len(new)
+        self._make(*zip(*horizon.values()))
         if self.gone > len(self.facets) // 2:
             self._compact()
 
@@ -264,7 +211,7 @@ class Hull:
     def facet_planes(self) -> list:
         """Each facet's plane as a primitive integer row h, h . q <= 0 for
         every point q."""
-        return [primitive(self.plane(f)) for f in range(len(self.facets))]
+        return [primitive(h) for h in self.exact]
 
     @cached_property
     def planes(self) -> list:
@@ -285,11 +232,12 @@ class Hull:
 
     def volume(self) -> Fraction:
         """The exact volume: the facets coned to the origin, with signs,
-        sum to it wherever the origin lies.  Facet f's cone has signed
-        volume -signs[f] det[x of its points] / (w^d d!), and that
-        determinant is (-1)^(d - 1) e . x_1, in the terms of plane(f):
-        the cone is -plane(f)[-1] / (w^d d!)."""
-        total = -sum(self.plane(f)[-1] for f in range(len(self.facets)))
+        sum to it wherever the origin lies.  With exact[f] = (w e, -e . x_d)
+        and e pointing outwards, e / w^(d - 1) is the normal of the facet
+        of the points x / w times (d - 1)! times its area, so its cone has
+        volume e . x_d / (w^d d!) = -exact[f][-1] / (w^d d!), positive
+        when the origin lies inside the facet's plane."""
+        total = -sum(h[-1] for h in self.exact)
         return Fraction(total, self.rows[0][-1] ** self.d * math.factorial(self.d))
 
     def slice_volume(self, j: int) -> Fraction:
@@ -323,6 +271,7 @@ class Hull:
                 sums[den] = sums.get(den, 0) + abs(det([r[:-1] for r in simplex]))
         total = sum(Fraction(num, den) for den, num in sums.items())
         return total / math.factorial(d - 1)
+
 
 
 def polar_area(rows) -> Fraction:

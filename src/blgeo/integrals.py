@@ -479,17 +479,19 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     h = grid.h
     weights = [c for _, c in d.entries]
 
-    # per-entry grids in each density's own frame coordinates, summed flat
-    quads = [float(np.concatenate([f.value(P) for P in _center_slabs(grid, f.domain.dim)]).sum())
-             * h ** f.domain.dim for f in densities]
-    if any(q <= 0.0 for q in quads):
-        raise InputError("a density has zero mass on the declared box")
-
-    F = _fiber_maximum(grid, densities, weights)
-    lhs = float(F.sum()) * h ** n
-
-    log_rhs = sum(c * math.log(q) for c, q in zip(weights, quads))
-    rhs = math.exp(log_rhs)
+    # finite masses can still make a side beyond a double, refused below
+    with np.errstate(over="ignore"):
+        # per-entry grids in each density's own frame coordinates, summed flat
+        quads = [float(np.concatenate([f.value(P) for P in _center_slabs(grid, f.domain.dim)]).sum())
+                 * h ** f.domain.dim for f in densities]
+        if any(q <= 0.0 for q in quads):
+            raise InputError("a density has zero mass on the declared box")
+        F = _fiber_maximum(grid, densities, weights)
+        lhs = float(F.sum()) * h ** n
+    rhs = _safe_exp(sum(c * math.log(q) for c, q in zip(weights, quads)))
+    for name, side in (("lhs", lhs), ("rhs", rhs)):
+        if not math.isfinite(side):
+            raise InputError(f"the grid Barthe side {name} overflows a double")
 
     # error budget: inner/outer cell variation of F plus input truncation
     Fg = F.reshape([grid.count] * n)

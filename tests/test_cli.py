@@ -347,7 +347,8 @@ FAR_GAUSS_JSON = dict(GAUSS_JSON, A=[[3.0]], b=[2000.0])
     "grid_not_a_number", "grid_unknown_key", "grid_repeated_key", "grid_overflow",
     "gaussian_mass_overflow", "gaussian_mass_overflow_densities", "overflowing_bl_sides",
     "overflowing_barthe_sides", "overflowing_ball_sides", "grid_mass_overflow",
-    "grid_before_missing_datum", "transport_samples",
+    "grid_before_missing_datum", "transport_samples", "overflowing_grid_barthe_sides",
+    "overflowing_theta_barthe_sides", "phi_square_overflows", "phi_square_underflows",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -405,7 +406,9 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
              "grid_overflow": "grid cell count", "overflowing_report": "grid values",
              "grid_mass_overflow": "grid values",
              **dict.fromkeys(["overflowing_bl_sides", "overflowing_barthe_sides",
-                              "overflowing_ball_sides"], "lhs"),
+                              "overflowing_ball_sides", "overflowing_grid_barthe_sides",
+                              "overflowing_theta_barthe_sides"], "lhs"),
+             **dict.fromkeys(["phi_square_overflows", "phi_square_underflows"], "Phi"),
              **dict.fromkeys(weight, "entries[0].c")}.get(case, "")
     if case in bad_density:
         argv = ["transport", "--f", write("f.json", json.dumps(bad_density[case])), "--g", gauss]
@@ -477,6 +480,17 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
                        "overflowing_ball_sides": ("--t", [1e200] * 4)}[case]
         command = {"--A": "bl-eval", "--phi": "barthe-eval", "--t": "detcheck"}[flag]
         argv = [command, axes, flag, write("side.json", json.dumps(value))]
+    elif case in ("overflowing_grid_barthe_sides", "overflowing_theta_barthe_sides"):
+        # each mass is finite, but the weights sum to 2 in R^2: both sides pass 1e600
+        lines = planar_lines_datum(3)
+        side = dict(grid, values=[1e300] * 4) if "grid" in case else dict(GAUSS_JSON, theta=1e300)
+        argv = ["barthe-eval", write("lines.json", json.dumps(lines.to_json())), "--densities",
+                write("d.json", json.dumps([dict(side, domain=E.to_json()) for E, _ in lines.entries])),
+                "--grid", "h=0.25,box=2"]
+    elif case in ("phi_square_overflows", "phi_square_underflows"):
+        # a finite positive Phi whose square is beyond a double either way
+        phi = [[1e160]] if case == "phi_square_overflows" else [[1e-200]]
+        argv = ["barthe-eval", holder, "--phi", write("phi.json", json.dumps(phi))]
     else:
         argv = ["barthe-eval", holder, "--densities", write("d.json", json.dumps([huge, huge])),
                 "--grid", "h=0.5,box=1"]

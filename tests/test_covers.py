@@ -417,6 +417,30 @@ def test_exact_hull_against_qhull(case):
         assert hull.extreme() == (vertices if extreme == "qhull" else extreme)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(hull_inputs(), st.randoms(use_true_random=False))
+def test_hull_does_not_depend_on_the_order_of_its_points(case, random):
+    from blgeo.covers import _dyadic_rows
+    from blgeo.hull import convex_hull
+
+    P, _ = case
+    d = P.shape[1]
+    half = np.abs(P).max() / 2.0  # a cross around the origin puts it inside, for slice_volume
+    P = np.concatenate([P, np.eye(d) * half, -np.eye(d) * half])
+    P = np.concatenate([P, P[::3]])  # and every third point again
+    order = list(range(len(P)))
+    random.shuffle(order)
+    seen = []
+    for Q in (P, P[order]):
+        points = [tuple(map(float, p)) for p in Q]
+        hull = convex_hull(_dyadic_rows(points))
+        extreme = hull.extreme()
+        assert all(points.index(points[i]) == i for i in extreme)  # the first of equal points
+        seen.append((set(hull.planes), hull.volume(), {points[i] for i in extreme},
+                     [hull.slice_volume(j) for j in range(d)] if d >= 3 else None))
+    assert seen[0] == seen[1]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1), st.integers(-33, 33))
 def test_sections_against_qhull(n, seed, exponent):
