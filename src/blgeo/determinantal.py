@@ -138,7 +138,7 @@ def _assemble(d: GeometricBLDatum, mats) -> np.ndarray:
     M = np.zeros((n, n))
     for (_, c), X_i in zip(d.entries, X):
         M += c * X_i
-    return 0.5 * (M + M.T)
+    return 0.5 * M + 0.5 * M.T  # halves first, so a finite M cannot overflow
 
 
 def _log_sides(d: GeometricBLDatum, M: np.ndarray, mats) -> tuple:

@@ -515,7 +515,7 @@ def _fiber_maximum(grid: GridSpec, densities, weights) -> np.ndarray:
     C = np.hstack([c * g.domain.basis for c, g in zip(weights, densities)])
     starts = np.cumsum([0] + [g.domain.dim for g in densities])
     solved = _pivot_columns(C)
-    free = np.setdiff1d(np.arange(C.shape[1]), solved)
+    free = np.delete(np.arange(C.shape[1]), solved)
     f = free.size
 
     # the free coordinates of each block that has one: its points, and the
@@ -667,7 +667,8 @@ def _row_maxima(p: np.ndarray, L: np.ndarray, t: np.ndarray) -> np.ndarray:
     at = _ranges(r0, r1 - r0)
     start, size = np.repeat(c0, r1 - r0), np.repeat(c1 - c0 + 1, r1 - r0)
     ends = np.cumsum(size)
-    cuts = np.unique(np.searchsorted(ends, np.arange(SUPCONV_TILE, ends[-1], SUPCONV_TILE)))
+    cuts = np.searchsorted(ends, np.arange(SUPCONV_TILE, ends[-1], SUPCONV_TILE))
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]  # sorted, so this drops the repeats
     for a, b in zip([0, *cuts], [*cuts, len(at)]):
         col = _ranges(start[a:b], size[a:b])
         v = t[col]

@@ -5,16 +5,24 @@ equivalently when P_V commutes with every P_i = P_{E_i} (every E_i
 splits as (E_i cap V) + (E_i cap V-perp)).  is_critical computes both
 and cross-checks them; a disagreement is an internal error, never
 silently resolved.  The sines that count dim(E_i cap V) come from one
-batched SVD per entry dimension, and the commutators from one product
-with the stack of the P_i that the datum builds when it is made.  A
-symmetric matrix has critical eigenspaces exactly when it commutes
-with every P_i, and for a critical V, E cap V = P_V E.
+batched SVD per entry dimension (the norms, for lines), and the
+commutators from one product with the stack of the P_i that the datum
+builds when it is made.  A symmetric matrix has critical eigenspaces
+exactly when it commutes with every P_i, and for a critical V,
+E cap V = P_V E.
 
 The structure comes from the same algebra, the *-algebra generated by
 the P_i: the critical subspaces are its invariant subspaces, and the
 pieces of a finest orthogonal critical decomposition are irreducible
-cyclic modules, grown from eigenvectors of a generic element of it
-(Maehara & Murota, JJIAM 27, 2010).  On a piece W, tr(P_i P_W) =
+modules, read off the eigenvectors of a generic element G of it
+(Maehara & Murota, JJIAM 27, 2010).  One pass over them splits R^n:
+the eigenspaces that the P_i couple form an isotypic component, and
+where the component's eigenspaces share one dimension, carrying them
+onto each other by the polar factors of a second generic element
+lines up the pieces column by column.  The same pass checks that no
+P_i leaks between two pieces; a component that leaks, as the complex
+and quaternion types do, grows its pieces as cyclic modules from its
+first eigenspace instead.  On a piece W, tr(P_i P_W) =
 dim(E_i cap W); pieces where this is 0 or dim W for every i lie in a
 joint 0/1 eigenspace cap_i E_i^(eps(i)), and those sharing one pattern
 eps sum to an independent subspace owned by the entries with
@@ -31,7 +39,7 @@ import numpy as np
 
 from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated
 from .errors import InputError, InternalError
-from .subspace import (RANK_TOL, RESIDUAL_TOL, Subspace, cluster_eigenspaces, orthonormalize,
+from .subspace import (EIGENVALUE_CLUSTER_RTOL, RANK_TOL, RESIDUAL_TOL, Subspace, orthonormalize,
                        projection_matrix, projection_stack)
 
 INTEGER_SNAP_TOL = 1e-6  # weighted dimension sums of valid data are near-integers
@@ -67,13 +75,14 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
 
     dim(E_i cap V) is the number of singular values of F_i (I - P_V),
     the sines of the principal angles, at most RANK_TOL; the entries of
-    one dimension share one product and one batched SVD.  The weighted
-    dimension sum is snapped to the nearest integer before comparing
-    with dim V (dimensions are integers, weights are floats; criticality
-    is a discrete property).  The splitting test, every commutator
-    [P_i, P_V] within RESIDUAL_TOL in max-norm, takes one stacked
-    product with the P_i of the datum.  The two must agree, otherwise
-    the thresholds are inconsistent and we raise instead of guessing.
+    one dimension share one product and one batched SVD, or a norm per
+    row for lines.  The weighted dimension sum is snapped to the nearest
+    integer before comparing with dim V (dimensions are integers, weights
+    are floats; criticality is a discrete property).  The splitting
+    test, every commutator [P_i, P_V] within RESIDUAL_TOL in max-norm,
+    takes one stacked product with the P_i of the datum.  The two must
+    agree, otherwise the thresholds are inconsistent and we raise
+    instead of guessing.
     """
     require_validated(d)
     if V.ambient_dim != d.ambient_dim:
@@ -85,14 +94,16 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
 
 def _criticality(d: GeometricBLDatum, spaces, PV) -> list:
     """is_critical for each of the non-zero subspaces, all at once, given
-    the stack PV of their projections: every product and SVD runs once
-    over the whole stack."""
+    the stack PV of their projections: every product, SVD and norm runs
+    once over the whole stack."""
     n = d.ambient_dim
     away = np.eye(n) - PV
     counts = np.zeros((len(spaces), d.k), dtype=int)
     for members, frames in d.frame_stacks:
-        sines = np.linalg.svd((frames.reshape(-1, n) @ away).reshape(len(spaces), *frames.shape),
-                              compute_uv=False)
+        rest = (frames.reshape(-1, n) @ away).reshape(len(spaces), *frames.shape)
+        # the one singular value of a line's row is its norm
+        sines = np.linalg.norm(rest, axis=3) if frames.shape[1] == 1 else \
+            np.linalg.svd(rest, compute_uv=False)
         counts[:, members] = np.count_nonzero(sines <= RANK_TOL, axis=2)
     X = d.projections @ PV[:, None]  # [P_i, P_V] = X_i - X_i^T
     commutators = np.abs(X - X.swapaxes(-1, -2)).max(axis=(1, 2, 3))
@@ -147,6 +158,25 @@ def critical_meet(E: Subspace, V: Subspace) -> Subspace:
     return orthonormalize((V.basis @ U[:, :r]).T, ambient_dim=V.ambient_dim)
 
 
+def _components(i, j, size: int) -> tuple:
+    """Connected components of the graph on range(size) whose edges, both
+    ways, are the pairs (i[m], j[m]): by smallest member, members ascending.
+
+    Hook and jump: each label points at a smaller or equal index.  An edge
+    between two trees hooks the larger root onto the smaller, then pointer
+    jumping flattens every tree onto its root, the smallest member of its
+    component."""
+    labels = np.arange(size)
+    while not np.array_equal(a := labels[i], b := labels[j]):
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+    order = np.argsort(labels, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), size]
+    order = order.tolist()
+    return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
 def bowtie_classes(r: RankOneDatum) -> tuple:
     """Partition of the expansion vectors into indecomposable classes.
 
@@ -160,20 +190,7 @@ def bowtie_classes(r: RankOneDatum) -> tuple:
     rank-one Ball-Barthe inequality for those vectors, not a structure of
     the datum (rotating a frame inside its E_i can merge classes).
     """
-    # hook and jump over the edges (both ways, and the loops i = i): each
-    # label points at a smaller or equal index.  An edge between two trees
-    # hooks the larger root onto the smaller, then pointer jumping flattens
-    # every tree onto its root, the smallest member of its class
-    i, j = np.nonzero(np.abs(r.vectors @ r.vectors.T) > RESIDUAL_TOL)
-    labels = np.arange(r.k)
-    while not np.array_equal(a := labels[i], b := labels[j]):
-        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(jumped := labels[labels], labels):
-            labels = jumped
-    order = np.argsort(labels, kind="stable")  # classes by smallest member, members ascending
-    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), r.k]
-    order = order.tolist()
-    return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return _components(*np.nonzero(np.abs(r.vectors @ r.vectors.T) > RESIDUAL_TOL), r.k)
 
 
 def indecomposable_decomposition(d: GeometricBLDatum) -> list:
@@ -182,40 +199,71 @@ def indecomposable_decomposition(d: GeometricBLDatum) -> list:
     G = A + AB + BA, A and B fixed-seed random combinations of the P_i,
     is a symmetric element of their algebra, assumed generic: distinct
     eigenvalues on non-isomorphic irreducibles, simple ones over the
-    real, complex or quaternion commutant of each.  Then the cyclic
-    module of any u in an eigenspace U of G, span{u} grown under every
-    P_i until it closes, is irreducible.  The projection on the pieces
-    found commutes with G, so U is covered when the squared singular
-    values of its rest, each 0 or 1, sum below 1/2: an absolute cut.
-    Only n x n linear algebra is used, too small for the BLAS to thread.
+    real, complex or quaternion commutant of each.  One eigh of G and
+    one batched product T_i = Q^T P_i Q give the whole split.  The
+    eigenspaces of G (eigenvalues within EIGENVALUE_CLUSTER_RTOL) that
+    some T_i couples above RANK_TOL form one isotypic component.  A
+    component of one eigenspace is cut into its eigenvector lines, on
+    which every P_i is 0 or 1.  Over the real commutant every
+    irreducible meets each eigenspace of its component in a line, so
+    the eigenspaces share one dimension m, and each block Q_b^T A Q_a
+    of A is a multiple of an orthogonal map whose polar factor carries
+    eigenspace b onto the first, a, column by column: column j of every
+    eigenspace then spans piece j (for m = 1 the whole component).  The
+    same pass checks the split: between columns of different pieces
+    every |T_i| must stay within RANK_TOL.  A component whose
+    eigenspaces differ in dimension, or whose split leaks (over the
+    complex and quaternion commutants an irreducible meets each
+    eigenspace in 2 or 4 dimensions), grows its pieces from its first
+    eigenspace instead: the cyclic module of u in it, span{u} grown
+    under every P_i until it closes, is irreducible, and the eigenspace
+    is covered when the squared singular values of its rest, each 0 or
+    1, sum below 1/2.  Only n x n linear algebra is used, too small for
+    the BLAS to thread.
     """
     require_validated(d)
     n = d.ambient_dim
-    rng = np.random.default_rng(GENERIC_SEED)
-    projections = d.projections.reshape(d.k * n, n)
-    A, B = np.tensordot(rng.uniform(1.0, 2.0, (2, d.k)), d.projections, axes=1)
-    found = np.zeros((n, 0))
+    weights = np.random.default_rng(GENERIC_SEED).uniform(1.0, 2.0, (2, d.k))
+    A, B = (weights @ d.projections.reshape(d.k, n * n)).reshape(2, n, n)
+    G = A + A @ B + B @ A
+    w, Q = np.linalg.eigh(0.5 * (G + G.T))
+    gaps = np.diff(w) > EIGENVALUE_CLUSTER_RTOL * max(abs(w[0]), abs(w[-1]), 1e-300)
+    space = np.concatenate([[0], np.cumsum(gaps)])  # the eigenspace of each column
+    couplings = np.abs(Q.T @ d.projections @ Q).max(axis=0)
+    components = _components(*np.nonzero((couplings > RANK_TOL) | (space[:, None] == space)), n)
+
+    # a component splits column by column when its eigenspaces share one
+    # dimension m: column j of each spans piece j, once D carries every
+    # eigenspace onto the first by the polar factor of its block of A
+    size = np.bincount(space)[space].tolist()  # the dimension of each column's eigenspace
+    D, piece, carried = np.eye(n), list(range(n)), False
+    for cols in components:
+        m = size[cols[0]]
+        if any(size[c] != m for c in cols):
+            continue
+        if m > 1 and len(cols) > m:
+            first, others = list(cols[:m]), np.reshape(cols[m:], (-1, m))
+            U, _, Vt = np.linalg.svd(Q[:, others].transpose(1, 2, 0) @ A @ Q[:, first])
+            D[others[:, :, None], others[:, None, :]] = U @ Vt
+            carried = True
+        for j, c in enumerate(cols):
+            piece[c] = cols[j % m]
+    if carried:
+        Q = Q @ D
+        couplings = np.abs(Q.T @ d.projections @ Q).max(axis=0)
+    piece = np.array(piece)
+    leaks = ((couplings > RANK_TOL) & (piece[:, None] != piece)).any(axis=1).tolist()
+
     spans = []
-    for U in cluster_eigenspaces(A + A @ B + B @ A):
-        while found.shape[1] < n:
-            rest = U.basis - found @ (found.T @ U.basis)
-            norms = np.linalg.norm(rest, axis=0)
-            if norms @ norms < 0.5:  # squared singular values, 0 or 1, sum to the dimension left
-                break
-            W = new = rest[:, [norms.argmax()]] / norms.max()
-            while new.shape[1] and W.shape[1] < n:
-                # every P_i applied to the new directions in one product
-                images = (projections @ new).reshape(d.k, n, -1).transpose(1, 0, 2).reshape(n, -1)
-                images -= W @ (W.T @ images)
-                if np.linalg.norm(images) <= RANK_TOL:  # bounds every singular value
-                    break
-                left, s, _ = np.linalg.svd(images, full_matrices=False)
-                new = left[:, s > RANK_TOL]
-                W = np.hstack([W, new])
-            spans.append(orthonormalize(W.T, ambient_dim=n))
-            found = np.hstack([found, spans[-1].basis])
-    if found.shape[1] != n:
-        raise InternalError(f"critical pieces have total dimension {found.shape[1]}, expected {n}")
+    for cols in components:
+        m = size[cols[0]]
+        if any(leaks[c] or size[c] != m for c in cols):  # the check of the split
+            spans.extend(_grown_pieces(d, Q[:, cols], m))
+        else:
+            spans.extend(Subspace(n, Q[:, cols[j::m]].T) for j in range(m))
+    total = sum(V.dim for V in spans)
+    if total != n:
+        raise InternalError(f"critical pieces have total dimension {total}, expected {n}")
     # pieces in batches whose (pieces, k, n, n) commutator stack is at most 2 MB
     step = max(1, 2 ** 18 // (d.k * n * n))
     if not all(r.is_critical for i in range(0, len(spans), step)
@@ -225,12 +273,44 @@ def indecomposable_decomposition(d: GeometricBLDatum) -> list:
     return spans
 
 
+def _grown_pieces(d: GeometricBLDatum, basis: np.ndarray, m: int) -> list:
+    """The pieces of one component, given an orthonormal basis of it whose
+    first m columns span its first eigenspace: each the cyclic module of
+    the largest rest of that eigenspace, grown in the coordinates of the
+    basis under the compressions of the P_i."""
+    c = basis.shape[1]
+    compressed = (basis.T @ d.projections @ basis).reshape(d.k * c, c)
+    found = np.zeros((c, 0))
+    spans = []
+    while found.shape[1] < c:
+        rest = np.eye(c, m) - found @ found[:m].T
+        norms = np.linalg.norm(rest, axis=0)
+        if norms @ norms < 0.5:  # squared singular values, 0 or 1, sum to the dimension left
+            break
+        W = new = rest[:, [norms.argmax()]] / norms.max()
+        while new.shape[1] and W.shape[1] < c:
+            # every P_i applied to the new directions in one product
+            images = (compressed @ new).reshape(d.k, c, -1).transpose(1, 0, 2).reshape(c, -1)
+            images -= W @ (W.T @ images)
+            if np.linalg.norm(images) <= RANK_TOL:  # bounds every singular value
+                break
+            left, s, _ = np.linalg.svd(images, full_matrices=False)
+            new = left[:, s > RANK_TOL]
+            W = np.hstack([W, new])
+        W = orthonormalize(W.T, ambient_dim=c).basis
+        spans.append(Subspace(d.ambient_dim, (basis @ W).T))
+        found = np.hstack([found, W])
+    return spans
+
+
 def independent_subspaces(d: GeometricBLDatum) -> StructureReport:
     """Independent subspaces, dependent subspace, and the class structure.
 
     A piece W of the decomposition lies in an independent subspace when
     dim(E_i cap W) = tr(P_{E_i} P_W) is 0 or dim W for every i; the
     pieces are grouped by the entries that contain them, their owners.
+    The pieces are orthonormal and pairwise orthogonal, so their rows
+    frame each group and the dependent subspace as they are.
     """
     n = d.ambient_dim
     pieces = indecomposable_decomposition(d)
@@ -239,7 +319,7 @@ def independent_subspaces(d: GeometricBLDatum) -> StructureReport:
     groups = {}
     dependent = []
     for W, row in zip(pieces, meets.astype(int).tolist()):
-        if all(m in (0, W.dim) for m in row):
+        if set(row) <= {0, W.dim}:
             groups.setdefault(tuple(i for i, m in enumerate(row) if m), []).extend(W.frame)
         else:
             dependent.extend(W.frame)
@@ -251,10 +331,10 @@ def independent_subspaces(d: GeometricBLDatum) -> StructureReport:
             raise InternalError(
                 f"independent subspace has owner weight sum {wsum:.12g}, expected 1"
             )
-        independents.append(IndependentSubspace(orthonormalize(rows, ambient_dim=n), wsum, owners))
+        independents.append(IndependentSubspace(Subspace(n, rows), wsum, owners))
     independents.sort(key=lambda f: (f.subspace.dim, tuple(np.round(f.subspace.frame, 9).ravel())))
 
-    dep = orthonormalize(dependent, ambient_dim=n)
+    dep = Subspace(n, dependent)
     F = np.concatenate([dep.frame] + [f.subspace.frame for f in independents])
     if F.shape[0] != n or np.abs(F @ F.T - np.eye(n)).max() > 1e-9:
         raise InternalError("independent and dependent subspaces do not split R^n orthogonally")

@@ -174,20 +174,6 @@ def _symmetric_gram(F: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.swapaxes(-1, -2))
 
 
-def cluster_eigenspaces(M: np.ndarray) -> list:
-    """Eigenspaces of a symmetric M, nearby eigenvalues merged into one space.
-
-    Consecutive eigenvalues within a relative gap of
-    EIGENVALUE_CLUSTER_RTOL share a
-    subspace; naive per-eigenvector spaces would noise-split the repeated
-    eigenvalues that equality cases produce.
-    """
-    w, U = np.linalg.eigh(0.5 * (M + M.T))
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    cuts = [0, *(np.flatnonzero(np.diff(w) > EIGENVALUE_CLUSTER_RTOL * scale) + 1), len(w)]
-    return [orthonormalize(U[:, a:b].T, ambient_dim=M.shape[0]) for a, b in zip(cuts, cuts[1:])]
-
-
 def contains(A: Subspace, B: Subspace) -> bool:
     """True iff B is contained in A (every frame vector of B projects onto itself)."""
     if A.ambient_dim != B.ambient_dim:

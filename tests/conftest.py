@@ -4,7 +4,8 @@ The oracles here recompute spec'd quantities along a different route
 than the library (brute-force circuit search, direct matrix sums, exact
 CDF bisection, per-sample CDF inversion, the subspace lattice for
 criticality, the Cauchy-Binet minor expansion of the rank-one
-determinant, the stacked constraint system of the Gaussian fiber) so
+determinant, the stacked constraint system of the Gaussian fiber, the
+indecomposable pieces grown one at a time by SVDs) so
 that agreement is evidence, not tautology.  The per-entry references
 are the other kind: loops over the entries that the batched layers
 must match bit for bit, and the breadth-first class search that
@@ -25,14 +26,16 @@ from blgeo.datum import (
     holder_datum,
     paired_planes_datum,
     planar_lines_datum,
+    rank_one_expansion,
     rotate_datum,
     validate_datum,
 )
 from blgeo.errors import CapError, InputError, InternalError
 from blgeo.integrals import GridDensity
-from blgeo.structure import INTEGER_SNAP_TOL, CriticalityReport, has_critical_eigenspaces
-from blgeo.subspace import (RANK_TOL, RESIDUAL_TOL, Subspace, equal, full_subspace,
-                            orthonormalize, zero_subspace)
+from blgeo.structure import (GENERIC_SEED, INTEGER_SNAP_TOL, CriticalityReport,
+                             has_critical_eigenspaces)
+from blgeo.subspace import (EIGENVALUE_CLUSTER_RTOL, RANK_TOL, RESIDUAL_TOL, Subspace, equal,
+                            full_subspace, orthonormalize, projection_matrix, zero_subspace)
 
 
 @pytest.fixture
@@ -186,6 +189,75 @@ def is_indecomposable_oracle(d, W, tol=1e-8):
     # k m^2 rows, at least as many as the m(m+1)/2 unknowns
     s = np.linalg.svd(np.array(columns).T, compute_uv=False)
     return int(np.count_nonzero(s <= tol)) == 1
+
+
+def cluster_eigenspaces(M):
+    """Eigenspaces of a symmetric M, eigenvalues within a relative gap of
+    EIGENVALUE_CLUSTER_RTOL merged into one space, each orthonormalized."""
+    w, U = np.linalg.eigh(0.5 * (M + M.T))
+    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
+    cuts = [0, *(np.flatnonzero(np.diff(w) > EIGENVALUE_CLUSTER_RTOL * scale) + 1), len(w)]
+    return [orthonormalize(U[:, a:b].T, ambient_dim=M.shape[0]) for a, b in zip(cuts, cuts[1:])]
+
+
+def grown_decomposition(d):
+    """The indecomposable pieces grown one at a time: for each eigenspace U
+    of the generic G = A + AB + BA that the library builds, the cyclic
+    module of the largest rest of U, span{u} grown under every P_i by SVDs
+    of the images until it closes, until the pieces found cover U.  Sorted
+    as the library sorts them."""
+    n = d.ambient_dim
+    rng = np.random.default_rng(GENERIC_SEED)
+    projections = d.projections.reshape(d.k * n, n)
+    A, B = np.tensordot(rng.uniform(1.0, 2.0, (2, d.k)), d.projections, axes=1)
+    found = np.zeros((n, 0))
+    spans = []
+    for U in cluster_eigenspaces(A + A @ B + B @ A):
+        while found.shape[1] < n:
+            rest = U.basis - found @ (found.T @ U.basis)
+            norms = np.linalg.norm(rest, axis=0)
+            if norms @ norms < 0.5:
+                break
+            W = new = rest[:, [norms.argmax()]] / norms.max()
+            while new.shape[1] and W.shape[1] < n:
+                images = (projections @ new).reshape(d.k, n, -1).transpose(1, 0, 2).reshape(n, -1)
+                images -= W @ (W.T @ images)
+                if np.linalg.norm(images) <= RANK_TOL:
+                    break
+                left, s, _ = np.linalg.svd(images, full_matrices=False)
+                new = left[:, s > RANK_TOL]
+                W = np.hstack([W, new])
+            spans.append(orthonormalize(W.T, ambient_dim=n))
+            found = np.hstack([found, spans[-1].basis])
+    if found.shape[1] != n:
+        raise InternalError(f"grown pieces have total dimension {found.shape[1]}, expected {n}")
+    spans.sort(key=lambda V: (V.dim, tuple(np.round(V.frame, 9).ravel())))
+    return spans
+
+
+def grown_structure(d):
+    """(pieces, independent subspaces as (Subspace, owners), dependent
+    subspace, classes) from grown_decomposition: a piece W is independent
+    when every dim(E_i cap W), counted on the lattice, is 0 or dim W, and
+    the classes come from the breadth-first search."""
+    n = d.ambient_dim
+    pieces = grown_decomposition(d)
+    groups, dependent = {}, []
+    for W in pieces:
+        meets = [intersect(E, W).dim for E, _ in d.entries]
+        if all(m in (0, W.dim) for m in meets):
+            groups.setdefault(tuple(i for i, m in enumerate(meets) if m), []).extend(W.frame)
+        else:
+            dependent.extend(W.frame)
+    independents = [(orthonormalize(rows, ambient_dim=n), owners)
+                    for owners, rows in groups.items()]
+    return (pieces, independents, orthonormalize(dependent, ambient_dim=n),
+            bowtie_bfs(rank_one_expansion(d).vectors))
+
+
+def same_projection(A, B, tol=1e-9):
+    """Equal spans: the projections agree within tol in max-norm."""
+    return np.abs(projection_matrix(A) - projection_matrix(B)).max() <= tol
 
 
 MINOR_ENUMERATION_CAP = 10 ** 6

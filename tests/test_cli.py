@@ -148,6 +148,19 @@ def test_barthe_eval_phi(files, capsys):
     assert report["ratio"] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_barthe_eval_phi_whose_inverse_square_nears_the_largest_double(tmp_path, capsys):
+    # Phi^-2 = 1e308 on the Hoelder datum: the assembled operator is
+    # symmetrized without overflowing, and both sides are pi^(1/2) / Phi
+    holder, phi = tmp_path / "holder.json", tmp_path / "phi.json"
+    holder.write_text(json.dumps(HOLDER_JSON))
+    phi.write_text(json.dumps([[1e-154]]))
+    code, out, err = run_cli(capsys, ["barthe-eval", str(holder), "--phi", str(phi)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["lhs"] == report["rhs"] == pytest.approx(np.sqrt(np.pi) * 1e154, rel=1e-12)
+    assert report["ratio"] == 1.0
+
+
 def test_barthe_eval_densities(files, tmp_path, capsys):
     import json as js
     d = {"n": 1, "entries": [
@@ -597,7 +610,8 @@ def test_grid_barthe_beyond_its_work_caps_exits_one_at_once(d, grid, cap, tmp_pa
 
 def test_scipy_free_commands_load_no_scipy(files, tmp_path):
     # importing scipy is most of a cold start, and no command needs it: qhull
-    # and erf are test oracles only
+    # and erf are test oracles only.  numpy.ma (1.3 MB) is loaded by
+    # np.unique, np.isin and np.setdiff1d, so no command calls them either
     holder = tmp_path / "holder.json"
     holder.write_text(json.dumps(HOLDER_JSON))
     densities = tmp_path / "densities.json"
@@ -632,7 +646,8 @@ def test_scipy_free_commands_load_no_scipy(files, tmp_path):
               "for argv in json.loads(sys.argv[1]):\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        assert main(argv) == 0, argv\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+              "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")

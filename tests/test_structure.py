@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bowtie_bfs, bowtie_oracle, complement, intersect, is_critical_oracle,
-                      is_indecomposable_oracle, random_datum, random_rotation, subspace_sum)
+from conftest import (bowtie_bfs, bowtie_oracle, cluster_eigenspaces, complement, grown_structure,
+                      intersect, is_critical_oracle, is_indecomposable_oracle, random_datum,
+                      random_rotation, same_projection, subspace_sum)
 
 from blgeo.covers import UniformCover
 from blgeo.datum import (
@@ -32,7 +33,6 @@ from blgeo.structure import (
 )
 from blgeo.subspace import (
     Subspace,
-    cluster_eigenspaces,
     contains,
     equal,
     full_subspace,
@@ -313,19 +313,77 @@ def test_decomposition_block_sum():
     assert sum(V.dim for V in parts) == 5
 
 
+def quaternion_product(p, q):
+    """pq for quaternions held as (1, i, j, k) coordinates."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return np.array([a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                     a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2])
+
+
+def quaternion_lines_datum():
+    """The ten quaternionic lines (1, 0), (0, 1) and (1, +-u)/sqrt(2), u in
+    {1, i, j, k}, of H^2 = R^8, weight 1/5 each: five orthonormal bases, so
+    the projections sum to 5 I.  Each line {(x q, y q) : q in H} is framed
+    by its right multiples by 1, i, j, k.  The projections commute with
+    right multiplication by H, an algebra of quaternion type, so R^8 is one
+    indecomposable piece of dimension 8."""
+    units = np.eye(4)
+    s = 1 / np.sqrt(2)
+    lines = [(units[0], np.zeros(4)), (np.zeros(4), units[0])]
+    lines += [(s * units[0], sign * s * u) for u in units for sign in (1, -1)]
+    entries = []
+    for x, y in lines:
+        rows = [np.concatenate([quaternion_product(x, e), quaternion_product(y, e)]) for e in units]
+        entries.append((Subspace(8, rows), 0.2))
+    d = GeometricBLDatum(8, tuple(entries))
+    assert validate_datum(d).is_valid
+    return d
+
+
+def test_decomposition_quaternion_type():
+    d = quaternion_lines_datum()
+    assert [V.dim for V in indecomposable_decomposition(d)] == [8]
+    pair = rotate_datum(pair_data(d, d), random_rotation(np.random.default_rng(2), 16))
+    assert [V.dim for V in indecomposable_decomposition(pair)] == [8, 8]
+
+
 @st.composite
 def decomposable_data(draw):
-    """A rotated random datum, rotated copies of paired planes, or the
-    rotated pair of complex-line data."""
-    kind = draw(st.sampled_from(["random", "paired_planes", "complex_pair"]))
+    """A rotated random datum; rotated direct sums of paired planes, of
+    pairs of two to four copies of one line frame (repeated eigenspaces of
+    real type), or of Hoelder and axis blocks; the pair of complex-line
+    data, alone or beside real blocks; or the quaternionic lines, alone or
+    paired."""
+    kind = draw(st.sampled_from(["random", "paired_planes", "paired_lines", "holder_axis",
+                                 "complex_pair", "complex_mixed", "quaternion"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "random":
         d = random_datum(rng, max_dim=10, max_vectors=20, rotate=False)
     elif kind == "paired_planes":
         copies = [paired_planes_datum(int(rng.integers(3, 6))) for _ in range(int(rng.integers(1, 4)))]
         d = direct_sum_data(copies) if len(copies) > 1 else copies[0]
-    else:
+    elif kind == "paired_lines":
+        blocks = []
+        for _ in range(int(rng.integers(1, 3))):
+            lines = planar_lines_datum(int(rng.integers(3, 6)))
+            copies = lines
+            for _ in range(int(rng.integers(1, 4))):
+                copies = pair_data(copies, lines)
+            blocks.append(copies)
+        d = direct_sum_data(blocks) if len(blocks) > 1 else blocks[0]
+    elif kind == "holder_axis":
+        holders = [holder_datum(int(rng.integers(1, 4)), [0.25, 0.75])
+                   for _ in range(int(rng.integers(1, 3)))]
+        d = direct_sum_data(holders + [axis_datum(int(rng.integers(1, 4)))])
+    elif kind.startswith("complex"):
         d = pair_data(complex_lines_datum(), complex_lines_datum())
+        if kind == "complex_mixed":
+            d = direct_sum_data([d, planar_lines_datum(3), paired_planes_datum(3), axis_datum(1)])
+    else:
+        d = quaternion_lines_datum()
+        if rng.random() < 0.5:
+            d = pair_data(d, d)
     return rotate_datum(d, random_rotation(rng, d.ambient_dim))
 
 
@@ -339,6 +397,20 @@ def test_decomposition_is_finest(d):
     assert frames.shape == (d.ambient_dim, d.ambient_dim)
     # pairwise orthogonal, so together they span R^n
     assert np.abs(frames @ frames.T - np.eye(d.ambient_dim)).max() < 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(decomposable_data())
+def test_structure_matches_the_pieces_grown_one_at_a_time(d):
+    rep = independent_subspaces(d)
+    pieces, independents, dependent, classes = grown_structure(d)
+    assert sorted(V.dim for V in rep.indecomposable_decomposition) == sorted(V.dim for V in pieces)
+    assert len(rep.independent_subspaces) == len(independents)
+    for F, owners in independents:
+        assert sum(f.owners == owners and same_projection(f.subspace, F)
+                   for f in rep.independent_subspaces) == 1
+    assert same_projection(rep.dependent_subspace, dependent)
+    assert rep.rank_one_classes == classes
 
 
 # ---------------------------------------------------------------------------
