@@ -190,14 +190,15 @@ class GridDensity(Density):
         except OverflowError:
             mass = math.inf
         if not math.isfinite(mass):
-            raise InputError("grid values are too large: the mass sum(values) h^d overflows a double")
+            raise InputError("grid values are too large: the mass sum(values h^d) overflows a double")
 
     @property
     def hi(self) -> np.ndarray:
         return self.lo + self.h * np.array(self.values.shape)
 
     def integral(self) -> float:
-        return float(self.values.sum()) * self.h ** self.domain.dim
+        # scaled before summing, so a finite mass never overflows on the way
+        return float((self.values * self.h ** self.domain.dim).sum())
 
     def value(self, Z) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -482,12 +483,12 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     # finite masses can still make a side beyond a double, refused below
     with np.errstate(over="ignore"):
         # per-entry grids in each density's own frame coordinates, summed flat
-        quads = [float(np.concatenate([f.value(P) for P in _center_slabs(grid, f.domain.dim)]).sum())
-                 * h ** f.domain.dim for f in densities]
+        quads = [_volume_sum(np.concatenate([f.value(P) for P in _center_slabs(grid, f.domain.dim)]),
+                             h ** f.domain.dim) for f in densities]
         if any(q <= 0.0 for q in quads):
             raise InputError("a density has zero mass on the declared box")
         F = _fiber_maximum(grid, densities, weights)
-        lhs = float(F.sum()) * h ** n
+        lhs = _volume_sum(F, h ** n)  # F holds F h^n from here on
     rhs = _safe_exp(sum(c * math.log(q) for c, q in zip(weights, quads)))
     for name, side in (("lhs", lhs), ("rhs", rhs)):
         if not math.isfinite(side):
@@ -497,7 +498,7 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     Fg = F.reshape([grid.count] * n)
     outer = _filter3(Fg, np.maximum)
     inner = _filter3(Fg, np.minimum)
-    quad_abs = 0.5 * float((outer - inner).sum()) * h ** n
+    quad_abs = 0.5 * float((outer - inner).sum())
     tail_rel = 0.0
     for c, f, q in zip(weights, densities, quads):
         exact = f.integral()
@@ -507,6 +508,13 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     est = quad_abs / denom + tail_rel
     return IneqEvaluation(lhs=lhs, rhs=rhs, ratio=lhs / rhs, direction="barthe",
                           method="grid", est_error=float(est))
+
+
+def _volume_sum(cells: np.ndarray, volume: float) -> float:
+    """The midpoint rule sum(cells) volume, each cell scaled in place
+    before the sum, so that a finite total never overflows on the way."""
+    cells *= volume
+    return float(cells.sum())
 
 
 def _fiber_maximum(grid: GridSpec, densities, weights) -> np.ndarray:

@@ -16,19 +16,19 @@ the P_i: the critical subspaces are its invariant subspaces, and the
 pieces of a finest orthogonal critical decomposition are irreducible
 modules, read off the eigenvectors of a generic element G of it
 (Maehara & Murota, JJIAM 27, 2010).  One pass over them splits R^n:
-the eigenspaces that the P_i couple form an isotypic component, and
-where the component's eigenspaces share one dimension, carrying them
-onto each other by the polar factors of a second generic element
-lines up the pieces column by column.  The same pass checks that no
-P_i leaks between two pieces; a component that leaks, as the complex
-and quaternion types do, grows its pieces as cyclic modules from its
-first eigenspace instead.  On a piece W, tr(P_i P_W) =
-dim(E_i cap W); pieces where this is 0 or dim W for every i lie in a
-joint 0/1 eigenspace cap_i E_i^(eps(i)), and those sharing one pattern
-eps sum to an independent subspace owned by the entries with
-eps(i) = 1.  The other pieces span the dependent subspace.  Nothing
-here depends on the frames inside the E_i, the entry order or a
-rotation of R^n.
+the eigenspaces that the P_i couple form an isotypic component, whose
+irreducibles have one commutant, a real division algebra D of
+dimension 1, 2 or 4: the real, complex or quaternion type.  Carried
+onto the first eigenspace by the polar factors of a second generic
+element, the blocks of the P_i between eigenspaces act there as
+elements of D; the first eigenspace splits into D-lines, and each
+D-line, carried to every eigenspace, spans one piece.  On a piece W,
+dim(E_i cap W) = tr(P_i P_W), counted when W is checked critical;
+pieces where this is 0 or dim W for every i lie in a joint 0/1
+eigenspace cap_i E_i^(eps(i)), and those sharing one pattern eps sum
+to an independent subspace owned by the entries with eps(i) = 1.  The
+other pieces span the dependent subspace.  Nothing here depends on
+the frames inside the E_i, the entry order or a rotation of R^n.
 """
 
 from __future__ import annotations
@@ -89,13 +89,14 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
         raise InputError("subspace ambient dimension does not match the datum")
     if V.dim == 0:
         raise InputError("criticality is defined for non-zero subspaces only")
-    return _criticality(d, [V], projection_matrix(V)[None])[0]
+    return _criticality(d, [V], projection_matrix(V)[None])[0][0]
 
 
-def _criticality(d: GeometricBLDatum, spaces, PV) -> list:
+def _criticality(d: GeometricBLDatum, spaces, PV) -> tuple:
     """is_critical for each of the non-zero subspaces, all at once, given
     the stack PV of their projections: every product, SVD and norm runs
-    once over the whole stack."""
+    once over the whole stack.  Also returns the counts dim(E_i cap V),
+    one row per subspace."""
     n = d.ambient_dim
     away = np.eye(n) - PV
     counts = np.zeros((len(spaces), d.k), dtype=int)
@@ -127,7 +128,7 @@ def _criticality(d: GeometricBLDatum, spaces, PV) -> list:
             is_critical=dim_match and splitting_ok,
             splitting_ok=splitting_ok,
         ))
-    return reports
+    return reports, counts
 
 
 def has_critical_eigenspaces(d: GeometricBLDatum, M) -> bool:
@@ -199,28 +200,32 @@ def indecomposable_decomposition(d: GeometricBLDatum) -> list:
     G = A + AB + BA, A and B fixed-seed random combinations of the P_i,
     is a symmetric element of their algebra, assumed generic: distinct
     eigenvalues on non-isomorphic irreducibles, simple ones over the
-    real, complex or quaternion commutant of each.  One eigh of G and
-    one batched product T_i = Q^T P_i Q give the whole split.  The
-    eigenspaces of G (eigenvalues within EIGENVALUE_CLUSTER_RTOL) that
-    some T_i couples above RANK_TOL form one isotypic component.  A
-    component of one eigenspace is cut into its eigenvector lines, on
-    which every P_i is 0 or 1.  Over the real commutant every
-    irreducible meets each eigenspace of its component in a line, so
-    the eigenspaces share one dimension m, and each block Q_b^T A Q_a
-    of A is a multiple of an orthogonal map whose polar factor carries
-    eigenspace b onto the first, a, column by column: column j of every
-    eigenspace then spans piece j (for m = 1 the whole component).  The
-    same pass checks the split: between columns of different pieces
-    every |T_i| must stay within RANK_TOL.  A component whose
-    eigenspaces differ in dimension, or whose split leaks (over the
-    complex and quaternion commutants an irreducible meets each
-    eigenspace in 2 or 4 dimensions), grows its pieces from its first
-    eigenspace instead: the cyclic module of u in it, span{u} grown
-    under every P_i until it closes, is irreducible, and the eigenspace
-    is covered when the squared singular values of its rest, each 0 or
-    1, sum below 1/2.  Only n x n linear algebra is used, too small for
-    the BLAS to thread.
+    commutant of each, a real division algebra D of dimension 1, 2 or 4
+    (type R, C or H).  One eigh of G and one batched product
+    T_i = Q^T P_i Q give the whole split.  The eigenspaces of G
+    (eigenvalues within EIGENVALUE_CLUSTER_RTOL) that some T_i couples
+    above RANK_TOL form one isotypic component.  Each irreducible meets
+    each eigenspace of its component in a D-line, so the eigenspaces
+    share one dimension m; a component where they do not raises
+    InternalError.  A component of one eigenspace is of type R and is
+    cut into its eigenvector lines, on which every P_i is 0 or 1.  In a
+    larger one each block Q_b^T A Q_a of A is the action of an element
+    of D, whose polar factor carries eigenspace b onto the first, a.
+    Carried, every block Q_b^T P_i Q_a acts on eigenspace a as an
+    element of D, and one SVD of their skew parts, stacked, gives the
+    imaginary units of D (none for R).  Eigenspace a splits into
+    D-lines, each the orbit of a unit vector under 1 and the units, and
+    column group j of every eigenspace spans piece j (for m = 1 the whole
+    component); over R a D-line is a column, as G's eigenvectors give
+    it.  Every piece is then checked critical in one batched pass.  Only
+    n x n linear algebra is used, too small for the BLAS to thread.
     """
+    return _decomposition(d)[0]
+
+
+def _decomposition(d: GeometricBLDatum) -> tuple:
+    """The sorted pieces of indecomposable_decomposition, and for each the
+    row of dim(E_i cap W) that its criticality check counted."""
     require_validated(d)
     n = d.ambient_dim
     weights = np.random.default_rng(GENERIC_SEED).uniform(1.0, 2.0, (2, d.k))
@@ -229,96 +234,81 @@ def indecomposable_decomposition(d: GeometricBLDatum) -> list:
     w, Q = np.linalg.eigh(0.5 * (G + G.T))
     gaps = np.diff(w) > EIGENVALUE_CLUSTER_RTOL * max(abs(w[0]), abs(w[-1]), 1e-300)
     space = np.concatenate([[0], np.cumsum(gaps)])  # the eigenspace of each column
-    couplings = np.abs(Q.T @ d.projections @ Q).max(axis=0)
-    components = _components(*np.nonzero((couplings > RANK_TOL) | (space[:, None] == space)), n)
+    T = Q.T @ d.projections @ Q
+    components = _components(*np.nonzero((np.abs(T).max(axis=0) > RANK_TOL) |
+                                         (space[:, None] == space)), n)
 
-    # a component splits column by column when its eigenspaces share one
-    # dimension m: column j of each spans piece j, once D carries every
-    # eigenspace onto the first by the polar factor of its block of A
+    # C carries every eigenspace of a component onto the first, a, and
+    # splits a into D-lines; column group j of each eigenspace spans piece j
     size = np.bincount(space)[space].tolist()  # the dimension of each column's eigenspace
-    D, piece, carried = np.eye(n), list(range(n)), False
+    C, pieces, carried = np.eye(n), [], False
     for cols in components:
         m = size[cols[0]]
         if any(size[c] != m for c in cols):
-            continue
-        if m > 1 and len(cols) > m:
-            first, others = list(cols[:m]), np.reshape(cols[m:], (-1, m))
+            raise InternalError(f"an isotypic component has eigenspaces of dimensions "
+                                f"{sorted({size[c] for c in cols})}, not one")
+        spaces, dim_D = np.reshape(cols, (-1, m)), 1
+        if m > 1 and len(spaces) > 1:
+            first, others = spaces[0], spaces[1:]
             U, _, Vt = np.linalg.svd(Q[:, others].transpose(1, 2, 0) @ A @ Q[:, first])
-            D[others[:, :, None], others[:, None, :]] = U @ Vt
+            carry = U @ Vt
+            blocks = carry.swapaxes(1, 2) @ T[:, others[:, :, None], first]
+            # the skew part of the action of x in D is that of 2 Im x
+            skew = (blocks - blocks.swapaxes(2, 3)).reshape(-1, m * m)
+            _, s, units = np.linalg.svd(skew, full_matrices=False)
+            units = np.sqrt(m) * units[s > RANK_TOL].reshape(-1, m, m)
+            dim_D += len(units)
+            if m % dim_D:
+                raise InternalError(f"a commutant of dimension {dim_D} cannot split "
+                                    f"eigenspaces of dimension {m}")
+            if dim_D > 1:
+                F = np.zeros((m, 0))
+                while F.shape[1] < m:
+                    rest = np.eye(m) - F @ F.T
+                    v = rest[:, np.linalg.norm(rest, axis=0).argmax()]
+                    v = v / np.linalg.norm(v)
+                    F = np.hstack([F, v[:, None], (units @ v).T])
+                # units read off rounded blocks are orthogonal to round-off only
+                U, _, Vt = np.linalg.svd(F)  # so take the nearest orthogonal F
+                C[first[:, None], first] = F = U @ Vt
+                carry = carry @ F
+            C[others[:, :, None], others[:, None, :]] = carry
             carried = True
-        for j, c in enumerate(cols):
-            piece[c] = cols[j % m]
+        pieces.extend(spaces[:, j:j + dim_D].ravel() for j in range(0, m, dim_D))
     if carried:
-        Q = Q @ D
-        couplings = np.abs(Q.T @ d.projections @ Q).max(axis=0)
-    piece = np.array(piece)
-    leaks = ((couplings > RANK_TOL) & (piece[:, None] != piece)).any(axis=1).tolist()
-
-    spans = []
-    for cols in components:
-        m = size[cols[0]]
-        if any(leaks[c] or size[c] != m for c in cols):  # the check of the split
-            spans.extend(_grown_pieces(d, Q[:, cols], m))
-        else:
-            spans.extend(Subspace(n, Q[:, cols[j::m]].T) for j in range(m))
+        Q = Q @ C
+    spans = [Subspace(n, Q[:, cols].T) for cols in pieces]
     total = sum(V.dim for V in spans)
     if total != n:
         raise InternalError(f"critical pieces have total dimension {total}, expected {n}")
     # pieces in batches whose (pieces, k, n, n) commutator stack is at most 2 MB
     step = max(1, 2 ** 18 // (d.k * n * n))
-    if not all(r.is_critical for i in range(0, len(spans), step)
-               for r in _criticality(d, spans[i:i + step], projection_stack(spans[i:i + step]))):
-        raise InternalError("a computed piece failed the criticality test")
-    spans.sort(key=lambda V: (V.dim, tuple(np.round(V.frame, 9).ravel())))
-    return spans
-
-
-def _grown_pieces(d: GeometricBLDatum, basis: np.ndarray, m: int) -> list:
-    """The pieces of one component, given an orthonormal basis of it whose
-    first m columns span its first eigenspace: each the cyclic module of
-    the largest rest of that eigenspace, grown in the coordinates of the
-    basis under the compressions of the P_i."""
-    c = basis.shape[1]
-    compressed = (basis.T @ d.projections @ basis).reshape(d.k * c, c)
-    found = np.zeros((c, 0))
-    spans = []
-    while found.shape[1] < c:
-        rest = np.eye(c, m) - found @ found[:m].T
-        norms = np.linalg.norm(rest, axis=0)
-        if norms @ norms < 0.5:  # squared singular values, 0 or 1, sum to the dimension left
-            break
-        W = new = rest[:, [norms.argmax()]] / norms.max()
-        while new.shape[1] and W.shape[1] < c:
-            # every P_i applied to the new directions in one product
-            images = (compressed @ new).reshape(d.k, c, -1).transpose(1, 0, 2).reshape(c, -1)
-            images -= W @ (W.T @ images)
-            if np.linalg.norm(images) <= RANK_TOL:  # bounds every singular value
-                break
-            left, s, _ = np.linalg.svd(images, full_matrices=False)
-            new = left[:, s > RANK_TOL]
-            W = np.hstack([W, new])
-        W = orthonormalize(W.T, ambient_dim=c).basis
-        spans.append(Subspace(d.ambient_dim, (basis @ W).T))
-        found = np.hstack([found, W])
-    return spans
+    meets = []
+    for i in range(0, len(spans), step):
+        reports, counts = _criticality(d, spans[i:i + step], projection_stack(spans[i:i + step]))
+        if not all(r.is_critical for r in reports):
+            raise InternalError("a computed piece failed the criticality test")
+        meets.extend(counts.tolist())
+    order = sorted(range(len(spans)),
+                   key=lambda j: (spans[j].dim, tuple(np.round(spans[j].frame, 9).ravel())))
+    return [spans[j] for j in order], [meets[j] for j in order]
 
 
 def independent_subspaces(d: GeometricBLDatum) -> StructureReport:
     """Independent subspaces, dependent subspace, and the class structure.
 
     A piece W of the decomposition lies in an independent subspace when
-    dim(E_i cap W) = tr(P_{E_i} P_W) is 0 or dim W for every i; the
-    pieces are grouped by the entries that contain them, their owners.
+    dim(E_i cap W), as the decomposition's criticality check counted it,
+    is 0 or dim W for every i; the pieces are grouped by the entries that
+    contain them, their owners.
     The pieces are orthonormal and pairwise orthogonal, so their rows
     frame each group and the dependent subspace as they are.
     """
     n = d.ambient_dim
-    pieces = indecomposable_decomposition(d)
-    # meets[m, i] = tr(P_i P_W) for piece m: both projections are symmetric
-    meets = np.rint(np.einsum("iab,mab->mi", d.projections, projection_stack(pieces)))
+    pieces, meets = _decomposition(d)
     groups = {}
     dependent = []
-    for W, row in zip(pieces, meets.astype(int).tolist()):
+    for W, row in zip(pieces, meets):
         if set(row) <= {0, W.dim}:
             groups.setdefault(tuple(i for i, m in enumerate(row) if m), []).extend(W.frame)
         else:

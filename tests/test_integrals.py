@@ -82,6 +82,19 @@ def test_grid_density_basics():
     assert f.value(np.array([[5.0]]))[0] == 0.0  # outside the box
 
 
+def test_finite_masses_and_sides_are_scaled_before_they_are_summed():
+    # the sums of the values pass 1.8e308; the masses and sides, with the
+    # cell volume h = 0.01, do not
+    f = GridDensity(LINE, [0.0], 0.01, [1e308] * 4)
+    assert f.integral() == pytest.approx(4e306, rel=1e-12)
+    d = holder_datum(1, [0.5, 0.5])
+    fs = [GaussianDensity(E, [[1.0]], theta=1e307) for E, _ in d.entries]
+    ev = supconv_eval(d, fs, GridSpec(0.01, 4.0))
+    exact = 1e307 * np.sqrt(np.pi)  # Hoelder's equality: both sides are the mass of one f
+    assert ev.lhs == pytest.approx(exact, rel=1e-6) and ev.rhs == pytest.approx(exact, rel=1e-6)
+    assert abs(ev.ratio - 1.0) <= ev.est_error
+
+
 def test_factorized_requires_orthogonal_spanning_factors():
     e1 = orthonormalize([[1, 0]])
     e2 = orthonormalize([[0, 1]])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from conftest import (bowtie_bfs, bowtie_oracle, cluster_eigenspaces, complement
                       intersect, is_critical_oracle, is_indecomposable_oracle, random_datum,
                       random_rotation, same_projection, subspace_sum)
 
+from blgeo import cli, structure
 from blgeo.covers import UniformCover
 from blgeo.datum import (
     GeometricBLDatum,
@@ -22,7 +25,7 @@ from blgeo.datum import (
     rotate_datum,
     validate_datum,
 )
-from blgeo.errors import InputError
+from blgeo.errors import InputError, InternalError
 from blgeo.structure import (
     bowtie_classes,
     has_critical_eigenspaces,
@@ -352,11 +355,14 @@ def test_decomposition_quaternion_type():
 def decomposable_data(draw):
     """A rotated random datum; rotated direct sums of paired planes, of
     pairs of two to four copies of one line frame (repeated eigenspaces of
-    real type), or of Hoelder and axis blocks; the pair of complex-line
-    data, alone or beside real blocks; or the quaternionic lines, alone or
-    paired."""
+    real type), or of Hoelder and axis blocks; the pair or triple of
+    complex-line data, the pair alone or beside real blocks; the
+    quaternionic lines, alone, paired or tripled; or a sum of all three
+    types, the complex pair, the quaternionic lines, paired planes and
+    planar lines."""
     kind = draw(st.sampled_from(["random", "paired_planes", "paired_lines", "holder_axis",
-                                 "complex_pair", "complex_mixed", "quaternion"]))
+                                 "complex_pair", "complex_mixed", "complex_triple", "quaternion",
+                                 "quaternion_triple", "mixed_types"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "random":
         d = random_datum(rng, max_dim=10, max_vectors=20, rotate=False)
@@ -380,10 +386,18 @@ def decomposable_data(draw):
         d = pair_data(complex_lines_datum(), complex_lines_datum())
         if kind == "complex_mixed":
             d = direct_sum_data([d, planar_lines_datum(3), paired_planes_datum(3), axis_datum(1)])
-    else:
+        elif kind == "complex_triple":  # n = 12
+            d = pair_data(d, complex_lines_datum())
+    elif kind == "quaternion":
         d = quaternion_lines_datum()
         if rng.random() < 0.5:
             d = pair_data(d, d)
+    elif kind == "quaternion_triple":  # n = 24
+        d = quaternion_lines_datum()
+        d = pair_data(pair_data(d, d), d)
+    else:  # n = 22
+        d = direct_sum_data([pair_data(complex_lines_datum(), complex_lines_datum()),
+                             quaternion_lines_datum(), paired_planes_datum(3), planar_lines_datum(4)])
     return rotate_datum(d, random_rotation(rng, d.ambient_dim))
 
 
@@ -411,6 +425,23 @@ def test_structure_matches_the_pieces_grown_one_at_a_time(d):
                    for f in rep.independent_subspaces) == 1
     assert same_projection(rep.dependent_subspace, dependent)
     assert rep.rank_one_classes == classes
+
+
+def test_merged_eigenspaces_raise_an_internal_error(monkeypatch, tmp_path, capsys):
+    # at a cluster tolerance of 0.05, eigenvalues of G from different
+    # components merge, and a component's eigenspaces differ in dimension
+    blocks = [paired_planes_datum(3), planar_lines_datum(3),
+              pair_data(planar_lines_datum(4), planar_lines_datum(4))]
+    d = rotate_datum(direct_sum_data(blocks), random_rotation(np.random.default_rng(3), 10))
+    monkeypatch.setattr(structure, "EIGENVALUE_CLUSTER_RTOL", 0.05)
+    with pytest.raises(InternalError):
+        indecomposable_decomposition(d)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(d.to_json()))
+    code = cli.main(["analyze", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
