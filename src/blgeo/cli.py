@@ -124,7 +124,7 @@ def run(args):
         return 0, _emit(cmd, {
             "map": T,
             "monge_ampere_residual": trans_mod.monge_ampere_residual(T, f, g),
-            "grid_h": args.grid.h,
+            "grid_h": 2.0 * args.grid.radius / args.grid.count,  # the samples' spacing
             "growth": trans_mod.linear_growth_estimate(T),
         })
 

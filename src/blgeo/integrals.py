@@ -320,7 +320,13 @@ class IneqEvaluation:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid: cells of side h covering [-radius, radius] per axis."""
+    """Uniform grid per axis: count = round(2 radius / h) cells of side h.
+
+    The cells start at -radius, so they cover [-radius, -radius + count h],
+    which ends within h / 2 of radius when 2 radius / h is not an integer.
+    Transport maps instead sample [-radius, radius] at its count + 1 evenly
+    spaced points, 2 radius / count apart.
+    """
 
     h: float
     radius: float

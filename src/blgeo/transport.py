@@ -8,8 +8,9 @@ density kind allows it (erf to within rounding for Gaussians, by
 _gaussian_cdf on numpy alone; cell-mass sums for grids) so the map
 error is dominated by interpolation, not quadrature.
 
-Flat CDF segments (zero-density gaps) are inverted to their left
-endpoint, which makes plateau tie-breaking deterministic.
+np.interp reads F_g at the samples and inverts F_f there.  Flat CDF
+segments (zero-density gaps) invert to their left endpoint, which makes
+plateau tie-breaking deterministic.
 
 The linear-growth diagnostic sup |T(x)| / sqrt(1 + x^2) feeds the
 dependent-space Gaussianity argument: maps dominated by a Gaussian
@@ -73,10 +74,11 @@ def _cdf_knots(density: Density, span: GridSpec):
 
     The CDF is normalized analytically, so the overall mass scale of the
     density never enters the knot values: scaling a density cannot move
-    the plateau boundaries by rounding.  A grid's knots are its cell
-    edges; a Gaussian's are the sample points of span, where its CDF
-    0.5 (1 + erf(sqrt(a) (x - b/2))) is nondecreasing and within a few
-    ulp of the exact value.
+    the plateau boundaries by rounding.  The knot values never decrease, as
+    np.interp needs.  A grid's are its cumulative cell masses, clipped at 1
+    (their sum can round above it), from exactly 0 to a last set to 1, at
+    its cell edges; a Gaussian's are its CDF 0.5 (1 + erf(sqrt(a) (x - b/2)))
+    at the sample points of span, within a few ulp of the exact value.
     """
     if isinstance(density, GridDensity):
         edges = np.concatenate([[density.lo[0]], density.lo[0] + density.h * np.arange(1, density.values.size + 1)])
@@ -84,7 +86,7 @@ def _cdf_knots(density: Density, span: GridSpec):
         total = float(masses.sum())
         if total <= 0.0:
             return edges, np.zeros(edges.size), 0.0
-        cdf = np.concatenate([[0.0], np.cumsum(masses / total)])
+        cdf = np.concatenate([[0.0], np.minimum(np.cumsum(masses / total), 1.0)])
         cdf[-1] = 1.0
         return edges, cdf, total
     if isinstance(density, GaussianDensity):
@@ -114,9 +116,9 @@ def _gaussian_cdf(xs: np.ndarray, a: float, centre: float) -> np.ndarray:
     most 2 |z| ERF_REACH < 0.4 of the change erf' e that e makes to erf
     itself, and a few ulp on the CLI's grids.  Everything but the +-1 of
     erf(z0) is summed first, so each block is nondecreasing; a dip of an
-    ulp can sit only at a block boundary, where each block is floored by
-    the running maximum of the blocks before it.  That keeps every value
-    within its error of erf, as erf is nondecreasing too.
+    ulp can sit only at a block boundary, which a running maximum over
+    the knots lifts.  That keeps every value within its error of erf, as
+    erf is nondecreasing too.
     """
     root = math.sqrt(a)
     reach = ERF_SATURATION / root
@@ -157,9 +159,7 @@ def _gaussian_cdf(xs: np.ndarray, a: float, centre: float) -> np.ndarray:
                         for v, b in zip(z0.tolist(), base.tolist())), float, z0.size)
     Z += rest[:, None]
     Z += base[:, None]
-    ends = np.maximum.accumulate(Z[:-1, -1])
-    if np.any(Z[1:, 0] < ends):
-        np.maximum(Z[1:], ends[:, None], out=Z[1:])
+    np.maximum.accumulate(flat[:n], out=flat[:n])
     live = cdf[lo:hi]
     np.add(flat[:n], 1.0, out=live)
     live *= 0.5
@@ -167,21 +167,21 @@ def _gaussian_cdf(xs: np.ndarray, a: float, centre: float) -> np.ndarray:
 
 
 def _invert_cdf(knots_x: np.ndarray, knots_u: np.ndarray, u):
-    """Left-continuous inverse of a nondecreasing piecewise-linear CDF.
+    """Left-continuous inverse inf {x : F(x) >= u} of a piecewise-linear CDF
+    F with nondecreasing knots, as one np.interp on F read from the top down.
 
-    On plateaus (zero-density gaps) the inverse jumps to the left
-    endpoint of the flat segment.
+    With the levels negated and the knots reversed, np.interp takes the last
+    knot of a shared level, which is the first in x: a plateau's level (a
+    zero-density gap) lands on its left endpoint, a value at or below the
+    first level on the first knot, and a value at or above the top, through
+    left=, on the first knot that reaches the top (argmax picks it).  The
+    levels are scaled by 2^600 as well, which is exact and leaves every
+    value np.interp returns as it is, except that the slope dx/du of a
+    segment that rises by a subnormal amount no longer overflows.
     """
-    u = np.asarray(u, dtype=float)
-    top = knots_u[-1]
-    # between the first knot and top, knot j is the first at or above u, so
-    # u0 < u <= u1: u at a plateau's level lands on x1, its left endpoint
-    j = np.clip(np.searchsorted(knots_u, u, side="left"), 1, knots_u.size - 1)
-    u0, u1, x0, x1 = knots_u[j - 1], knots_u[j], knots_x[j - 1], knots_x[j]
-    with np.errstate(divide="ignore", invalid="ignore"):  # only in lanes replaced below
-        inner = x0 + (u - u0) / (u1 - u0) * (x1 - x0)
-    return np.where(u <= knots_u[0], knots_x[0],
-                    np.where(u >= top, knots_x[np.searchsorted(knots_u, top, side="left")], inner))
+    scale = -2.0 ** 600
+    return np.interp(np.multiply(u, scale), knots_u[::-1] * scale, knots_x[::-1],
+                     left=knots_x[knots_u.argmax()])
 
 
 def brenier_1d(f: Density, g: Density, grid: GridSpec) -> MonotoneMap:
@@ -197,11 +197,9 @@ def brenier_1d(f: Density, g: Density, grid: GridSpec) -> MonotoneMap:
     gx, gu, gmass = _cdf_knots(g, grid)
     if fmass <= 0.0 or gmass <= 0.0:
         raise InputError("transport needs densities of positive mass")
-    if isinstance(g, GaussianDensity):  # its knots are the sample points
-        xs, u = gx, gu
-    else:
-        xs = np.linspace(-grid.radius, grid.radius, grid.count + 1)
-        u = np.interp(xs, gx, gu, left=0.0, right=1.0)
+    xs = np.linspace(-grid.radius, grid.radius, grid.count + 1)
+    # exact at a Gaussian's knots, which are these sample points
+    u = np.interp(xs, gx, gu, left=0.0, right=1.0)
     ts = _invert_cdf(fx, fu, u)
     ts = np.maximum.accumulate(ts)  # guard against rounding-level dips
     return MonotoneMap(xs, ts)

@@ -317,7 +317,9 @@ def indicator_density(intervals, h, radius):
 
 def invert_cdf_oracle(knots_x, knots_u, u):
     """Left-continuous inverse of a piecewise-linear CDF, one sample at a
-    time; plateaus invert to their left endpoint."""
+    time; plateaus invert to their left endpoint.  Inside a segment it
+    interpolates down from the segment's upper knot, in the order of
+    operations np.interp uses on the levels negated."""
     u = np.asarray(u, dtype=float)
     out = np.empty(u.shape)
     top = knots_u[-1]
@@ -333,7 +335,7 @@ def invert_cdf_oracle(knots_x, knots_u, u):
         if u1 <= u0:
             out[m] = knots_x[j]
         else:
-            out[m] = knots_x[j - 1] + (uu - u0) / (u1 - u0) * (knots_x[j] - knots_x[j - 1])
+            out[m] = (knots_x[j - 1] - knots_x[j]) / (u1 - u0) * (u1 - uu) + knots_x[j]
     return out
 
 

@@ -195,6 +195,18 @@ def test_transport_subcommand(files, capsys):
     assert np.abs(ts[win] - 2 * xs[win]).max() < 1e-4
 
 
+def test_transport_reports_the_spacing_of_its_samples(files, capsys):
+    # 2 box / h = 142.86 rounds to 143 cells, so the samples are 10/143 apart, not 0.07
+    code, out, _ = run_cli(capsys, [
+        "transport", "--f", files["wide"], "--g", files["gauss"], "--grid", "h=0.07,box=5",
+    ])
+    report = json.loads(out)
+    xs = np.array(report["map"]["x"])
+    assert code == 0
+    assert report["grid_h"] == 10.0 / 143
+    assert np.abs(np.diff(xs) - report["grid_h"]).max() < 1e-14
+
+
 def test_bt_subcommand(files, capsys):
     code, out, _ = run_cli(capsys, ["bt", files["lw_cover"], files["tromino"]])
     report = json.loads(out)

@@ -233,15 +233,73 @@ def test_growth_offset_gaussian_pair_bounded():
     assert linear_growth_estimate(brenier_1d(f, g, SPEC)).growth_bounded
 
 
-def test_invert_cdf_matches_per_sample_oracle(rng):
-    # Gaussian knots, random step densities and densities with zero-density
-    # gaps (plateaus), at every fourth value brenier_1d inverts at h = 0.001
-    # and at every knot level, plateaus included; bytes must agree
+def cdf_densities(rng):
+    """20 Gaussians, 20 random step densities and 20 densities with a
+    zero-density gap (a plateau of the CDF) between two intervals."""
     densities = [GaussianDensity(LINE, [[a]], [b]) for a, b in rng.uniform(0.2, 3.0, (20, 2))]
     densities += [GridDensity(LINE, [lo], 0.25, rng.uniform(0.0, 1.0, 32))
                   for lo in rng.uniform(-5.0, -3.0, 20)]
     densities += [indicator_density([(-3.0, -1.0 - g), (g, 2.0)], 0.01, 4.0)
                   for g in rng.uniform(0.1, 0.9, 20)]
+    return densities
+
+
+def test_cdf_knots_rise_from_exactly_0_to_exactly_1():
+    # np.interp needs knots that never decrease.  A grid's cumulative masses
+    # can round above 1 before its last knot is set to 1: in 9 of the 20 gap
+    # densities drawn here.  On a span this wide every Gaussian saturates
+    for f in cdf_densities(np.random.default_rng(0)):
+        _, ku, _ = _cdf_knots(f, GridSpec(0.002, 16.0))
+        assert np.all(np.diff(ku) >= 0.0)
+        assert (ku[0], ku[-1]) == (0.0, 1.0)
+
+
+def test_gap_density_maps_to_itself(rng):
+    # the identity map through a plateau: g's CDF sits exactly on the
+    # plateau level in the gap, which must invert to the gap's left end
+    for gap in rng.uniform(0.1, 0.9, 10):
+        f = indicator_density([(-3.0, -1.0 - gap), (gap, 2.0)], 0.01, 4.0)
+        T = brenier_1d(f, f, SPEC)
+        edges, _, _ = _cdf_knots(f, SPEC)
+        cell = np.searchsorted(edges, T.xs, side="left") - 1  # x in (edges[cell], edges[cell + 1]]
+        inside = (cell >= 0) & (cell < f.values.size)
+        positive = inside & (f.values[np.clip(cell, 0, f.values.size - 1)] > 0.0)
+        support = np.flatnonzero(f.values)
+        zeros = np.flatnonzero(f.values[support[0]:support[-1]] == 0.0) + support[0]
+        left, right = edges[zeros[0]], edges[zeros[-1] + 1]
+        in_gap = (T.xs > left) & (T.xs < right)
+        assert in_gap.sum() > 100 and positive.sum() > 1000
+        assert np.all(T.ts[in_gap] == left)
+        assert np.abs(T.ts[positive] - T.xs[positive]).max() <= 1e-12
+        assert np.all(T.ts[T.xs <= edges[support[0]]] == edges[0])  # level 0: the first knot
+
+
+def test_cell_of_subnormal_mass_share_maps_inside_itself():
+    # the first cell holds 3e-321 of the mass, so the CDF rises by a
+    # subnormal step there, and inverting it divides by that step
+    f = GridDensity(LINE, [-8.2], 0.5, [1e-300, 1e20, 1e20])
+    T = brenier_1d(f, f, SPEC)
+    edges = _cdf_knots(f, SPEC)[0]
+    first, rest = T.xs <= edges[1], (T.xs > edges[1]) & (T.xs <= edges[-1])
+    assert np.all((T.ts[first] >= edges[0]) & (T.ts[first] <= edges[1]))
+    assert np.abs(T.ts[rest] - T.xs[rest]).max() <= 1e-12
+
+
+def test_invert_cdf_rules_on_exact_knots():
+    # a plateau's level lands on its left end, a level at or below the
+    # first on the first knot, one at or above the top on the first knot
+    # that reaches it; between knots the inverse is linear
+    x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    u = np.array([0.0, 0.0, 0.5, 0.5, 1.0, 1.0])
+    levels = [-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0]
+    assert _invert_cdf(x, u, levels).tolist() == [0.0, 0.0, 1.5, 2.0, 3.5, 4.0, 4.0]
+
+
+def test_invert_cdf_matches_per_sample_oracle(rng):
+    # Gaussian knots, random step densities and densities with zero-density
+    # gaps (plateaus), at every fourth value brenier_1d inverts at h = 0.001
+    # and at every knot level, plateaus included; bytes must agree
+    densities = cdf_densities(rng)
     u = np.interp(np.linspace(-8.0, 8.0, SPEC.count // 4 + 1), *_cdf_knots(STD, SPEC)[:2])
     u = np.concatenate([u, [-1.0, 0.0, 1.0, 2.0]])
     for f in densities:
