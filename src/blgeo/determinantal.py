@@ -9,18 +9,21 @@ has critical eigenspaces and restricts to A_i on every E_i.
 
 Everything is computed in the log domain; equality detection is
 structural (class-constancy of t, or the Phi certificate), never a
-floating-point comparison of the two sides.  Per-entry work (checks,
-conjugations, determinants, inverses) runs as one numpy call per entry
-dimension over the datum's frame stacks; sums across entries run in
-entry order, so every value is the one a loop over the entries gives.
+floating-point comparison of the two sides.  Every log-determinant of a
+sum is gram_log_det's, from one QR of stacked rows, with no Gram matrix
+and no inverse, and every result carries the first-order rounding budget
+that README.md derives.  Per-entry work (checks, factors, rows) runs as
+one numpy call per entry dimension over the datum's frame stacks; sums
+across entries run in entry order, so every value is the one a loop
+over the entries gives.
 
-The same check solves the Gaussian fiber problem.  For positive
-definite A_i on E_i in frame coordinates, the minimum of
-sum c_i <A_i y_i, y_i> over sum c_i F_i y_i = x is <Q x, x>, where
-Q^-1 = sum c_i F_i A_i^-1 F_i^T is the operator assembled from the
-A_i^-1, and the minimizer is y_i = A_i^-1 F_i^T Q x.  Barthe's two sides
-for f_i(y) = exp(-<A_i y, y>) are then pi^(n/2) exp(log_lhs / 2) and
-pi^(n/2) exp(log_rhs / 2) of determinantal_high_check(d, [A_i^-1]).
+The same factors solve the Gaussian fiber problem: the minimum of
+sum c_i <A_i y_i, y_i> over sum c_i F_i^T y_i = x is <Q x, x>, where
+Q^-1 = sum c_i F_i^T A_i^-1 F_i, and Barthe's two sides for
+f_i(y) = exp(-<A_i y, y>) are pi^(n/2) det(Q^-1)^(1/2) and
+pi^(n/2) prod det(A_i^-1)^(c_i/2).  For A_i = F_i Phi^2 F_i^T and the QR
+Phi F_i^T = Q_i R_i, Q^-1 = Phi^-1 S Phi^-1 with S = sum c_i Q_i Q_i^T, the
+weighted sum of the projections onto the Phi E_i.
 """
 
 from __future__ import annotations
@@ -36,34 +39,42 @@ from .structure import bowtie_classes, has_critical_eigenspaces
 from .subspace import RESIDUAL_TOL
 
 CLASS_CONSTANT_RTOL = 1e-9
+U = np.finfo(float).eps / 2  # unit roundoff
 
 
-def require_spd(M: np.ndarray, name: str) -> None:
-    """Refuse a matrix or a stack unless each is finite, symmetric and positive definite."""
+def require_spd(M: np.ndarray, name: str) -> np.ndarray:
+    """Refuse a matrix or a stack unless each is finite, symmetric and
+    positive definite; returns the eigenvalues of each, ascending."""
     if not np.all(np.isfinite(M)):
         raise InputError(f"{name} must be finite")
     T, axes = M.swapaxes(-1, -2), (-2, -1)
-    if np.any(np.abs(M - T).max(axis=axes) > 1e-9 * np.maximum(1.0, np.abs(M).max(axis=axes))):
+    # relative to the matrix's own largest entry, so a tiny matrix gets no free pass
+    if np.any(np.abs(M - T).max(axis=axes) > 1e-9 * np.abs(M).max(axis=axes)):
         raise InputError(f"{name} must be symmetric")
-    if np.any(np.linalg.eigvalsh(0.5 * (M + T)).min(axis=-1) <= 0.0):
+    eigenvalues = np.linalg.eigvalsh(0.5 * (M + T))
+    if np.any(eigenvalues[..., 0] <= 0.0):
         raise InputError(f"{name} must be positive definite")
+    return eigenvalues
 
 
 @dataclass(frozen=True)
 class DetCheckResult:
-    """Both sides, also as logs; the inequality is a theorem, so log_gap < -1e-9 is refused."""
+    """Both sides, also as logs, and the first-order rounding budget of
+    log_gap; the inequality is a theorem, so log_gap < -budget is refused."""
 
     lhs: float
     rhs: float
     log_lhs: float
     log_rhs: float
     log_gap: float
+    budget: float
     equality: bool
     equality_certificate: object  # class partition, Phi matrix, or None
 
     def __post_init__(self):
-        if self.log_gap < -1e-9:
-            raise InternalError(f"determinantal inequality violated: log_gap = {self.log_gap:.3e}")
+        if self.log_gap < -self.budget:
+            raise InternalError(f"determinantal inequality violated: log_gap = {self.log_gap:.3e} "
+                                f"below the rounding budget {self.budget:.3e}")
 
 
 def _safe_exp(x: float) -> float:
@@ -73,10 +84,44 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
-def _det_result(log_lhs: float, log_rhs: float, certificate) -> DetCheckResult:
+def _det_result(log_lhs: float, log_rhs: float, budget: float, certificate) -> DetCheckResult:
     """The result of the two log sides; equality holds iff there is a certificate."""
     return DetCheckResult(_safe_exp(log_lhs), _safe_exp(log_rhs), log_lhs, log_rhs,
-                          log_lhs - log_rhs, certificate is not None, certificate)
+                          log_lhs - log_rhs, budget, certificate is not None, certificate)
+
+
+def gram_log_det(rows: np.ndarray, kappa: float) -> tuple:
+    """(log det(B B^T), its rounding error) for the K x n rows B^T of rank
+    n, as 2 sum_j log|r_jj| from one Householder QR B^T = Q R; kappa
+    bounds the condition number of B.  The QR is exact for rows moved by
+    gamma_Kn of each column's norm (Higham, Thm 19.4), which moves the log
+    det by at most 2 n gamma_Kn kappa; the logs and their sum add
+    gamma_(n+1) sum_j |2 log r_jj|.  README.md derives the rest of every
+    closed form's budget from this bound.
+    """
+    h = np.linalg.qr(rows, mode="raw")[0]  # R is the upper triangle of h^T
+    try:
+        logs = [2.0 * math.log(abs(r)) for r in np.diagonal(h).tolist()]
+    except ValueError:  # a zero on the diagonal
+        raise InternalError("assembled operator is not positive definite") from None
+    K, n = rows.shape
+    return math.fsum(logs), 2 * n * K * n * U * kappa + (n + 1) * U * math.fsum(map(abs, logs))
+
+
+def _factor_rows(d: GeometricBLDatum, blocks, diagonals) -> tuple:
+    """(rows, sum_i c_i log det(T_i T_i^T)) for row blocks X_i (dim E_i x n)
+    and the diagonals of triangular factors T_i, stacked as d.frame_stacks
+    groups the entries: the rows sqrt(c_i) X_i in that order, and the log
+    dets summed in entry order."""
+    weights = np.array([c for _, c in d.entries])
+    logdets = np.empty(d.k)
+    for (members, _), diag in zip(d.frame_stacks, diagonals):
+        logdets[members] = 2.0 * np.log(np.abs(diag)).sum(axis=-1)
+    total = 0.0
+    for c, logdet in zip(weights.tolist(), logdets.tolist()):
+        total += c * logdet
+    return np.concatenate([(np.sqrt(weights[members])[:, None, None] * X).reshape(-1, X.shape[-1])
+                           for (members, _), X in zip(d.frame_stacks, blocks)]), total
 
 
 def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
@@ -84,18 +129,18 @@ def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
 
     Equality is declared iff t is constant (relative 1e-9) on every
     indecomposable class of the frame; the certificate is the class
-    partition.
+    partition.  The rows sqrt(c_i t_i) u_i carry three roundings each.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (r.k,):
         raise InputError(f"need one t per vector: expected {r.k}, got {t.shape}")
     if not np.all(np.isfinite(t)) or np.any(t <= 0.0):
         raise InputError("all t_i must be positive and finite")
-    M = (r.vectors.T * (r.weights * t)) @ r.vectors
-    sign, log_lhs = np.linalg.slogdet(M)
-    if sign <= 0:
-        raise InternalError("weighted frame operator is not positive definite")
-    log_rhs = float(np.dot(r.weights, np.log(t)))
+    log_lhs, error = gram_log_det(r.vectors * np.sqrt(r.weights * t)[:, None],
+                                  math.sqrt(t.max()) / math.sqrt(t.min()))
+    log_t = np.log(t)
+    log_rhs = float(np.dot(r.weights, log_t))
+    budget = error + 2 * r.ambient_dim * 3 * U + (r.k + 2) * U * float(np.dot(r.weights, np.abs(log_t)))
     classes = bowtie_classes(r)
     equality = True
     for cls in classes:
@@ -103,15 +148,15 @@ def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
         if tc.max() - tc.min() > CLASS_CONSTANT_RTOL * tc.max():
             equality = False
             break
-    return _det_result(float(log_lhs), log_rhs, classes if equality else None)
+    return _det_result(log_lhs, log_rhs, budget, classes if equality else None)
 
 
 def assemble_operator(d: GeometricBLDatum, A_list) -> tuple:
     """sum_i c_i A_i P_{E_i} as an ambient n x n matrix, with the A_i.
 
     A_i is given in the frame coordinates of E_i; conjugating back gives
-    the symmetric contribution c_i F_i A_i F_i^T.  Returns (M, mats), mats
-    the symmetrized A_i, stacked as d.frame_stacks groups the entries.
+    the symmetric contribution c_i F_i A_i F_i^T.  Returns (M, mats, spectra),
+    the symmetrized A_i and their eigenvalues stacked as d.frame_stacks does.
     """
     require_validated(d)
     if len(A_list) != d.k:
@@ -120,39 +165,17 @@ def assemble_operator(d: GeometricBLDatum, A_list) -> tuple:
     for (E, _), A in zip(d.entries, A_list):
         if A.shape != (E.dim, E.dim):
             raise InputError(f"operator shape {A.shape} does not match dim E = {E.dim}")
-    mats = []
+    mats, spectra = [], []
     for members, _ in d.frame_stacks:
         A = np.array([A_list[i] for i in members])
-        require_spd(A, "operators")
+        spectra.append(require_spd(A, "operators"))
         mats.append(0.5 * (A + A.swapaxes(-1, -2)))
-    return _assemble(d, mats), mats
-
-
-def _assemble(d: GeometricBLDatum, mats) -> np.ndarray:
-    """sum_i c_i F_i A_i F_i^T in entry order, symmetrized, for checked A_i
-    stacked as d.frame_stacks groups them."""
     n = d.ambient_dim
     X = np.empty((d.k, n, n))
     for (members, F), A in zip(d.frame_stacks, mats):
         X[members] = F.swapaxes(-1, -2) @ A @ F
-    M = np.zeros((n, n))
-    for (_, c), X_i in zip(d.entries, X):
-        M += c * X_i
-    return 0.5 * M + 0.5 * M.T  # halves first, so a finite M cannot overflow
-
-
-def _log_sides(d: GeometricBLDatum, M: np.ndarray, mats) -> tuple:
-    """(log det M, sum_i c_i log det A_i) for M assembled from the A_i."""
-    sign, log_lhs = np.linalg.slogdet(M)
-    if sign <= 0:
-        raise InternalError("assembled operator is not positive definite")
-    logdets = np.empty(d.k)
-    for (members, _), A in zip(d.frame_stacks, mats):
-        logdets[members] = np.linalg.slogdet(A)[1]
-    log_rhs = 0.0
-    for (_, c), logdet in zip(d.entries, logdets.tolist()):
-        log_rhs += c * logdet
-    return float(log_lhs), log_rhs
+    M = (np.array([c for _, c in d.entries])[:, None, None] * X).sum(axis=0)  # in entry order
+    return 0.5 * M + 0.5 * M.T, mats, spectra  # halves first, so a finite M cannot overflow
 
 
 def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
@@ -161,42 +184,64 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
     Equality is declared iff the eigenspaces of M = sum c_i A_i P_{E_i}
     are all critical subspaces (M commutes with every P_{E_i}) and M
     restricts to A_i on every E_i; the certificate is Phi = M itself.
+    The sides come from Cholesky factors A_i = L_i L_i^T and the rows
+    sqrt(c_i) L_i^T F_i.
     """
-    M, mats = assemble_operator(d, A_list)
-    log_lhs, log_rhs = _log_sides(d, M, mats)
+    M, mats, spectra = assemble_operator(d, A_list)
+    try:
+        factors = [np.linalg.cholesky(A) for A in mats]
+    except np.linalg.LinAlgError:  # positive eigenvalues, yet singular to working precision
+        raise InputError("operators must be positive definite") from None
+    lo, hi, delta = math.inf, 0.0, 0.0
+    for (_, F), lam in zip(d.frame_stacks, spectra):
+        dim, kappa = F.shape[1], _safe_exp(float(np.max(np.log(lam[:, -1]) - np.log(lam[:, 0]))))
+        delta = max(delta, (dim + 1) * dim * kappa * U + (dim + 2) * dim * math.sqrt(kappa) * U)
+        lo, hi = min(lo, float(lam.min())), max(hi, float(lam.max()))
+    rows, log_rhs = _factor_rows(d, [L.swapaxes(-1, -2) @ F for (_, F), L in zip(d.frame_stacks, factors)],
+                                 [np.diagonal(L, axis1=-2, axis2=-1) for L in factors])
+    log_lhs, error = gram_log_det(rows, math.sqrt(hi) / math.sqrt(lo))
+    # l_jj^2 lies in [lo, hi], which bounds the logs that log_rhs sums
+    rounding = (len(rows) + 2) * U * d.ambient_dim * max(abs(math.log(lo)), abs(math.log(hi)))
     scale = max(1.0, float(np.abs(M).max()))
     restriction_ok = all(np.abs(M @ F.swapaxes(-1, -2) - F.swapaxes(-1, -2) @ A).max()
                          <= RESIDUAL_TOL * scale for (_, F), A in zip(d.frame_stacks, mats))
     equality = restriction_ok and has_critical_eigenspaces(d, M)
-    return _det_result(log_lhs, log_rhs, M if equality else None)
+    return _det_result(log_lhs, log_rhs, error + 2 * d.ambient_dim * delta + rounding,
+                       M if equality else None)
 
 
-def _fiber_operator(d: GeometricBLDatum, Phi) -> tuple:
-    """(Phi, A_i^-1, Q^-1) for A_i = F_i^T Phi^2 F_i, Phi checked as n x n SPD,
-    the A_i^-1 stacked as d.frame_stacks groups the entries.
-
-    The A_i^-1 are positive definite because Phi is, so they skip the
-    per-operator checks of assemble_operator.
-    """
+def _fiber_factors(d: GeometricBLDatum, Phi) -> tuple:
+    """(Phi checked as n x n SPD, its eigenvalues, the QR factors (Q_i, R_i)
+    of Phi F_i^T stacked as d.frame_stacks groups the entries, the rows
+    sqrt(c_i) Q_i^T in that order, sum_i c_i log det A_i)."""
     require_validated(d)
     Phi = np.asarray(Phi, dtype=float)
-    n = d.ambient_dim
-    if Phi.shape != (n, n):
-        raise InputError(f"Phi must be {n} x {n}")
-    require_spd(Phi, "Phi")
-    inverses = []
-    for _, F in d.frame_stacks:
-        G = Phi @ F.swapaxes(-1, -2)
-        # Phi^2 can over- or underflow a double where Phi does not
-        with np.errstate(over="ignore"):
-            gram = G.swapaxes(-1, -2) @ G
-        if not np.all(np.isfinite(gram)):
-            raise InputError("Phi^2 overflows a double on an entry subspace")
-        try:
-            inverses.append(np.linalg.inv(gram))
-        except np.linalg.LinAlgError:
-            raise InputError("Phi^2 underflows to a singular matrix on an entry subspace") from None
-    return Phi, inverses, _assemble(d, inverses)
+    if Phi.shape != (d.ambient_dim, d.ambient_dim):
+        raise InputError(f"Phi must be {d.ambient_dim} x {d.ambient_dim}")
+    eigenvalues = require_spd(Phi, "Phi")
+    factors = [np.linalg.qr(Phi @ F.swapaxes(-1, -2)) for _, F in d.frame_stacks]
+    return (Phi, eigenvalues, factors,
+            *_factor_rows(d, [Q.swapaxes(-1, -2) for Q, _ in factors],
+                          [np.diagonal(R, axis1=-2, axis2=-1) for _, R in factors]))
+
+
+def fiber_log_sides(d: GeometricBLDatum, Phi) -> tuple:
+    """(log det Q^-1, sum_i c_i log det A_i^-1, budget) for A_i = F_i Phi^2 F_i^T,
+    refused unless Phi has critical eigenspaces."""
+    Phi, eigenvalues, factors, rows, log_a = _fiber_factors(d, Phi)
+    if not has_critical_eigenspaces(d, Phi):
+        raise InputError("the eigenspaces of Phi must be critical subspaces")
+    sigma = np.linalg.svd(rows, compute_uv=False)
+    log_s, error_s = gram_log_det(rows, sigma[0] / sigma[-1])
+    cond = float(eigenvalues[-1]) / float(eigenvalues[0])
+    log_phi, error_phi = gram_log_det(Phi, cond)
+    n, dim = d.ambient_dim, max(F.shape[1] for _, F in d.frame_stacks)
+    # (|Phi|_F + dim lambda_max) / lambda_min, scaled first so that no square overflows
+    theta = n * math.sqrt(dim) * U * (float(np.linalg.norm(Phi / eigenvalues[-1])) + dim) * cond
+    # r_jj lies in [lambda_min(Phi), lambda_max(Phi)], which bounds the logs that log_a sums
+    rounding = (len(rows) + 2) * U * n * 2.0 * float(np.abs(np.log(eigenvalues[[0, -1]])).max())
+    budget = error_s + error_phi + 2 * n * theta * (sigma[-1] ** -2.0 + 2.0) + rounding
+    return log_s - log_phi, -log_a, budget
 
 
 @dataclass(frozen=True)
@@ -209,22 +254,26 @@ class MinNormResult:
 def min_norm_decomposition(d: GeometricBLDatum, Phi: np.ndarray, x) -> MinNormResult:
     """min sum c_i |Phi x_i|^2 over decompositions x = sum c_i x_i, x_i in E_i.
 
-    With x_i = F_i y_i the objective is sum c_i <A_i y_i, y_i> for
-    A_i = F_i^T Phi^2 F_i, so the fiber formula gives the minimum
-    <Q x, x> at y_i = A_i^-1 F_i^T Q x.  When the eigenspaces of Phi are
-    critical the minimum equals |Phi x|^2 and x_i = P_{E_i} x attains it.
+    With x_i = F_i^T R_i^-1 z_i / sqrt(c_i) the objective is |z|^2 and the
+    constraint is sum sqrt(c_i) Q_i z_i = Phi x, so z is the least-norm
+    solution for the rows of S.  When the eigenspaces of Phi are critical
+    the minimum equals |Phi x|^2 and x_i = P_{E_i} x attains it.
     """
-    Phi, inverses, Q_inv = _fiber_operator(d, Phi)
+    Phi, _, factors, rows, _ = _fiber_factors(d, Phi)
     x = np.asarray(x, dtype=float).reshape(d.ambient_dim)
-    Qx = np.linalg.solve(Q_inv, x)
+    w = np.linalg.lstsq(rows.T, Phi @ x, rcond=None)[0]
+    weights = np.array([c for _, c in d.entries])
     minimizers = np.empty((d.k, d.ambient_dim))
-    for (members, F), B in zip(d.frame_stacks, inverses):
-        minimizers[members] = (F.swapaxes(-1, -2) @ (B @ (F @ Qx)[..., None]))[..., 0]
+    at = 0
+    for (members, F), (_, R) in zip(d.frame_stacks, factors):
+        w_i = w[at:at + F.shape[0] * F.shape[1]].reshape(F.shape[:2]) / np.sqrt(weights[members])[:, None]
+        at += w_i.size
+        minimizers[members] = (F.swapaxes(-1, -2) @ np.linalg.solve(R, w_i[..., None]))[..., 0]
     recon = sum(c * xi for (_, c), xi in zip(d.entries, minimizers))
     if np.linalg.norm(recon - x) > 1e-9 * (1.0 + np.linalg.norm(x)):
         raise InternalError("the fiber minimizers do not rebuild x")
     return MinNormResult(
-        min_value=float(np.dot(x, Qx)),
+        min_value=float(np.dot(w, w)),
         minimizers=tuple(minimizers),
         reference=float(np.dot(Phi @ x, Phi @ x)),
     )

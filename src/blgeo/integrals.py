@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datum import GeometricBLDatum, require_validated
-from .determinantal import (_fiber_operator, _log_sides, _safe_exp, determinantal_high_check,
-                            require_spd)
+from .determinantal import U, _safe_exp, determinantal_high_check, fiber_log_sides, require_spd
 from .errors import CapError, InputError, InternalError, as_array, field_of, read
 from .structure import StructureReport, critical_meet, has_critical_eigenspaces
 from .subspace import Subspace, contains, equal
@@ -302,8 +301,8 @@ class FactorizedDensity(Density):
 
 @dataclass(frozen=True)
 class IneqEvaluation:
-    """A "barthe" result with lhs < rhs (1 - max(est_error, 1e-9)) is refused; a "bl"
-    result comes from a determinantal check, whose refusal bounds its ratio by 1 + 1e-9."""
+    """A "barthe" result with lhs < rhs (1 - est_error) is refused; a "bl" result comes
+    from a determinantal check, whose refusal bounds its ratio by 1 + est_error."""
 
     lhs: float
     rhs: float
@@ -313,7 +312,7 @@ class IneqEvaluation:
     est_error: float  # relative error budget
 
     def __post_init__(self):
-        if self.direction == "barthe" and self.lhs < self.rhs * (1.0 - max(self.est_error, 1e-9)):
+        if self.direction == "barthe" and self.lhs < self.rhs * (1.0 - self.est_error):
             raise InternalError(f"Barthe inequality violated beyond the error budget: "
                                 f"lhs {self.lhs:.12g} < rhs {self.rhs:.12g}")
 
@@ -376,32 +375,31 @@ def gaussian_bl_eval(d: GeometricBLDatum, A_list) -> IneqEvaluation:
 
 def bl_eval_from_check(check) -> IneqEvaluation:
     """The Brascamp-Lieb sides read off a determinantal check of the same A_i."""
-    return _closed_form(-0.5 * check.log_lhs, -0.5 * check.log_rhs, "bl")
+    return _closed_form(-0.5 * check.log_lhs, -0.5 * check.log_rhs, "bl", 0.5 * check.budget)
 
 
-def _closed_form(log_lhs: float, log_rhs: float, direction: str) -> IneqEvaluation:
-    """A side that overflows a double is inf, which the report refuses."""
+def _closed_form(log_lhs: float, log_rhs: float, direction: str, error: float) -> IneqEvaluation:
+    """A side that overflows a double is inf, which the report refuses; est_error
+    adds the rounding of the last sums and of exp to the log sides' error."""
     return IneqEvaluation(_safe_exp(log_lhs), _safe_exp(log_rhs), _safe_exp(log_lhs - log_rhs),
-                          direction, "closed_form", 0.0)
+                          direction, "closed_form",
+                          error + 2 * U * (1.0 + abs(log_lhs) + abs(log_rhs)))
 
 
 def gaussian_barthe_eval(d: GeometricBLDatum, Phi) -> IneqEvaluation:
     """Barthe's two sides for the Gaussian family e^{-c_i |Phi x_i|^2}.
 
-    The fiber formula of blgeo.determinantal with A_i = F_i^T Phi^2 F_i:
+    The fiber formula of blgeo.determinantal with A_i = F_i Phi^2 F_i^T:
     the sides are pi^(n/2) exp(log_lhs / 2) and pi^(n/2) exp(log_rhs / 2)
-    for the two sides log det Q^-1 and sum c_i log det A_i^-1 of the
-    determinantal inequality of the A_i^-1.  Phi must have critical
-    eigenspaces; then Q = Phi^2 and the ratio is 1 up to rounding.  The
-    equality certificate is not consulted: on Phi^-2 it would magnify the
-    rounding of a Phi typed to a few digits by about cond(Phi)^2.
+    for log det Q^-1 and sum c_i log det A_i^-1.  Phi must have critical
+    eigenspaces; then Q = Phi^2 and the ratio is 1 within est_error, half
+    the fiber's budget.  The equality certificate is not consulted: on
+    Phi^-2 it would magnify the rounding of a Phi typed to a few digits by
+    about cond(Phi)^2.
     """
-    Phi, inverses, Q_inv = _fiber_operator(d, Phi)
-    if not has_critical_eigenspaces(d, Phi):
-        raise InputError("the eigenspaces of Phi must be critical subspaces")
-    log_lhs, log_rhs = _log_sides(d, Q_inv, inverses)
+    log_lhs, log_rhs, budget = fiber_log_sides(d, Phi)
     log_pi = 0.5 * d.ambient_dim * math.log(math.pi)
-    return _closed_form(log_pi + 0.5 * log_lhs, log_pi + 0.5 * log_rhs, "barthe")
+    return _closed_form(log_pi + 0.5 * log_lhs, log_pi + 0.5 * log_rhs, "barthe", 0.5 * budget)
 
 
 def _cartesian_centers(spec: GridSpec, dim: int, rows=slice(None)) -> np.ndarray:
@@ -511,7 +509,11 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
         if exact > 0.0:
             tail_rel += c * abs(1.0 - q / exact)
     denom = max(min(lhs, rhs), 1e-300)
-    est = quad_abs / denom + tail_rel
+    # first-order rounding of the cell sums, logs and exp behind the sides (the
+    # logs of masses and sides stand in for the fiber maxima's): a constant F has no other budget
+    logs = sum(abs(c * math.log(q)) for c, q in zip(weights, quads)) + abs(math.log(denom))
+    cells = F.size + sum(c * grid.count ** E.dim for E, c in d.entries)
+    est = quad_abs / denom + tail_rel + U * (cells + (d.k + 3) * (1.0 + logs))
     return IneqEvaluation(lhs=lhs, rhs=rhs, ratio=lhs / rhs, direction="barthe",
                           method="grid", est_error=float(est))
 

@@ -372,12 +372,21 @@ def assemble_per_entry(d, mats):
     return 0.5 * (M + M.T)
 
 
-def log_sides_per_entry(d, M, mats):
-    """(log det M, sum_i c_i log det A_i)."""
-    log_rhs = 0.0
-    for (_, c), A in zip(d.entries, mats):
-        log_rhs += c * float(np.linalg.slogdet(A)[1])
-    return float(np.linalg.slogdet(M)[1]), log_rhs
+def gram_log_det_per_entry(d, blocks):
+    """log det(sum_i c_i X_i^T X_i) from one QR of the rows sqrt(c_i) X_i,
+    grouped by entry dimension in order of first appearance."""
+    dims = dict.fromkeys(E.dim for E, _ in d.entries)
+    rows = np.concatenate([math.sqrt(c) * X for dim in dims
+                           for (E, c), X in zip(d.entries, blocks) if E.dim == dim])
+    return math.fsum(2.0 * math.log(abs(r)) for r in np.diag(np.linalg.qr(rows, mode="r")))
+
+
+def weighted_log_dets_per_entry(d, factors):
+    """sum_i c_i log det(T_i T_i^T) from the diagonals of triangular T_i."""
+    total = 0.0
+    for (_, c), T in zip(d.entries, factors):
+        total += c * float(2.0 * np.log(np.abs(np.diag(T))).sum())
+    return total
 
 
 def determinantal_per_entry(d, A_list):
@@ -388,16 +397,18 @@ def determinantal_per_entry(d, A_list):
     restriction_ok = all(np.abs(M @ E.basis - E.basis @ A).max() <= RESIDUAL_TOL * scale
                          for (E, _), A in zip(d.entries, mats))
     equality = restriction_ok and has_critical_eigenspaces(d, M)
-    return (*log_sides_per_entry(d, M, mats), M, M if equality else None)
+    factors = [np.linalg.cholesky(A) for A in mats]
+    log_lhs = gram_log_det_per_entry(d, [L.T @ E.frame for (E, _), L in zip(d.entries, factors)])
+    return log_lhs, weighted_log_dets_per_entry(d, factors), M, M if equality else None
 
 
 def fiber_per_entry(d, Phi):
-    """([A_i^-1], Q^-1) of the Gaussian fiber for A_i = F_i^T Phi^2 F_i."""
-    inverses = []
-    for E, _ in d.entries:
-        G = Phi @ E.basis
-        inverses.append(np.linalg.inv(G.T @ G))
-    return inverses, assemble_per_entry(d, inverses)
+    """(log det Q^-1, sum_i c_i log det A_i^-1) of the Gaussian fiber for
+    A_i = F_i Phi^2 F_i^T, from the QR factors Q_i R_i of Phi F_i^T."""
+    factors = [np.linalg.qr(Phi @ E.basis) for E, _ in d.entries]
+    log_s = gram_log_det_per_entry(d, [Q.T for Q, _ in factors])
+    log_phi = math.fsum(2.0 * math.log(abs(r)) for r in np.diag(np.linalg.qr(Phi, mode="r")))
+    return log_s - log_phi, -weighted_log_dets_per_entry(d, [R for _, R in factors])
 
 
 def random_uniform_cover(rng, n, s, max_blocks=None):

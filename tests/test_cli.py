@@ -161,6 +161,32 @@ def test_barthe_eval_phi_whose_inverse_square_nears_the_largest_double(tmp_path,
     assert report["ratio"] == 1.0
 
 
+@pytest.mark.parametrize("phi", [1e160, 1e-200])
+def test_barthe_eval_phi_whose_square_leaves_double_range(phi, tmp_path, capsys):
+    # Phi^2 over- or underflows a double, yet both sides are pi^(1/2) / Phi
+    holder, path = tmp_path / "holder.json", tmp_path / "phi.json"
+    holder.write_text(json.dumps(HOLDER_JSON))
+    path.write_text(json.dumps([[phi]]))
+    code, out, err = run_cli(capsys, ["barthe-eval", str(holder), "--phi", str(path)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["lhs"] == report["rhs"] == pytest.approx(np.sqrt(np.pi) / phi, rel=1e-12)
+    assert abs(report["ratio"] - 1.0) <= report["est_error"] <= 1e-12
+
+
+def test_barthe_eval_phi_at_condition_1e5_is_one_within_its_budget(tmp_path, capsys):
+    # every Phi has critical eigenspaces on the Hoelder datum in R^3, so the
+    # ratio is 1; a Gram of Phi^2 would square cond(Phi) = 1e5 to 1e10
+    Q = random_rotation(np.random.default_rng(3), 3)
+    holder, path = tmp_path / "holder.json", tmp_path / "phi.json"
+    holder.write_text(json.dumps(holder_datum(3, [0.5, 0.5]).to_json()))
+    path.write_text(json.dumps((Q * [1.0, 1e-3, 1e-5] @ Q.T).tolist()))
+    code, out, err = run_cli(capsys, ["barthe-eval", str(holder), "--phi", str(path)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert abs(report["ratio"] - 1.0) <= report["est_error"] <= 1e-6
+
+
 def test_barthe_eval_densities(files, tmp_path, capsys):
     import json as js
     d = {"n": 1, "entries": [
@@ -291,6 +317,33 @@ def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
                 assert json.loads(seen.pop())["is_critical"] is (args[-1] is piece)
 
 
+def test_closed_form_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 16 copies of four lines in R^2, rotated: n = 32 and k = 64, so the
+    # stacked rows B^T of each closed form are 64 x 32, tall enough that
+    # LAPACK could block and thread their QR
+    rng = np.random.default_rng(5)
+    d = direct_sum_data([planar_lines_datum(4)] * 16)
+    d = rotate_datum(d, random_rotation(rng, d.ambient_dim))
+    phi = sum((1.0 + 0.1 * j) * V.basis @ V.frame for j, V in enumerate(indecomposable_decomposition(d)))
+    phi = 0.5 * (phi + phi.T)
+    A = [0.5 * (B + B.T) for B in (E.frame @ phi @ E.basis for E, _ in d.entries)]
+    paths = {}
+    for name, obj in (("datum", d.to_json()), ("phi", phi.tolist()), ("A", [B.tolist() for B in A])):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    for args in (["detcheck", paths["datum"], "--A", paths["A"]],
+                 ["bl-eval", paths["datum"], "--A", paths["A"]],
+                 ["barthe-eval", paths["datum"], "--phi", paths["phi"]]):
+        seen = set()
+        for threads in ("1", "2", "4"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "blgeo", *map(str, args)],
+                                  capture_output=True, env=env, check=True)
+            seen.add(proc.stdout)
+        assert len(seen) == 1, args[0]
+        assert json.loads(seen.pop()).get("equality", True)
+
+
 def test_dual_bt_bytes_do_not_depend_on_blas_threads(tmp_path):
     # a cross-polytope, a box and a random polytope in R^4 under a cover with
     # sections of every dimension: every verdict is exact, so no bit may move
@@ -373,7 +426,7 @@ FAR_GAUSS_JSON = dict(GAUSS_JSON, A=[[3.0]], b=[2000.0])
     "gaussian_mass_overflow", "gaussian_mass_overflow_densities", "overflowing_bl_sides",
     "overflowing_barthe_sides", "overflowing_ball_sides", "grid_mass_overflow",
     "grid_before_missing_datum", "transport_samples", "overflowing_grid_barthe_sides",
-    "overflowing_theta_barthe_sides", "phi_square_overflows", "phi_square_underflows",
+    "overflowing_theta_barthe_sides", "overflowing_phi_barthe_sides",
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -432,8 +485,8 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
              "grid_mass_overflow": "grid values",
              **dict.fromkeys(["overflowing_bl_sides", "overflowing_barthe_sides",
                               "overflowing_ball_sides", "overflowing_grid_barthe_sides",
-                              "overflowing_theta_barthe_sides"], "lhs"),
-             **dict.fromkeys(["phi_square_overflows", "phi_square_underflows"], "Phi"),
+                              "overflowing_theta_barthe_sides", "overflowing_phi_barthe_sides"],
+                             "lhs"),
              **dict.fromkeys(weight, "entries[0].c")}.get(case, "")
     if case in bad_density:
         argv = ["transport", "--f", write("f.json", json.dumps(bad_density[case])), "--g", gauss]
@@ -512,10 +565,10 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         argv = ["barthe-eval", write("lines.json", json.dumps(lines.to_json())), "--densities",
                 write("d.json", json.dumps([dict(side, domain=E.to_json()) for E, _ in lines.entries])),
                 "--grid", "h=0.25,box=2"]
-    elif case in ("phi_square_overflows", "phi_square_underflows"):
-        # a finite positive Phi whose square is beyond a double either way
-        phi = [[1e160]] if case == "phi_square_overflows" else [[1e-200]]
-        argv = ["barthe-eval", holder, "--phi", write("phi.json", json.dumps(phi))]
+    elif case == "overflowing_phi_barthe_sides":
+        # det(Phi)^-1 = 1e600 on the Hoelder datum in R^3
+        argv = ["barthe-eval", write("holder3.json", json.dumps(holder_datum(3, [0.5, 0.5]).to_json())),
+                "--phi", write("phi.json", json.dumps((1e-200 * np.eye(3)).tolist()))]
     else:
         argv = ["barthe-eval", holder, "--densities", write("d.json", json.dumps([huge, huge])),
                 "--grid", "h=0.5,box=1"]
@@ -567,6 +620,37 @@ def test_a_bad_operator_after_the_first_is_refused(command, entry, A, message, t
     assert run_cli(capsys, [command, str(datum), "--A", str(ops)]) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flag", ["--phi", "--A", "--densities"])
+def test_a_tiny_asymmetric_matrix_is_refused(flag, tmp_path, capsys):
+    # symmetry is held relative to the matrix's own largest entry, so entries
+    # far below 1 get no absolute allowance: this one is a shear, not symmetric
+    M = [[1e-12, 1e-12], [0.0, 1e-12]]
+    plane = {"n": 2, "frame": [[1, 0], [0, 1]]}
+    datum, side = tmp_path / "holder.json", tmp_path / "side.json"
+    datum.write_text(json.dumps(holder_datum(2, [0.5, 0.5]).to_json()))
+    command, value, name = {
+        "--phi": ("barthe-eval", M, "Phi"), "--A": ("detcheck", [M, M], "operators"),
+        "--densities": ("barthe-eval", [{"kind": "gaussian", "domain": plane, "A": M}] * 2,
+                        "gaussian matrix")}[flag]
+    side.write_text(json.dumps(value))
+    assert run_cli(capsys, [command, str(datum), flag, str(side)]) == (
+        1, "", f"error: {name} must be symmetric\n")
+
+
+def test_an_operator_singular_to_working_precision_is_refused_as_input(tmp_path, capsys):
+    # eigenvalues 1 and 1e-17, rotated: eigvalsh may still see both positive,
+    # but Cholesky cannot factor the matrix; that is an input error, not exit 2
+    datum, ops = tmp_path / "holder.json", tmp_path / "A.json"
+    datum.write_text(json.dumps(holder_datum(2, [0.5, 0.5]).to_json()))
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        R = random_rotation(rng, 2)
+        A = (R * [1.0, 1e-17]) @ R.T
+        ops.write_text(json.dumps([(0.5 * (A + A.T)).tolist(), np.eye(2).tolist()]))
+        code, out, err = run_cli(capsys, ["detcheck", str(datum), "--A", str(ops)])
+        assert code == 0 or (code, out, err) == (1, "", "error: operators must be positive definite\n")
+
+
 def test_out_of_memory_exits_one_with_message(files, capsys, monkeypatch):
     # a fine --grid can ask for more cells than memory holds; fake the failed allocation
     def out_of_memory(*args, **kwargs):
@@ -595,7 +679,7 @@ def test_violated_inequality_exits_two(files, capsys, monkeypatch):
     # the library refuses a violated inequality where the verdict is made
     from blgeo import determinantal as det_mod
 
-    monkeypatch.setattr(det_mod, "_log_sides", lambda *args: (0.0, 1.0))
+    monkeypatch.setattr(det_mod, "gram_log_det", lambda rows, kappa: (-1.0, 0.0))
     for command in ("detcheck", "bl-eval"):
         code, out, err = run_cli(capsys, [command, files["r4"], "--A", files["A_eye"]])
         assert (code, out) == (2, "")

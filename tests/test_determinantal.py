@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (cauchy_binet_expansion, determinantal_per_entry, fiber_per_entry,
-                      gaussian_fiber_oracle, log_sides_per_entry, random_datum, random_rotation)
+                      gaussian_fiber_oracle, random_datum, random_rotation)
 
 from blgeo.datum import (
     GeometricBLDatum,
@@ -89,12 +89,13 @@ def test_nonpositive_t_rejected():
 
 def test_a_violated_determinantal_inequality_is_refused():
     # both checks build their result through _det_result; the inequality
-    # is a theorem, so a log_gap below -1e-9 is an internal error
-    with pytest.raises(InternalError, match="inequality violated: log_gap = -2.000e-09"):
-        _det_result(0.0, 2e-9, None)
-    r = _det_result(0.0, 5e-10, None)
-    assert (r.log_gap, r.equality) == (-5e-10, False)
-    assert _det_result(1.0, 1.0, "certificate").equality
+    # is a theorem, so a log_gap below minus the rounding budget is an internal error
+    with pytest.raises(InternalError, match="inequality violated: log_gap = -2.000e-09 "
+                                            "below the rounding budget 1.000e-09"):
+        _det_result(0.0, 2e-9, 1e-9, None)
+    r = _det_result(0.0, 5e-10, 1e-9, None)
+    assert (r.log_gap, r.budget, r.equality) == (-5e-10, 1e-9, False)
+    assert _det_result(1.0, 1.0, 0.0, "certificate").equality
 
 
 def test_scaling_covariance(rng):
@@ -270,8 +271,7 @@ def test_batched_layers_equal_the_per_entry_loops(seed):
             np.array_equal(check.equality_certificate, certificate)
         bl = gaussian_bl_eval(d, A_list)
         assert (bl.lhs, bl.rhs) == (math.exp(-0.5 * log_lhs), math.exp(-0.5 * log_rhs))
-    inverses, Q_inv = fiber_per_entry(d, Phi)
-    log_lhs, log_rhs = log_sides_per_entry(d, Q_inv, inverses)
+    log_lhs, log_rhs = fiber_per_entry(d, Phi)
     log_pi = 0.5 * d.ambient_dim * math.log(math.pi)
     barthe = gaussian_barthe_eval(d, Phi)
     assert (barthe.lhs, barthe.rhs) == (math.exp(log_pi + 0.5 * log_lhs),
@@ -281,6 +281,68 @@ def test_batched_layers_equal_the_per_entry_loops(seed):
 # ---------------------------------------------------------------------------
 # Gaussian fiber formula
 # ---------------------------------------------------------------------------
+
+def critical_phi_draw(rng):
+    """A rotated datum, the Hoelder datum in R^3 or a direct sum of Hoelder
+    blocks, line frames and axes up to n = 12, with a Phi that has critical
+    eigenspaces (any SPD on a Hoelder block, a scalar on the others) and
+    log10 cond(Phi) uniform in [0, 12]; returns (d, Phi, log10 cond)."""
+    if rng.random() < 0.3:
+        blocks = [holder_datum(3, [0.5, 0.5])]
+    else:
+        blocks, n = [], 0
+        while True:
+            kind = rng.integers(3)
+            dim = (int(rng.integers(1, 4)), 2, 1)[kind]
+            if n + dim > 12:
+                break
+            n += dim
+            blocks.append((holder_datum(dim, rng.dirichlet(np.full(int(rng.integers(2, 4)), 3.0))),
+                           planar_lines_datum(int(rng.integers(3, 5))), axis_datum(1))[kind])
+            if rng.random() < 0.15:
+                break
+    # a Hoelder block's entries are all the block, so any eigenbasis on it is critical
+    free = [b.entries[0][0].dim if all(E.dim == b.ambient_dim for E, _ in b.entries) else 0
+            for b in blocks]
+    log_cond = rng.uniform(0.0, 12.0)
+    logs = rng.uniform(-log_cond, 0.0, sum(max(f, 1) for f in free))
+    if logs.size > 1:
+        logs[rng.choice(logs.size, 2, replace=False)] = 0.0, -log_cond
+    lam = iter(10.0 ** logs)
+    pieces = []
+    for b, f in zip(blocks, free):
+        if f:
+            R = random_rotation(rng, f)
+            pieces.append((R * [next(lam) for _ in range(f)]) @ R.T)
+        else:
+            pieces.append(next(lam) * np.eye(b.ambient_dim))
+    d = direct_sum_data(blocks) if len(blocks) > 1 else blocks[0]
+    Q = random_rotation(rng, d.ambient_dim)
+    Phi = np.zeros((d.ambient_dim, d.ambient_dim))
+    at = 0
+    for P in pieces:
+        Phi[at:at + len(P), at:at + len(P)] = P
+        at += len(P)
+    Phi = Q @ Phi @ Q.T
+    return rotate_datum(d, Q), 0.5 * (Phi + Phi.T), log_cond
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_closed_forms_stay_inside_their_budget_up_to_condition_1e12(seed):
+    # the paper's equality clause is the oracle: Barthe's ratio is 1 for every
+    # Phi with critical eigenspaces, and its restrictions give equality in the
+    # determinantal inequality; neither may be refused as a violation
+    d, Phi, log_cond = critical_phi_draw(np.random.default_rng(seed))
+    ev = gaussian_barthe_eval(d, Phi)
+    assert abs(math.log(ev.ratio)) <= ev.est_error
+    if log_cond <= 3.0:
+        assert ev.est_error <= 1e-9
+    # the restrictions, each exactly symmetric as an input must be
+    A_list = [0.5 * (A + A.T) for A in (E.frame @ Phi @ E.basis for E, _ in d.entries)]
+    check = determinantal_high_check(d, A_list)
+    assert check.equality and check.log_gap >= -check.budget
+
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2 ** 32 - 1))

@@ -420,14 +420,17 @@ def test_supconv_work_caps_refuse_before_allocating(d, grid, cap):
 
 
 def test_a_violated_barthe_inequality_is_refused():
-    # lhs below rhs (1 - max(est_error, 1e-9)) is an internal error
+    # lhs below rhs (1 - est_error) is an internal error; a closed form's
+    # est_error is its rounding budget, with no floor below it
     with pytest.raises(InternalError, match="Barthe inequality violated beyond the error budget: "
                                             "lhs 0.85 < rhs 1"):
         IneqEvaluation(0.85, 1.0, 0.85, "barthe", "grid", 0.1)
     IneqEvaluation(0.95, 1.0, 0.95, "barthe", "grid", 0.1)
     with pytest.raises(InternalError, match="Barthe inequality violated"):
-        IneqEvaluation(1.0 - 2e-9, 1.0, 1.0 - 2e-9, "barthe", "closed_form", 0.0)
-    IneqEvaluation(1.0 - 5e-10, 1.0, 1.0 - 5e-10, "barthe", "closed_form", 0.0)
+        IneqEvaluation(1.0 - 2e-9, 1.0, 1.0 - 2e-9, "barthe", "closed_form", 1e-9)
+    IneqEvaluation(1.0 - 5e-10, 1.0, 1.0 - 5e-10, "barthe", "closed_form", 1e-9)
+    with pytest.raises(InternalError, match="Barthe inequality violated"):
+        IneqEvaluation(1.0 - 1e-15, 1.0, 1.0 - 1e-15, "barthe", "closed_form", 0.0)
     # the Brascamp-Lieb direction has lhs <= rhs
     IneqEvaluation(0.5, 1.0, 0.5, "bl", "closed_form", 0.0)
 

@@ -245,13 +245,24 @@ def cdf_densities(rng):
 
 
 def test_cdf_knots_rise_from_exactly_0_to_exactly_1():
-    # np.interp needs knots that never decrease.  A grid's cumulative masses
-    # can round above 1 before its last knot is set to 1: in 9 of the 20 gap
-    # densities drawn here.  On a span this wide every Gaussian saturates
+    # np.interp needs knots that never decrease.  Summed as shares of the
+    # total, a grid's cumulative masses would round above 1 in 9 of the 20
+    # gap densities drawn here.  On a span this wide every Gaussian saturates
     for f in cdf_densities(np.random.default_rng(0)):
         _, ku, _ = _cdf_knots(f, GridSpec(0.002, 16.0))
         assert np.all(np.diff(ku) >= 0.0)
         assert (ku[0], ku[-1]) == (0.0, 1.0)
+
+
+def test_trailing_empty_cells_get_no_mass():
+    # cumulative shares of the total can end a few ulp below 1, and a last
+    # knot forced to 1 would put that mass in the empty cells after the
+    # support (T(8) = 4 for 15 of these 20), whose right end is 2
+    for g in np.random.default_rng(0).uniform(0.2, 0.9, 20):
+        f = indicator_density([(-3.0, -1.0 - g), (g, 2.0)], 0.01, 4.0)
+        T = brenier_1d(f, GaussianDensity(full_subspace(1), [[1.0]]), GridSpec(0.001, 8.0))
+        edges = _cdf_knots(f, SPEC)[0]
+        assert T.ts.max() <= edges[np.flatnonzero(f.values)[-1] + 1]
 
 
 def test_gap_density_maps_to_itself(rng):
