@@ -5,17 +5,19 @@ frame and positive scalars t_i, with equality exactly when t is constant
 on each indecomposable class.  Higher rank: det(sum c_i A_i P_{E_i}) >=
 prod (det A_i)^{c_i} for positive definite A_i on each E_i, with
 equality exactly when the assembled operator Phi = sum c_i A_i P_{E_i}
-has critical eigenspaces and restricts to A_i on every E_i.
+has critical eigenspaces and restricts to A_i on every E_i; the second
+implies the first, as a symmetric Phi that maps each E_i into itself
+commutes with P_{E_i}.
 
 Everything is computed in the log domain; equality detection is
 structural (class-constancy of t, or the Phi certificate), never a
 floating-point comparison of the two sides.  Every log-determinant of a
-sum is gram_log_det's, from one QR of stacked rows, with no Gram matrix
-and no inverse, and every result carries the first-order rounding budget
-that README.md derives.  Per-entry work (checks, factors, rows) runs as
-one numpy call per entry dimension over the datum's frame stacks; sums
-across entries run in entry order, so every value is the one a loop
-over the entries gives.
+sum is gram_log_det's, from one QR of stacked rows, never of a Gram
+matrix or an inverse, and every result carries the first-order rounding
+budget that README.md derives.  Per-entry work (checks, factors, rows)
+runs as one numpy call per entry dimension over the datum's frame
+stacks; sums across entries run in entry order, so every value is the
+one a loop over the entries gives.
 
 The same factors solve the Gaussian fiber problem: the minimum of
 sum c_i <A_i y_i, y_i> over sum c_i F_i^T y_i = x is <Q x, x>, where
@@ -60,7 +62,8 @@ def require_spd(M: np.ndarray, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class DetCheckResult:
     """Both sides, also as logs, and the first-order rounding budget of
-    log_gap; the inequality is a theorem, so log_gap < -budget is refused."""
+    log_gap; the inequality is a theorem, so log_gap < -budget is refused,
+    and so is an equality verdict with log_gap > budget."""
 
     lhs: float
     rhs: float
@@ -75,6 +78,9 @@ class DetCheckResult:
         if self.log_gap < -self.budget:
             raise InternalError(f"determinantal inequality violated: log_gap = {self.log_gap:.3e} "
                                 f"below the rounding budget {self.budget:.3e}")
+        if self.equality and self.log_gap > self.budget:
+            raise InternalError(f"equality certificate, yet log_gap = {self.log_gap:.3e} "
+                                f"above the rounding budget {self.budget:.3e}")
 
 
 def _safe_exp(x: float) -> float:
@@ -97,9 +103,12 @@ def gram_log_det(rows: np.ndarray, kappa: float) -> tuple:
     gamma_Kn of each column's norm (Higham, Thm 19.4), which moves the log
     det by at most 2 n gamma_Kn kappa; the logs and their sum add
     gamma_(n+1) sum_j |2 log r_jj|.  README.md derives the rest of every
-    closed form's budget from this bound.
+    closed form's budget from this bound.  Rows go in by decreasing largest
+    entry, sorted stably, which makes the QR row-wise stable (Higham, sec.
+    19.4): rows many orders below the others no longer leave an r_jj of 0.
     """
-    h = np.linalg.qr(rows, mode="raw")[0]  # R is the upper triangle of h^T
+    order = np.argsort(-np.abs(rows).max(axis=1), kind="stable")
+    h = np.linalg.qr(rows[order], mode="raw")[0]  # R is the upper triangle of h^T
     try:
         logs = [2.0 * math.log(abs(r)) for r in np.diagonal(h).tolist()]
     except ValueError:  # a zero on the diagonal
@@ -151,12 +160,15 @@ def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
     return _det_result(log_lhs, log_rhs, budget, classes if equality else None)
 
 
-def assemble_operator(d: GeometricBLDatum, A_list) -> tuple:
-    """sum_i c_i A_i P_{E_i} as an ambient n x n matrix, with the A_i.
+def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
+    """Higher-rank determinantal inequality with the Phi certificate.
 
-    A_i is given in the frame coordinates of E_i; conjugating back gives
-    the symmetric contribution c_i F_i A_i F_i^T.  Returns (M, mats, spectra),
-    the symmetrized A_i and their eigenvalues stacked as d.frame_stacks does.
+    With A_i = L_i L_i^T by Cholesky, the rows B = [sqrt(c_i) L_i^T F_i]
+    give the left side (gram_log_det) and the certificate M = B^T B =
+    sum c_i F_i^T A_i F_i.  Equality is declared iff M restricts to A_i on
+    every E_i to RESIDUAL_TOL max|M|: such an M commutes with every
+    P_{E_i}, so its eigenspaces are critical, and the verdict is unchanged
+    when every A_i is scaled by one factor.
     """
     require_validated(d)
     if len(A_list) != d.k:
@@ -165,35 +177,16 @@ def assemble_operator(d: GeometricBLDatum, A_list) -> tuple:
     for (E, _), A in zip(d.entries, A_list):
         if A.shape != (E.dim, E.dim):
             raise InputError(f"operator shape {A.shape} does not match dim E = {E.dim}")
-    mats, spectra = [], []
-    for members, _ in d.frame_stacks:
-        A = np.array([A_list[i] for i in members])
-        spectra.append(require_spd(A, "operators"))
-        mats.append(0.5 * (A + A.swapaxes(-1, -2)))
-    n = d.ambient_dim
-    X = np.empty((d.k, n, n))
-    for (members, F), A in zip(d.frame_stacks, mats):
-        X[members] = F.swapaxes(-1, -2) @ A @ F
-    M = (np.array([c for _, c in d.entries])[:, None, None] * X).sum(axis=0)  # in entry order
-    return 0.5 * M + 0.5 * M.T, mats, spectra  # halves first, so a finite M cannot overflow
-
-
-def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
-    """Higher-rank determinantal inequality with the Phi certificate.
-
-    Equality is declared iff the eigenspaces of M = sum c_i A_i P_{E_i}
-    are all critical subspaces (M commutes with every P_{E_i}) and M
-    restricts to A_i on every E_i; the certificate is Phi = M itself.
-    The sides come from Cholesky factors A_i = L_i L_i^T and the rows
-    sqrt(c_i) L_i^T F_i.
-    """
-    M, mats, spectra = assemble_operator(d, A_list)
-    try:
-        factors = [np.linalg.cholesky(A) for A in mats]
-    except np.linalg.LinAlgError:  # positive eigenvalues, yet singular to working precision
-        raise InputError("operators must be positive definite") from None
+    mats, factors = [], []
     lo, hi, delta = math.inf, 0.0, 0.0
-    for (_, F), lam in zip(d.frame_stacks, spectra):
+    for members, F in d.frame_stacks:
+        A = np.array([A_list[i] for i in members])
+        lam = require_spd(A, "operators")
+        mats.append(0.5 * (A + A.swapaxes(-1, -2)))
+        try:
+            factors.append(np.linalg.cholesky(mats[-1]))
+        except np.linalg.LinAlgError:  # positive eigenvalues, yet singular to working precision
+            raise InputError("operators must be positive definite") from None
         dim, kappa = F.shape[1], _safe_exp(float(np.max(np.log(lam[:, -1]) - np.log(lam[:, 0]))))
         delta = max(delta, (dim + 1) * dim * kappa * U + (dim + 2) * dim * math.sqrt(kappa) * U)
         lo, hi = min(lo, float(lam.min())), max(hi, float(lam.max()))
@@ -202,10 +195,10 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
     log_lhs, error = gram_log_det(rows, math.sqrt(hi) / math.sqrt(lo))
     # l_jj^2 lies in [lo, hi], which bounds the logs that log_rhs sums
     rounding = (len(rows) + 2) * U * d.ambient_dim * max(abs(math.log(lo)), abs(math.log(hi)))
-    scale = max(1.0, float(np.abs(M).max()))
-    restriction_ok = all(np.abs(M @ F.swapaxes(-1, -2) - F.swapaxes(-1, -2) @ A).max()
-                         <= RESIDUAL_TOL * scale for (_, F), A in zip(d.frame_stacks, mats))
-    equality = restriction_ok and has_critical_eigenspaces(d, M)
+    M = np.einsum("ki,kj->ij", rows, rows)  # fixed order, no BLAS: same bytes at any thread count
+    tol = RESIDUAL_TOL * float(np.abs(M).max())
+    equality = all(np.abs(M @ F.swapaxes(-1, -2) - F.swapaxes(-1, -2) @ A).max() <= tol
+                   for (_, F), A in zip(d.frame_stacks, mats))
     return _det_result(log_lhs, log_rhs, error + 2 * d.ambient_dim * delta + rounding,
                        M if equality else None)
 

@@ -477,7 +477,9 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     densities = list(densities)
     if len(densities) != d.k:
         raise InputError(f"need one density per entry: expected {d.k}, got {len(densities)}")
-    for (E, _), f in zip(d.entries, densities):
+    for i, ((E, _), f) in enumerate(zip(d.entries, densities)):
+        if f.domain.ambient_dim != n:
+            raise InputError(f"density {i} lives in R^{f.domain.ambient_dim}, the datum in R^{n}")
         if not equal(E, f.domain):
             raise InputError("density domains must match the datum subspaces")
 

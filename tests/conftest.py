@@ -14,6 +14,7 @@ bowtie_classes must match exactly.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -32,8 +33,7 @@ from blgeo.datum import (
 )
 from blgeo.errors import CapError, InputError, InternalError
 from blgeo.integrals import GridDensity
-from blgeo.structure import (GENERIC_SEED, INTEGER_SNAP_TOL, CriticalityReport,
-                             has_critical_eigenspaces)
+from blgeo.structure import GENERIC_SEED, INTEGER_SNAP_TOL, CriticalityReport
 from blgeo.subspace import (EIGENVALUE_CLUSTER_RTOL, RANK_TOL, RESIDUAL_TOL, Subspace, equal,
                             full_subspace, orthonormalize, projection_matrix, zero_subspace)
 
@@ -364,21 +364,18 @@ def gaussian_fiber_oracle(d, A_list):
 # call per entry, in entry order
 # ---------------------------------------------------------------------------
 
-def assemble_per_entry(d, mats):
-    """sum_i c_i F_i A_i F_i^T, symmetrized."""
-    M = np.zeros((d.ambient_dim, d.ambient_dim))
-    for (E, c), A in zip(d.entries, mats):
-        M += c * (E.basis @ A @ E.frame)
-    return 0.5 * (M + M.T)
+def sorted_qr_log_det(rows):
+    """2 sum_j log|r_jj| from the QR of the rows taken by decreasing
+    largest entry, in a stable sort."""
+    order = np.argsort(-np.abs(rows).max(axis=1), kind="stable")
+    return math.fsum(2.0 * math.log(abs(r)) for r in np.diag(np.linalg.qr(rows[order], mode="r")))
 
 
-def gram_log_det_per_entry(d, blocks):
-    """log det(sum_i c_i X_i^T X_i) from one QR of the rows sqrt(c_i) X_i,
-    grouped by entry dimension in order of first appearance."""
+def rows_per_entry(d, blocks):
+    """The rows sqrt(c_i) X_i, grouped by entry dimension in order of first appearance."""
     dims = dict.fromkeys(E.dim for E, _ in d.entries)
-    rows = np.concatenate([math.sqrt(c) * X for dim in dims
+    return np.concatenate([math.sqrt(c) * X for dim in dims
                            for (E, c), X in zip(d.entries, blocks) if E.dim == dim])
-    return math.fsum(2.0 * math.log(abs(r)) for r in np.diag(np.linalg.qr(rows, mode="r")))
 
 
 def weighted_log_dets_per_entry(d, factors):
@@ -390,25 +387,48 @@ def weighted_log_dets_per_entry(d, factors):
 
 
 def determinantal_per_entry(d, A_list):
-    """(log_lhs, log_rhs, M, certificate) of determinantal_high_check."""
+    """(log_lhs, log_rhs, M, certificate) of determinantal_high_check: M is
+    the Gram of the rows sqrt(c_i) L_i^T F_i, built entry by entry."""
     mats = [0.5 * (A + A.T) for A in (np.asarray(A, dtype=float) for A in A_list)]
-    M = assemble_per_entry(d, mats)
-    scale = max(1.0, float(np.abs(M).max()))
-    restriction_ok = all(np.abs(M @ E.basis - E.basis @ A).max() <= RESIDUAL_TOL * scale
-                         for (E, _), A in zip(d.entries, mats))
-    equality = restriction_ok and has_critical_eigenspaces(d, M)
     factors = [np.linalg.cholesky(A) for A in mats]
-    log_lhs = gram_log_det_per_entry(d, [L.T @ E.frame for (E, _), L in zip(d.entries, factors)])
-    return log_lhs, weighted_log_dets_per_entry(d, factors), M, M if equality else None
+    rows = rows_per_entry(d, [L.T @ E.frame for (E, _), L in zip(d.entries, factors)])
+    M = np.einsum("ki,kj->ij", rows, rows)
+    tol = RESIDUAL_TOL * float(np.abs(M).max())
+    equality = all(np.abs(M @ E.basis - E.basis @ A).max() <= tol for (E, _), A in zip(d.entries, mats))
+    return sorted_qr_log_det(rows), weighted_log_dets_per_entry(d, factors), M, M if equality else None
 
 
 def fiber_per_entry(d, Phi):
     """(log det Q^-1, sum_i c_i log det A_i^-1) of the Gaussian fiber for
     A_i = F_i Phi^2 F_i^T, from the QR factors Q_i R_i of Phi F_i^T."""
     factors = [np.linalg.qr(Phi @ E.basis) for E, _ in d.entries]
-    log_s = gram_log_det_per_entry(d, [Q.T for Q, _ in factors])
-    log_phi = math.fsum(2.0 * math.log(abs(r)) for r in np.diag(np.linalg.qr(Phi, mode="r")))
+    log_s = sorted_qr_log_det(rows_per_entry(d, [Q.T for Q, _ in factors]))
+    log_phi = sorted_qr_log_det(Phi)
     return log_s - log_phi, -weighted_log_dets_per_entry(d, [R for _, R in factors])
+
+
+def exact_log_det(d, A_list):
+    """log det(sum_i c_i F_i^T A_i F_i), assembled and eliminated in
+    Fractions from the float weights, frames and A_i, and logged as
+    log(num) - log(den) on Python ints."""
+    n = d.ambient_dim
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for (E, c), A in zip(d.entries, A_list):
+        F = [[Fraction(x) for x in row] for row in E.frame.tolist()]
+        A = [[Fraction(x) for x in row] for row in np.asarray(A, dtype=float).tolist()]
+        FA = [[sum(A[a][b] * F[b][j] for b in range(len(F))) for j in range(n)] for a in range(len(F))]
+        for i in range(n):
+            for j in range(n):
+                M[i][j] += Fraction(c) * sum(F[a][i] * FA[a][j] for a in range(len(F)))
+    det = Fraction(1)
+    for j in range(n):
+        p = next(i for i in range(j, n) if M[i][j] != 0)
+        M[j], M[p] = M[p], M[j]
+        det *= M[j][j] if p == j else -M[j][j]
+        for i in range(j + 1, n):
+            f = M[i][j] / M[j][j]
+            M[i] = [x - f * y for x, y in zip(M[i], M[j])]
+    return math.log(det.numerator) - math.log(det.denominator)
 
 
 def random_uniform_cover(rng, n, s, max_blocks=None):

@@ -18,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation
+from conftest import exact_log_det, random_rotation
 
 from blgeo.cli import build_parser, main
 from blgeo.covers import UniformCover
 from blgeo.datum import (
+    GeometricBLDatum,
     axis_datum,
     direct_sum_data,
     holder_datum,
@@ -587,6 +588,81 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         # refused at input, before numpy overflows and warns
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+PLANE_JSON = {"n": 2, "frame": [[1, 0], [0, 1]]}
+FAR_GRID_JSON = {"kind": "grid", "domain": LINE_JSON, "lo": [100.0], "h": 0.5, "values": [1.0, 1.0]}
+NESTED_JSON = {"kind": "factorized", "domain": LINE_JSON, "factors": [
+    {"subspace": LINE_JSON, "density": {"kind": "factorized", "domain": LINE_JSON,
+                                        "factors": [{"subspace": LINE_JSON, "density": GAUSS_JSON}]}}]}
+
+
+@pytest.mark.parametrize("command, sides, message", [
+    ("barthe-eval", {"--densities": [GAUSS_JSON]}, "need one density per entry: expected 2, got 1"),
+    ("barthe-eval", {"--densities": [FAR_GRID_JSON, GAUSS_JSON]},
+     "a density has zero mass on the declared box"),
+    ("barthe-eval", {"--densities": [GAUSS_JSON, dict(GAUSS_JSON, domain=PLANE_JSON, A=np.eye(2).tolist())]},
+     "density 1 lives in R^2, the datum in R^1"),
+    ("critical", {"": {"n": 2, "frame": [[1, 0]]}}, "subspace ambient dimension does not match the datum"),
+    ("transport", {"--f": dict(GAUSS_JSON, domain=PLANE_JSON, A=np.eye(2).tolist()), "--g": GAUSS_JSON},
+     "transport works on densities over a 1-D subspace"),
+    ("transport", {"--f": GAUSS_JSON, "--g": GAUSS_JSON, "--grid": "h=1,box=4"},
+     "growth estimate needs at least 10 samples"),
+    ("transport", {"--f": dict(GAUSS_JSON, theta=0), "--g": GAUSS_JSON}, "gaussian scale theta must be positive"),
+    ("transport", {"--f": NESTED_JSON, "--g": GAUSS_JSON},
+     "unsupported density kind for transport: FactorizedDensity"),
+    ("transport", {"--f": {"kind": "factorized", "domain": LINE_JSON, "factors": []}, "--g": GAUSS_JSON},
+     "factorized density needs at least one factor"),
+    ("barthe-eval", {"--phi": np.eye(2).tolist()}, "Phi must be 3 x 3"),
+    ("detcheck", {"--t": "[" + "9" * 5000 + "]"}, "malformed JSON in"),
+    ("detcheck", {"--t": "[" * 10 ** 5 + "]" * 10 ** 5}, "malformed JSON in"),
+], ids=["density-count", "zero-mass", "density-ambient", "critical-ambient", "transport-plane",
+        "growth-samples", "theta-zero", "nested-factorized", "no-factors", "phi-shape", "t-5000-digits",
+        "t-deep-nesting"])
+def test_each_refusal_exits_one_with_its_message(command, sides, message, tmp_path, capsys):
+    datum = holder_datum(3, [0.5, 0.5]) if "--phi" in sides else holder_datum(1, [0.5, 0.5])
+    argv = [command] + ([str(tmp_path / "d.json")] if command != "transport" else [])
+    (tmp_path / "d.json").write_text(json.dumps(datum.to_json()))
+    for i, (flag, side) in enumerate(sides.items()):
+        if flag == "--grid":
+            argv += [flag, side]
+            continue
+        path = tmp_path / f"side{i}.json"
+        path.write_text(side if isinstance(side, str) else json.dumps(side))
+        argv += [flag, str(path)] if flag else [str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["detcheck", "bl-eval"])
+def test_the_equality_verdict_does_not_depend_on_the_units_of_the_operators(command, tmp_path, capsys):
+    # two copies of the line with c = 1/2: A = 1, 2 is strict at every scale
+    # (log_gap 0.0589), including far below 1, where no absolute floor may pass it
+    datum, ops = tmp_path / "holder.json", tmp_path / "A.json"
+    datum.write_text(json.dumps(HOLDER_JSON))
+    for scale in (1.0, 1e-12, 1e-150, 1e150):
+        ops.write_text(json.dumps([[[scale]], [[2.0 * scale]]]))
+        code, out, _ = run_cli(capsys, [command, str(datum), "--A", str(ops)])
+        assert code == 0 and json.loads(out)["equality"] is False
+
+
+@pytest.mark.parametrize("flag, side", [("--A", [[[1.0]], [[1e60]]]), ("--t", [1.0, 1e60])])
+def test_rows_of_very_different_size_keep_their_weight_in_the_qr(flag, side, tmp_path, capsys):
+    # two orthogonal lines, rotated, one side 1e60 times the other: without the
+    # row sort, Householder QR loses the small row and returns r_22 = 0 (exit 2)
+    datum, path = tmp_path / "axes.json", tmp_path / "side.json"
+    axes = {"n": 2, "entries": [{"c": 1.0, "E": {"n": 2, "frame": [[0.6, 0.8]]}},
+                                {"c": 1.0, "E": {"n": 2, "frame": [[-0.8, 0.6]]}}]}
+    datum.write_text(json.dumps(axes))
+    path.write_text(json.dumps(side))
+    code, out, err = run_cli(capsys, ["detcheck", str(datum), flag, str(path)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    d = GeometricBLDatum.from_json(axes)
+    exact = exact_log_det(d, side if flag == "--A" else [[[t]] for t in side])
+    assert abs(report["log_lhs"] - exact) <= report["budget"]
+    assert report["equality"]  # each line is its own class, and Phi = diag(1, 1e60) in the rotated axes
 
 
 # entry dimensions 2, 1, 3, 1, 2 in R^3, so the dimension-2 operators are

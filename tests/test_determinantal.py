@@ -21,7 +21,6 @@ from blgeo.datum import (
 )
 from blgeo.determinantal import (
     _det_result,
-    assemble_operator,
     ball_barthe_check,
     determinantal_high_check,
     min_norm_decomposition,
@@ -96,6 +95,15 @@ def test_a_violated_determinantal_inequality_is_refused():
     r = _det_result(0.0, 5e-10, 1e-9, None)
     assert (r.log_gap, r.budget, r.equality) == (-5e-10, 1e-9, False)
     assert _det_result(1.0, 1.0, 0.0, "certificate").equality
+
+
+def test_an_equality_verdict_beyond_the_budget_is_refused():
+    # a certificate says the sides are equal; a gap far outside the rounding
+    # budget says they are not, so the result is refused rather than reported
+    with pytest.raises(InternalError, match="equality certificate, yet log_gap = 6.000e-02 "
+                                            "above the rounding budget 1.000e-12"):
+        _det_result(0.06, 0.0, 1e-12, "certificate")
+    assert not _det_result(0.06, 0.0, 1e-12, None).equality
 
 
 def test_scaling_covariance(rng):
@@ -208,6 +216,25 @@ def test_generic_operators_strict_with_rank_one_oracle(rng):
         assert res.log_rhs == pytest.approx(oracle.log_rhs, abs=1e-8)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_the_equality_verdict_does_not_depend_on_the_scale_of_the_operators(seed, commutant):
+    # A_i read off a Phi in the commutant (equality) or random SPD (strict in
+    # general), all scaled by 10^k: the restriction test is relative to max|M|
+    rng = np.random.default_rng(seed)
+    d = random_datum(rng, max_dim=12, max_vectors=24)
+    if commutant:
+        Phi = sum(np.exp(rng.uniform(-1.5, 1.5)) * projection_matrix(V) for V in indecomposable_decomposition(d))
+        A_list = [E.frame @ Phi @ E.basis for E, _ in d.entries]
+    else:
+        A_list = [random_spd(rng, E.dim) for E, _ in d.entries]
+    A_list = [0.5 * (A + A.T) for A in A_list]
+    check = determinantal_high_check(d, A_list)
+    assert check.equality or not commutant
+    for k in range(-150, 151, 25):
+        assert determinantal_high_check(d, [10.0 ** k * A for A in A_list]).equality is check.equality
+
+
 def test_non_pd_operator_rejected():
     d = axis_datum(2)
     with pytest.raises(InputError):
@@ -265,7 +292,6 @@ def test_batched_layers_equal_the_per_entry_loops(seed):
         log_lhs, log_rhs, M, certificate = determinantal_per_entry(d, A_list)
         check = determinantal_high_check(d, A_list)
         assert (check.log_lhs, check.log_rhs) == (log_lhs, log_rhs)
-        assert np.array_equal(assemble_operator(d, A_list)[0], M)
         assert check.equality is equality is (certificate is not None)
         assert check.equality_certificate is None if certificate is None else \
             np.array_equal(check.equality_certificate, certificate)
