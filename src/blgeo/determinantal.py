@@ -10,8 +10,8 @@ implies the first, as a symmetric Phi that maps each E_i into itself
 commutes with P_{E_i}.
 
 Everything is computed in the log domain; equality detection is
-structural (class-constancy of t, or the Phi certificate), never a
-floating-point comparison of the two sides.  Every log-determinant of a
+structural (class-constancy of t, or the Phi certificate): the two sides
+can refute a Phi certificate but never make one.  Every log-determinant of a
 sum is gram_log_det's, from one QR of stacked rows, never of a Gram
 matrix or an inverse, and every result carries the first-order rounding
 budget that README.md derives.  Per-entry work (checks, factors, rows)
@@ -151,12 +151,8 @@ def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
     log_rhs = float(np.dot(r.weights, log_t))
     budget = error + 2 * r.ambient_dim * 3 * U + (r.k + 2) * U * float(np.dot(r.weights, np.abs(log_t)))
     classes = bowtie_classes(r)
-    equality = True
-    for cls in classes:
-        tc = t[list(cls)]
-        if tc.max() - tc.min() > CLASS_CONSTANT_RTOL * tc.max():
-            equality = False
-            break
+    spans = [t[list(cls)] for cls in classes]
+    equality = all(tc.max() - tc.min() <= CLASS_CONSTANT_RTOL * tc.max() for tc in spans)
     return _det_result(log_lhs, log_rhs, budget, classes if equality else None)
 
 
@@ -165,10 +161,10 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
 
     With A_i = L_i L_i^T by Cholesky, the rows B = [sqrt(c_i) L_i^T F_i]
     give the left side (gram_log_det) and the certificate M = B^T B =
-    sum c_i F_i^T A_i F_i.  Equality is declared iff M restricts to A_i on
-    every E_i to RESIDUAL_TOL max|M|: such an M commutes with every
-    P_{E_i}, so its eigenspaces are critical, and the verdict is unchanged
-    when every A_i is scaled by one factor.
+    sum c_i F_i^T A_i F_i.  Equality is declared iff M restricts to every
+    A_i, to RESIDUAL_TOL lambda_min(A_i) plus the rounding of M in the
+    columns that F_i touches, and the sides do not refute it.  Such an M
+    commutes with every P_{E_i}, so its eigenspaces are critical.
     """
     require_validated(d)
     if len(A_list) != d.k:
@@ -177,12 +173,13 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
     for (E, _), A in zip(d.entries, A_list):
         if A.shape != (E.dim, E.dim):
             raise InputError(f"operator shape {A.shape} does not match dim E = {E.dim}")
-    mats, factors = [], []
+    mats, least, factors = [], [], []
     lo, hi, delta = math.inf, 0.0, 0.0
     for members, F in d.frame_stacks:
         A = np.array([A_list[i] for i in members])
         lam = require_spd(A, "operators")
         mats.append(0.5 * (A + A.swapaxes(-1, -2)))
+        least.append(lam[:, 0])
         try:
             factors.append(np.linalg.cholesky(mats[-1]))
         except np.linalg.LinAlgError:  # positive eigenvalues, yet singular to working precision
@@ -193,14 +190,21 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
     rows, log_rhs = _factor_rows(d, [L.swapaxes(-1, -2) @ F for (_, F), L in zip(d.frame_stacks, factors)],
                                  [np.diagonal(L, axis1=-2, axis2=-1) for L in factors])
     log_lhs, error = gram_log_det(rows, math.sqrt(hi) / math.sqrt(lo))
+    n = d.ambient_dim
     # l_jj^2 lies in [lo, hi], which bounds the logs that log_rhs sums
-    rounding = (len(rows) + 2) * U * d.ambient_dim * max(abs(math.log(lo)), abs(math.log(hi)))
+    budget = error + 2 * n * delta + (len(rows) + 2) * U * n * max(abs(math.log(lo)), abs(math.log(hi)))
     M = np.einsum("ki,kj->ij", rows, rows)  # fixed order, no BLAS: same bytes at any thread count
-    tol = RESIDUAL_TOL * float(np.abs(M).max())
-    equality = all(np.abs(M @ F.swapaxes(-1, -2) - F.swapaxes(-1, -2) @ A).max() <= tol
-                   for (_, F), A in zip(d.frame_stacks, mats))
-    return _det_result(log_lhs, log_rhs, error + 2 * d.ambient_dim * delta + rounding,
-                       M if equality else None)
+    # each entry at its own scale: RESIDUAL_TOL lambda_min(A_i), which a strict input
+    # near a small eigenvalue exceeds, plus the rounding of the K-term sums and n-term
+    # products of M, twice over for rounded restrictions of a Phi, in the columns
+    # that F_i touches: its exact zeros stay exact, so a block apart adds nothing
+    reach, slack = np.abs(M).max(axis=0), 2 * n * (len(rows) + n) * U
+    equality = all(np.all(np.abs(M @ F.swapaxes(-1, -2) - F.swapaxes(-1, -2) @ A).max(axis=(-2, -1))
+                          <= RESIDUAL_TOL * lam_min + slack * np.where(F.any(axis=-2), reach, 0.0).max(axis=-1))
+                   for (_, F), A, lam_min in zip(d.frame_stacks, mats, least))
+    # an entry beside operators some 1e12 times larger in its own coordinates is
+    # lost in the rounding of M, not in the row-sorted QR: there the sides decide
+    return _det_result(log_lhs, log_rhs, budget, M if equality and log_lhs - log_rhs <= budget else None)
 
 
 def _fiber_factors(d: GeometricBLDatum, Phi) -> tuple:

@@ -388,13 +388,19 @@ def weighted_log_dets_per_entry(d, factors):
 
 def determinantal_per_entry(d, A_list):
     """(log_lhs, log_rhs, M, certificate) of determinantal_high_check: M is
-    the Gram of the rows sqrt(c_i) L_i^T F_i, built entry by entry."""
+    the Gram of the rows sqrt(c_i) L_i^T F_i, built entry by entry, and each
+    entry's residual is held to RESIDUAL_TOL lambda_min(A_i) plus the rounding
+    of M in the columns its frame touches (not repeated: the check's
+    refutation of a certificate by the sides)."""
     mats = [0.5 * (A + A.T) for A in (np.asarray(A, dtype=float) for A in A_list)]
     factors = [np.linalg.cholesky(A) for A in mats]
     rows = rows_per_entry(d, [L.T @ E.frame for (E, _), L in zip(d.entries, factors)])
     M = np.einsum("ki,kj->ij", rows, rows)
-    tol = RESIDUAL_TOL * float(np.abs(M).max())
-    equality = all(np.abs(M @ E.basis - E.basis @ A).max() <= tol for (E, _), A in zip(d.entries, mats))
+    n, rounding = d.ambient_dim, np.finfo(float).eps / 2
+    equality = all(np.abs(M @ E.basis - E.basis @ A).max()
+                   <= RESIDUAL_TOL * np.linalg.eigvalsh(A)[0]
+                   + 2 * n * (len(rows) + n) * rounding * np.abs(M)[:, np.any(E.frame != 0, axis=0)].max()
+                   for (E, _), A in zip(d.entries, mats))
     return sorted_qr_log_det(rows), weighted_log_dets_per_entry(d, factors), M, M if equality else None
 
 

@@ -412,6 +412,37 @@ GAUSS_JSON = {"kind": "gaussian", "domain": LINE_JSON, "A": [[1.0]]}
 # mass sqrt(pi / 3) exp(3 * 2000^2 / 4): far beyond a double
 FAR_GAUSS_JSON = dict(GAUSS_JSON, A=[[3.0]], b=[2000.0])
 
+PLANE_JSON = {"n": 2, "frame": [[1, 0], [0, 1]]}
+FAR_GRID_JSON = {"kind": "grid", "domain": LINE_JSON, "lo": [100.0], "h": 0.5, "values": [1.0, 1.0]}
+NESTED_JSON = {"kind": "factorized", "domain": LINE_JSON, "factors": [
+    {"subspace": LINE_JSON, "density": {"kind": "factorized", "domain": LINE_JSON,
+                                        "factors": [{"subspace": LINE_JSON, "density": GAUSS_JSON}]}}]}
+# reachable refusals, each as (command, {flag: side}, the message it must start with);
+# the datum is the Hoelder pair in R (in R^3 for phi_shape)
+REFUSALS = {
+    "density_count": ("barthe-eval", {"--densities": [GAUSS_JSON]}, "need one density per entry: expected 2, got 1"),
+    "zero_mass": ("barthe-eval", {"--densities": [FAR_GRID_JSON, GAUSS_JSON]},
+                  "a density has zero mass on the declared box"),
+    "density_ambient": ("barthe-eval",
+                        {"--densities": [GAUSS_JSON, dict(GAUSS_JSON, domain=PLANE_JSON, A=np.eye(2).tolist())]},
+                        "density 1 lives in R^2, the datum in R^1"),
+    "critical_ambient": ("critical", {"": {"n": 2, "frame": [[1, 0]]}},
+                         "subspace ambient dimension does not match the datum"),
+    "transport_plane": ("transport", {"--f": dict(GAUSS_JSON, domain=PLANE_JSON, A=np.eye(2).tolist()),
+                                      "--g": GAUSS_JSON}, "transport works on densities over a 1-D subspace"),
+    "growth_samples": ("transport", {"--f": GAUSS_JSON, "--g": GAUSS_JSON, "--grid": "h=1,box=4"},
+                       "growth estimate needs at least 10 samples"),
+    "theta_zero": ("transport", {"--f": dict(GAUSS_JSON, theta=0), "--g": GAUSS_JSON},
+                   "gaussian scale theta must be positive"),
+    "nested_factorized": ("transport", {"--f": NESTED_JSON, "--g": GAUSS_JSON},
+                          "unsupported density kind for transport: FactorizedDensity"),
+    "empty_factors": ("transport", {"--f": {"kind": "factorized", "domain": LINE_JSON, "factors": []},
+                                    "--g": GAUSS_JSON}, "factorized density needs at least one factor"),
+    "phi_shape": ("barthe-eval", {"--phi": np.eye(2).tolist()}, "Phi must be 3 x 3"),
+    "t_5000_digits": ("detcheck", {"--t": "[" + "9" * 5000 + "]"}, "malformed JSON in"),
+    "t_deep_nesting": ("detcheck", {"--t": "[" * 10 ** 5 + "]" * 10 ** 5}, "malformed JSON in"),
+}
+
 
 @pytest.mark.parametrize("case", [
     "gaussian_without_A", "grid_without_values", "grid_without_h",
@@ -427,7 +458,7 @@ FAR_GAUSS_JSON = dict(GAUSS_JSON, A=[[3.0]], b=[2000.0])
     "gaussian_mass_overflow", "gaussian_mass_overflow_densities", "overflowing_bl_sides",
     "overflowing_barthe_sides", "overflowing_ball_sides", "grid_mass_overflow",
     "grid_before_missing_datum", "transport_samples", "overflowing_grid_barthe_sides",
-    "overflowing_theta_barthe_sides", "overflowing_phi_barthe_sides",
+    "overflowing_theta_barthe_sides", "overflowing_phi_barthe_sides", *REFUSALS,
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -488,7 +519,8 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
                               "overflowing_ball_sides", "overflowing_grid_barthe_sides",
                               "overflowing_theta_barthe_sides", "overflowing_phi_barthe_sides"],
                              "lhs"),
-             **dict.fromkeys(weight, "entries[0].c")}.get(case, "")
+             **dict.fromkeys(weight, "entries[0].c"),
+             **{key: "error: " + message for key, (_, _, message) in REFUSALS.items()}}.get(case, "")
     if case in bad_density:
         argv = ["transport", "--f", write("f.json", json.dumps(bad_density[case])), "--g", gauss]
     elif case in weight:
@@ -570,6 +602,14 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         # det(Phi)^-1 = 1e600 on the Hoelder datum in R^3
         argv = ["barthe-eval", write("holder3.json", json.dumps(holder_datum(3, [0.5, 0.5]).to_json())),
                 "--phi", write("phi.json", json.dumps((1e-200 * np.eye(3)).tolist()))]
+    elif case in REFUSALS:
+        command, sides, _ = REFUSALS[case]
+        datum = holder_datum(3, [0.5, 0.5]).to_json() if case == "phi_shape" else HOLDER_JSON
+        argv = [command] + ([write("datum.json", json.dumps(datum))] if command != "transport" else [])
+        for i, (flag, side) in enumerate(sides.items()):
+            if flag != "--grid":
+                side = write(f"side{i}.json", side if isinstance(side, str) else json.dumps(side))
+            argv += [flag, side] if flag else [side]
     else:
         argv = ["barthe-eval", holder, "--densities", write("d.json", json.dumps([huge, huge])),
                 "--grid", "h=0.5,box=1"]
@@ -590,59 +630,18 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-PLANE_JSON = {"n": 2, "frame": [[1, 0], [0, 1]]}
-FAR_GRID_JSON = {"kind": "grid", "domain": LINE_JSON, "lo": [100.0], "h": 0.5, "values": [1.0, 1.0]}
-NESTED_JSON = {"kind": "factorized", "domain": LINE_JSON, "factors": [
-    {"subspace": LINE_JSON, "density": {"kind": "factorized", "domain": LINE_JSON,
-                                        "factors": [{"subspace": LINE_JSON, "density": GAUSS_JSON}]}}]}
-
-
-@pytest.mark.parametrize("command, sides, message", [
-    ("barthe-eval", {"--densities": [GAUSS_JSON]}, "need one density per entry: expected 2, got 1"),
-    ("barthe-eval", {"--densities": [FAR_GRID_JSON, GAUSS_JSON]},
-     "a density has zero mass on the declared box"),
-    ("barthe-eval", {"--densities": [GAUSS_JSON, dict(GAUSS_JSON, domain=PLANE_JSON, A=np.eye(2).tolist())]},
-     "density 1 lives in R^2, the datum in R^1"),
-    ("critical", {"": {"n": 2, "frame": [[1, 0]]}}, "subspace ambient dimension does not match the datum"),
-    ("transport", {"--f": dict(GAUSS_JSON, domain=PLANE_JSON, A=np.eye(2).tolist()), "--g": GAUSS_JSON},
-     "transport works on densities over a 1-D subspace"),
-    ("transport", {"--f": GAUSS_JSON, "--g": GAUSS_JSON, "--grid": "h=1,box=4"},
-     "growth estimate needs at least 10 samples"),
-    ("transport", {"--f": dict(GAUSS_JSON, theta=0), "--g": GAUSS_JSON}, "gaussian scale theta must be positive"),
-    ("transport", {"--f": NESTED_JSON, "--g": GAUSS_JSON},
-     "unsupported density kind for transport: FactorizedDensity"),
-    ("transport", {"--f": {"kind": "factorized", "domain": LINE_JSON, "factors": []}, "--g": GAUSS_JSON},
-     "factorized density needs at least one factor"),
-    ("barthe-eval", {"--phi": np.eye(2).tolist()}, "Phi must be 3 x 3"),
-    ("detcheck", {"--t": "[" + "9" * 5000 + "]"}, "malformed JSON in"),
-    ("detcheck", {"--t": "[" * 10 ** 5 + "]" * 10 ** 5}, "malformed JSON in"),
-], ids=["density-count", "zero-mass", "density-ambient", "critical-ambient", "transport-plane",
-        "growth-samples", "theta-zero", "nested-factorized", "no-factors", "phi-shape", "t-5000-digits",
-        "t-deep-nesting"])
-def test_each_refusal_exits_one_with_its_message(command, sides, message, tmp_path, capsys):
-    datum = holder_datum(3, [0.5, 0.5]) if "--phi" in sides else holder_datum(1, [0.5, 0.5])
-    argv = [command] + ([str(tmp_path / "d.json")] if command != "transport" else [])
-    (tmp_path / "d.json").write_text(json.dumps(datum.to_json()))
-    for i, (flag, side) in enumerate(sides.items()):
-        if flag == "--grid":
-            argv += [flag, side]
-            continue
-        path = tmp_path / f"side{i}.json"
-        path.write_text(side if isinstance(side, str) else json.dumps(side))
-        argv += [flag, str(path)] if flag else [str(path)]
-    code, out, err = run_cli(capsys, argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: " + message) and "Traceback" not in err
-
-
 @pytest.mark.parametrize("command", ["detcheck", "bl-eval"])
 def test_the_equality_verdict_does_not_depend_on_the_units_of_the_operators(command, tmp_path, capsys):
     # two copies of the line with c = 1/2: A = 1, 2 is strict at every scale
-    # (log_gap 0.0589), including far below 1, where no absolute floor may pass it
-    datum, ops = tmp_path / "holder.json", tmp_path / "A.json"
-    datum.write_text(json.dumps(HOLDER_JSON))
-    for scale in (1.0, 1e-12, 1e-150, 1e150):
-        ops.write_text(json.dumps([[[scale]], [[2.0 * scale]]]))
+    # (log_gap 0.0589), including far below 1, where no absolute floor may pass it,
+    # and beside an axis with A = R, which must not widen the test on the line
+    pair_and_axis = direct_sum_data([holder_datum(1, [0.5, 0.5]), axis_datum(1)]).to_json()
+    cases = [(HOLDER_JSON, [[[scale]], [[2.0 * scale]]]) for scale in (1.0, 1e-12, 1e-150, 1e150)]
+    cases += [(pair_and_axis, [[[1.0]], [[2.0]], [[big]]]) for big in (1e9, 1e20, 1e100)]
+    datum, ops = tmp_path / "datum.json", tmp_path / "A.json"
+    for d, A in cases:
+        datum.write_text(json.dumps(d))
+        ops.write_text(json.dumps(A))
         code, out, _ = run_cli(capsys, [command, str(datum), "--A", str(ops)])
         assert code == 0 and json.loads(out)["equality"] is False
 

@@ -220,7 +220,7 @@ def test_generic_operators_strict_with_rank_one_oracle(rng):
 @given(st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_the_equality_verdict_does_not_depend_on_the_scale_of_the_operators(seed, commutant):
     # A_i read off a Phi in the commutant (equality) or random SPD (strict in
-    # general), all scaled by 10^k: the restriction test is relative to max|M|
+    # general), all scaled by 10^k: the restriction test reads each entry at its own scale
     rng = np.random.default_rng(seed)
     d = random_datum(rng, max_dim=12, max_vectors=24)
     if commutant:
@@ -234,6 +234,33 @@ def test_the_equality_verdict_does_not_depend_on_the_scale_of_the_operators(seed
     for k in range(-150, 151, 25):
         assert determinantal_high_check(d, [10.0 ** k * A for A in A_list]).equality is check.equality
 
+
+
+def test_an_equality_entry_stays_equal_beside_any_larger_block():
+    # the Hoelder pair A = 1, 1 next to an axis with A = R: exact zeros keep the
+    # axis out of the line's rounding term, and the line out of the axis's
+    d = direct_sum_data([holder_datum(1, [0.5, 0.5]), axis_datum(1)])
+    for k in (0, 20, 100, 300):
+        assert determinantal_high_check(d, [np.array([[1.0]])] * 2 + [np.array([[10.0 ** k]])]).equality
+
+
+def test_near_equality_on_a_small_eigenvalue_is_strict():
+    # A_2 moves 1.8e-9 from A_1 on an eigenvalue 1e-4: within RESIDUAL_TOL of max|A|,
+    # yet 18e-6 of lambda_min, and log_gap 4e-11 is above the rounding budget
+    check = determinantal_high_check(holder_datum(2, [0.5, 0.5]),
+                                     [np.diag([1.0, 1e-4]), np.diag([1.0, 1e-4 + 1.8e-9])])
+    assert not check.equality and check.log_gap > check.budget
+
+
+def test_the_sides_refute_a_certificate_that_the_rounding_of_m_passes():
+    # rotated, the line of the Hoelder pair shares its coordinates with an axis
+    # 1e14 times larger, so the test on M allows the pair a residual of about 0.2
+    # and passes its 5e-4; the row-sorted QR still resolves
+    # log_gap = log(1 + 5e-4) - log(1 + 1e-3) / 2 = 1.2e-7, 5 times its budget
+    d = rotate_datum(direct_sum_data([holder_datum(1, [0.5, 0.5]), axis_datum(1)]),
+                     random_rotation(np.random.default_rng(0), 2))
+    check = determinantal_high_check(d, [np.array([[1.0]]), np.array([[1.001]]), np.array([[1e14]])])
+    assert not check.equality and check.log_gap > check.budget
 
 def test_non_pd_operator_rejected():
     d = axis_datum(2)
