@@ -172,6 +172,8 @@ class GridDensity(Density):
         if d < 1 or d > 3:
             raise InputError("grid densities support dimensions 1..3")
         values = as_array(values, (None,) * d, "grid values")
+        if values.size == 0:
+            raise InputError("grid values must hold at least one cell")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise InputError("grid values must be finite and nonnegative")
         if not (0.0 < h < math.inf):

@@ -22,10 +22,11 @@ dimension 1, 2 or 4: the real, complex or quaternion type.  Carried
 onto the first eigenspace by the polar factors of a second generic
 element, the blocks of the P_i between eigenspaces act there as
 elements of D; the first eigenspace splits into D-lines, and each
-D-line, carried to every eigenspace, spans one piece.  On a piece W,
-dim(E_i cap W) = tr(P_i P_W), counted when W is checked critical;
-pieces where this is 0 or dim W for every i lie in a joint 0/1
-eigenspace cap_i E_i^(eps(i)), and those sharing one pattern eps sum
+D-line, carried to every eigenspace, spans one piece.  In that basis a
+piece W is critical when every P_i is block diagonal for it, and then
+dim(E_i cap W) = tr(P_i P_W), the trace of P_i's block on W; pieces
+where this is 0 or dim W for every i lie in a joint 0/1 eigenspace
+cap_i E_i^(eps(i)), and those sharing one pattern eps sum
 to an independent subspace owned by the entries with eps(i) = 1.  The
 other pieces span the dependent subspace.  Nothing here depends on
 the frames inside the E_i, the entry order or a rotation of R^n.
@@ -40,7 +41,7 @@ import numpy as np
 from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated
 from .errors import InputError, InternalError
 from .subspace import (EIGENVALUE_CLUSTER_RTOL, RANK_TOL, RESIDUAL_TOL, Subspace, orthonormalize,
-                       projection_matrix, projection_stack)
+                       projection_matrix)
 
 INTEGER_SNAP_TOL = 1e-6  # weighted dimension sums of valid data are near-integers
 GENERIC_SEED = 20100101  # fixed, so the pieces chosen inside repeated blocks are reproducible
@@ -76,9 +77,9 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
     dim(E_i cap V) is the number of singular values of F_i (I - P_V),
     the sines of the principal angles, at most RANK_TOL; the entries of
     one dimension share one product and one batched SVD, or a norm per
-    row for lines.  The weighted dimension sum is snapped to the nearest
-    integer before comparing with dim V (dimensions are integers, weights
-    are floats; criticality is a discrete property).  The splitting
+    row for lines.  The weighted dimension sum must lie within
+    INTEGER_SNAP_TOL of dim V (dimensions are integers, weights are
+    floats; criticality is a discrete property).  The splitting
     test, every commutator [P_i, P_V] within RESIDUAL_TOL in max-norm,
     takes one stacked product with the P_i of the datum.  The two must
     agree, otherwise the thresholds are inconsistent and we raise
@@ -89,46 +90,29 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
         raise InputError("subspace ambient dimension does not match the datum")
     if V.dim == 0:
         raise InputError("criticality is defined for non-zero subspaces only")
-    return _criticality(d, [V], projection_matrix(V)[None])[0][0]
-
-
-def _criticality(d: GeometricBLDatum, spaces, PV) -> tuple:
-    """is_critical for each of the non-zero subspaces, all at once, given
-    the stack PV of their projections: every product, SVD and norm runs
-    once over the whole stack.  Also returns the counts dim(E_i cap V),
-    one row per subspace."""
     n = d.ambient_dim
+    PV = projection_matrix(V)
     away = np.eye(n) - PV
-    counts = np.zeros((len(spaces), d.k), dtype=int)
+    counts = np.zeros(d.k, dtype=int)
     for members, frames in d.frame_stacks:
-        rest = (frames.reshape(-1, n) @ away).reshape(len(spaces), *frames.shape)
+        rest = (frames.reshape(-1, n) @ away).reshape(frames.shape)
         # the one singular value of a line's row is its norm
-        sines = np.linalg.norm(rest, axis=3) if frames.shape[1] == 1 else \
+        sines = np.linalg.norm(rest, axis=2) if frames.shape[1] == 1 else \
             np.linalg.svd(rest, compute_uv=False)
-        counts[:, members] = np.count_nonzero(sines <= RANK_TOL, axis=2)
-    X = d.projections @ PV[:, None]  # [P_i, P_V] = X_i - X_i^T
-    commutators = np.abs(X - X.swapaxes(-1, -2)).max(axis=(1, 2, 3))
-    reports = []
-    for V, row, commutator in zip(spaces, counts.tolist(), commutators.tolist()):
-        wds = 0.0
-        for (_, c), count in zip(d.entries, row):  # entry order fixes the float sum
-            wds += c * count
-        splitting_ok = commutator <= RESIDUAL_TOL
-        near_int = abs(wds - round(wds)) <= INTEGER_SNAP_TOL
-        dim_match = near_int and int(round(wds)) == V.dim
-        if dim_match != splitting_ok:
-            raise InternalError(
-                "criticality characterizations disagree: "
-                f"weighted dim sum {wds:.12g} vs dim {V.dim}, splitting_ok={splitting_ok}"
-            )
-        reports.append(CriticalityReport(
-            subspace=V,
-            weighted_dim_sum=float(wds),
-            dim=V.dim,
-            is_critical=dim_match and splitting_ok,
-            splitting_ok=splitting_ok,
-        ))
-    return reports, counts
+        counts[members] = np.count_nonzero(sines <= RANK_TOL, axis=1)
+    X = d.projections @ PV  # [P_i, P_V] = X_i - X_i^T
+    splitting_ok = float(np.abs(X - X.swapaxes(1, 2)).max()) <= RESIDUAL_TOL
+    wds = 0.0
+    for (_, c), count in zip(d.entries, counts.tolist()):  # entry order fixes the float sum
+        wds += c * count
+    dim_match = abs(wds - V.dim) <= INTEGER_SNAP_TOL
+    if dim_match != splitting_ok:
+        raise InternalError(
+            "criticality characterizations disagree: "
+            f"weighted dim sum {wds:.12g} vs dim {V.dim}, splitting_ok={splitting_ok}"
+        )
+    return CriticalityReport(subspace=V, weighted_dim_sum=float(wds), dim=V.dim,
+                             is_critical=dim_match, splitting_ok=splitting_ok)
 
 
 def has_critical_eigenspaces(d: GeometricBLDatum, M) -> bool:
@@ -217,15 +201,21 @@ def indecomposable_decomposition(d: GeometricBLDatum) -> list:
     D-lines, each the orbit of a unit vector under 1 and the units, and
     column group j of every eigenspace spans piece j (for m = 1 the whole
     component); over R a D-line is a column, as G's eigenvectors give
-    it.  Every piece is then checked critical in one batched pass.  Only
-    n x n linear algebra is used, too small for the BLAS to thread.
+    it.  Every piece W is then checked critical in the carried basis
+    Q' = Q C, with T_i = Q'^T P_i Q' (recomputed only if something was
+    carried): the entries of each T_i between W's columns and the rest,
+    [P_i, P_W] in that basis, must be within RESIDUAL_TOL; the trace of
+    its block on W, dim(E_i cap W), within INTEGER_SNAP_TOL of an
+    integer; and sum_i c_i dim(E_i cap W) within INTEGER_SNAP_TOL of
+    dim W.  Only n x n linear algebra is used, too small for the BLAS to
+    thread.
     """
     return _decomposition(d)[0]
 
 
 def _decomposition(d: GeometricBLDatum) -> tuple:
     """The sorted pieces of indecomposable_decomposition, and for each the
-    row of dim(E_i cap W) that its criticality check counted."""
+    row of dim(E_i cap W) that its criticality check read off."""
     require_validated(d)
     n = d.ambient_dim
     weights = np.random.default_rng(GENERIC_SEED).uniform(1.0, 2.0, (2, d.k))
@@ -277,28 +267,31 @@ def _decomposition(d: GeometricBLDatum) -> tuple:
         pieces.extend(spaces[:, j:j + dim_D].ravel() for j in range(0, m, dim_D))
     if carried:
         Q = Q @ C
+        T = Q.T @ d.projections @ Q
+    # a piece W is critical when every T_i is block diagonal for it: the
+    # entries between W's columns and the rest are [P_i, P_W] in this basis
+    label = np.empty(n, dtype=int)
+    for j, cols in enumerate(pieces):
+        label[cols] = j
+    diagonal = np.diagonal(T, axis1=1, axis2=2)
+    traces = np.array([diagonal[:, cols].sum(axis=1) for cols in pieces])  # tr(P_i P_W)
+    meets = np.rint(traces)
+    weighted = meets @ [c for _, c in d.entries]  # sum_i c_i dim(E_i cap W)
+    if (np.abs(T).max(axis=0)[label[:, None] != label].max(initial=0.0) > RESIDUAL_TOL
+            or np.abs(traces - meets).max() > INTEGER_SNAP_TOL
+            or np.abs(weighted - [len(cols) for cols in pieces]).max() > INTEGER_SNAP_TOL):
+        raise InternalError("a computed piece failed the criticality test")
     spans = [Subspace(n, Q[:, cols].T) for cols in pieces]
-    total = sum(V.dim for V in spans)
-    if total != n:
-        raise InternalError(f"critical pieces have total dimension {total}, expected {n}")
-    # pieces in batches whose (pieces, k, n, n) commutator stack is at most 2 MB
-    step = max(1, 2 ** 18 // (d.k * n * n))
-    meets = []
-    for i in range(0, len(spans), step):
-        reports, counts = _criticality(d, spans[i:i + step], projection_stack(spans[i:i + step]))
-        if not all(r.is_critical for r in reports):
-            raise InternalError("a computed piece failed the criticality test")
-        meets.extend(counts.tolist())
     order = sorted(range(len(spans)),
                    key=lambda j: (spans[j].dim, tuple(np.round(spans[j].frame, 9).ravel())))
-    return [spans[j] for j in order], [meets[j] for j in order]
+    return [spans[j] for j in order], meets[order].astype(int).tolist()
 
 
 def independent_subspaces(d: GeometricBLDatum) -> StructureReport:
     """Independent subspaces, dependent subspace, and the class structure.
 
     A piece W of the decomposition lies in an independent subspace when
-    dim(E_i cap W), as the decomposition's criticality check counted it,
+    dim(E_i cap W), as the decomposition's criticality check read it off,
     is 0 or dim W for every i; the pieces are grouped by the entries that
     contain them, their owners.
     The pieces are orthonormal and pairwise orthogonal, so their rows

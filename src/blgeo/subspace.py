@@ -142,19 +142,6 @@ def projection_matrix(S: Subspace) -> np.ndarray:
     return _symmetric_gram(S.frame)
 
 
-def projection_stack(spaces) -> np.ndarray:
-    """The projections onto the given subspaces of R^n as a (k, n, n) stack.
-
-    The subspaces of one dimension share one batched product; slice i
-    equals projection_matrix(spaces[i]) bit for bit.
-    """
-    n = spaces[0].ambient_dim
-    stack = np.empty((len(spaces), n, n))
-    for members, frames in frame_stacks(spaces):
-        stack[members] = _symmetric_gram(frames)
-    return stack
-
-
 def frame_stacks(spaces) -> tuple:
     """Read-only (members, frames) per dimension, in order of first
     appearance: the indices of the subspaces of that dimension, in input

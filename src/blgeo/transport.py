@@ -62,10 +62,9 @@ class MonotoneMap:
 
 
 def _require_line(density: Density) -> Density:
-    density = in_frame(density, density.domain)
     if density.domain.dim != 1:
         raise InputError("transport works on densities over a 1-D subspace")
-    return density
+    return in_frame(density, density.domain)
 
 
 def _cdf_knots(density: Density, span: GridSpec):

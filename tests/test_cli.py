@@ -458,7 +458,8 @@ REFUSALS = {
     "gaussian_mass_overflow", "gaussian_mass_overflow_densities", "overflowing_bl_sides",
     "overflowing_barthe_sides", "overflowing_ball_sides", "grid_mass_overflow",
     "grid_before_missing_datum", "transport_samples", "overflowing_grid_barthe_sides",
-    "overflowing_theta_barthe_sides", "overflowing_phi_barthe_sides", *REFUSALS,
+    "overflowing_theta_barthe_sides", "overflowing_phi_barthe_sides", "grid_without_cells",
+    "plane_grid_without_cells", "gaussian_over_zero", *REFUSALS,
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -488,6 +489,10 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         "gaussian_A_of_a_plane": dict(GAUSS_JSON, A=[[1, 0], [0, 1]]),
         "grid_ragged_values": dict(grid, domain={"n": 2, "frame": [[1, 0], [0, 1]]}, lo=[0, 0],
                                    values=[[1], [1, 2]]),
+        "grid_without_cells": dict(grid, values=[]),
+        "plane_grid_without_cells": dict(grid, domain={"n": 2, "frame": [[1, 0], [0, 1]]},
+                                         lo=[0, 0], values=[[]]),
+        "gaussian_over_zero": {"kind": "gaussian", "domain": {"n": 1, "frame": []}, "A": []},
         "factor_outside_its_domain": {
             "kind": "factorized", "domain": {"n": 2, "frame": [[1, 0]]},
             "factors": [{"subspace": {"n": 2, "frame": [[0, 1]]},
@@ -508,6 +513,8 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
              "flat_triangle_for_qhull": "polytope",
              "gaussian_ragged_A": "gaussian matrix A", "gaussian_A_of_a_plane": "gaussian matrix A",
              "grid_ragged_values": "grid values", "polytope_ragged_vertices": "polytope vertices",
+             "grid_without_cells": "grid values", "plane_grid_without_cells": "grid values",
+             "gaussian_over_zero": "1-D subspace",
              "subspace_huge_n": "subspace n", "factor_outside_its_domain": "factor subspace",
              "grid_not_a_number": "--grid h", "grid_unknown_key": "--grid has unknown key 'size'",
              "grid_repeated_key": "--grid repeats key 'box'",

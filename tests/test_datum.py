@@ -24,8 +24,7 @@ from blgeo.datum import (
 from blgeo.determinantal import determinantal_high_check
 from blgeo.errors import CapError, InputError
 from blgeo.structure import is_critical
-from blgeo.subspace import (RESIDUAL_TOL, full_subspace, orthonormalize, projection_matrix,
-                            projection_stack)
+from blgeo.subspace import RESIDUAL_TOL, full_subspace, orthonormalize, projection_matrix
 
 
 def test_axis_datum_validates_exactly():
@@ -94,7 +93,7 @@ def test_every_builder_carries_its_stack_and_defect(rng):
     for d in built:
         n = d.ambient_dim
         assert d.validated and d.defect <= RESIDUAL_TOL
-        assert np.array_equal(d.projections, projection_stack([E for E, _ in d.entries]))
+        assert np.array_equal(d.projections, [projection_matrix(E) for E, _ in d.entries])
         assert not d.projections.flags.writeable
         assert d.defect == float(np.abs(d.weighted_projection_sum() - np.eye(n)).max())
 

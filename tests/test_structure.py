@@ -444,6 +444,22 @@ def test_merged_eigenspaces_raise_an_internal_error(monkeypatch, tmp_path, capsy
     assert err.startswith("internal error: ") and "Traceback" not in err
 
 
+def test_pieces_that_fail_the_block_test_raise_an_internal_error(monkeypatch, tmp_path, capsys):
+    # at a rank tolerance of 0.45 no T_i couples two eigenvectors of G on
+    # the six lines in R^2, so the pieces come out as two lines that the
+    # P_i do not keep: the closing block test, not an earlier check, refuses
+    d = planar_lines_datum(6)
+    monkeypatch.setattr(structure, "RANK_TOL", 0.45)
+    with pytest.raises(InternalError, match="a computed piece failed the criticality test"):
+        indecomposable_decomposition(d)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(d.to_json()))
+    code = cli.main(["analyze", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # independent subspaces
 # ---------------------------------------------------------------------------
