@@ -110,12 +110,12 @@ def run(args):
     if cmd == "barthe-eval":
         d = _load_datum(args.datum)
         if args.phi is not None:
-            ev = int_mod.gaussian_barthe_eval(d, _load_side(args, "phi"))
-        else:
-            dens = [int_mod.Density.from_json(obj, f"--densities[{i}]")
-                    for i, obj in enumerate(_load_side(args, "densities"))]
-            ev = int_mod.supconv_eval(d, dens, args.grid)
-        return 0, _emit(cmd, ev)
+            check = det_mod.fiber_log_sides(d, _load_side(args, "phi"))
+            ev = int_mod._barthe_from_check(d, check)
+            return 0, _emit(cmd, {**vars(ev), "equality": check.equality})
+        dens = [int_mod.Density.from_json(obj, f"--densities[{i}]")
+                for i, obj in enumerate(_load_side(args, "densities"))]
+        return 0, _emit(cmd, int_mod.supconv_eval(d, dens, args.grid))
 
     if cmd == "transport":
         f = int_mod.Density.from_json(_load_json(args.f), "--f")
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("barthe-eval", help="Barthe evaluation (closed form or grid)")
     sp.add_argument("datum")
     g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--phi", help="JSON PD matrix with critical eigenspaces")
+    g.add_argument("--phi", help="JSON SPD matrix; equality iff its eigenspaces are critical")
     g.add_argument("--densities", help="JSON list of densities, one per entry")
     sp.add_argument("--grid", default="h=0.05,box=±4", type=int_mod.GridSpec.parse,
                     help="grid spec, e.g. h=0.05,box=±4")

@@ -55,7 +55,7 @@ class GeometricBLDatum:
     dimension (subspace.frame_stacks), so per-entry work runs once per
     entry dimension while sums across entries keep entry order;
     `projections`, the (k, n, n) stack of the P_{E_i} in entry order,
-    which the structural tests share; and `defect`, the max-norm of
+    which the decomposition reads; and `defect`, the max-norm of
     sum_i c_i P_{E_i} - I_n.  A datum is `validated` when the defect is
     within RESIDUAL_TOL; operations that assume sum_i c_i P_{E_i} = I_n
     refuse any other.  The datum is frozen and its stacks read-only, so

@@ -5,9 +5,9 @@ frame and positive scalars t_i, with equality exactly when t is constant
 on each indecomposable class.  Higher rank: det(sum c_i A_i P_{E_i}) >=
 prod (det A_i)^{c_i} for positive definite A_i on each E_i, with
 equality exactly when the assembled operator Phi = sum c_i A_i P_{E_i}
-has critical eigenspaces and restricts to A_i on every E_i; the second
-implies the first, as a symmetric Phi that maps each E_i into itself
-commutes with P_{E_i}.
+restricts to A_i on every E_i, so that it commutes with every P_{E_i}
+and has critical eigenspaces; _restricts is that one test, for every
+Gaussian check.
 
 Everything is computed in the log domain; equality detection is
 structural (class-constancy of t, or the Phi certificate): the two sides
@@ -24,8 +24,9 @@ sum c_i <A_i y_i, y_i> over sum c_i F_i^T y_i = x is <Q x, x>, where
 Q^-1 = sum c_i F_i^T A_i^-1 F_i, and Barthe's two sides for
 f_i(y) = exp(-<A_i y, y>) are pi^(n/2) det(Q^-1)^(1/2) and
 pi^(n/2) prod det(A_i^-1)^(c_i/2).  For A_i = F_i Phi^2 F_i^T and the QR
-Phi F_i^T = Q_i R_i, Q^-1 = Phi^-1 S Phi^-1 with S = sum c_i Q_i Q_i^T, the
-weighted sum of the projections onto the Phi E_i.
+Phi F_i^T = Q_i R_i, Q^-1 = Phi^-1 S Phi^-1 for every SPD Phi, with S =
+sum c_i Q_i Q_i^T the weighted projections onto the Phi E_i; the sides
+are equal exactly when Phi restricts to F_i Phi F_i^T on every E_i.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .datum import GeometricBLDatum, RankOneDatum, require_validated
 from .errors import InputError, InternalError
-from .structure import bowtie_classes, has_critical_eigenspaces
+from .structure import bowtie_classes
 from .subspace import RESIDUAL_TOL
 
 CLASS_CONSTANT_RTOL = 1e-9
@@ -133,6 +134,27 @@ def _factor_rows(d: GeometricBLDatum, blocks, diagonals) -> tuple:
                            for (members, _), X in zip(d.frame_stacks, blocks)]), total
 
 
+def _restricts(d: GeometricBLDatum, M: np.ndarray, blocks=None, least=None) -> bool:
+    """Whether M maps every E_i into itself as B_i (blocks, F_i M F_i^T by
+    default, and least their lambda_min, stacked as d.frame_stacks): each
+    max|M F_i^T - F_i^T B_i| within its entry's own scale, RESIDUAL_TOL
+    lambda_min(B_i), plus the rounding of M's K-term sums and n-term
+    products, twice over, in the columns F_i touches (exact zeros stay
+    exact, so a block apart adds nothing).  A symmetric M that passes
+    commutes with every P_{E_i}: its eigenspaces are critical."""
+    if blocks is None:
+        blocks = [F @ M @ F.swapaxes(-1, -2) for _, F in d.frame_stacks]
+        least = [np.linalg.eigvalsh(B)[:, 0] for B in blocks]
+    n, reach = d.ambient_dim, np.abs(M).max(axis=0)
+    slack = 2 * n * (sum(F.shape[0] * F.shape[1] for _, F in d.frame_stacks) + n) * U
+    for (_, F), B, lam_min in zip(d.frame_stacks, blocks, least):
+        Ft = F.swapaxes(-1, -2)
+        residual = np.abs(M @ Ft - Ft @ B).max(axis=(-2, -1))
+        if not np.all(residual <= RESIDUAL_TOL * lam_min + slack * ((F != 0) * reach).max(axis=(-2, -1))):
+            return False
+    return True
+
+
 def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
     """det(sum c_i t_i u_i u_i^T) against prod t_i^{c_i}, in log domain.
 
@@ -162,9 +184,7 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
     With A_i = L_i L_i^T by Cholesky, the rows B = [sqrt(c_i) L_i^T F_i]
     give the left side (gram_log_det) and the certificate M = B^T B =
     sum c_i F_i^T A_i F_i.  Equality is declared iff M restricts to every
-    A_i, to RESIDUAL_TOL lambda_min(A_i) plus the rounding of M in the
-    columns that F_i touches, and the sides do not refute it.  Such an M
-    commutes with every P_{E_i}, so its eigenspaces are critical.
+    A_i (_restricts) and the sides do not refute it.
     """
     require_validated(d)
     if len(A_list) != d.k:
@@ -194,40 +214,34 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
     # l_jj^2 lies in [lo, hi], which bounds the logs that log_rhs sums
     budget = error + 2 * n * delta + (len(rows) + 2) * U * n * max(abs(math.log(lo)), abs(math.log(hi)))
     M = np.einsum("ki,kj->ij", rows, rows)  # fixed order, no BLAS: same bytes at any thread count
-    # each entry at its own scale: RESIDUAL_TOL lambda_min(A_i), which a strict input
-    # near a small eigenvalue exceeds, plus the rounding of the K-term sums and n-term
-    # products of M, twice over for rounded restrictions of a Phi, in the columns
-    # that F_i touches: its exact zeros stay exact, so a block apart adds nothing
-    reach, slack = np.abs(M).max(axis=0), 2 * n * (len(rows) + n) * U
-    equality = all(np.all(np.abs(M @ F.swapaxes(-1, -2) - F.swapaxes(-1, -2) @ A).max(axis=(-2, -1))
-                          <= RESIDUAL_TOL * lam_min + slack * np.where(F.any(axis=-2), reach, 0.0).max(axis=-1))
-                   for (_, F), A, lam_min in zip(d.frame_stacks, mats, least))
     # an entry beside operators some 1e12 times larger in its own coordinates is
     # lost in the rounding of M, not in the row-sorted QR: there the sides decide
-    return _det_result(log_lhs, log_rhs, budget, M if equality and log_lhs - log_rhs <= budget else None)
+    equality = _restricts(d, M, mats, least) and log_lhs - log_rhs <= budget
+    return _det_result(log_lhs, log_rhs, budget, M if equality else None)
 
 
 def _fiber_factors(d: GeometricBLDatum, Phi) -> tuple:
-    """(Phi checked as n x n SPD, its eigenvalues, the QR factors (Q_i, R_i)
-    of Phi F_i^T stacked as d.frame_stacks groups the entries, the rows
+    """(Phi checked as n x n SPD with normal eigenvalues, its eigenvalues, the
+    QR factors (Q_i, R_i) of Phi F_i^T stacked as d.frame_stacks, the rows
     sqrt(c_i) Q_i^T in that order, sum_i c_i log det A_i)."""
     require_validated(d)
     Phi = np.asarray(Phi, dtype=float)
     if Phi.shape != (d.ambient_dim, d.ambient_dim):
         raise InputError(f"Phi must be {d.ambient_dim} x {d.ambient_dim}")
     eigenvalues = require_spd(Phi, "Phi")
+    if eigenvalues[0] < np.finfo(float).tiny:  # the rounding budget takes every error as relative
+        raise InputError("Phi must have no subnormal eigenvalue")
     factors = [np.linalg.qr(Phi @ F.swapaxes(-1, -2)) for _, F in d.frame_stacks]
     return (Phi, eigenvalues, factors,
             *_factor_rows(d, [Q.swapaxes(-1, -2) for Q, _ in factors],
                           [np.diagonal(R, axis1=-2, axis2=-1) for _, R in factors]))
 
 
-def fiber_log_sides(d: GeometricBLDatum, Phi) -> tuple:
-    """(log det Q^-1, sum_i c_i log det A_i^-1, budget) for A_i = F_i Phi^2 F_i^T,
-    refused unless Phi has critical eigenspaces."""
+def fiber_log_sides(d: GeometricBLDatum, Phi) -> DetCheckResult:
+    """log det Q^-1 against sum_i c_i log det A_i^-1, A_i = F_i Phi^2 F_i^T, as a
+    check of any SPD Phi: the certificate is Phi when it maps every E_i into
+    itself (_restricts) and the sides do not refute it; then Q = Phi^2."""
     Phi, eigenvalues, factors, rows, log_a = _fiber_factors(d, Phi)
-    if not has_critical_eigenspaces(d, Phi):
-        raise InputError("the eigenspaces of Phi must be critical subspaces")
     sigma = np.linalg.svd(rows, compute_uv=False)
     log_s, error_s = gram_log_det(rows, sigma[0] / sigma[-1])
     cond = float(eigenvalues[-1]) / float(eigenvalues[0])
@@ -238,7 +252,8 @@ def fiber_log_sides(d: GeometricBLDatum, Phi) -> tuple:
     # r_jj lies in [lambda_min(Phi), lambda_max(Phi)], which bounds the logs that log_a sums
     rounding = (len(rows) + 2) * U * n * 2.0 * float(np.abs(np.log(eigenvalues[[0, -1]])).max())
     budget = error_s + error_phi + 2 * n * theta * (sigma[-1] ** -2.0 + 2.0) + rounding
-    return log_s - log_phi, -log_a, budget
+    equality = _restricts(d, Phi) and log_s - log_phi + log_a <= budget
+    return _det_result(log_s - log_phi, -log_a, budget, Phi if equality else None)
 
 
 @dataclass(frozen=True)

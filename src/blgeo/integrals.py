@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datum import GeometricBLDatum, require_validated
-from .determinantal import U, _safe_exp, determinantal_high_check, fiber_log_sides, require_spd
+from .determinantal import U, _restricts, _safe_exp, determinantal_high_check, fiber_log_sides, require_spd
 from .errors import CapError, InputError, InternalError, as_array, field_of, read
-from .structure import StructureReport, critical_meet, has_critical_eigenspaces
+from .structure import StructureReport, critical_meet, restrict_datum
 from .subspace import Subspace, contains, equal
 
 SUPCONV_MAX_AMBIENT = 3
@@ -391,17 +391,17 @@ def _closed_form(log_lhs: float, log_rhs: float, direction: str, error: float) -
 def gaussian_barthe_eval(d: GeometricBLDatum, Phi) -> IneqEvaluation:
     """Barthe's two sides for the Gaussian family e^{-c_i |Phi x_i|^2}.
 
-    The fiber formula of blgeo.determinantal with A_i = F_i Phi^2 F_i^T:
-    the sides are pi^(n/2) exp(log_lhs / 2) and pi^(n/2) exp(log_rhs / 2)
-    for log det Q^-1 and sum c_i log det A_i^-1.  Phi must have critical
-    eigenspaces; then Q = Phi^2 and the ratio is 1 within est_error, half
-    the fiber's budget.  The equality certificate is not consulted: on
-    Phi^-2 it would magnify the rounding of a Phi typed to a few digits by
-    about cond(Phi)^2.
+    The fiber check of blgeo.determinantal, A_i = F_i Phi^2 F_i^T for any
+    SPD Phi: pi^(n/2) exp(log_lhs / 2) and pi^(n/2) exp(log_rhs / 2), with
+    half its budget; the ratio is 1 exactly when it certifies Phi.
     """
-    log_lhs, log_rhs, budget = fiber_log_sides(d, Phi)
+    return _barthe_from_check(d, fiber_log_sides(d, Phi))
+
+
+def _barthe_from_check(d: GeometricBLDatum, check) -> IneqEvaluation:
+    """The Barthe sides read off the fiber check of d, fiber_log_sides."""
     log_pi = 0.5 * d.ambient_dim * math.log(math.pi)
-    return _closed_form(log_pi + 0.5 * log_lhs, log_pi + 0.5 * log_rhs, "barthe", 0.5 * budget)
+    return _closed_form(log_pi + 0.5 * check.log_lhs, log_pi + 0.5 * check.log_rhs, "barthe", 0.5 * check.budget)
 
 
 def _cartesian_centers(spec: GridSpec, dim: int, rows=slice(None)) -> np.ndarray:
@@ -824,12 +824,14 @@ def build_extremizer(d: GeometricBLDatum, report: StructureReport,
     if dep.dim > 0:
         if params.A is None:
             raise InputError("the dependent subspace is non-zero: a matrix A is required")
-        A = np.asarray(params.A, dtype=float).reshape(dep.dim, dep.dim)
+        A = np.asarray(params.A, dtype=float)
+        if A.shape != (dep.dim, dep.dim):
+            raise InputError(f"A must be {dep.dim} x {dep.dim} on the dependent subspace, got {A.shape}")
         require_spd(A, "A")
-        # A_amb has the eigenspaces of A and its kernel F_dep-perp, critical as F_dep is
-        A_amb = dep.basis @ A @ dep.frame
-        if not has_critical_eigenspaces(d, A_amb):
+        # A_amb (A with kernel F_dep-perp) has critical eigenspaces iff A maps each E_i cap F_dep into itself
+        if not _restricts(restrict_datum(d, dep), A):
             raise InputError("the eigenspaces of A must be critical subspaces")
+        A_amb = dep.basis @ A @ dep.frame
 
     k = d.k
     bs = params.b if params.b is not None else [np.zeros(n)] * k

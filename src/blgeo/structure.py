@@ -6,10 +6,9 @@ splits as (E_i cap V) + (E_i cap V-perp)).  is_critical computes both
 and cross-checks them; a disagreement is an internal error, never
 silently resolved.  The sines that count dim(E_i cap V) come from one
 batched SVD per entry dimension (the norms, for lines), and the
-commutators from one product with the stack of the P_i that the datum
-builds when it is made.  A symmetric matrix has critical eigenspaces
-exactly when it commutes with every P_i, and for a critical V,
-E cap V = P_V E.
+splitting from the same products (P_i maps V into V, so commutes with
+P_V); for a critical V, E cap V = P_V E.  determinantal.py tests whether
+an operator has critical eigenspaces.
 
 The structure comes from the same algebra, the *-algebra generated by
 the P_i: the critical subspaces are its invariant subspaces, and the
@@ -79,11 +78,10 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
     one dimension share one product and one batched SVD, or a norm per
     row for lines.  The weighted dimension sum must lie within
     INTEGER_SNAP_TOL of dim V (dimensions are integers, weights are
-    floats; criticality is a discrete property).  The splitting
-    test, every commutator [P_i, P_V] within RESIDUAL_TOL in max-norm,
-    takes one stacked product with the P_i of the datum.  The two must
-    agree, otherwise the thresholds are inconsistent and we raise
-    instead of guessing.
+    floats; criticality is a discrete property).  The splitting test
+    holds what each P_i carries out of V, (I - P_V) P_i V^T =
+    rest_i^T (F_i V^T), within RESIDUAL_TOL in max-norm.  The two must
+    agree, otherwise the thresholds are inconsistent and we raise.
     """
     require_validated(d)
     if V.ambient_dim != d.ambient_dim:
@@ -91,17 +89,16 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
     if V.dim == 0:
         raise InputError("criticality is defined for non-zero subspaces only")
     n = d.ambient_dim
-    PV = projection_matrix(V)
-    away = np.eye(n) - PV
-    counts = np.zeros(d.k, dtype=int)
+    away = np.eye(n) - projection_matrix(V)
+    counts, leak = np.zeros(d.k, dtype=int), 0.0
     for members, frames in d.frame_stacks:
         rest = (frames.reshape(-1, n) @ away).reshape(frames.shape)
         # the one singular value of a line's row is its norm
         sines = np.linalg.norm(rest, axis=2) if frames.shape[1] == 1 else \
             np.linalg.svd(rest, compute_uv=False)
         counts[members] = np.count_nonzero(sines <= RANK_TOL, axis=1)
-    X = d.projections @ PV  # [P_i, P_V] = X_i - X_i^T
-    splitting_ok = float(np.abs(X - X.swapaxes(1, 2)).max()) <= RESIDUAL_TOL
+        leak = max(leak, float(np.abs(rest.swapaxes(1, 2) @ (frames @ V.basis)).max()))
+    splitting_ok = leak <= RESIDUAL_TOL
     wds = 0.0
     for (_, c), count in zip(d.entries, counts.tolist()):  # entry order fixes the float sum
         wds += c * count
@@ -113,21 +110,6 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
         )
     return CriticalityReport(subspace=V, weighted_dim_sum=float(wds), dim=V.dim,
                              is_critical=dim_match, splitting_ok=splitting_ok)
-
-
-def has_critical_eigenspaces(d: GeometricBLDatum, M) -> bool:
-    """Whether every eigenspace of the symmetric n x n matrix M is critical.
-
-    The eigenprojections of M are polynomials in M, so they all commute
-    with P_i exactly when M does.  Each commutator [P_i, M] is held to
-    RESIDUAL_TOL relative to the largest entry of M; no eigenvalues are
-    clustered, so the verdict has no eigenvalue-gap threshold.
-    """
-    require_validated(d)
-    M = 0.5 * (M + M.T)
-    bound = RESIDUAL_TOL * float(np.abs(M).max())
-    X = d.projections @ M  # [P_i, M] = X_i - X_i^T
-    return bool(np.abs(X - X.transpose(0, 2, 1)).max() <= bound)
 
 
 def critical_meet(E: Subspace, V: Subspace) -> Subspace:

@@ -386,31 +386,42 @@ def weighted_log_dets_per_entry(d, factors):
     return total
 
 
+def restricts_per_entry(d, M, blocks, rows):
+    """Whether M restricts to every B_i, entry by entry: each residual
+    max|M F_i^T - F_i^T B_i| held to RESIDUAL_TOL lambda_min(B_i) plus the
+    rounding of M in the columns the entry's frame touches, with rows the
+    number of stacked rows."""
+    n, rounding = d.ambient_dim, np.finfo(float).eps / 2
+    return all(np.abs(M @ E.basis - E.basis @ B).max()
+               <= RESIDUAL_TOL * np.linalg.eigvalsh(B)[0]
+               + 2 * n * (rows + n) * rounding * np.abs(M)[:, np.any(E.frame != 0, axis=0)].max()
+               for (E, _), B in zip(d.entries, blocks))
+
+
 def determinantal_per_entry(d, A_list):
     """(log_lhs, log_rhs, M, certificate) of determinantal_high_check: M is
-    the Gram of the rows sqrt(c_i) L_i^T F_i, built entry by entry, and each
-    entry's residual is held to RESIDUAL_TOL lambda_min(A_i) plus the rounding
-    of M in the columns its frame touches (not repeated: the check's
-    refutation of a certificate by the sides)."""
+    the Gram of the rows sqrt(c_i) L_i^T F_i, built entry by entry, and the
+    certificate is M when it restricts to every A_i (not repeated: the
+    check's refutation of a certificate by the sides)."""
     mats = [0.5 * (A + A.T) for A in (np.asarray(A, dtype=float) for A in A_list)]
     factors = [np.linalg.cholesky(A) for A in mats]
     rows = rows_per_entry(d, [L.T @ E.frame for (E, _), L in zip(d.entries, factors)])
     M = np.einsum("ki,kj->ij", rows, rows)
-    n, rounding = d.ambient_dim, np.finfo(float).eps / 2
-    equality = all(np.abs(M @ E.basis - E.basis @ A).max()
-                   <= RESIDUAL_TOL * np.linalg.eigvalsh(A)[0]
-                   + 2 * n * (len(rows) + n) * rounding * np.abs(M)[:, np.any(E.frame != 0, axis=0)].max()
-                   for (E, _), A in zip(d.entries, mats))
-    return sorted_qr_log_det(rows), weighted_log_dets_per_entry(d, factors), M, M if equality else None
+    certificate = M if restricts_per_entry(d, M, mats, len(rows)) else None
+    return sorted_qr_log_det(rows), weighted_log_dets_per_entry(d, factors), M, certificate
 
 
 def fiber_per_entry(d, Phi):
-    """(log det Q^-1, sum_i c_i log det A_i^-1) of the Gaussian fiber for
-    A_i = F_i Phi^2 F_i^T, from the QR factors Q_i R_i of Phi F_i^T."""
+    """(log det Q^-1, sum_i c_i log det A_i^-1, certificate) of the Gaussian
+    fiber for A_i = F_i Phi^2 F_i^T, from the QR factors Q_i R_i of
+    Phi F_i^T; the certificate is Phi when it restricts to every
+    F_i Phi F_i^T (not repeated: the refutation by the sides)."""
     factors = [np.linalg.qr(Phi @ E.basis) for E, _ in d.entries]
-    log_s = sorted_qr_log_det(rows_per_entry(d, [Q.T for Q, _ in factors]))
-    log_phi = sorted_qr_log_det(Phi)
-    return log_s - log_phi, -weighted_log_dets_per_entry(d, [R for _, R in factors])
+    rows = rows_per_entry(d, [Q.T for Q, _ in factors])
+    log_s, log_phi = sorted_qr_log_det(rows), sorted_qr_log_det(Phi)
+    blocks = [E.frame @ Phi @ E.basis for E, _ in d.entries]
+    certificate = Phi if restricts_per_entry(d, Phi, blocks, len(rows)) else None
+    return log_s - log_phi, -weighted_log_dets_per_entry(d, [R for _, R in factors]), certificate
 
 
 def exact_log_det(d, A_list):

@@ -147,6 +147,38 @@ def test_barthe_eval_phi(files, capsys):
     report = json.loads(out)
     assert code == 0
     assert report["ratio"] == pytest.approx(1.0, abs=1e-10)
+    assert report["equality"]
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-8, 1e-9, 1e-12])
+def test_barthe_eval_phi_off_critical_reads_strict_at_every_scale(eps, tmp_path, capsys):
+    # Phi = diag(eps, 3 eps, 1) on three lines in a plane beside an axis maps
+    # no line into itself; eps scales the plane's block alone, so the ratio
+    # does not move, and each entry's test is held to its own scale
+    datum, phi = tmp_path / "d.json", tmp_path / "phi.json"
+    datum.write_text(json.dumps(direct_sum_data([planar_lines_datum(3), axis_datum(1)]).to_json()))
+    phi.write_text(json.dumps(np.diag([eps, 3.0 * eps, 1.0]).tolist()))
+    code, out, err = run_cli(capsys, ["barthe-eval", str(datum), "--phi", str(phi)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["equality"] is False
+    assert abs(np.log(report["ratio"]) - np.log(1.1689223311520711)) <= report["est_error"]
+
+
+def test_barthe_eval_phi_off_critical_on_lines(tmp_path, capsys):
+    # diag(2, 1) on three lines in R^2 evaluates; diag(1e-320, 1) has a
+    # subnormal eigenvalue, whose rounding no budget bounds, and is refused
+    datum, phi = tmp_path / "lines.json", tmp_path / "phi.json"
+    datum.write_text(json.dumps(planar_lines_datum(3).to_json()))
+    phi.write_text(json.dumps([[2.0, 0.0], [0.0, 1.0]]))
+    code, out, err = run_cli(capsys, ["barthe-eval", str(datum), "--phi", str(phi)])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["equality"] is False
+    assert report["ratio"] == pytest.approx(1.0413914, abs=1e-7)
+    phi.write_text(json.dumps([[1e-320, 0.0], [0.0, 1.0]]))
+    code, out, err = run_cli(capsys, ["barthe-eval", str(datum), "--phi", str(phi)])
+    assert (code, out, err) == (1, "", "error: Phi must have no subnormal eigenvalue\n")
 
 
 def test_barthe_eval_phi_whose_inverse_square_nears_the_largest_double(tmp_path, capsys):
@@ -439,6 +471,7 @@ REFUSALS = {
     "empty_factors": ("transport", {"--f": {"kind": "factorized", "domain": LINE_JSON, "factors": []},
                                     "--g": GAUSS_JSON}, "factorized density needs at least one factor"),
     "phi_shape": ("barthe-eval", {"--phi": np.eye(2).tolist()}, "Phi must be 3 x 3"),
+    "phi_subnormal": ("barthe-eval", {"--phi": [[1e-320]]}, "Phi must have no subnormal eigenvalue"),
     "t_5000_digits": ("detcheck", {"--t": "[" + "9" * 5000 + "]"}, "malformed JSON in"),
     "t_deep_nesting": ("detcheck", {"--t": "[" * 10 ** 5 + "]" * 10 ** 5}, "malformed JSON in"),
 }

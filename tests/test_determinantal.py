@@ -23,6 +23,7 @@ from blgeo.determinantal import (
     _det_result,
     ball_barthe_check,
     determinantal_high_check,
+    fiber_log_sides,
     min_norm_decomposition,
     require_spd,
 )
@@ -324,11 +325,17 @@ def test_batched_layers_equal_the_per_entry_loops(seed):
             np.array_equal(check.equality_certificate, certificate)
         bl = gaussian_bl_eval(d, A_list)
         assert (bl.lhs, bl.rhs) == (math.exp(-0.5 * log_lhs), math.exp(-0.5 * log_rhs))
-    log_lhs, log_rhs = fiber_per_entry(d, Phi)
     log_pi = 0.5 * d.ambient_dim * math.log(math.pi)
-    barthe = gaussian_barthe_eval(d, Phi)
-    assert (barthe.lhs, barthe.rhs) == (math.exp(log_pi + 0.5 * log_lhs),
-                                        math.exp(log_pi + 0.5 * log_rhs))
+    for phi, equality in ((Phi, True), (random_spd(rng, d.ambient_dim), False)):
+        log_lhs, log_rhs, certificate = fiber_per_entry(d, phi)
+        check = fiber_log_sides(d, phi)
+        assert (check.log_lhs, check.log_rhs) == (log_lhs, log_rhs)
+        assert check.equality is equality is (certificate is not None)
+        assert check.equality_certificate is None if certificate is None else \
+            np.array_equal(check.equality_certificate, certificate)
+        barthe = gaussian_barthe_eval(d, phi)
+        assert (barthe.lhs, barthe.rhs) == (math.exp(log_pi + 0.5 * log_lhs),
+                                            math.exp(log_pi + 0.5 * log_rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_fiber_oracle, indicator_density, random_datum
+from conftest import fiber_per_entry, gaussian_fiber_oracle, indicator_density, random_datum
 
 from blgeo import integrals
 from blgeo.covers import UniformCover
@@ -21,7 +21,7 @@ from blgeo.datum import (
     planar_lines_datum,
     validate_datum,
 )
-from blgeo.determinantal import determinantal_high_check
+from blgeo.determinantal import determinantal_high_check, fiber_log_sides
 from blgeo.errors import CapError, InputError, InternalError
 from blgeo.integrals import (
     Density,
@@ -39,7 +39,7 @@ from blgeo.integrals import (
     is_log_concave,
     supconv_eval,
 )
-from blgeo.structure import has_critical_eigenspaces, indecomposable_decomposition, independent_subspaces
+from blgeo.structure import indecomposable_decomposition, independent_subspaces
 from blgeo.subspace import Subspace, full_subspace, orthonormalize, projection_matrix
 
 LINE = full_subspace(1)
@@ -183,33 +183,31 @@ def test_barthe_loomis_whitney_distinct_axes():
 
 
 def test_barthe_evaluates_a_rounded_critical_phi():
-    # a critical Phi typed to 9 digits is critical only within rounding; every
-    # one the criticality test on Phi accepts is evaluated, including those
-    # whose A_i^-1 fail the equality certificate, which magnifies rounding
+    # a critical Phi typed to 9 digits is critical only within rounding: every
+    # one is evaluated, with ratio 1 to second order in the rounding, and its
+    # equality verdict is the per-entry restriction test's
     rng = np.random.default_rng(11)
-    accepted = magnified = 0
+    equal = 0
     for _ in range(60):
         d = random_datum(rng, max_dim=8, max_vectors=16)
         Phi = sum(np.exp(rng.uniform(-1.5, 1.5)) * projection_matrix(V)
                   for V in indecomposable_decomposition(d))
         Phi = np.array([[float(f"{v:.9g}") for v in row] for row in Phi])
-        if not has_critical_eigenspaces(d, Phi):
-            continue
-        accepted += 1
-        inverses = [np.linalg.inv(E.frame @ Phi @ Phi @ E.basis) for E, _ in d.entries]
-        magnified += not determinantal_high_check(d, inverses).equality
-        ev = gaussian_barthe_eval(d, Phi)
-        assert ev.ratio == pytest.approx(1.0, abs=1e-9)
-    assert accepted >= 40 and magnified > 0
+        check = fiber_log_sides(d, Phi)
+        assert check.equality is (fiber_per_entry(d, Phi)[2] is not None)
+        equal += check.equality
+        assert gaussian_barthe_eval(d, Phi).ratio == pytest.approx(1.0, abs=1e-9)
+    assert 0 < equal < 60
 
 
-def test_barthe_rejects_non_critical_eigenspaces():
+def test_barthe_reads_non_critical_eigenspaces_as_strict():
     d = loomis_whitney_datum()
     rng = np.random.default_rng(1)
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     Phi = Q @ np.diag([1.0, 2.0, 5.0]) @ Q.T
-    with pytest.raises(InputError):
-        gaussian_barthe_eval(d, Phi)
+    assert not fiber_log_sides(d, Phi).equality
+    ev = gaussian_barthe_eval(d, Phi)
+    assert ev.ratio > 1.0 + 1e-3 > 1.0 + ev.est_error
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +798,13 @@ def test_extremizer_rejects_non_critical_A():
     rng = np.random.default_rng(3)
     Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     A = Q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ Q.T  # generic eigenspaces
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="eigenspaces of A must be critical"):
         build_extremizer(d2, rep2, ExtremizerParams(A=A))
+    d3 = planar_lines_datum(3)
+    rep3 = independent_subspaces(d3)
+    for bad in (np.eye(3), [[1.0, 0.0]]):  # the dependent subspace is the plane
+        with pytest.raises(InputError, match="A must be 2 x 2"):
+            build_extremizer(d3, rep3, ExtremizerParams(A=bad))
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ from blgeo.datum import (
     rotate_datum,
     validate_datum,
 )
+from blgeo.determinantal import fiber_log_sides
 from blgeo.errors import InputError, InternalError
 from blgeo.structure import (
     bowtie_classes,
-    has_critical_eigenspaces,
     indecomposable_decomposition,
     independent_subspaces,
     is_critical,
@@ -170,7 +170,9 @@ def test_is_critical_matches_lattice_oracle(case):
         assert rep.weighted_dim_sum == ref.weighted_dim_sum
 
 
-def test_has_critical_eigenspaces_matches_clustered_oracle(rng):
+def test_fiber_certificate_matches_clustered_oracle(rng):
+    # the fiber's certificate, Phi mapping every E_i into itself, against
+    # criticality of each eigenspace on the subspace lattice
     def oracle(d, M):
         return all(is_critical_oracle(d, V).is_critical for V in cluster_eigenspaces(M))
 
@@ -184,7 +186,7 @@ def test_has_critical_eigenspaces_matches_clustered_oracle(rng):
         Phi = sum(t * projection_matrix(V) for t, V in zip(lam, pieces))
         G = rng.standard_normal((n, n))
         for M in (Phi, Phi + 1e-3 * (G + G.T)):
-            verdicts.append(has_critical_eigenspaces(d, M))
+            verdicts.append(fiber_log_sides(d, M).equality)
             assert verdicts[-1] == oracle(d, M)
         assert verdicts[-2]
     assert not all(verdicts)
