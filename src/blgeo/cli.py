@@ -9,6 +9,10 @@ refuse where each verdict is made, so run only loads, calls and prints.
 A report depends on its input files alone (and on --grid for the two
 grid commands): the rank and residual thresholds are the fixed
 constants of subspace.py, and every report prints them.
+
+Each command imports only the modules it calls, when it runs: a cold
+process pays for nothing else, and bt and covers-induce, which count
+exactly, never load numpy.
 """
 
 from __future__ import annotations
@@ -17,16 +21,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import covers as covers_mod
-from . import determinantal as det_mod
-from . import integrals as int_mod
-from . import structure as struct_mod
-from . import transport as trans_mod
-from .datum import GeometricBLDatum, rank_one_expansion, validate_datum
-from .errors import InputError, InternalError, plain, read
-from .subspace import RANK_TOL, RESIDUAL_TOL, Subspace
+from .errors import RANK_TOL, RESIDUAL_TOL, InputError, InternalError, plain, read
 
 SCHEMA = "blgeo/1"
 
@@ -55,7 +50,9 @@ def _emit(command: str, report) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _load_datum(path: str) -> GeometricBLDatum:
+def _load_datum(path: str):
+    from .datum import GeometricBLDatum
+
     d = GeometricBLDatum.from_json(_load_json(path))
     if not d.validated:
         raise InputError(f"datum in {path} does not satisfy the identity (defect {d.defect:.3e})")
@@ -76,71 +73,100 @@ def _load_side(args, key: str):
 def run(args):
     """Execute the command of the parsed arguments; returns (exit_code, report_text)."""
     cmd = args.command
+    if cmd in ("barthe-eval", "transport"):
+        from .integrals import Density, GridSpec
+
+        grid = GridSpec.parse(args.grid)  # an InputError here comes before any file is read
 
     if cmd == "validate":
+        from .datum import GeometricBLDatum, validate_datum
+
         d = GeometricBLDatum.from_json(_load_json(args.datum))
         report = validate_datum(d)
         return (0 if report.is_valid else 1), _emit(cmd, report)
 
     if cmd == "analyze":
+        from .structure import independent_subspaces
+
         d = _load_datum(args.datum)
-        report = struct_mod.independent_subspaces(d)
+        report = independent_subspaces(d)
         return 0, _emit(cmd, report)
 
     if cmd == "critical":
+        from .structure import is_critical
+        from .subspace import Subspace
+
         d = _load_datum(args.datum)
         V = Subspace.from_json(_load_json(args.subspace))
-        report = struct_mod.is_critical(d, V)
+        report = is_critical(d, V)
         return 0, _emit(cmd, report)
 
     if cmd == "detcheck":
+        from .datum import rank_one_expansion
+        from .determinantal import ball_barthe_check, determinantal_high_check
+
         d = _load_datum(args.datum)
         if args.t is not None:
-            result = det_mod.ball_barthe_check(rank_one_expansion(d), _load_side(args, "t"))
+            result = ball_barthe_check(rank_one_expansion(d), _load_side(args, "t"))
         else:
-            result = det_mod.determinantal_high_check(d, _load_side(args, "A"))
+            result = determinantal_high_check(d, _load_side(args, "A"))
         return 0, _emit(cmd, result)
 
     if cmd == "bl-eval":
+        from .determinantal import determinantal_high_check
+        from .integrals import bl_eval_from_check
+
         d = _load_datum(args.datum)
-        check = det_mod.determinantal_high_check(d, _load_side(args, "A"))
-        ev = int_mod.bl_eval_from_check(check)
+        check = determinantal_high_check(d, _load_side(args, "A"))
+        ev = bl_eval_from_check(check)
         return 0, _emit(cmd, {**vars(ev), "equality": check.equality})
 
     if cmd == "barthe-eval":
         d = _load_datum(args.datum)
         if args.phi is not None:
-            check = det_mod.fiber_log_sides(d, _load_side(args, "phi"))
-            ev = int_mod._barthe_from_check(d, check)
+            from .determinantal import fiber_log_sides
+            from .integrals import _barthe_from_check
+
+            check = fiber_log_sides(d, _load_side(args, "phi"))
+            ev = _barthe_from_check(d, check)
             return 0, _emit(cmd, {**vars(ev), "equality": check.equality})
-        dens = [int_mod.Density.from_json(obj, f"--densities[{i}]")
+        from .integrals import supconv_eval
+
+        dens = [Density.from_json(obj, f"--densities[{i}]")
                 for i, obj in enumerate(_load_side(args, "densities"))]
-        return 0, _emit(cmd, int_mod.supconv_eval(d, dens, args.grid))
+        return 0, _emit(cmd, supconv_eval(d, dens, grid))
 
     if cmd == "transport":
-        f = int_mod.Density.from_json(_load_json(args.f), "--f")
-        g = int_mod.Density.from_json(_load_json(args.g), "--g")
-        T = trans_mod.brenier_1d(f, g, args.grid)
+        from .transport import brenier_1d, linear_growth_estimate, monge_ampere_residual
+
+        f = Density.from_json(_load_json(args.f), "--f")
+        g = Density.from_json(_load_json(args.g), "--g")
+        T = brenier_1d(f, g, grid)
         return 0, _emit(cmd, {
             "map": T,
-            "monge_ampere_residual": trans_mod.monge_ampere_residual(T, f, g),
-            "grid_h": 2.0 * args.grid.radius / args.grid.count,  # the samples' spacing
-            "growth": trans_mod.linear_growth_estimate(T),
+            "monge_ampere_residual": monge_ampere_residual(T, f, g),
+            "grid_h": 2.0 * grid.radius / grid.count,  # the samples' spacing
+            "growth": linear_growth_estimate(T),
         })
 
+    from .covers import UniformCover  # bt, dual-bt and covers-induce: the commands left
+
+    cover = UniformCover.from_json(_load_json(args.cover))
     if cmd == "bt":
-        cover = covers_mod.UniformCover.from_json(_load_json(args.cover))
-        body = covers_mod.VoxelBody.from_json(_load_json(args.body))
-        return 0, _emit(cmd, covers_mod.bt_check(body, cover))
+        from .covers import VoxelBody, bt_check
+
+        body = VoxelBody.from_json(_load_json(args.body))
+        return 0, _emit(cmd, bt_check(body, cover))
 
     if cmd == "dual-bt":
-        cover = covers_mod.UniformCover.from_json(_load_json(args.cover))
-        body = covers_mod.PointPolytope.from_json(_load_json(args.polytope))
-        return 0, _emit(cmd, covers_mod.dual_bt_check(body, cover))
+        from .covers import PointPolytope, dual_bt_check
 
-    # covers-induce, the last command the parser admits
-    cover = covers_mod.UniformCover.from_json(_load_json(args.cover))
-    return 0, _emit(cmd, {"partition": covers_mod.induced_one_cover(cover),
+        body = PointPolytope.from_json(_load_json(args.polytope))
+        return 0, _emit(cmd, dual_bt_check(body, cover))
+
+    from .covers import induced_one_cover  # covers-induce, the last command the parser admits
+
+    return 0, _emit(cmd, {"partition": induced_one_cover(cover),
                           "multiplicities": (cover.s,) * cover.n})
 
 
@@ -173,12 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     g = sp.add_mutually_exclusive_group(required=True)
     g.add_argument("--phi", help="JSON SPD matrix; equality iff its eigenspaces are critical")
     g.add_argument("--densities", help="JSON list of densities, one per entry")
-    sp.add_argument("--grid", default="h=0.05,box=±4", type=int_mod.GridSpec.parse,
-                    help="grid spec, e.g. h=0.05,box=±4")
+    sp.add_argument("--grid", default="h=0.05,box=±4", help="grid spec, e.g. h=0.05,box=±4")
     sp = sub.add_parser("transport", help="1-D monotone rearrangement")
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
-    sp.add_argument("--grid", default="h=0.001,box=±8", type=int_mod.GridSpec.parse)
+    sp.add_argument("--grid", default="h=0.001,box=±8")
     sp = sub.add_parser("bt", help="Bollobas-Thomason on a voxel body")
     sp.add_argument("cover")
     sp.add_argument("body")
@@ -190,12 +215,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _internal_errors() -> tuple:
+    """InternalError, and numpy's LinAlgError once numpy is loaded: a failed
+    linear-algebra routine is internal, though LinAlgError subclasses
+    ValueError.  Until numpy is loaded no routine of it can have failed."""
+    np = sys.modules.get("numpy")
+    return (InternalError,) if np is None else (InternalError, np.linalg.LinAlgError)
+
+
 def main(argv=None) -> int:
     try:
-        # a --grid that GridSpec.parse refuses raises InputError here, before any file is read
         code, text = run(build_parser().parse_args(argv))
-    except (InternalError, np.linalg.LinAlgError) as exc:
-        # LinAlgError subclasses ValueError, so it must be caught first
+    except _internal_errors() as exc:  # evaluated as the exception arrives, so before ValueError
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except (InputError, ValueError) as exc:

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CapError, InputError, InternalError, as_array, as_int, read
 
 BODY_MAX_DIM = 4
@@ -211,6 +209,8 @@ class PointPolytope:
     vertices: tuple  # of coordinate tuples
 
     def __post_init__(self):
+        import numpy as np  # only polytopes need it: bt and covers-induce run without
+
         if not (1 <= self.n <= BODY_MAX_DIM):
             raise CapError("polytope dimension", BODY_MAX_DIM, self.n)
         V = as_array(self.vertices, (None, self.n), "polytope vertices")
@@ -224,6 +224,8 @@ class PointPolytope:
         object.__setattr__(self, "vertices", tuple(tuple(map(float, v)) for v in V))
 
     def points(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.vertices, dtype=float)
 
     def to_json(self) -> dict:

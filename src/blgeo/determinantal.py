@@ -51,10 +51,13 @@ def require_spd(M: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise InputError(f"{name} must be finite")
     T, axes = M.swapaxes(-1, -2), (-2, -1)
+    with np.errstate(over="ignore"):  # a difference past the largest double is asymmetric too
+        skew = np.abs(M - T).max(axis=axes)
     # relative to the matrix's own largest entry, so a tiny matrix gets no free pass
-    if np.any(np.abs(M - T).max(axis=axes) > 1e-9 * np.abs(M).max(axis=axes)):
+    if np.any(skew > 1e-9 * np.abs(M).max(axis=axes)):
         raise InputError(f"{name} must be symmetric")
-    eigenvalues = np.linalg.eigvalsh(0.5 * (M + T))
+    # halves first: the sum of two entries near the largest double overflows
+    eigenvalues = np.linalg.eigvalsh(0.5 * M + 0.5 * T)
     if np.any(eigenvalues[..., 0] <= 0.0):
         raise InputError(f"{name} must be positive definite")
     return eigenvalues
@@ -198,7 +201,7 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
     for members, F in d.frame_stacks:
         A = np.array([A_list[i] for i in members])
         lam = require_spd(A, "operators")
-        mats.append(0.5 * (A + A.swapaxes(-1, -2)))
+        mats.append(0.5 * A + 0.5 * A.swapaxes(-1, -2))
         least.append(lam[:, 0])
         try:
             factors.append(np.linalg.cholesky(mats[-1]))
@@ -232,6 +235,9 @@ def _fiber_factors(d: GeometricBLDatum, Phi) -> tuple:
     if eigenvalues[0] < np.finfo(float).tiny:  # the rounding budget takes every error as relative
         raise InputError("Phi must have no subnormal eigenvalue")
     factors = [np.linalg.qr(Phi @ F.swapaxes(-1, -2)) for _, F in d.frame_stacks]
+    if not all(np.isfinite(Q).all() and np.isfinite(R).all() for Q, R in factors):
+        # a Householder step adds a column's entry to its norm, which can pass the largest double
+        raise InputError("Phi F_i^T leaves the double range in its QR factors")
     return (Phi, eigenvalues, factors,
             *_factor_rows(d, [Q.swapaxes(-1, -2) for Q, _ in factors],
                           [np.diagonal(R, axis1=-2, axis2=-1) for _, R in factors]))
@@ -251,7 +257,10 @@ def fiber_log_sides(d: GeometricBLDatum, Phi) -> DetCheckResult:
     theta = n * math.sqrt(dim) * U * (float(np.linalg.norm(Phi / eigenvalues[-1])) + dim) * cond
     # r_jj lies in [lambda_min(Phi), lambda_max(Phi)], which bounds the logs that log_a sums
     rounding = (len(rows) + 2) * U * n * 2.0 * float(np.abs(np.log(eigenvalues[[0, -1]])).max())
-    budget = error_s + error_phi + 2 * n * theta * (sigma[-1] ** -2.0 + 2.0) + rounding
+    with np.errstate(over="ignore"):  # 1 / sigma_min^2 is inf when the Phi E_i are nearly dependent
+        budget = error_s + error_phi + 2 * n * theta * (sigma[-1] ** -2.0 + 2.0) + rounding
+    if not math.isfinite(budget):
+        raise InputError("Phi's rounding budget leaves the double range")
     equality = _restricts(d, Phi) and log_s - log_phi + log_a <= budget
     return _det_result(log_s - log_phi, -log_a, budget, Phi if equality else None)
 

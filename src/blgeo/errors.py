@@ -15,13 +15,21 @@ output, plain turns a report into JSON values: a report dataclass gives
 its fields, an input kind its own to_json, and a number JSON cannot hold
 (NaN, or a side that overflows a double) is an InputError naming its
 field path, as read names a bad input.
+
+It imports no numpy, so a command that needs no array (bt,
+covers-induce) never loads it; as_array imports it when first called.
+The two thresholds every report prints live here for the same reason;
+subspace.py, which re-exports them, says what each one cuts.
 """
+
+from __future__ import annotations
 
 import dataclasses
 import math
 import sys
 
-import numpy as np
+RANK_TOL = 1e-9
+RESIDUAL_TOL = 1e-9
 
 
 class BlgeoError(Exception):
@@ -61,6 +69,8 @@ def as_array(value, shape: tuple, name: str) -> np.ndarray:
     """value as a float array of the given shape, None standing for any
     extent; an InputError naming the field for a ragged list or other
     extents, which numpy would report naming none."""
+    import numpy as np
+
     try:
         out = np.asarray(value, dtype=float)
     except ValueError:  # a ragged list
@@ -130,11 +140,12 @@ def plain(obj, name: str):
         obj = sorted(obj)
     if isinstance(obj, (tuple, list)):
         return [plain(x, f"{name}[{i}]") for i, x in enumerate(obj)]
-    if isinstance(obj, np.ndarray):
+    np = sys.modules.get("numpy")  # until numpy is loaded, no array exists
+    if np is not None and isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and not np.isfinite(obj).all():
             raise InputError(f"{name} is not finite: JSON cannot hold it")
         return obj.tolist()
-    if isinstance(obj, np.generic):
+    if np is not None and isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         raise InputError(f"{name} is {obj}: JSON cannot hold it")

@@ -116,7 +116,7 @@ class GaussianDensity(Density):
         if not np.all(np.isfinite(b)):
             raise InputError("gaussian centre b must be finite")
         self.domain = domain
-        self.A = 0.5 * (A + A.T)
+        self.A = 0.5 * A + 0.5 * A.T
         self.b = b
         self.theta = float(theta)
         try:

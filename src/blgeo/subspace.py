@@ -11,18 +11,16 @@ orthonormalize decides the rank of a span, and absolutely when
 criticality (structure.py) counts sines and cosines of principal
 angles; RESIDUAL_TOL bounds matrix and vector residuals.  Both are
 1e-9, far above the round-off (1e-16 to 1e-15) of exact intersections
-and identities on valid data.
+and identities on valid data.  errors.py defines them, so that a report
+can print them without numpy; this module re-exports them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, as_int, field_of, read
+from .errors import RANK_TOL, RESIDUAL_TOL, InputError, as_int, field_of, read
 
-
-RANK_TOL = 1e-9
-RESIDUAL_TOL = 1e-9
 MAX_AMBIENT_DIM = 32  # of every datum, and of every subspace read from JSON
 EIGENVALUE_CLUSTER_RTOL = 1e-6  # repeated eigenvalues are the generic case here
 

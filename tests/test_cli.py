@@ -865,6 +865,109 @@ def test_scipy_free_commands_load_no_scipy(files, tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def cold_call(argv):
+    """(exit code, stdout, stderr, the modules loaded) of main(argv) as the
+    only call of a fresh process; argv = None only imports blgeo."""
+    script = ("import contextlib, io, json, sys\n"
+              "argv = json.loads(sys.argv[1])\n"
+              "out, err, code = io.StringIO(), io.StringIO(), None\n"
+              "if argv is None:\n"
+              "    import blgeo\n"
+              "else:\n"
+              "    from blgeo.cli import main\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        code = main(argv)\n"
+              "print(json.dumps([code, out.getvalue(), err.getvalue(), sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, out, err, modules = json.loads(proc.stdout)
+    return code, out, err, set(modules)
+
+
+def test_each_command_loads_only_what_it_calls(files):
+    # a cold process pays for every module it imports, compiling it too
+    # when no bytecode cache is written; bt and covers-induce count exactly
+    for argv in (["bt", files["lw_cover"], files["tromino"]], ["covers-induce", files["lw_cover"]]):
+        code, _, _, modules = cold_call(argv)
+        assert code == 0 and "numpy" not in modules, argv
+    code, _, _, modules = cold_call(["validate", files["r4"]])
+    assert code == 0
+    assert not modules & {f"blgeo.{name}" for name in ("structure", "determinantal", "integrals",
+                                                      "transport", "covers", "hull")}
+    assert "numpy" not in cold_call(None)[3]  # `python -m blgeo` imports the package first
+
+
+def test_the_package_exports_the_objects_of_its_modules():
+    import blgeo
+    from blgeo import datum, subspace
+
+    for name in ("GeometricBLDatum", "RankOneDatum", "ValidationReport", "validate_datum"):
+        assert getattr(blgeo, name) is getattr(datum, name)
+    assert blgeo.Subspace is subspace.Subspace
+    assert set(blgeo.__all__) - {"__version__"} == {"GeometricBLDatum", "RankOneDatum", "Subspace",
+                                                    "ValidationReport", "validate_datum"}
+    with pytest.raises(AttributeError):
+        blgeo.no_such_name
+
+
+def test_numpy_free_commands_refuse_and_report_without_numpy(files, tmp_path):
+    from blgeo.subspace import RANK_TOL, RESIDUAL_TOL
+
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"n": 3, "s": 2, "sets": [[1, 2], [3]]}))
+    code, out, err, modules = cold_call(["bt", str(short), files["tromino"]])
+    assert (code, out, err) == (1, "", "error: cover is not 2-uniform: its sets hold 3 elements, "
+                                       "not s * n = 6\n")
+    assert "numpy" not in modules
+    code, out, err, modules = cold_call(["covers-induce", files["broken"]])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: malformed JSON in {files['broken']} at line 2, column ")
+    assert "numpy" not in modules
+    code, out, _, modules = cold_call(["covers-induce", files["lw_cover"]])
+    assert code == 0 and "numpy" not in modules
+    assert json.loads(out)["tolerances"] == {"rank_rel_tol": RANK_TOL, "residual_tol": RESIDUAL_TOL}
+
+
+LINES_JSON = planar_lines_datum(3).to_json()
+HOLDER3_JSON = holder_datum(3, [0.5, 0.5]).to_json()
+HUGE_GAUSS_JSON = dict(GAUSS_JSON, A=[[1.7e308]])
+
+
+@pytest.mark.parametrize("command, datum, flag, side, message", [
+    ("barthe-eval", HOLDER3_JSON, "--phi", (1e308 * np.eye(3)).tolist(), None),
+    ("barthe-eval", HOLDER_JSON, "--phi", [[1e308]], None),
+    ("detcheck", HOLDER_JSON, "--A", [[[1e308]], [[1.0]]], None),
+    ("bl-eval", HOLDER_JSON, "--A", [[[1.7e308]], [[1.7e308]]], None),
+    ("barthe-eval", HOLDER3_JSON, "--phi", [[1e308, 1e308, 0], [-1e308, 1e308, 0], [0, 0, 1e308]],
+     "Phi must be symmetric"),
+    # a Householder step adds 1.7e308 to the norm of a column it reflects
+    ("barthe-eval", LINES_JSON, "--phi", (1.7e308 * np.eye(2)).tolist(),
+     "Phi F_i^T leaves the double range in its QR factors"),
+    # Phi maps the three lines into one to working precision: sigma_min of S is about 1e-300
+    ("barthe-eval", LINES_JSON, "--phi", [[1e300, 0], [0, 1]],
+     "Phi's rounding budget leaves the double range"),
+    ("barthe-eval", HOLDER_JSON, "--densities", [HUGE_GAUSS_JSON] * 2,
+     "a density has zero mass on the declared box"),
+], ids=["holder3-phi", "holder1-phi", "detcheck-A", "bl-eval-A", "asymmetric-phi", "qr-overflow",
+        "budget-overflow", "densities"])
+def test_operators_near_the_largest_double_end_in_a_report_or_a_message(
+        command, datum, flag, side, message, tmp_path, capsys):
+    # 0.5 (M + M^T) overflows past about 9e307; the halves summed do not
+    paths = [tmp_path / "datum.json", tmp_path / "side.json"]
+    for path, obj in zip(paths, (datum, side)):
+        path.write_text(json.dumps(obj))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, [command, str(paths[0]), flag, str(paths[1])])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if message is None:
+        assert (code, err) == (0, "")
+        json.loads(out)
+    else:
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def fuzz_calls():
     """One valid call per command, JSON inputs inline and written at run time."""
     r4 = paired_planes_datum().to_json()
