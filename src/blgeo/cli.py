@@ -1,7 +1,7 @@
 """Command-line front end: JSON in, deterministic JSON out.
 
-Exit codes: 0 on success, 1 on input errors (malformed JSON with line
-and column, cap violations, invalid data), 2 on internal-error
+Exit codes: 0 on success, 1 on input errors (usage errors, malformed
+JSON with line and column, cap violations, invalid data), 2 on internal-error
 conditions that valid inputs can never produce: a failed linear-algebra
 routine, or a violated inequality, which the library's result types
 refuse where each verdict is made, so run only loads, calls and prints.
@@ -170,8 +170,16 @@ def run(args):
                           "multiplicities": (cover.s,) * cover.n})
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are InputErrors, reported as every other
+    input error is (exit 1); its subparsers are of this class too."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="blgeo",
         description="Verify geometric Brascamp-Lieb structure, determinantal "
                     "inequalities, both integral inequalities, and "

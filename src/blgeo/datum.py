@@ -2,10 +2,9 @@
 
 A datum is a list of subspaces E_i with positive weights c_i on a common
 R^n; it is valid when the weighted projections resolve the identity,
-sum_i c_i P_{E_i} = I_n.  Expanding each E_i into its canonical frame
-vectors (each carrying the weight c_i) turns a valid datum into a
-Parseval frame, the rank-one normal form every structural algorithm
-downstream actually runs on.
+sum_i c_i P_{E_i} = I_n.  Expanding each E_i into its frame rows (each
+carrying the weight c_i) turns a valid datum into a Parseval frame:
+the rank-one determinantal check takes one t per row of it.
 
 Weights may be entered as numbers or as strings ("2/3", "0.5"); strings
 are parsed exactly as rationals and converted once to float, with the
@@ -131,24 +130,32 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class RankOneDatum:
-    """Parseval frame: unit vectors u_j with sum_j c_j u_j u_j^T = I_n.
+    """The rank-one expansion of a valid datum: its entries' frame rows u_j
+    in entry order, each with its entry's weight c_j.  c_i P_{E_i} is the
+    sum of c_i u_j u_j^T over the frame of E_i, so the rows are a Parseval
+    frame, sum_j c_j u_j u_j^T = I_n, as validated with the datum.  The
+    arrays are read off the datum once, read-only."""
 
-    `origin[j]` records which (entry index, frame column) of the parent
-    datum produced vector j.
-    """
+    datum: GeometricBLDatum
+    vectors: np.ndarray = field(init=False, compare=False, repr=False)  # (k, n), unit rows
+    weights: np.ndarray = field(init=False, compare=False, repr=False)  # (k,), positive
 
-    ambient_dim: int
-    vectors: np.ndarray   # (k, n), unit rows
-    weights: np.ndarray   # (k,), positive
-    origin: tuple         # of (entry_index, basis_index)
+    def __post_init__(self):
+        require_validated(self.datum)
+        entries = self.datum.entries
+        vectors = np.concatenate([E.frame for E, _ in entries])
+        weights = np.repeat([c for _, c in entries], [E.dim for E, _ in entries])
+        for name, array in (("vectors", vectors), ("weights", weights)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.datum.ambient_dim
 
     @property
     def k(self) -> int:
         return self.vectors.shape[0]
-
-    def gram_defect(self) -> float:
-        M = (self.vectors.T * self.weights) @ self.vectors
-        return float(np.abs(M - np.eye(self.ambient_dim)).max())
 
 
 def validate_datum(d: GeometricBLDatum) -> ValidationReport:
@@ -173,29 +180,8 @@ def require_validated(d: GeometricBLDatum):
 
 
 def rank_one_expansion(d: GeometricBLDatum) -> RankOneDatum:
-    """Expand every entry into its canonical frame vectors, weight c_i each.
-
-    c_i P_{E_i} = sum_j c_i u_j u_j^T over the frame of E_i, so the output
-    inherits the Parseval identity from the datum.
-    """
-    require_validated(d)
-    vecs, ws, origin = [], [], []
-    for i, (E, c) in enumerate(d.entries):
-        for j, row in enumerate(E.frame):
-            vecs.append(row)
-            ws.append(c)
-            origin.append((i, j))
-    r = RankOneDatum(
-        ambient_dim=d.ambient_dim,
-        vectors=np.array(vecs),
-        weights=np.array(ws),
-        origin=tuple(origin),
-    )
-    if r.gram_defect() > 10 * RESIDUAL_TOL:
-        raise InternalError(
-            f"rank-one expansion lost the Parseval identity (defect {r.gram_defect():.3e})"
-        )
-    return r
+    """Expand every entry into its frame rows, weight c_i each."""
+    return RankOneDatum(d)
 
 
 def make_datum_from_cover(cover) -> GeometricBLDatum:

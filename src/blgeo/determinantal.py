@@ -1,17 +1,18 @@
 """Determinantal inequalities of Ball-Barthe type with equality detection.
 
-Rank one: det(sum c_i t_i u_i u_i^T) >= prod t_i^{c_i} for a Parseval
-frame and positive scalars t_i, with equality exactly when t is constant
-on each indecomposable class.  Higher rank: det(sum c_i A_i P_{E_i}) >=
-prod (det A_i)^{c_i} for positive definite A_i on each E_i, with
-equality exactly when the assembled operator Phi = sum c_i A_i P_{E_i}
-restricts to A_i on every E_i, so that it commutes with every P_{E_i}
-and has critical eigenspaces; _restricts is that one test, for every
-Gaussian check.
+det(sum c_i F_i^T A_i F_i) >= prod (det A_i)^{c_i} for positive definite
+A_i on each E_i, with equality exactly when the assembled operator
+M = sum c_i F_i^T A_i F_i restricts to A_i on every E_i, so that it
+commutes with every P_{E_i} and has critical eigenspaces; _restricts is
+that one test, for every Gaussian check.  The rank-one inequality
+det(sum c_j t_j u_j u_j^T) >= prod t_j^{c_j} over the expansion of a
+datum is the case A_i = diag(t) in the frame of E_i: Barthe's rule,
+equality exactly when t is constant on each indecomposable class, is
+the same restriction.
 
 Everything is computed in the log domain; equality detection is
-structural (class-constancy of t, or the Phi certificate): the two sides
-can refute a Phi certificate but never make one.  Every log-determinant of a
+structural (the certificate M or Phi): the two sides can refute a
+certificate but never make one.  Every log-determinant of a
 sum is gram_log_det's, from one QR of stacked rows, never of a Gram
 matrix or an inverse, and every result carries the first-order rounding
 budget that README.md derives.  Per-entry work (checks, factors, rows)
@@ -38,10 +39,8 @@ import numpy as np
 
 from .datum import GeometricBLDatum, RankOneDatum, require_validated
 from .errors import InputError, InternalError
-from .structure import bowtie_classes
 from .subspace import RESIDUAL_TOL
 
-CLASS_CONSTANT_RTOL = 1e-9
 U = np.finfo(float).eps / 2  # unit roundoff
 
 
@@ -76,7 +75,7 @@ class DetCheckResult:
     log_gap: float
     budget: float
     equality: bool
-    equality_certificate: object  # class partition, Phi matrix, or None
+    equality_certificate: object  # the certificate matrix, or None
 
     def __post_init__(self):
         if self.log_gap < -self.budget:
@@ -159,26 +158,18 @@ def _restricts(d: GeometricBLDatum, M: np.ndarray, blocks=None, least=None) -> b
 
 
 def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
-    """det(sum c_i t_i u_i u_i^T) against prod t_i^{c_i}, in log domain.
-
-    Equality is declared iff t is constant (relative 1e-9) on every
-    indecomposable class of the frame; the certificate is the class
-    partition.  The rows sqrt(c_i t_i) u_i carry three roundings each.
+    """det(sum c_j t_j u_j u_j^T) against prod t_j^{c_j} over the expansion
+    r of a datum: determinantal_high_check of that datum with A_i = diag(t)
+    over the frame rows of E_i.  Barthe's rule, equality exactly when t is
+    constant on each indecomposable class, is then the one restriction test.
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (r.k,):
         raise InputError(f"need one t per vector: expected {r.k}, got {t.shape}")
     if not np.all(np.isfinite(t)) or np.any(t <= 0.0):
         raise InputError("all t_i must be positive and finite")
-    log_lhs, error = gram_log_det(r.vectors * np.sqrt(r.weights * t)[:, None],
-                                  math.sqrt(t.max()) / math.sqrt(t.min()))
-    log_t = np.log(t)
-    log_rhs = float(np.dot(r.weights, log_t))
-    budget = error + 2 * r.ambient_dim * 3 * U + (r.k + 2) * U * float(np.dot(r.weights, np.abs(log_t)))
-    classes = bowtie_classes(r)
-    spans = [t[list(cls)] for cls in classes]
-    equality = all(tc.max() - tc.min() <= CLASS_CONSTANT_RTOL * tc.max() for tc in spans)
-    return _det_result(log_lhs, log_rhs, budget, classes if equality else None)
+    cuts = np.cumsum([E.dim for E, _ in r.datum.entries])[:-1]
+    return determinantal_high_check(r.datum, [np.diag(part) for part in np.split(t, cuts)])
 
 
 def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datum import GeometricBLDatum, RankOneDatum, rank_one_expansion, require_validated
+from .datum import GeometricBLDatum, rank_one_expansion, require_validated
 from .errors import InputError, InternalError
 from .subspace import (EIGENVALUE_CLUSTER_RTOL, RANK_TOL, RESIDUAL_TOL, Subspace, orthonormalize,
                        projection_matrix)
@@ -144,8 +144,8 @@ def _components(i, j, size: int) -> tuple:
     return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
-def bowtie_classes(r: RankOneDatum) -> tuple:
-    """Partition of the expansion vectors into indecomposable classes.
+def bowtie_classes(vectors: np.ndarray) -> tuple:
+    """Partition of the unit rows of an expansion into indecomposable classes.
 
     Connected components of the graph with an edge where |<u_i, u_j>|
     exceeds the residual tolerance.  For a Parseval frame the spans of
@@ -157,7 +157,7 @@ def bowtie_classes(r: RankOneDatum) -> tuple:
     rank-one Ball-Barthe inequality for those vectors, not a structure of
     the datum (rotating a frame inside its E_i can merge classes).
     """
-    return _components(*np.nonzero(np.abs(r.vectors @ r.vectors.T) > RESIDUAL_TOL), r.k)
+    return _components(*np.nonzero(np.abs(vectors @ vectors.T) > RESIDUAL_TOL), len(vectors))
 
 
 def indecomposable_decomposition(d: GeometricBLDatum) -> list:
@@ -308,7 +308,7 @@ def independent_subspaces(d: GeometricBLDatum) -> StructureReport:
         independent_subspaces=tuple(independents),
         dependent_subspace=dep,
         indecomposable_decomposition=tuple(pieces),
-        rank_one_classes=bowtie_classes(rank_one_expansion(d)),
+        rank_one_classes=bowtie_classes(rank_one_expansion(d).vectors),
     )
 
 

@@ -116,7 +116,9 @@ def _gaussian_cdf(xs: np.ndarray, a: float, centre: float) -> np.ndarray:
     erf(z0) is summed first, so each block is nondecreasing; a dip of an
     ulp can sit only at a block boundary, which a running maximum over
     the knots lifts.  That keeps every value within its error of erf, as
-    erf is nondecreasing too.
+    erf is nondecreasing too.  A Gaussian centred on the samples with
+    fewer than two of them inside |z| < ERF_SATURATION rises from 0 to 1
+    within one sample step, which no map on them resolves: it is refused.
     """
     root = math.sqrt(a)
     reach = ERF_SATURATION / root
@@ -124,10 +126,13 @@ def _gaussian_cdf(xs: np.ndarray, a: float, centre: float) -> np.ndarray:
     hi = int(np.searchsorted(xs, centre + reach, side="right"))
     cdf = np.empty(xs.size)
     cdf[:lo], cdf[hi:] = 0.0, 1.0
-    n = hi - lo
+    n, step = hi - lo, (xs[-1] - xs[0]) / (xs.size - 1)
+    if n < 2 and xs[0] <= centre <= xs[-1]:
+        raise InputError(f"a Gaussian's CDF rises from 0 to 1 within one sample step "
+                         f"h = {step:.3g}, too coarse to resolve it")
     if n == 0:
         return cdf
-    dz = root * (xs[-1] - xs[0]) / (xs.size - 1)
+    dz = root * step
     s = max(1, int(min(n, 2.0 * ERF_REACH / dz)))
     Z = np.empty((-(-n // s), s))  # z at knot lo + k s + r sits at [k, r]
     flat = Z.reshape(-1)

@@ -118,7 +118,7 @@ def test_criterion_2_rank_one_determinantal():
         worst_cb = max(worst_cb, det_err)
         assert det_err <= 1e-9
 
-        classes = bowtie_classes(r)
+        classes = bowtie_classes(r.vectors)
         multi = [c for c in classes if len(c) >= 2]
         if multi:
             tc = np.empty(r.k)
@@ -151,7 +151,7 @@ def test_criterion_3_higher_rank_determinantal():
         d = random_datum(rng)
         # pure orthonormal-basis data make every operator an equality case;
         # strictness is generic only when some class has several vectors
-        classes = bowtie_classes(rank_one_expansion(d))
+        classes = bowtie_classes(rank_one_expansion(d).vectors)
         if all(len(c) == 1 for c in classes):
             continue
         A_list = []

@@ -124,8 +124,49 @@ def test_detcheck_equality_certificate(files, capsys):
     report = json.loads(out)
     assert code == 0
     assert report["equality"]
-    assert report["equality_certificate"] is not None
+    # the certificate M = sum c_i F_i^T diag(t) F_i, as for --A: here P_u + 2 P_v
+    assert np.asarray(report["equality_certificate"]).shape == (4, 4)
     assert report["log_gap"] == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("datum, t", [
+    (paired_planes_datum().to_json(), [1.0, 2.0, 1.0, 2.0, 1.0, 2.0]),
+    (paired_planes_datum().to_json(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+    (planar_lines_datum(3).to_json(), [1.0, 1.0, 4.0]),
+    (rotate_datum(axis_datum(2), np.array([[0.6, -0.8], [0.8, 0.6]])).to_json(), [1.0, 1e60]),
+    # diag(1e-200, 1e200) has condition number 1e400: the budget is inf, which JSON cannot hold
+    (holder_datum(2, [0.5, 0.5]).to_json(), [1e-200, 1e200, 1.0, 1.0]),
+], ids=["paired-planes-class-constant", "paired-planes", "planar-lines", "rotated-axes", "budget-inf"])
+def test_detcheck_t_prints_what_A_prints_for_its_diagonal_operators(datum, t, tmp_path, capsys):
+    # --t is --A with A_i = diag(t) over the frame rows of E_i
+    d = GeometricBLDatum.from_json(datum)
+    cuts = np.cumsum([E.dim for E, _ in d.entries])[:-1]
+    A = [np.diag(part).tolist() for part in np.split(np.array(t), cuts)]
+    paths = {name: tmp_path / f"{name}.json" for name in ("datum", "t", "A")}
+    for name, obj in (("datum", datum), ("t", t), ("A", A)):
+        paths[name].write_text(json.dumps(obj))
+    by_t = run_cli(capsys, ["detcheck", str(paths["datum"]), "--t", str(paths["t"])])
+    by_A = run_cli(capsys, ["detcheck", str(paths["datum"]), "--A", str(paths["A"])])
+    assert by_t == by_A
+    if t[0] == 1e-200:
+        assert by_t == (1, "", "error: report budget is inf: JSON cannot hold it\n")
+    else:
+        assert by_t[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["detcheck", "datum.json"], ["nosuch"], []],
+                         ids=["detcheck-without-side", "unknown-command", "no-command"])
+def test_usage_errors_exit_one_with_message(argv, capsys):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: blgeo")
 
 
 def test_detcheck_high_rank(files, capsys):
@@ -472,6 +513,10 @@ REFUSALS = {
                                     "--g": GAUSS_JSON}, "factorized density needs at least one factor"),
     "phi_shape": ("barthe-eval", {"--phi": np.eye(2).tolist()}, "Phi must be 3 x 3"),
     "phi_subnormal": ("barthe-eval", {"--phi": [[1e-320]]}, "Phi must have no subnormal eigenvalue"),
+    # the CDF of a Gaussian this narrow rises from 0 to 1 between two samples at h = 0.001
+    **{f"transport_step_{A:g}": ("transport", {"--f": dict(GAUSS_JSON, A=[[A]]), "--g": dict(GAUSS_JSON, A=[[A]])},
+                                 "a Gaussian's CDF rises from 0 to 1 within one sample step h = 0.001")
+       for A in (1e12, 1e308)},
     "t_5000_digits": ("detcheck", {"--t": "[" + "9" * 5000 + "]"}, "malformed JSON in"),
     "t_deep_nesting": ("detcheck", {"--t": "[" * 10 ** 5 + "]" * 10 ** 5}, "malformed JSON in"),
 }
@@ -896,6 +941,10 @@ def test_each_command_loads_only_what_it_calls(files):
     assert not modules & {f"blgeo.{name}" for name in ("structure", "determinantal", "integrals",
                                                       "transport", "covers", "hull")}
     assert "numpy" not in cold_call(None)[3]  # `python -m blgeo` imports the package first
+    # both detcheck sides run determinantal_high_check, which reads no structure
+    for flag, side in (("--t", files["t_eq"]), ("--A", files["A_eye"])):
+        code, _, _, modules = cold_call(["detcheck", files["r4"], flag, side])
+        assert code == 0 and "blgeo.structure" not in modules, flag
 
 
 def test_the_package_exports_the_objects_of_its_modules():

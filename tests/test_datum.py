@@ -121,24 +121,31 @@ def test_underweighted_entry_invalid():
         determinantal_high_check(d, [[[1.0]]])
 
 
+def parseval_defect(r):
+    """max-norm of sum_j c_j u_j u_j^T - I_n, summed one row at a time."""
+    M = sum(c * np.outer(u, u) for u, c in zip(r.vectors, r.weights))
+    return float(np.abs(M - np.eye(r.ambient_dim)).max())
+
+
 def test_expansion_axis_datum():
     r = rank_one_expansion(axis_datum(3))
-    assert r.k == 3
+    assert (r.k, r.ambient_dim) == (3, 3)
     assert np.allclose(np.abs(r.vectors), np.eye(3))
     assert np.allclose(r.weights, 1.0)
-    assert r.gram_defect() < 1e-12
+    assert parseval_defect(r) < 1e-12
 
 
 def test_expansion_paired_planes():
     d = paired_planes_datum()
     r = rank_one_expansion(d)
-    assert r.k == 6
+    assert (r.k, r.ambient_dim) == (6, 4)
     assert np.allclose(r.weights, 2.0 / 3.0)
-    assert r.gram_defect() < 1e-10
+    assert parseval_defect(r) < 1e-10
     assert float(r.weights.sum()) == pytest.approx(4.0, abs=1e-10)
-    # each expansion vector spans the right entry plane
-    for (i, j), u in zip(r.origin, r.vectors):
-        E = d.entries[i][0]
+    # rows in entry order: rows 2i and 2i + 1 are unit vectors of E_i
+    assert np.allclose(np.linalg.norm(r.vectors, axis=1), 1.0)
+    for j, u in enumerate(r.vectors):
+        E = d.entries[j // 2][0]
         assert np.linalg.norm(projection_matrix(E) @ u - u) < 1e-9
 
 
@@ -147,7 +154,7 @@ def test_expansion_holder():
     r = rank_one_expansion(d)
     assert r.k == 4
     assert np.allclose(r.weights, 0.5)
-    assert r.gram_defect() < 1e-12
+    assert parseval_defect(r) < 1e-12
 
 
 def test_datum_from_loomis_whitney_cover():
@@ -222,7 +229,7 @@ def test_random_generator_always_validates(rng):
         assert rep.is_valid and rep.defect <= 1e-10
         assert rep.trace_defect <= 1e-10
         r = rank_one_expansion(d)
-        assert r.gram_defect() < 1e-10
+        assert parseval_defect(r) < 1e-10
         assert r.k <= 12 and d.ambient_dim <= 6
 
 

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cauchy_binet_expansion, determinantal_per_entry, fiber_per_entry,
-                      gaussian_fiber_oracle, random_datum, random_rotation)
+from conftest import (bowtie_bfs, cauchy_binet_expansion, determinantal_per_entry, exact_log_det,
+                      fiber_per_entry, gaussian_fiber_oracle, random_datum, random_rotation)
 
 from blgeo.datum import (
     GeometricBLDatum,
-    RankOneDatum,
     axis_datum,
     direct_sum_data,
     holder_datum,
@@ -36,7 +35,7 @@ from blgeo.subspace import full_subspace, orthonormalize, projection_matrix
 def class_constant_t(r, values):
     """t assigned per bowtie class, in class order."""
     t = np.empty(r.k)
-    for cls, v in zip(bowtie_classes(r), values):
+    for cls, v in zip(bowtie_classes(r.vectors), values):
         t[list(cls)] = v
     return t
 
@@ -128,6 +127,33 @@ def test_equality_flip_under_single_perturbation():
     assert res.log_gap > 1e-8
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 0.0))
+def test_barthe_rank_one_rule_decides_the_verdict(seed, log_eps):
+    # Barthe (Invent. Math. 134, 1998): equality exactly when t is constant on
+    # each indecomposable class.  No library code reads the classes to decide
+    # the verdict, so the breadth-first class search is an independent oracle
+    rng = np.random.default_rng(seed)
+    d = random_datum(rng, max_dim=12, max_vectors=24)
+    r = rank_one_expansion(d)
+    classes = bowtie_bfs(r.vectors)
+    t = np.empty(r.k)
+    for cls in classes:
+        t[list(cls)] = np.exp(rng.uniform(-3.0, 3.0))
+    assert ball_barthe_check(r, t).equality
+    multi = [c for c in classes if len(c) >= 2]
+    if multi:
+        cls = multi[rng.integers(len(multi))]
+        t[cls[rng.integers(len(cls))]] *= 1.0 + 10.0 ** log_eps
+        res = ball_barthe_check(r, t)
+        assert not res.equality
+        # the gap is second order in eps (at least 0.037 eps^2 over 1366 such
+        # draws) and the budget at most about 2e-11: from eps = 1e-4 on the
+        # sides alone refute equality
+        if log_eps >= -4.0:
+            assert res.log_gap > res.budget
+
+
 # ---------------------------------------------------------------------------
 # Cauchy-Binet oracle
 # ---------------------------------------------------------------------------
@@ -153,7 +179,7 @@ def test_cauchy_binet_paired_planes_support():
     d = paired_planes_datum()
     r = rank_one_expansion(d)
     cb = cauchy_binet_expansion(r, np.ones(6))
-    classes = bowtie_classes(r)
+    classes = bowtie_classes(r.vectors)
     for I, w in zip(cb.subsets, cb.minor_weights):
         in_first = sum(1 for i in I if i in classes[0])
         if in_first != 2:  # a minor not taking 2 from each plane vanishes
@@ -166,8 +192,9 @@ def test_cauchy_binet_paired_planes_support():
 
 
 def test_cauchy_binet_cap():
-    vecs = np.tile(np.eye(8), (4, 1))
-    r = RankOneDatum(8, vecs, np.full(32, 0.25), tuple((0, j) for j in range(32)))
+    # four copies of the 8 axes with c = 1/4: C(32, 8) minors
+    r = rank_one_expansion(holder_datum(8, ["1/4"] * 4))
+    assert r.k == 32
     with pytest.raises(CapError):
         cauchy_binet_expansion(r, np.ones(32))
 
@@ -196,25 +223,17 @@ def test_paired_planes_aligned_operators():
     assert np.abs(res.equality_certificate - Phi).max() < 1e-9
 
 
-def test_generic_operators_strict_with_rank_one_oracle(rng):
+def test_generic_operators_strict_with_exact_oracle(rng):
     for _ in range(10):
         d = random_datum(rng)
         A_list = [random_spd(rng, E.dim) for E, _ in d.entries]
+        A_list = [0.5 * (A + A.T) for A in A_list]  # exactly symmetric, as the check reads them
         res = determinantal_high_check(d, A_list)
         assert res.log_gap >= -1e-9
-        # oracle: eigen-expansion reduces the check to the rank-one case
-        vecs, ws, ts = [], [], []
-        for (E, c), A in zip(d.entries, A_list):
-            lam, U = np.linalg.eigh(A)
-            for j in range(E.dim):
-                vecs.append(E.basis @ U[:, j])
-                ws.append(c)
-                ts.append(lam[j])
-        r1 = RankOneDatum(d.ambient_dim, np.array(vecs), np.array(ws),
-                          tuple((0, j) for j in range(len(ws))))
-        oracle = ball_barthe_check(r1, np.array(ts))
-        assert res.log_lhs == pytest.approx(oracle.log_lhs, abs=1e-8)
-        assert res.log_rhs == pytest.approx(oracle.log_rhs, abs=1e-8)
+        # oracle: the left side eliminated in exact rationals, the right from eigenvalues
+        assert abs(res.log_lhs - exact_log_det(d, A_list)) <= res.budget
+        rhs = math.fsum(c * float(np.log(np.linalg.eigvalsh(A)).sum()) for (_, c), A in zip(d.entries, A_list))
+        assert res.log_rhs == pytest.approx(rhs, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
