@@ -52,18 +52,24 @@ class GeometricBLDatum:
 
     Construction builds `frame_stacks`, the entries' frames stacked per
     dimension (subspace.frame_stacks), so per-entry work runs once per
-    entry dimension while sums across entries keep entry order;
-    `projections`, the (k, n, n) stack of the P_{E_i} in entry order,
-    which the decomposition reads; and `defect`, the max-norm of
+    entry dimension while sums across entries keep entry order, with each
+    stack's sqrt(c_i) (`stack_roots`) and frame rows' indices in the
+    expansion (`stack_rows`); in entry order, `weights` (the c_i),
+    `supports` (the columns each frame touches) and `projections` (the
+    P_{E_i}, which the decomposition reads); and `defect`, the max-norm of
     sum_i c_i P_{E_i} - I_n.  A datum is `validated` when the defect is
     within RESIDUAL_TOL; operations that assume sum_i c_i P_{E_i} = I_n
-    refuse any other.  The datum is frozen and its stacks read-only, so
+    refuse any other.  The datum is frozen and its arrays read-only, so
     they and the defect always describe its entries.
     """
 
     ambient_dim: int
     entries: tuple  # of (Subspace, float)
     frame_stacks: tuple = field(init=False, compare=False, repr=False)
+    stack_roots: tuple = field(init=False, compare=False, repr=False)
+    stack_rows: tuple = field(init=False, compare=False, repr=False)
+    weights: np.ndarray = field(init=False, compare=False, repr=False)
+    supports: np.ndarray = field(init=False, compare=False, repr=False)
     projections: np.ndarray = field(init=False, compare=False, repr=False)
     defect: float = field(init=False, compare=False, repr=False)
 
@@ -83,12 +89,18 @@ class GeometricBLDatum:
                 raise InputError("datum entries must be non-zero subspaces")
         object.__setattr__(self, "entries", entries)
         stacks = frame_stacks([E for E, _ in entries])
-        projections = np.empty((len(entries), n, n))
+        weights, starts = np.array([c for _, c in entries]), np.cumsum([0] + [E.dim for E, _ in entries])
+        projections, supports = np.empty((len(entries), n, n)), np.empty((len(entries), n), bool)
         for members, frames in stacks:
             projections[members] = _symmetric_gram(frames)
-        projections.setflags(write=False)
-        object.__setattr__(self, "frame_stacks", stacks)
-        object.__setattr__(self, "projections", projections)
+            supports[members] = (frames != 0).any(axis=1)
+        roots = tuple(np.sqrt(weights[members])[:, None, None] for members, _ in stacks)
+        rows = tuple(starts[members][:, None] + np.arange(frames.shape[1]) for members, frames in stacks)
+        for array in (weights, projections, supports, *roots, *rows):
+            array.setflags(write=False)
+        for name, value in (("frame_stacks", stacks), ("stack_roots", roots), ("stack_rows", rows),
+                            ("weights", weights), ("supports", supports), ("projections", projections)):
+            object.__setattr__(self, name, value)
         defect = float(np.abs(self.weighted_projection_sum() - np.eye(n)).max())
         object.__setattr__(self, "defect", defect)
 

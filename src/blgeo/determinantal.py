@@ -17,8 +17,9 @@ sum is gram_log_det's, from one QR of stacked rows, never of a Gram
 matrix or an inverse, and every result carries the first-order rounding
 budget that README.md derives.  Per-entry work (checks, factors, rows)
 runs as one numpy call per entry dimension over the datum's frame
-stacks; sums across entries run in entry order, so every value is the
-one a loop over the entries gives.
+stacks and the constants the datum built with them; sums across entries
+run in entry order, so every value is the one a loop over the entries
+gives.  The restriction test runs only where the sides allow equality.
 
 The same factors solve the Gaussian fiber problem: the minimum of
 sum c_i <A_i y_i, y_i> over sum c_i F_i^T y_i = x is <Q x, x>, where
@@ -44,22 +45,24 @@ from .subspace import RESIDUAL_TOL
 U = np.finfo(float).eps / 2  # unit roundoff
 
 
-def require_spd(M: np.ndarray, name: str) -> np.ndarray:
+def require_spd(M: np.ndarray, name: str) -> tuple:
     """Refuse a matrix or a stack unless each is finite, symmetric and
-    positive definite; returns the eigenvalues of each, ascending."""
-    if not np.all(np.isfinite(M)):
-        raise InputError(f"{name} must be finite")
+    positive definite; returns (1/2 M + 1/2 M^T, its eigenvalues ascending)."""
     T, axes = M.swapaxes(-1, -2), (-2, -1)
+    scale = np.abs(M).max(axis=axes)  # nan or inf exactly when its matrix holds one
+    if not math.isfinite(scale.max()):
+        raise InputError(f"{name} must be finite")
     with np.errstate(over="ignore"):  # a difference past the largest double is asymmetric too
         skew = np.abs(M - T).max(axis=axes)
     # relative to the matrix's own largest entry, so a tiny matrix gets no free pass
-    if np.any(skew > 1e-9 * np.abs(M).max(axis=axes)):
+    if (skew > 1e-9 * scale).any():
         raise InputError(f"{name} must be symmetric")
     # halves first: the sum of two entries near the largest double overflows
-    eigenvalues = np.linalg.eigvalsh(0.5 * M + 0.5 * T)
-    if np.any(eigenvalues[..., 0] <= 0.0):
+    S = 0.5 * M + 0.5 * T
+    eigenvalues = np.linalg.eigvalsh(S)
+    if eigenvalues[..., 0].min() <= 0.0:
         raise InputError(f"{name} must be positive definite")
-    return eigenvalues
+    return S, eigenvalues
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ def gram_log_det(rows: np.ndarray, kappa: float) -> tuple:
     order = np.argsort(-np.abs(rows).max(axis=1), kind="stable")
     h = np.linalg.qr(rows[order], mode="raw")[0]  # R is the upper triangle of h^T
     try:
-        logs = [2.0 * math.log(abs(r)) for r in np.diagonal(h).tolist()]
+        logs = [2.0 * math.log(abs(r)) for r in h.diagonal().tolist()]
     except ValueError:  # a zero on the diagonal
         raise InternalError("assembled operator is not positive definite") from None
     K, n = rows.shape
@@ -125,36 +128,33 @@ def _factor_rows(d: GeometricBLDatum, blocks, diagonals) -> tuple:
     and the diagonals of triangular factors T_i, stacked as d.frame_stacks
     groups the entries: the rows sqrt(c_i) X_i in that order, and the log
     dets summed in entry order."""
-    weights = np.array([c for _, c in d.entries])
     logdets = np.empty(d.k)
     for (members, _), diag in zip(d.frame_stacks, diagonals):
         logdets[members] = 2.0 * np.log(np.abs(diag)).sum(axis=-1)
     total = 0.0
-    for c, logdet in zip(weights.tolist(), logdets.tolist()):
+    for c, logdet in zip(d.weights.tolist(), logdets.tolist()):
         total += c * logdet
-    return np.concatenate([(np.sqrt(weights[members])[:, None, None] * X).reshape(-1, X.shape[-1])
-                           for (members, _), X in zip(d.frame_stacks, blocks)]), total
+    return np.concatenate([(root * X).reshape(-1, X.shape[-1]) for root, X in zip(d.stack_roots, blocks)]), total
 
 
 def _restricts(d: GeometricBLDatum, M: np.ndarray, blocks=None, least=None) -> bool:
     """Whether M maps every E_i into itself as B_i (blocks, F_i M F_i^T by
-    default, and least their lambda_min, stacked as d.frame_stacks): each
-    max|M F_i^T - F_i^T B_i| within its entry's own scale, RESIDUAL_TOL
-    lambda_min(B_i), plus the rounding of M's K-term sums and n-term
-    products, twice over, in the columns F_i touches (exact zeros stay
-    exact, so a block apart adds nothing).  A symmetric M that passes
-    commutes with every P_{E_i}: its eigenspaces are critical."""
+    default, stacked as d.frame_stacks, and least their lambda_min in entry
+    order): each max|M F_i^T - F_i^T B_i| within its entry's own scale,
+    RESIDUAL_TOL lambda_min(B_i), plus the rounding of M's K-term sums and
+    n-term products, twice over, in the columns F_i touches (d.supports;
+    exact zeros stay exact, so a block apart adds nothing).  A symmetric M
+    that passes commutes with every P_{E_i}: its eigenspaces are critical."""
     if blocks is None:
-        blocks = [F @ M @ F.swapaxes(-1, -2) for _, F in d.frame_stacks]
-        least = [np.linalg.eigvalsh(B)[:, 0] for B in blocks]
-    n, reach = d.ambient_dim, np.abs(M).max(axis=0)
+        blocks, least = [F @ M @ F.swapaxes(-1, -2) for _, F in d.frame_stacks], np.empty(d.k)
+        for (members, _), B in zip(d.frame_stacks, blocks):
+            least[members] = np.linalg.eigvalsh(B)[:, 0]
+    n, reach, residual = d.ambient_dim, np.abs(M).max(axis=0), np.empty(d.k)
     slack = 2 * n * (sum(F.shape[0] * F.shape[1] for _, F in d.frame_stacks) + n) * U
-    for (_, F), B, lam_min in zip(d.frame_stacks, blocks, least):
+    for (members, F), B in zip(d.frame_stacks, blocks):
         Ft = F.swapaxes(-1, -2)
-        residual = np.abs(M @ Ft - Ft @ B).max(axis=(-2, -1))
-        if not np.all(residual <= RESIDUAL_TOL * lam_min + slack * ((F != 0) * reach).max(axis=(-2, -1))):
-            return False
-    return True
+        residual[members] = np.abs(M @ Ft - Ft @ B).max(axis=(-2, -1))
+    return bool((residual <= RESIDUAL_TOL * least + slack * (d.supports * reach).max(axis=-1)).all())
 
 
 def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
@@ -166,20 +166,14 @@ def ball_barthe_check(r: RankOneDatum, t) -> DetCheckResult:
     t = np.asarray(t, dtype=float)
     if t.shape != (r.k,):
         raise InputError(f"need one t per vector: expected {r.k}, got {t.shape}")
-    if not np.all(np.isfinite(t)) or np.any(t <= 0.0):
+    if not np.isfinite(t).all() or (t <= 0.0).any():
         raise InputError("all t_i must be positive and finite")
-    cuts = np.cumsum([E.dim for E, _ in r.datum.entries])[:-1]
-    return determinantal_high_check(r.datum, [np.diag(part) for part in np.split(t, cuts)])
+    # each stack's diag(t_i) straight from t: t_j times 1 on the diagonal, +0 off it
+    return _high_check(r.datum, [t[rows][..., None] * np.eye(rows.shape[1]) for rows in r.datum.stack_rows])
 
 
 def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
-    """Higher-rank determinantal inequality with the Phi certificate.
-
-    With A_i = L_i L_i^T by Cholesky, the rows B = [sqrt(c_i) L_i^T F_i]
-    give the left side (gram_log_det) and the certificate M = B^T B =
-    sum c_i F_i^T A_i F_i.  Equality is declared iff M restricts to every
-    A_i (_restricts) and the sides do not refute it.
-    """
+    """Higher-rank determinantal inequality: _high_check of the A_i, stacked."""
     require_validated(d)
     if len(A_list) != d.k:
         raise InputError(f"need one operator per entry: expected {d.k}, got {len(A_list)}")
@@ -187,31 +181,42 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
     for (E, _), A in zip(d.entries, A_list):
         if A.shape != (E.dim, E.dim):
             raise InputError(f"operator shape {A.shape} does not match dim E = {E.dim}")
-    mats, least, factors = [], [], []
+    return _high_check(d, [np.array([A_list[i] for i in members.tolist()]) for members, _ in d.frame_stacks])
+
+
+def _high_check(d: GeometricBLDatum, stacks) -> DetCheckResult:
+    """The determinantal check, with the Phi certificate, of the A_i stacked
+    as d.frame_stacks.  With A_i = L_i L_i^T by Cholesky, the rows
+    B = [sqrt(c_i) L_i^T F_i] give the left side (gram_log_det) and the
+    certificate M = B^T B = sum c_i F_i^T A_i F_i.  Equality is declared
+    iff the sides do not refute it and M restricts to every A_i (_restricts).
+    """
+    mats, least, factors = [], np.empty(d.k), []
     lo, hi, delta = math.inf, 0.0, 0.0
-    for members, F in d.frame_stacks:
-        A = np.array([A_list[i] for i in members])
-        lam = require_spd(A, "operators")
-        mats.append(0.5 * A + 0.5 * A.swapaxes(-1, -2))
-        least.append(lam[:, 0])
+    for (members, F), A in zip(d.frame_stacks, stacks):
+        A, lam = require_spd(A, "operators")
+        mats.append(A)
+        least[members] = lam[:, 0]
         try:
-            factors.append(np.linalg.cholesky(mats[-1]))
+            factors.append(np.linalg.cholesky(A))
         except np.linalg.LinAlgError:  # positive eigenvalues, yet singular to working precision
             raise InputError("operators must be positive definite") from None
-        dim, kappa = F.shape[1], _safe_exp(float(np.max(np.log(lam[:, -1]) - np.log(lam[:, 0]))))
+        dim, kappa = F.shape[1], _safe_exp(float((np.log(lam[:, -1]) - np.log(lam[:, 0])).max()))
         delta = max(delta, (dim + 1) * dim * kappa * U + (dim + 2) * dim * math.sqrt(kappa) * U)
         lo, hi = min(lo, float(lam.min())), max(hi, float(lam.max()))
     rows, log_rhs = _factor_rows(d, [L.swapaxes(-1, -2) @ F for (_, F), L in zip(d.frame_stacks, factors)],
-                                 [np.diagonal(L, axis1=-2, axis2=-1) for L in factors])
+                                 [L.diagonal(0, -2, -1) for L in factors])
     log_lhs, error = gram_log_det(rows, math.sqrt(hi) / math.sqrt(lo))
     n = d.ambient_dim
     # l_jj^2 lies in [lo, hi], which bounds the logs that log_rhs sums
     budget = error + 2 * n * delta + (len(rows) + 2) * U * n * max(abs(math.log(lo)), abs(math.log(hi)))
-    M = np.einsum("ki,kj->ij", rows, rows)  # fixed order, no BLAS: same bytes at any thread count
     # an entry beside operators some 1e12 times larger in its own coordinates is
     # lost in the rounding of M, not in the row-sorted QR: there the sides decide
-    equality = _restricts(d, M, mats, least) and log_lhs - log_rhs <= budget
-    return _det_result(log_lhs, log_rhs, budget, M if equality else None)
+    if log_lhs - log_rhs <= budget:
+        M = np.einsum("ki,kj->ij", rows, rows)  # fixed order, no BLAS: same bytes at any thread count
+        if _restricts(d, M, mats, least):
+            return _det_result(log_lhs, log_rhs, budget, M)
+    return _det_result(log_lhs, log_rhs, budget, None)
 
 
 def _fiber_factors(d: GeometricBLDatum, Phi) -> tuple:
@@ -222,7 +227,7 @@ def _fiber_factors(d: GeometricBLDatum, Phi) -> tuple:
     Phi = np.asarray(Phi, dtype=float)
     if Phi.shape != (d.ambient_dim, d.ambient_dim):
         raise InputError(f"Phi must be {d.ambient_dim} x {d.ambient_dim}")
-    eigenvalues = require_spd(Phi, "Phi")
+    eigenvalues = require_spd(Phi, "Phi")[1]
     if eigenvalues[0] < np.finfo(float).tiny:  # the rounding budget takes every error as relative
         raise InputError("Phi must have no subnormal eigenvalue")
     factors = [np.linalg.qr(Phi @ F.swapaxes(-1, -2)) for _, F in d.frame_stacks]
@@ -231,7 +236,7 @@ def _fiber_factors(d: GeometricBLDatum, Phi) -> tuple:
         raise InputError("Phi F_i^T leaves the double range in its QR factors")
     return (Phi, eigenvalues, factors,
             *_factor_rows(d, [Q.swapaxes(-1, -2) for Q, _ in factors],
-                          [np.diagonal(R, axis1=-2, axis2=-1) for _, R in factors]))
+                          [R.diagonal(0, -2, -1) for _, R in factors]))
 
 
 def fiber_log_sides(d: GeometricBLDatum, Phi) -> DetCheckResult:
@@ -252,7 +257,7 @@ def fiber_log_sides(d: GeometricBLDatum, Phi) -> DetCheckResult:
         budget = error_s + error_phi + 2 * n * theta * (sigma[-1] ** -2.0 + 2.0) + rounding
     if not math.isfinite(budget):
         raise InputError("Phi's rounding budget leaves the double range")
-    equality = _restricts(d, Phi) and log_s - log_phi + log_a <= budget
+    equality = log_s - log_phi + log_a <= budget and _restricts(d, Phi)
     return _det_result(log_s - log_phi, -log_a, budget, Phi if equality else None)
 
 
@@ -274,11 +279,10 @@ def min_norm_decomposition(d: GeometricBLDatum, Phi: np.ndarray, x) -> MinNormRe
     Phi, _, factors, rows, _ = _fiber_factors(d, Phi)
     x = np.asarray(x, dtype=float).reshape(d.ambient_dim)
     w = np.linalg.lstsq(rows.T, Phi @ x, rcond=None)[0]
-    weights = np.array([c for _, c in d.entries])
     minimizers = np.empty((d.k, d.ambient_dim))
     at = 0
-    for (members, F), (_, R) in zip(d.frame_stacks, factors):
-        w_i = w[at:at + F.shape[0] * F.shape[1]].reshape(F.shape[:2]) / np.sqrt(weights[members])[:, None]
+    for (members, F), root, (_, R) in zip(d.frame_stacks, d.stack_roots, factors):
+        w_i = w[at:at + F.shape[0] * F.shape[1]].reshape(F.shape[:2]) / root[..., 0]
         at += w_i.size
         minimizers[members] = (F.swapaxes(-1, -2) @ np.linalg.solve(R, w_i[..., None]))[..., 0]
     recon = sum(c * xi for (_, c), xi in zip(d.entries, minimizers))

@@ -109,14 +109,14 @@ class GaussianDensity(Density):
         d = domain.dim
         A = as_array(A, (d, d), "gaussian matrix A")
         if d:
-            require_spd(A, "gaussian matrix")
+            A = require_spd(A, "gaussian matrix")[0]
         if not (theta > 0.0 and np.isfinite(theta)):
             raise InputError("gaussian scale theta must be positive")
         b = np.zeros(d) if b is None else as_array(b, (d,), "gaussian centre b")
         if not np.all(np.isfinite(b)):
             raise InputError("gaussian centre b must be finite")
         self.domain = domain
-        self.A = 0.5 * A + 0.5 * A.T
+        self.A = A
         self.b = b
         self.theta = float(theta)
         try:

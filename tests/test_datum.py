@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -23,7 +24,7 @@ from blgeo.datum import (
 )
 from blgeo.determinantal import determinantal_high_check
 from blgeo.errors import CapError, InputError
-from blgeo.structure import is_critical
+from blgeo.structure import independent_subspaces, is_critical, restrict_datum
 from blgeo.subspace import RESIDUAL_TOL, full_subspace, orthonormalize, projection_matrix
 
 
@@ -65,21 +66,34 @@ def test_projection_stack_is_a_read_only_invariant(rng):
 
 def test_frame_stacks_are_a_read_only_invariant(rng):
     # one stack per entry dimension, in order of first appearance, members
-    # in entry order, each slice the frame of its entry
+    # in entry order, each slice the frame of its entry; beside each stack
+    # its sqrt(c_i) and the indices of its frames' rows in the expansion,
+    # and in entry order the weights and the columns each frame touches
     for _ in range(20):
         base = random_datum(rng, max_dim=8, max_vectors=16)
-        for d in (base, direct_sum_data([holder_datum(3, [1.0]), base, axis_datum(1)])):
-            dims = [E.dim for E, _ in d.entries]
+        summed = direct_sum_data([holder_datum(3, [1.0]), base, axis_datum(1)])
+        V = independent_subspaces(summed).indecomposable_decomposition[-1]
+        for d in (base, summed, GeometricBLDatum.from_json(summed.to_json()), restrict_datum(summed, V),
+                  rotate_datum(summed, random_rotation(rng, summed.ambient_dim))):
+            dims, vectors = [E.dim for E, _ in d.entries], rank_one_expansion(d).vectors
             assert [F.shape[1] for _, F in d.frame_stacks] == list(dict.fromkeys(dims))
-            for members, F in d.frame_stacks:
+            assert d.weights.tolist() == [c for _, c in d.entries]
+            assert np.array_equal(d.supports, [(E.frame != 0).any(axis=0) for E, _ in d.entries])
+            for array in (d.weights, d.supports):
+                with pytest.raises(ValueError):
+                    array[0] = 0
+            assert len(d.stack_roots) == len(d.stack_rows) == len(d.frame_stacks)
+            for (members, F), root, rows in zip(d.frame_stacks, d.stack_roots, d.stack_rows):
                 assert members.tolist() == [i for i, m in enumerate(dims) if m == F.shape[1]]
                 assert F.shape == (len(members), F.shape[1], d.ambient_dim)
                 for i, Fi in zip(members, F):
                     assert np.array_equal(Fi, d.entries[i][0].frame)
-                with pytest.raises(ValueError):
-                    F[0, 0, 0] = 0.5
-                with pytest.raises(ValueError):
-                    members[0] = 0
+                assert root.shape == (len(members), 1, 1)
+                assert root.ravel().tolist() == [math.sqrt(d.entries[i][1]) for i in members]
+                assert rows.shape == F.shape[:2] and np.array_equal(vectors[rows], F)
+                for array in (F, members, root, rows):
+                    with pytest.raises(ValueError):
+                        array.flat[0] = 0
 
 
 def test_every_builder_carries_its_stack_and_defect(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -291,9 +292,12 @@ def test_non_pd_operator_rejected():
 
 
 def test_require_spd_refuses_one_bad_slice_of_a_stack(rng):
-    stack = np.stack([random_spd(rng, 3) for _ in range(4)])
-    require_spd(stack, "operators")
-    require_spd(stack[2], "operators")  # a single matrix is a stack of one
+    # symmetric to about 1e-12, so that the halves it returns differ from M
+    stack = np.stack([random_spd(rng, 3) for _ in range(4)]) * (1.0 + 1e-12 * rng.standard_normal((4, 3, 3)))
+    for M in (stack, stack[2]):  # a single matrix is a stack of one
+        S, eigenvalues = require_spd(M, "operators")
+        assert S.tobytes() == (0.5 * M + 0.5 * M.swapaxes(-1, -2)).tobytes()
+        assert eigenvalues.tobytes() == np.linalg.eigvalsh(S).tobytes()
     faults = {"finite": lambda A: A.__setitem__((0, 1), np.nan),
               "symmetric": lambda A: A.__setitem__((0, 1), A[0, 1] + 0.1),
               "positive definite": lambda A: A.__imul__(-1.0)}
@@ -303,8 +307,15 @@ def test_require_spd_refuses_one_bad_slice_of_a_stack(rng):
         for M in (bad, bad[2]):
             with pytest.raises(InputError, match=f"^operators must be {word}$"):
                 require_spd(M, "operators")
+    # one ulp apart in the subnormals: 1e-9 of the largest entry underflows to 0,
+    # and halving before the difference would round the ulp away as well
+    b = 3e-321
+    with pytest.raises(InputError, match="^operators must be symmetric$"):
+        require_spd(np.array([[1e-320, b], [np.nextafter(b, 1.0), 1e-320]]), "operators")
     # the single-matrix callers
-    assert GaussianDensity(full_subspace(3), stack[1]).integral() > 0
+    gaussian = GaussianDensity(full_subspace(3), stack[1])
+    assert gaussian.integral() > 0
+    assert gaussian.A.tobytes() == require_spd(stack[1], "gaussian matrix")[0].tobytes()
     with pytest.raises(InputError, match="gaussian matrix must be positive definite"):
         GaussianDensity(full_subspace(3), -stack[1])
     ExtremizerParams(A=stack[0])
@@ -355,6 +366,30 @@ def test_batched_layers_equal_the_per_entry_loops(seed):
         barthe = gaussian_barthe_eval(d, phi)
         assert (barthe.lhs, barthe.rhs) == (math.exp(log_pi + 0.5 * log_lhs),
                                             math.exp(log_pi + 0.5 * log_rhs))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_t_is_the_operator_check_with_diagonal_operators(seed, constant):
+    # ball_barthe_check writes its diagonal stacks straight from t; the same
+    # operators as a list take determinantal_high_check's way in, and every
+    # field agrees, the certificate's bytes too
+    rng = np.random.default_rng(seed)
+    d = random_datum(rng, max_dim=12, max_vectors=24)
+    r = rank_one_expansion(d)
+    t = np.exp(rng.uniform(-3.0, 3.0, r.k))
+    if constant:
+        for cls in bowtie_bfs(r.vectors):
+            t[list(cls)] = t[cls[0]]
+    cuts = np.cumsum([E.dim for E, _ in d.entries])[:-1]
+    got, want = ball_barthe_check(r, t), determinantal_high_check(d, [np.diag(part) for part in np.split(t, cuts)])
+    assert got.equality is (constant or want.equality)
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "equality_certificate":
+            assert (a is None and b is None) or (a.shape == b.shape and a.tobytes() == b.tobytes())
+        else:
+            assert a == b
 
 
 # ---------------------------------------------------------------------------
