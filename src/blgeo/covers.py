@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import CapError, InputError, InternalError, as_array, as_int, read
 
@@ -145,7 +146,9 @@ class VoxelBody:
 
 
 def _project_cells(cells, axes) -> frozenset:
-    return frozenset(tuple(cell[a] for a in axes) for cell in cells)
+    """Each cell's coordinates on axes, as a tuple: a 1-tuple on one axis."""
+    pick = itemgetter(*axes) if len(axes) > 1 else itemgetter(slice(axes[0], axes[0] + 1))
+    return frozenset(map(pick, cells))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ bilinear cross term of at most min(n, free coordinates) products.  When
 every such block is Gaussian and there is at most one product, the sup
 over the free tuples is a one-dimensional discrete Legendre transform,
 found for every output cell by a divide and conquer in O(M + T log M)
-candidates.  Otherwise the output cells x free tuples table is taken in
+candidates, which searches its segments whole once they fit in one tile
+together.  Otherwise the output cells x free tuples table is taken in
 tiles of SUPCONV_TILE candidates, joined by a running maximum.  The
 cells, the tuples and their product are capped before any grid array is
 built.  Reported errors combine a cell-variation (inner/outer Riemann)
@@ -409,8 +410,10 @@ def _cartesian_centers(spec: GridSpec, dim: int, rows=slice(None)) -> np.ndarray
     rows picks a range of the first axis."""
     axes = [spec.centers()] * dim
     axes[0] = axes[0][rows]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    out = np.empty([len(a) for a in axes] + [dim])
+    for j, a in enumerate(axes):
+        out[..., j] = _along(dim, j, a)
+    return out.reshape(-1, dim)
 
 
 def _center_slabs(spec: GridSpec, dim: int):
@@ -651,8 +654,10 @@ def _row_maxima(p: np.ndarray, L: np.ndarray, t: np.ndarray) -> np.ndarray:
     searched over its segment's columns and splits them for the rows
     above and below.  A segment of r rows and w columns with r w <= 2 (r + w)
     (one or two rows, or about two columns) is searched whole at the end,
-    in tiles of about SUPCONV_TILE candidates that keep each row whole.
-    Each level is one vectorized pass over at most T + segments
+    and so is every segment left once their r w together fit in
+    SUPCONV_TILE: a table of one tile is one pass, with no descent.  The
+    end pass takes tiles of about SUPCONV_TILE candidates that keep each
+    row whole.  Each level is one vectorized pass over at most T + segments
     candidates, each computed as in the whole table, so every maximum is
     a value of the table and no float depends on the BLAS or the tile.
     O(M + T log M) candidates in all."""
@@ -662,7 +667,8 @@ def _row_maxima(p: np.ndarray, L: np.ndarray, t: np.ndarray) -> np.ndarray:
     narrow = []  # segments taken whole: every row over every column
     while True:
         height, width = seg[1] - seg[0], seg[3] - seg[2] + 1
-        done = height * width <= 2 * (height + width)
+        area = height * width
+        done = (area <= 2 * (height + width)) | (area.sum() <= SUPCONV_TILE)
         narrow.append(seg[:, done])
         seg = seg[:, ~done]
         if not seg.size:
@@ -734,11 +740,17 @@ def _tile_walk(R, L, products, others) -> np.ndarray:
 
 
 def _filter3(a: np.ndarray, op) -> np.ndarray:
-    """np.maximum or np.minimum over each 3^n block: scipy.ndimage's size-3 'nearest' filter."""
+    """np.maximum or np.minimum over each 3^n block: scipy.ndimage's size-3 'nearest' filter.
+    Per axis, one copy takes its lower and then its upper neighbour in
+    place, the edge cell its one neighbour; min and max are exact, so the
+    order changes no value."""
     for axis in range(a.ndim):
-        p = np.pad(a, [(1, 1) if i == axis else (0, 0) for i in range(a.ndim)], mode="edge")
-        m, head = a.shape[axis], (slice(None),) * axis
-        a = op(op(p[head + (slice(0, m),)], p[head + (slice(1, m + 1),)]), p[head + (slice(2, m + 2),)])
+        head = (slice(None),) * axis
+        lo, hi = head + (slice(None, -1),), head + (slice(1, None),)
+        out = a.copy()
+        op(out[hi], a[lo], out=out[hi])
+        op(out[lo], a[hi], out=out[lo])
+        a = out
     return a
 
 

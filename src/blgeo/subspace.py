@@ -163,7 +163,7 @@ def contains(A: Subspace, B: Subspace) -> bool:
     """True iff B is contained in A (every frame vector of B projects onto itself)."""
     if A.ambient_dim != B.ambient_dim:
         raise InputError(f"ambient dimension mismatch: {A.ambient_dim} vs {B.ambient_dim}")
-    if B.dim == 0:
+    if B.dim == 0 or B is A:  # immutable, so A holds itself
         return True
     if B.dim > A.dim:
         return False

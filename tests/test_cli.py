@@ -537,7 +537,7 @@ REFUSALS = {
     "overflowing_barthe_sides", "overflowing_ball_sides", "grid_mass_overflow",
     "grid_before_missing_datum", "transport_samples", "overflowing_grid_barthe_sides",
     "overflowing_theta_barthe_sides", "overflowing_phi_barthe_sides", "grid_without_cells",
-    "plane_grid_without_cells", "gaussian_over_zero", *REFUSALS,
+    "plane_grid_without_cells", "gaussian_over_zero", "density_off_its_line", *REFUSALS,
 ])
 def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
     def write(name, text):
@@ -600,6 +600,7 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
              "grid_before_missing_datum": "--grid h",
              "grid_overflow": "grid cell count", "overflowing_report": "grid values",
              "grid_mass_overflow": "grid values",
+             "density_off_its_line": "error: density domains must match the datum subspaces",
              **dict.fromkeys(["overflowing_bl_sides", "overflowing_barthe_sides",
                               "overflowing_ball_sides", "overflowing_grid_barthe_sides",
                               "overflowing_theta_barthe_sides", "overflowing_phi_barthe_sides"],
@@ -682,6 +683,13 @@ def test_malformed_input_exits_one_with_message(case, tmp_path, capsys):
         side = dict(grid, values=[1e300] * 4) if "grid" in case else dict(GAUSS_JSON, theta=1e300)
         argv = ["barthe-eval", write("lines.json", json.dumps(lines.to_json())), "--densities",
                 write("d.json", json.dumps([dict(side, domain=E.to_json()) for E, _ in lines.entries])),
+                "--grid", "h=0.25,box=2"]
+    elif case == "density_off_its_line":
+        # the second density sits on the first line of the three
+        lines = planar_lines_datum(3)
+        E = [E.to_json() for E, _ in lines.entries]
+        argv = ["barthe-eval", write("lines.json", json.dumps(lines.to_json())), "--densities",
+                write("d.json", json.dumps([dict(GAUSS_JSON, domain=E[i]) for i in (0, 0, 2)])),
                 "--grid", "h=0.25,box=2"]
     elif case == "overflowing_phi_barthe_sides":
         # det(Phi)^-1 = 1e600 on the Hoelder datum in R^3

@@ -362,6 +362,12 @@ def test_supconv_three_lines_on_the_exact_fiber():
     fs = [GaussianDensity(E, A) for (E, _), A in zip(d.entries, precisions)]
     ev = supconv_eval(d, fs, GridSpec(0.1, 4.0))
     assert abs(ev.lhs / np.exp(gaussian_fiber_oracle(d, precisions)[1]) - 1.0) < 0.01
+    # each line in its negated frame is the same span; a density on another line is not
+    flipped = [GaussianDensity(Subspace(2, -E.frame), A) for (E, _), A in zip(d.entries, precisions)]
+    ev = supconv_eval(d, flipped, GridSpec(0.1, 4.0))
+    assert abs(ev.lhs / np.exp(gaussian_fiber_oracle(d, precisions)[1]) - 1.0) < 0.01
+    with pytest.raises(InputError, match="^density domains must match the datum subspaces$"):
+        supconv_eval(d, [fs[0], fs[0], fs[2]], GridSpec(0.1, 4.0))
 
 
 def test_supconv_block_split_between_solved_and_free():
@@ -622,22 +628,34 @@ def test_supconv_tile_walk_holds_a_few_values_per_cell_and_tuple():
     assert traced_peak(d, fs, GridSpec(0.05, 4.0)) < 300 * 2 ** 20
 
 
-def test_row_maxima_matches_the_whole_table():
+def test_row_maxima_matches_the_whole_table(monkeypatch):
     # random rows and columns, and tables full of ties: constant L,
-    # repeated t, repeated p, a zero p, one row, one column
+    # repeated t, repeated p, a zero p, one row, one column; each at the
+    # default tile, at a tile that holds every table (one whole pass, so
+    # the whole table's maxima bit for bit) and at a one-candidate tile,
+    # which descends to segments of one or two rows
     rng = np.random.default_rng(7)
     cases = []
     for M, T in ((1, 1), (1, 9), (9, 1), (2, 2), (3, 40), (37, 211), (300, 17), (64, 64), (500, 500)):
         p, L, t = rng.standard_normal(M), rng.standard_normal(T), rng.standard_normal(T)
         cases += [(p, L, t), (1e6 * p, L, 1e-3 * t), (p, np.full(T, 0.7), t), (p, L, np.round(t)),
                   (np.round(p), L, t), (np.round(p), np.round(L), np.round(t)), (np.zeros(M), L, t)]
+
+    def row_maxima(p, L, t, tile):
+        monkeypatch.setattr(integrals, "SUPCONV_TILE", tile)
+        return integrals._row_maxima(p, L, t)
+
+    default = integrals.SUPCONV_TILE
     for p, L, t in cases:
         order = np.argsort(t, kind="stable")
         L, t = L[order], t[order]
         table = L[None, :] + p[:, None] * t[None, :]
-        got = integrals._row_maxima(p, L, t)
-        assert np.all(got <= table.max(axis=1)), (len(p), len(t))
-        assert np.all(table.max(axis=1) - got <= 1e-15 * np.abs(table).max()), (len(p), len(t))
+        whole = table.max(axis=1)
+        for tile in (default, 1):
+            got = row_maxima(p, L, t, tile)
+            assert np.all(got <= whole), (len(p), len(t), tile)
+            assert np.all(whole - got <= 1e-15 * np.abs(table).max()), (len(p), len(t), tile)
+        assert np.array_equal(row_maxima(p, L, t, 10 ** 9), whole), (len(p), len(t))
 
 
 RANK_ONE_SHAPES = ["holder2", "holder3", "holder4", "holder5", "grid",

@@ -78,6 +78,8 @@ def test_sum_contains_equal_examples():
     assert contains(full_subspace(2), e1)
     diag = orthonormalize([[1, 1]])
     assert not contains(e1, diag)
+    # a subspace holds itself, read as the same object or as a copy of its frame
+    assert contains(diag, diag) and equal(diag, diag) and equal(diag, Subspace(2, diag.frame))
 
 
 def test_ambient_mismatch_raises():
