@@ -21,14 +21,13 @@ stacks and the constants the datum built with them; sums across entries
 run in entry order, so every value is the one a loop over the entries
 gives.  The restriction test runs only where the sides allow equality.
 
-The same factors solve the Gaussian fiber problem: the minimum of
-sum c_i <A_i y_i, y_i> over sum c_i F_i^T y_i = x is <Q x, x>, where
-Q^-1 = sum c_i F_i^T A_i^-1 F_i, and Barthe's two sides for
-f_i(y) = exp(-<A_i y, y>) are pi^(n/2) det(Q^-1)^(1/2) and
-pi^(n/2) prod det(A_i^-1)^(c_i/2).  For A_i = F_i Phi^2 F_i^T and the QR
-Phi F_i^T = Q_i R_i, Q^-1 = Phi^-1 S Phi^-1 for every SPD Phi, with S =
-sum c_i Q_i Q_i^T the weighted projections onto the Phi E_i; the sides
-are equal exactly when Phi restricts to F_i Phi F_i^T on every E_i.
+The same core gives Barthe's Gaussian sides: the minimum of sum c_i
+<A_i y_i, y_i> over sum c_i F_i^T y_i = x is <Q x, x>, Q^-1 = sum c_i
+F_i^T A_i^-1 F_i, so for f_i(y) = exp(-<A_i y, y>) the sides are
+pi^(n/2) det(Q^-1)^(1/2) and pi^(n/2) prod det(A_i^-1)^(c_i/2), the
+determinantal sides of the A_i^-1.  With A_i = F_i Phi^2 F_i^T = R_i^T R_i
+(the QR of Phi F_i^T) their factors are R_i^-1, and the sides are equal
+exactly when Phi restricts to F_i Phi F_i^T on every E_i.
 """
 
 from __future__ import annotations
@@ -123,37 +122,43 @@ def gram_log_det(rows: np.ndarray, kappa: float) -> tuple:
     return math.fsum(logs), 2 * n * K * n * U * kappa + (n + 1) * U * math.fsum(map(abs, logs))
 
 
-def _factor_rows(d: GeometricBLDatum, blocks, diagonals) -> tuple:
-    """(rows, sum_i c_i log det(T_i T_i^T)) for row blocks X_i (dim E_i x n)
-    and the diagonals of triangular factors T_i, stacked as d.frame_stacks
-    groups the entries: the rows sqrt(c_i) X_i in that order, and the log
-    dets summed in entry order."""
+def _factor_rows(d: GeometricBLDatum, blocks) -> np.ndarray:
+    """The rows sqrt(c_i) X_i of row blocks X_i (dim E_i x n) stacked as d.frame_stacks, in that order."""
+    return np.concatenate([(root * X).reshape(-1, X.shape[-1]) for root, X in zip(d.stack_roots, blocks)])
+
+
+def _gaussian_sides(d: GeometricBLDatum, rows, logs, kappa: float, log_range: float, delta: float) -> tuple:
+    """The one core of every Gaussian check: (log det(B B^T), sum_i c_i log
+    det(T_i T_i^T) in entry order, the budget of their difference) for the rows
+    B^T = [sqrt(c_i) T_i^T F_i] of triangular T_i with log|t_jj| logs, stacked
+    as d.frame_stacks; kappa bounds cond(B), log_range each |2 log t_jj| and
+    delta the relative error of each factor and row block (README.md)."""
     logdets = np.empty(d.k)
-    for (members, _), diag in zip(d.frame_stacks, diagonals):
-        logdets[members] = 2.0 * np.log(np.abs(diag)).sum(axis=-1)
-    total = 0.0
+    for (members, _), part in zip(d.frame_stacks, logs):
+        logdets[members] = 2.0 * part.sum(axis=-1)
+    log_rhs = 0.0
     for c, logdet in zip(d.weights.tolist(), logdets.tolist()):
-        total += c * logdet
-    return np.concatenate([(root * X).reshape(-1, X.shape[-1]) for root, X in zip(d.stack_roots, blocks)]), total
+        log_rhs += c * logdet
+    log_lhs, error = gram_log_det(rows, kappa)
+    return log_lhs, log_rhs, error + 2 * d.ambient_dim * delta + (len(rows) + 2) * U * d.ambient_dim * log_range
 
 
-def _restricts(d: GeometricBLDatum, M: np.ndarray, blocks=None, least=None) -> bool:
-    """Whether M maps every E_i into itself as B_i (blocks, F_i M F_i^T by
-    default, stacked as d.frame_stacks, and least their lambda_min in entry
-    order): each max|M F_i^T - F_i^T B_i| within its entry's own scale,
-    RESIDUAL_TOL lambda_min(B_i), plus the rounding of M's K-term sums and
-    n-term products, twice over, in the columns F_i touches (d.supports;
-    exact zeros stay exact, so a block apart adds nothing).  A symmetric M
-    that passes commutes with every P_{E_i}: its eigenspaces are critical."""
+def _restricts(d: GeometricBLDatum, M: np.ndarray, products=None, blocks=None, least=None) -> bool:
+    """Whether M maps every E_i into itself as B_i (products M F_i^T and blocks
+    F_i M F_i^T from them by default, stacked as d.frame_stacks, least their
+    lambda_min in entry order): each max|M F_i^T - F_i^T B_i| within RESIDUAL_TOL
+    lambda_min(B_i) plus twice the rounding of M's sums and products in the columns
+    F_i touches (d.supports).  A symmetric M that passes has critical eigenspaces."""
+    if products is None:
+        products = [M @ F.swapaxes(-1, -2) for _, F in d.frame_stacks]
     if blocks is None:
-        blocks, least = [F @ M @ F.swapaxes(-1, -2) for _, F in d.frame_stacks], np.empty(d.k)
+        blocks, least = [F @ P for (_, F), P in zip(d.frame_stacks, products)], np.empty(d.k)
         for (members, _), B in zip(d.frame_stacks, blocks):
             least[members] = np.linalg.eigvalsh(B)[:, 0]
     n, reach, residual = d.ambient_dim, np.abs(M).max(axis=0), np.empty(d.k)
     slack = 2 * n * (sum(F.shape[0] * F.shape[1] for _, F in d.frame_stacks) + n) * U
-    for (members, F), B in zip(d.frame_stacks, blocks):
-        Ft = F.swapaxes(-1, -2)
-        residual[members] = np.abs(M @ Ft - Ft @ B).max(axis=(-2, -1))
+    for (members, F), P, B in zip(d.frame_stacks, products, blocks):
+        residual[members] = np.abs(P - F.swapaxes(-1, -2) @ B).max(axis=(-2, -1))
     return bool((residual <= RESIDUAL_TOL * least + slack * (d.supports * reach).max(axis=-1)).all())
 
 
@@ -187,7 +192,7 @@ def determinantal_high_check(d: GeometricBLDatum, A_list) -> DetCheckResult:
 def _high_check(d: GeometricBLDatum, stacks) -> DetCheckResult:
     """The determinantal check, with the Phi certificate, of the A_i stacked
     as d.frame_stacks.  With A_i = L_i L_i^T by Cholesky, the rows
-    B = [sqrt(c_i) L_i^T F_i] give the left side (gram_log_det) and the
+    B = [sqrt(c_i) L_i^T F_i] give the sides (_gaussian_sides) and the
     certificate M = B^T B = sum c_i F_i^T A_i F_i.  Equality is declared
     iff the sides do not refute it and M restricts to every A_i (_restricts).
     """
@@ -204,25 +209,24 @@ def _high_check(d: GeometricBLDatum, stacks) -> DetCheckResult:
         dim, kappa = F.shape[1], _safe_exp(float((np.log(lam[:, -1]) - np.log(lam[:, 0])).max()))
         delta = max(delta, (dim + 1) * dim * kappa * U + (dim + 2) * dim * math.sqrt(kappa) * U)
         lo, hi = min(lo, float(lam.min())), max(hi, float(lam.max()))
-    rows, log_rhs = _factor_rows(d, [L.swapaxes(-1, -2) @ F for (_, F), L in zip(d.frame_stacks, factors)],
-                                 [L.diagonal(0, -2, -1) for L in factors])
-    log_lhs, error = gram_log_det(rows, math.sqrt(hi) / math.sqrt(lo))
-    n = d.ambient_dim
-    # l_jj^2 lies in [lo, hi], which bounds the logs that log_rhs sums
-    budget = error + 2 * n * delta + (len(rows) + 2) * U * n * max(abs(math.log(lo)), abs(math.log(hi)))
+    rows = _factor_rows(d, [L.swapaxes(-1, -2) @ F for (_, F), L in zip(d.frame_stacks, factors)])
+    # l_jj^2 lies in [lo, hi], and so do the eigenvalues of B^T B
+    log_lhs, log_rhs, budget = _gaussian_sides(d, rows, [np.log(np.abs(L.diagonal(0, -2, -1))) for L in factors],
+                                               math.sqrt(hi) / math.sqrt(lo),
+                                               max(abs(math.log(lo)), abs(math.log(hi))), delta)
     # an entry beside operators some 1e12 times larger in its own coordinates is
     # lost in the rounding of M, not in the row-sorted QR: there the sides decide
     if log_lhs - log_rhs <= budget:
         M = np.einsum("ki,kj->ij", rows, rows)  # fixed order, no BLAS: same bytes at any thread count
-        if _restricts(d, M, mats, least):
+        if _restricts(d, M, blocks=mats, least=least):
             return _det_result(log_lhs, log_rhs, budget, M)
     return _det_result(log_lhs, log_rhs, budget, None)
 
 
-def _fiber_factors(d: GeometricBLDatum, Phi) -> tuple:
-    """(Phi checked as n x n SPD with normal eigenvalues, its eigenvalues, the
-    QR factors (Q_i, R_i) of Phi F_i^T stacked as d.frame_stacks, the rows
-    sqrt(c_i) Q_i^T in that order, sum_i c_i log det A_i)."""
+def _fiber_rows(d: GeometricBLDatum, Phi) -> tuple:
+    """(Phi checked as n x n SPD with normal eigenvalues, its eigenvalues, and
+    stacked as d.frame_stacks the products Phi F_i^T, the R_i of their QR and
+    the blocks X_i^T F_i with R_i X_i = I, so (I + E_i^T) R_i^-T F_i, E_i = R_i X_i - I)."""
     require_validated(d)
     Phi = np.asarray(Phi, dtype=float)
     if Phi.shape != (d.ambient_dim, d.ambient_dim):
@@ -230,35 +234,37 @@ def _fiber_factors(d: GeometricBLDatum, Phi) -> tuple:
     eigenvalues = require_spd(Phi, "Phi")[1]
     if eigenvalues[0] < np.finfo(float).tiny:  # the rounding budget takes every error as relative
         raise InputError("Phi must have no subnormal eigenvalue")
-    factors = [np.linalg.qr(Phi @ F.swapaxes(-1, -2)) for _, F in d.frame_stacks]
-    if not all(np.isfinite(Q).all() and np.isfinite(R).all() for Q, R in factors):
+    products = [Phi @ F.swapaxes(-1, -2) for _, F in d.frame_stacks]
+    factors = [np.linalg.qr(P, mode="r") for P in products]
+    if not all(np.isfinite(R).all() for R in factors):
         # a Householder step adds a column's entry to its norm, which can pass the largest double
-        raise InputError("Phi F_i^T leaves the double range in its QR factors")
-    return (Phi, eigenvalues, factors,
-            *_factor_rows(d, [Q.swapaxes(-1, -2) for Q, _ in factors],
-                          [R.diagonal(0, -2, -1) for _, R in factors]))
+        raise InputError("Phi F_i^T leaves the double range in its QR factor R_i")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+            blocks = [np.linalg.inv(R).swapaxes(-1, -2) @ F for R, (_, F) in zip(factors, d.frame_stacks)]
+        if all(np.isfinite(X).all() for X in blocks):
+            return Phi, eigenvalues, products, factors, blocks
+    except np.linalg.LinAlgError:  # an r_jj of 0, or a back substitution past the largest double
+        pass
+    raise InputError("the rows R_i^-T F_i leave the double range")
 
 
 def fiber_log_sides(d: GeometricBLDatum, Phi) -> DetCheckResult:
-    """log det Q^-1 against sum_i c_i log det A_i^-1, A_i = F_i Phi^2 F_i^T, as a
-    check of any SPD Phi: the certificate is Phi when it maps every E_i into
-    itself (_restricts) and the sides do not refute it; then Q = Phi^2."""
-    Phi, eigenvalues, factors, rows, log_a = _fiber_factors(d, Phi)
-    sigma = np.linalg.svd(rows, compute_uv=False)
-    log_s, error_s = gram_log_det(rows, sigma[0] / sigma[-1])
-    cond = float(eigenvalues[-1]) / float(eigenvalues[0])
-    log_phi, error_phi = gram_log_det(Phi, cond)
-    n, dim = d.ambient_dim, max(F.shape[1] for _, F in d.frame_stacks)
-    # (|Phi|_F + dim lambda_max) / lambda_min, scaled first so that no square overflows
-    theta = n * math.sqrt(dim) * U * (float(np.linalg.norm(Phi / eigenvalues[-1])) + dim) * cond
-    # r_jj lies in [lambda_min(Phi), lambda_max(Phi)], which bounds the logs that log_a sums
-    rounding = (len(rows) + 2) * U * n * 2.0 * float(np.abs(np.log(eigenvalues[[0, -1]])).max())
-    with np.errstate(over="ignore"):  # 1 / sigma_min^2 is inf when the Phi E_i are nearly dependent
-        budget = error_s + error_phi + 2 * n * theta * (sigma[-1] ** -2.0 + 2.0) + rounding
-    if not math.isfinite(budget):
-        raise InputError("Phi's rounding budget leaves the double range")
-    equality = log_s - log_phi + log_a <= budget and _restricts(d, Phi)
-    return _det_result(log_s - log_phi, -log_a, budget, Phi if equality else None)
+    """log det Q^-1 against sum_i c_i log det A_i^-1, A_i = F_i Phi^2 F_i^T, for
+    any SPD Phi: _gaussian_sides of the factors R_i^-1 of the A_i^-1.  The
+    certificate is Phi when it maps every E_i into itself (_restricts) and
+    the sides do not refute it; then Q = Phi^2."""
+    Phi, eigenvalues, products, factors, blocks = _fiber_rows(d, Phi)
+    lo, hi = eigenvalues[[0, -1]].tolist()
+    n, dim, cond = d.ambient_dim, max(F.shape[1] for _, F in d.frame_stacks), hi / lo
+    # twice theta for forming and factoring Phi F_i^T, then R_i X_i = I and X_i^T F_i (README.md)
+    delta = (2 * n * math.sqrt(dim) * (math.sqrt(n) + dim) + (dim + math.sqrt(dim)) * dim) * U * cond
+    # r_jj, and the singular values of the rows' inverse, lie in [lambda_min(Phi), lambda_max(Phi)]
+    log_lhs, log_rhs, budget = _gaussian_sides(d, _factor_rows(d, blocks),
+                                               [-np.log(np.abs(R.diagonal(0, -2, -1))) for R in factors],
+                                               cond, 2.0 * max(abs(math.log(lo)), abs(math.log(hi))), delta)
+    equality = log_lhs - log_rhs <= budget and _restricts(d, Phi, products)
+    return _det_result(log_lhs, log_rhs, budget, Phi if equality else None)
 
 
 @dataclass(frozen=True)
@@ -272,24 +278,20 @@ def min_norm_decomposition(d: GeometricBLDatum, Phi: np.ndarray, x) -> MinNormRe
     """min sum c_i |Phi x_i|^2 over decompositions x = sum c_i x_i, x_i in E_i.
 
     With x_i = F_i^T R_i^-1 z_i / sqrt(c_i) the objective is |z|^2 and the
-    constraint is sum sqrt(c_i) Q_i z_i = Phi x, so z is the least-norm
-    solution for the rows of S.  When the eigenspaces of Phi are critical
-    the minimum equals |Phi x|^2 and x_i = P_{E_i} x attains it.
+    constraint is B z = x for fiber_log_sides's rows B^T = [sqrt(c_i) R_i^-T F_i],
+    so z is the least-norm solution.  When the eigenspaces of Phi are
+    critical the minimum equals |Phi x|^2 and x_i = P_{E_i} x attains it.
     """
-    Phi, _, factors, rows, _ = _fiber_factors(d, Phi)
+    Phi, _, _, _, blocks = _fiber_rows(d, Phi)
     x = np.asarray(x, dtype=float).reshape(d.ambient_dim)
-    w = np.linalg.lstsq(rows.T, Phi @ x, rcond=None)[0]
+    z = np.linalg.lstsq(_factor_rows(d, blocks).T, x, rcond=None)[0]
     minimizers = np.empty((d.k, d.ambient_dim))
     at = 0
-    for (members, F), root, (_, R) in zip(d.frame_stacks, d.stack_roots, factors):
-        w_i = w[at:at + F.shape[0] * F.shape[1]].reshape(F.shape[:2]) / root[..., 0]
-        at += w_i.size
-        minimizers[members] = (F.swapaxes(-1, -2) @ np.linalg.solve(R, w_i[..., None]))[..., 0]
+    for (members, F), root, block in zip(d.frame_stacks, d.stack_roots, blocks):
+        z_i = z[at:at + F.shape[0] * F.shape[1]].reshape(F.shape[:2])
+        at += z_i.size
+        minimizers[members] = (block.swapaxes(-1, -2) @ z_i[..., None])[..., 0] / root[..., 0]
     recon = sum(c * xi for (_, c), xi in zip(d.entries, minimizers))
     if np.linalg.norm(recon - x) > 1e-9 * (1.0 + np.linalg.norm(x)):
         raise InternalError("the fiber minimizers do not rebuild x")
-    return MinNormResult(
-        min_value=float(np.dot(w, w)),
-        minimizers=tuple(minimizers),
-        reference=float(np.dot(Phi @ x, Phi @ x)),
-    )
+    return MinNormResult(float(np.dot(z, z)), tuple(minimizers), float(np.dot(Phi @ x, Phi @ x)))

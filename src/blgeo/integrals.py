@@ -390,12 +390,9 @@ def _closed_form(log_lhs: float, log_rhs: float, direction: str, error: float) -
 
 
 def gaussian_barthe_eval(d: GeometricBLDatum, Phi) -> IneqEvaluation:
-    """Barthe's two sides for the Gaussian family e^{-c_i |Phi x_i|^2}.
-
-    The fiber check of blgeo.determinantal, A_i = F_i Phi^2 F_i^T for any
-    SPD Phi: pi^(n/2) exp(log_lhs / 2) and pi^(n/2) exp(log_rhs / 2), with
-    half its budget; the ratio is 1 exactly when it certifies Phi.
-    """
+    """Barthe's two sides for the Gaussian family e^{-c_i |Phi x_i|^2}, any SPD
+    Phi: pi^(n/2) exp(log_lhs / 2) and pi^(n/2) exp(log_rhs / 2) of the fiber
+    check, with half its budget; the ratio is 1 exactly when it certifies Phi."""
     return _barthe_from_check(d, fiber_log_sides(d, Phi))
 
 

@@ -413,31 +413,33 @@ def determinantal_per_entry(d, A_list):
 
 def fiber_per_entry(d, Phi):
     """(log det Q^-1, sum_i c_i log det A_i^-1, certificate) of the Gaussian
-    fiber for A_i = F_i Phi^2 F_i^T, from the QR factors Q_i R_i of
-    Phi F_i^T; the certificate is Phi when it restricts to every
+    fiber for A_i = F_i Phi^2 F_i^T = R_i^T R_i, from the R factor of the QR
+    of Phi F_i^T: the rows sqrt(c_i) R_i^-T F_i, with R_i^-1 solved from
+    R_i X = I; the certificate is Phi when it restricts to every
     F_i Phi F_i^T (not repeated: the refutation by the sides)."""
-    factors = [np.linalg.qr(Phi @ E.basis) for E, _ in d.entries]
-    rows = rows_per_entry(d, [Q.T for Q, _ in factors])
-    log_s, log_phi = sorted_qr_log_det(rows), sorted_qr_log_det(Phi)
-    blocks = [E.frame @ Phi @ E.basis for E, _ in d.entries]
+    products = [Phi @ E.basis for E, _ in d.entries]
+    factors = [np.linalg.qr(P, mode="r") for P in products]
+    rows = rows_per_entry(d, [np.linalg.inv(R).T @ E.frame for (E, _), R in zip(d.entries, factors)])
+    blocks = [E.frame @ P for (E, _), P in zip(d.entries, products)]
     certificate = Phi if restricts_per_entry(d, Phi, blocks, len(rows)) else None
-    return log_s - log_phi, -weighted_log_dets_per_entry(d, [R for _, R in factors]), certificate
+    return sorted_qr_log_det(rows), -weighted_log_dets_per_entry(d, factors), certificate
 
 
-def exact_log_det(d, A_list):
-    """log det(sum_i c_i F_i^T A_i F_i), assembled and eliminated in
-    Fractions from the float weights, frames and A_i, and logged as
-    log(num) - log(den) on Python ints."""
-    n = d.ambient_dim
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for (E, c), A in zip(d.entries, A_list):
-        F = [[Fraction(x) for x in row] for row in E.frame.tolist()]
-        A = [[Fraction(x) for x in row] for row in np.asarray(A, dtype=float).tolist()]
-        FA = [[sum(A[a][b] * F[b][j] for b in range(len(F))) for j in range(n)] for a in range(len(F))]
-        for i in range(n):
-            for j in range(n):
-                M[i][j] += Fraction(c) * sum(F[a][i] * FA[a][j] for a in range(len(F)))
-    det = Fraction(1)
+def exact_matrix(A):
+    """A float matrix, or one of Fractions, as rows of Fractions."""
+    return [[Fraction(x) for x in row] for row in (A.tolist() if isinstance(A, np.ndarray) else A)]
+
+
+def exact_log(q):
+    """log of a positive Fraction, from the float of q / 2^e with e its
+    binary exponent, so no digit is lost however long q's integers are."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    return math.log(float(q / Fraction(2) ** e)) + e * math.log(2.0)
+
+
+def exact_det(M):
+    """det of a square matrix of Fractions by exact elimination."""
+    M, n, det = [list(row) for row in M], len(M), Fraction(1)
     for j in range(n):
         p = next(i for i in range(j, n) if M[i][j] != 0)
         M[j], M[p] = M[p], M[j]
@@ -445,7 +447,37 @@ def exact_log_det(d, A_list):
         for i in range(j + 1, n):
             f = M[i][j] / M[j][j]
             M[i] = [x - f * y for x, y in zip(M[i], M[j])]
-    return math.log(det.numerator) - math.log(det.denominator)
+    return det
+
+
+def exact_inverse(M):
+    """The inverse of a nonsingular square matrix of Fractions (Gauss-Jordan)."""
+    n = len(M)
+    M = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
+    for j in range(n):
+        p = next(i for i in range(j, n) if M[i][j] != 0)
+        M[j], M[p] = M[p], M[j]
+        M[j] = [x / M[j][j] for x in M[j]]
+        for i in range(n):
+            if i != j and M[i][j] != 0:
+                f = M[i][j]
+                M[i] = [x - f * y for x, y in zip(M[i], M[j])]
+    return [row[n:] for row in M]
+
+
+def exact_log_det(d, A_list):
+    """log det(sum_i c_i F_i^T A_i F_i), assembled and eliminated in
+    Fractions from the float weights and frames and the A_i (floats or
+    Fractions)."""
+    n = d.ambient_dim
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for (E, c), A in zip(d.entries, A_list):
+        F, A = exact_matrix(E.frame), exact_matrix(A)
+        FA = [[sum(A[a][b] * F[b][j] for b in range(len(F))) for j in range(n)] for a in range(len(F))]
+        for i in range(n):
+            for j in range(n):
+                M[i][j] += Fraction(c) * sum(F[a][i] * FA[a][j] for a in range(len(F)))
+    return exact_log(exact_det(M))
 
 
 def random_uniform_cover(rng, n, s, max_blocks=None):

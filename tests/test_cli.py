@@ -4,6 +4,7 @@ import copy
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -220,6 +221,18 @@ def test_barthe_eval_phi_off_critical_on_lines(tmp_path, capsys):
     phi.write_text(json.dumps([[1e-320, 0.0], [0.0, 1.0]]))
     code, out, err = run_cli(capsys, ["barthe-eval", str(datum), "--phi", str(phi)])
     assert (code, out, err) == (1, "", "error: Phi must have no subnormal eigenvalue\n")
+
+
+def test_barthe_eval_phi_that_loses_a_direction_of_an_entry_is_refused(tmp_path, capsys):
+    # diag(1e-76, 1) on a rotated Hoelder pair in R^2: the small direction of each
+    # column of Phi F^T lies below the column's rounding, so the QR's r_22 is 0 and
+    # R^-1 has no finite rows; a log of 0 once ended this in exit 2
+    frame = {"n": 2, "frame": [[0.6, -0.8], [0.8, 0.6]]}
+    datum, phi = tmp_path / "d.json", tmp_path / "phi.json"
+    datum.write_text(json.dumps({"n": 2, "entries": [{"c": 0.5, "E": frame}, {"c": 0.5, "E": frame}]}))
+    phi.write_text(json.dumps([[1e-76, 0.0], [0.0, 1.0]]))
+    code, out, err = run_cli(capsys, ["barthe-eval", str(datum), "--phi", str(phi)])
+    assert (code, out, err) == (1, "", "error: the rows R_i^-T F_i leave the double range\n")
 
 
 def test_barthe_eval_phi_whose_inverse_square_nears_the_largest_double(tmp_path, capsys):
@@ -989,6 +1002,8 @@ def test_numpy_free_commands_refuse_and_report_without_numpy(files, tmp_path):
 LINES_JSON = planar_lines_datum(3).to_json()
 HOLDER3_JSON = holder_datum(3, [0.5, 0.5]).to_json()
 HUGE_GAUSS_JSON = dict(GAUSS_JSON, A=[[1.7e308]])
+ROTATED_FRAME = {"n": 3, "frame": [[0.6, 0.8, 0.0], [0.8, -0.6, 0.0], [0.0, 0.0, 1.0]]}
+ROTATED_HOLDER3_JSON = {"n": 3, "entries": [{"c": 0.5, "E": ROTATED_FRAME}, {"c": 0.5, "E": ROTATED_FRAME}]}
 
 
 @pytest.mark.parametrize("command, datum, flag, side, message", [
@@ -999,15 +1014,16 @@ HUGE_GAUSS_JSON = dict(GAUSS_JSON, A=[[1.7e308]])
     ("barthe-eval", HOLDER3_JSON, "--phi", [[1e308, 1e308, 0], [-1e308, 1e308, 0], [0, 0, 1e308]],
      "Phi must be symmetric"),
     # a Householder step adds 1.7e308 to the norm of a column it reflects
-    ("barthe-eval", LINES_JSON, "--phi", (1.7e308 * np.eye(2)).tolist(),
-     "Phi F_i^T leaves the double range in its QR factors"),
-    # Phi maps the three lines into one to working precision: sigma_min of S is about 1e-300
-    ("barthe-eval", LINES_JSON, "--phi", [[1e300, 0], [0, 1]],
-     "Phi's rounding budget leaves the double range"),
+    ("barthe-eval", ROTATED_HOLDER3_JSON, "--phi", (1.7e308 * np.eye(3)).tolist(),
+     "Phi F_i^T leaves the double range in its QR factor R_i"),
+    # a line's R_i is one entry, which no reflection moves; both sides underflow to 0
+    ("barthe-eval", LINES_JSON, "--phi", (1.7e308 * np.eye(2)).tolist(), {"equality": True}),
+    # Phi maps the three lines into one to working precision: the budget reads cond(Phi) = 1e300
+    ("barthe-eval", LINES_JSON, "--phi", [[1e300, 0], [0, 1]], {"equality": False}),
     ("barthe-eval", HOLDER_JSON, "--densities", [HUGE_GAUSS_JSON] * 2,
      "a density has zero mass on the declared box"),
 ], ids=["holder3-phi", "holder1-phi", "detcheck-A", "bl-eval-A", "asymmetric-phi", "qr-overflow",
-        "budget-overflow", "densities"])
+        "lines-phi", "budget-overflow", "densities"])
 def test_operators_near_the_largest_double_end_in_a_report_or_a_message(
         command, datum, flag, side, message, tmp_path, capsys):
     # 0.5 (M + M^T) overflows past about 9e307; the halves summed do not
@@ -1018,9 +1034,11 @@ def test_operators_near_the_largest_double_end_in_a_report_or_a_message(
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, [command, str(paths[0]), flag, str(paths[1])])
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    if message is None:
+    if message is None or isinstance(message, dict):
         assert (code, err) == (0, "")
-        json.loads(out)
+        report = json.loads(out)
+        if message:  # a --phi report that used to be refused: its verdict and a finite budget
+            assert report["equality"] is message["equality"] and math.isfinite(report["est_error"])
     else:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bowtie_bfs, cauchy_binet_expansion, determinantal_per_entry, exact_log_det,
-                      fiber_per_entry, gaussian_fiber_oracle, random_datum, random_rotation)
+from conftest import (bowtie_bfs, cauchy_binet_expansion, determinantal_per_entry, exact_det, exact_inverse,
+                      exact_log, exact_log_det, exact_matrix, fiber_per_entry, gaussian_fiber_oracle,
+                      random_datum, random_rotation)
 
 from blgeo.datum import (
     GeometricBLDatum,
@@ -456,6 +457,52 @@ def test_closed_forms_stay_inside_their_budget_up_to_condition_1e12(seed):
     A_list = [0.5 * (A + A.T) for A in (E.frame @ Phi @ E.basis for E, _ in d.entries)]
     check = determinantal_high_check(d, A_list)
     assert check.equality and check.log_gap >= -check.budget
+
+
+def phi_draw(rng, d, log_cond, critical):
+    """An exactly symmetric Phi with log10 cond(Phi) = log_cond: a scale on
+    each piece of d's indecomposable decomposition (critical eigenspaces), or
+    a rotated diagonal (generic eigenspaces)."""
+    if critical:
+        pieces = indecomposable_decomposition(d)
+        logs = rng.uniform(-log_cond, 0.0, len(pieces))
+        logs[rng.choice(len(pieces), min(2, len(pieces)), replace=False)] = (0.0, -log_cond)[:len(pieces)]
+        Phi = sum(10.0 ** x * projection_matrix(V) for x, V in zip(logs, pieces))
+    else:
+        logs = rng.uniform(-log_cond, 0.0, d.ambient_dim)
+        logs[[0, -1]] = 0.0, -log_cond
+        Q = random_rotation(rng, d.ambient_dim)
+        Phi = (Q * 10.0 ** logs) @ Q.T
+    return 0.5 * (Phi + Phi.T)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_phi_log_gap_stays_inside_its_budget_against_exact_fractions(seed, critical):
+    # the true sides for the float Phi and frames, in Fractions: the A_i =
+    # F_i Phi^2 F_i^T and their inverses exactly, then exact_log_det of the
+    # inverses and the exact dets of the A_i
+    rng = np.random.default_rng(seed)
+    d = random_datum(rng, max_dim=4, max_vectors=8)
+    Phi = phi_draw(rng, d, rng.uniform(0.0, 12.0), critical)
+    check = fiber_log_sides(d, Phi)
+    P = exact_matrix(Phi)
+    A_exact = []
+    for E, _ in d.entries:
+        PF = [[sum(P[a][b] * f for b, f in enumerate(row)) for row in exact_matrix(E.frame)]
+              for a in range(len(P))]  # Phi F_i^T
+        A_exact.append([[sum(x * y for x, y in zip(u, v)) for u in zip(*PF)] for v in zip(*PF)])
+    log_lhs = exact_log_det(d, [exact_inverse(A) for A in A_exact])
+    log_rhs = -math.fsum(c * exact_log(exact_det(A)) for (_, c), A in zip(d.entries, A_exact))
+    assert abs(check.log_gap - (log_lhs - log_rhs)) <= check.budget
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_phi_budget_stays_below_1e_minus_6_up_to_condition_1e6(seed):
+    rng = np.random.default_rng(seed)
+    d = random_datum(rng, max_dim=8, max_vectors=16)
+    assert gaussian_barthe_eval(d, phi_draw(rng, d, rng.uniform(0.0, 6.0), False)).est_error <= 1e-6
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

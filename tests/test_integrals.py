@@ -597,7 +597,7 @@ def test_supconv_memory_is_bounded_by_the_tile():
 def test_supconv_legendre_route_holds_one_value_per_cell_and_tuple():
     # three axes in R^3 at the CLI's default grid (160^3 output cells, no
     # free coordinate): F and the two 3 x 3 x 3 filters of the error budget
-    # need about 220 MB; whole-grid point arrays beside them held 501 MB
+    # need about 125 MB (traced); whole-grid point arrays beside them held 501 MB
     d = axis_datum(3)
     fs = [GaussianDensity(E, [[a]]) for (E, _), a in zip(d.entries, (1.0, 2.0, 0.5))]
     assert traced_peak(d, fs, GridSpec(0.05, 4.0)) < 300 * 2 ** 20
