@@ -3,8 +3,8 @@
 InputError covers everything a caller can fix (bad JSON, invalid data,
 exceeded caps); the CLI maps it to exit code 1.  InternalError marks
 conditions that valid inputs can never produce (a verified inequality
-violation, inconsistent criticality verdicts);
-the CLI maps it to exit code 2.
+violation, a critical decomposition that does not close even with its
+components whole); the CLI maps it to exit code 2.
 
 This module is the JSON boundary, both ways.  On input, read checks a
 JSON value against the shape its kind declares, as_int reads an integer

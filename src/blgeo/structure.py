@@ -2,13 +2,13 @@
 
 A non-zero subspace V is critical when sum_i c_i dim(E_i cap V) = dim V,
 equivalently when P_V commutes with every P_i = P_{E_i} (every E_i
-splits as (E_i cap V) + (E_i cap V-perp)).  is_critical computes both
-and cross-checks them; a disagreement is an internal error, never
-silently resolved.  The sines that count dim(E_i cap V) come from one
-batched SVD per entry dimension (the norms, for lines), and the
-splitting from the same products (P_i maps V into V, so commutes with
-P_V); for a critical V, E cap V = P_V E.  determinantal.py tests whether
-an operator has critical eigenspaces.
+splits as (E_i cap V) + (E_i cap V-perp)).  Each fact is read once, so
+no later check can contradict it: is_critical asks for both, counting
+meets at the cut a split implies, and a component whose split does not
+close stays whole.  The sines that count dim(E_i cap V) come from one
+batched SVD per entry dimension (the norms, for lines), the splitting
+from the same products; for a critical V, E cap V = P_V E.
+determinantal.py tests whether an operator has critical eigenspaces.
 
 The structure comes from the same algebra, the *-algebra generated by
 the P_i: the critical subspaces are its invariant subspaces, and the
@@ -71,17 +71,17 @@ class StructureReport:
 
 
 def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
-    """Test criticality of V through both characterizations.
+    """V is critical when it splits every E_i and its weighted dimension
+    sum is within INTEGER_SNAP_TOL of dim V: one verdict from both.
 
-    dim(E_i cap V) is the number of singular values of F_i (I - P_V),
-    the sines of the principal angles, at most RANK_TOL; the entries of
-    one dimension share one product and one batched SVD, or a norm per
-    row for lines.  The weighted dimension sum must lie within
-    INTEGER_SNAP_TOL of dim V (dimensions are integers, weights are
-    floats; criticality is a discrete property).  The splitting test
-    holds what each P_i carries out of V, (I - P_V) P_i V^T =
-    rest_i^T (F_i V^T), within RESIDUAL_TOL in max-norm.  The two must
-    agree, otherwise the thresholds are inconsistent and we raise.
+    The splitting test holds what each P_i carries out of V, (I - P_V)
+    P_i V^T = rest_i^T (F_i V^T), within RESIDUAL_TOL in max-norm.
+    dim(E_i cap V) counts the singular values of F_i (I - P_V), the sines
+    of the principal angles; the entries of one dimension share one
+    product and one batched SVD, or a norm per row for lines.  Where V
+    splits, every sine lies within the leak of 0 or 1, so the count takes
+    those below 1/sqrt(2); elsewhere those at most RANK_TOL, so a
+    non-critical V keeps its sum.
     """
     require_validated(d)
     if V.ambient_dim != d.ambient_dim:
@@ -90,38 +90,33 @@ def is_critical(d: GeometricBLDatum, V: Subspace) -> CriticalityReport:
         raise InputError("criticality is defined for non-zero subspaces only")
     n = d.ambient_dim
     away = np.eye(n) - projection_matrix(V)
-    counts, leak = np.zeros(d.k, dtype=int), 0.0
+    counts, leak = np.zeros((2, d.k), dtype=int), 0.0  # meets at RANK_TOL and at a split's cut
     for members, frames in d.frame_stacks:
         rest = (frames.reshape(-1, n) @ away).reshape(frames.shape)
         # the one singular value of a line's row is its norm
         sines = np.linalg.norm(rest, axis=2) if frames.shape[1] == 1 else \
             np.linalg.svd(rest, compute_uv=False)
-        counts[members] = np.count_nonzero(sines <= RANK_TOL, axis=1)
+        counts[:, members] = [np.count_nonzero(sines <= cut, axis=1) for cut in (RANK_TOL, 0.5 ** 0.5)]
         leak = max(leak, float(np.abs(rest.swapaxes(1, 2) @ (frames @ V.basis)).max()))
     splitting_ok = leak <= RESIDUAL_TOL
     wds = 0.0
-    for (_, c), count in zip(d.entries, counts.tolist()):  # entry order fixes the float sum
+    for (_, c), count in zip(d.entries, counts[int(splitting_ok)].tolist()):  # entry order fixes the sum
         wds += c * count
     dim_match = abs(wds - V.dim) <= INTEGER_SNAP_TOL
-    if dim_match != splitting_ok:
-        raise InternalError(
-            "criticality characterizations disagree: "
-            f"weighted dim sum {wds:.12g} vs dim {V.dim}, splitting_ok={splitting_ok}"
-        )
     return CriticalityReport(subspace=V, weighted_dim_sum=float(wds), dim=V.dim,
-                             is_critical=dim_match, splitting_ok=splitting_ok)
+                             is_critical=dim_match and splitting_ok, splitting_ok=splitting_ok)
 
 
 def critical_meet(E: Subspace, V: Subspace) -> Subspace:
     """E cap V for a critical V, as the image of E under P_V.
 
     P_V commutes with P_E, so the cosines of the principal angles between
-    E and V, the singular values of F_V F_E^T, are 0 or 1.  The dimension
-    counts those above RANK_TOL, an absolute cut: a cut relative to
-    the largest would count round-off as rank when E is orthogonal to V.
+    E and V, the singular values of F_V F_E^T, are 0 or 1 up to the
+    noise is_critical admits.  The dimension counts those above
+    1/sqrt(2), the cut is_critical counts the sines at.
     """
     U, cosines, _ = np.linalg.svd(V.frame @ E.basis, full_matrices=False)
-    r = int(np.count_nonzero(cosines > RANK_TOL))
+    r = int(np.count_nonzero(cosines > 0.5 ** 0.5))
     return orthonormalize((V.basis @ U[:, :r]).T, ambient_dim=V.ambient_dim)
 
 
@@ -172,25 +167,29 @@ def indecomposable_decomposition(d: GeometricBLDatum) -> list:
     (eigenvalues within EIGENVALUE_CLUSTER_RTOL) that some T_i couples
     above RANK_TOL form one isotypic component.  Each irreducible meets
     each eigenspace of its component in a D-line, so the eigenspaces
-    share one dimension m; a component where they do not raises
-    InternalError.  A component of one eigenspace is of type R and is
-    cut into its eigenvector lines, on which every P_i is 0 or 1.  In a
-    larger one each block Q_b^T A Q_a of A is the action of an element
-    of D, whose polar factor carries eigenspace b onto the first, a.
-    Carried, every block Q_b^T P_i Q_a acts on eigenspace a as an
-    element of D, and one SVD of their skew parts, stacked, gives the
-    imaginary units of D (none for R).  Eigenspace a splits into
-    D-lines, each the orbit of a unit vector under 1 and the units, and
-    column group j of every eigenspace spans piece j (for m = 1 the whole
-    component); over R a D-line is a column, as G's eigenvectors give
-    it.  Every piece W is then checked critical in the carried basis
-    Q' = Q C, with T_i = Q'^T P_i Q' (recomputed only if something was
-    carried): the entries of each T_i between W's columns and the rest,
-    [P_i, P_W] in that basis, must be within RESIDUAL_TOL; the trace of
-    its block on W, dim(E_i cap W), within INTEGER_SNAP_TOL of an
-    integer; and sum_i c_i dim(E_i cap W) within INTEGER_SNAP_TOL of
-    dim W.  Only n x n linear algebra is used, too small for the BLAS to
-    thread.
+    share one dimension m; a component where they do not, or whose
+    commutant's dimension does not divide m, stays whole.  A component
+    of one eigenspace is of type R and is cut into its eigenvector
+    lines, on which every P_i is 0 or 1.  In a larger one each block
+    Q_b^T A Q_a of A is the action of an element of D, whose polar
+    factor carries eigenspace b onto the first, a.  Carried, every block
+    Q_b^T P_i Q_a acts on eigenspace a as an element of D, and one SVD
+    of their skew parts, stacked, gives the imaginary units of D (none
+    for R).  Eigenspace a splits into D-lines, each the orbit of a unit
+    vector under 1 and the units, and column group j of every eigenspace
+    spans piece j (for m = 1 the whole component); over R a D-line is a
+    column, as G's eigenvectors give it.  Every piece W is then checked
+    critical in the carried basis Q' = Q C (T_i recomputed only if
+    something was carried): the entries of each T_i between W's columns
+    and the rest, [P_i, P_W] in that basis, must be within RESIDUAL_TOL;
+    the trace of its block on W, dim(E_i cap W), within INTEGER_SNAP_TOL
+    of an integer; and sum_i c_i dim(E_i cap W) within INTEGER_SNAP_TOL
+    of dim W.  A split that fails is replaced by the components, whole,
+    in G's eigenbasis, where the coupling cut holds the T_i between them
+    to RANK_TOL = RESIDUAL_TOL; only a failure there is an InternalError.
+    A whole component is critical but may be decomposable, so it can
+    carry independent pieces into the dependent subspace.  Only n x n
+    linear algebra is used, too small for the BLAS to thread.
     """
     return _decomposition(d)[0]
 
@@ -216,9 +215,9 @@ def _decomposition(d: GeometricBLDatum) -> tuple:
     C, pieces, carried = np.eye(n), [], False
     for cols in components:
         m = size[cols[0]]
-        if any(size[c] != m for c in cols):
-            raise InternalError(f"an isotypic component has eigenspaces of dimensions "
-                                f"{sorted({size[c] for c in cols})}, not one")
+        if any(size[c] != m for c in cols):  # no D-line meets every eigenspace
+            pieces.append(list(cols))
+            continue
         spaces, dim_D = np.reshape(cols, (-1, m)), 1
         if m > 1 and len(spaces) > 1:
             first, others = spaces[0], spaces[1:]
@@ -230,9 +229,9 @@ def _decomposition(d: GeometricBLDatum) -> tuple:
             _, s, units = np.linalg.svd(skew, full_matrices=False)
             units = np.sqrt(m) * units[s > RANK_TOL].reshape(-1, m, m)
             dim_D += len(units)
-            if m % dim_D:
-                raise InternalError(f"a commutant of dimension {dim_D} cannot split "
-                                    f"eigenspaces of dimension {m}")
+            if m % dim_D:  # no D-lines of dimension dim_D split eigenspace a
+                pieces.append(list(cols))
+                continue
             if dim_D > 1:
                 F = np.zeros((m, 0))
                 while F.shape[1] < m:
@@ -247,23 +246,24 @@ def _decomposition(d: GeometricBLDatum) -> tuple:
             C[others[:, :, None], others[:, None, :]] = carry
             carried = True
         pieces.extend(spaces[:, j:j + dim_D].ravel() for j in range(0, m, dim_D))
-    if carried:
-        Q = Q @ C
-        T = Q.T @ d.projections @ Q
-    # a piece W is critical when every T_i is block diagonal for it: the
-    # entries between W's columns and the rest are [P_i, P_W] in this basis
-    label = np.empty(n, dtype=int)
-    for j, cols in enumerate(pieces):
-        label[cols] = j
-    diagonal = np.diagonal(T, axis1=1, axis2=2)
-    traces = np.array([diagonal[:, cols].sum(axis=1) for cols in pieces])  # tr(P_i P_W)
-    meets = np.rint(traces)
-    weighted = meets @ [c for _, c in d.entries]  # sum_i c_i dim(E_i cap W)
-    if (np.abs(T).max(axis=0)[label[:, None] != label].max(initial=0.0) > RESIDUAL_TOL
-            or np.abs(traces - meets).max() > INTEGER_SNAP_TOL
-            or np.abs(weighted - [len(cols) for cols in pieces]).max() > INTEGER_SNAP_TOL):
+    # a piece W is critical when every T_i is block diagonal for it: the entries
+    # between W's columns and the rest are [P_i, P_W] in this basis; else whole
+    for basis, pieces in ((Q @ C if carried else Q, pieces), (Q, [list(c) for c in components])):
+        T_b = T if basis is Q else basis.T @ d.projections @ basis
+        label = np.empty(n, dtype=int)
+        for j, cols in enumerate(pieces):
+            label[cols] = j
+        diagonal = np.diagonal(T_b, axis1=1, axis2=2)
+        traces = np.array([diagonal[:, cols].sum(axis=1) for cols in pieces])  # tr(P_i P_W)
+        meets = np.rint(traces)
+        weighted = meets @ [c for _, c in d.entries]  # sum_i c_i dim(E_i cap W)
+        if not (np.abs(T_b).max(axis=0)[label[:, None] != label].max(initial=0.0) > RESIDUAL_TOL
+                or np.abs(traces - meets).max() > INTEGER_SNAP_TOL
+                or np.abs(weighted - [len(cols) for cols in pieces]).max() > INTEGER_SNAP_TOL):
+            break
+    else:
         raise InternalError("a computed piece failed the criticality test")
-    spans = [Subspace(n, Q[:, cols].T) for cols in pieces]
+    spans = [Subspace(n, basis[:, cols].T) for cols in pieces]
     order = sorted(range(len(spans)),
                    key=lambda j: (spans[j].dim, tuple(np.round(spans[j].frame, 9).ravel())))
     return [spans[j] for j in order], meets[order].astype(int).tolist()

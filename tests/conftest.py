@@ -501,6 +501,14 @@ def random_rotation(rng, n: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
+def turned(rng, frame, eps):
+    """The rows of frame turned by I + S, S skew with largest entry eps."""
+    frame = np.asarray(frame, dtype=float)
+    S = np.triu(rng.standard_normal((frame.shape[1],) * 2), 1)
+    S -= S.T
+    return (frame + eps * frame @ S.T / max(np.abs(S).max(), 1e-300)).tolist()
+
+
 def random_datum(rng, *, max_dim: int = 6, max_vectors: int = 12,
                  rotate: bool = True) -> GeometricBLDatum:
     """Seeded random valid datum built from the constructions of blgeo.datum.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (bowtie_bfs, bowtie_oracle, cluster_eigenspaces, complement, grown_structure,
                       intersect, is_critical_oracle, is_indecomposable_oracle, random_datum,
-                      random_rotation, same_projection, subspace_sum)
+                      random_rotation, same_projection, subspace_sum, turned)
 
 from blgeo import cli, structure
 from blgeo.covers import UniformCover
@@ -427,21 +427,26 @@ def test_structure_matches_the_pieces_grown_one_at_a_time(d):
     assert rep.rank_one_classes == classes
 
 
-def test_merged_eigenspaces_raise_an_internal_error(monkeypatch, tmp_path, capsys):
+def test_merged_eigenspaces_leave_their_component_whole(monkeypatch, tmp_path, capsys):
     # at a cluster tolerance of 0.05, eigenvalues of G from different
-    # components merge, and a component's eigenspaces differ in dimension
+    # components merge, and a component's eigenspaces differ in dimension:
+    # that component stays whole, a critical sum of the true pieces
     blocks = [paired_planes_datum(3), planar_lines_datum(3),
               pair_data(planar_lines_datum(4), planar_lines_datum(4))]
     d = rotate_datum(direct_sum_data(blocks), random_rotation(np.random.default_rng(3), 10))
+    true = indecomposable_decomposition(d)
     monkeypatch.setattr(structure, "EIGENVALUE_CLUSTER_RTOL", 0.05)
-    with pytest.raises(InternalError):
-        indecomposable_decomposition(d)
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(d.to_json()))
     code = cli.main(["analyze", str(path)])
     out, err = capsys.readouterr()
-    assert (code, out) == (2, "")
-    assert err.startswith("internal error: ") and "Traceback" not in err
+    assert (code, err) == (0, "")
+    pieces = [Subspace.from_json(W) for W in json.loads(out)["indecomposable_decomposition"]]
+    assert len(pieces) < len(true)
+    for W in pieces:
+        assert is_critical(d, W).is_critical
+        overlapped = [U for U in true if np.abs(U.frame @ W.basis).max() > 1e-6]
+        assert contains(orthonormalize(np.concatenate([U.frame for U in overlapped])), W)
 
 
 def test_pieces_that_fail_the_block_test_raise_an_internal_error(monkeypatch, tmp_path, capsys):
@@ -644,3 +649,73 @@ def test_rotated_structure_consistent(rng):
     rep = independent_subspaces(d)
     assert len(rep.independent_subspaces) == 3
     assert rep.dependent_subspace.dim == 0
+
+
+# ---------------------------------------------------------------------------
+# frames as noisy as validate admits
+# ---------------------------------------------------------------------------
+
+# a Hoelder pair on a plane beside its normal line, typed to 8 decimals
+# (defect 9.4e-10): the meets and splits of the pieces sit near the cuts
+TYPED_HOLDER_PLANE = {"n": 3, "entries": [
+    {"c": 0.542429582845575, "E": {"n": 3, "frame": [[0.70753333, 0.4074954, 0.57735958],
+                                                      [0.52643395, -0.84897469, -0.04592682]]}},
+    {"c": 0.4575704171544251, "E": {"n": 3, "frame": [[0.70753333, 0.4074954, 0.57735958],
+                                                       [0.52643395, -0.84897469, -0.04592682]]}},
+    {"c": 1.0, "E": {"n": 3, "frame": [[0.4714487, 0.33643644, -0.8151973]]}}]}
+
+
+def noisy_data(family: str, count: int = 40):
+    """random_datum data whose frames are turned entry by entry by
+    eps = 10^U(-13, -10), or typed to 10 decimals."""
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        obj = random_datum(rng, max_dim=10, max_vectors=20).to_json()
+        for entry in obj["entries"]:
+            frame = entry["E"]["frame"]
+            entry["E"]["frame"] = (turned(rng, frame, 10.0 ** rng.uniform(-13, -10))
+                                   if family == "turned" else np.round(frame, 10).tolist())
+        yield obj
+
+
+def structure_commands_exit_0(obj, tmp_path, capsys, rng):
+    """validate; where it accepts, analyze, and critical on each piece and on
+    each piece turned by 1e-9, all exit 0. Counts the pieces that critical
+    refutes, and those it passes that restrict_datum does not restrict."""
+    path, piece = tmp_path / "datum.json", tmp_path / "piece.json"
+    path.write_text(json.dumps(obj))
+    refuted = unrestricted = 0
+    if cli.main(["validate", str(path)]) != 0:
+        capsys.readouterr()
+        return refuted, unrestricted
+    capsys.readouterr()
+    d = GeometricBLDatum.from_json(obj)
+    assert cli.main(["analyze", str(path)]) == 0
+    for W in json.loads(capsys.readouterr().out)["indecomposable_decomposition"]:
+        for frame in (W["frame"], turned(rng, W["frame"], 1e-9)):
+            piece.write_text(json.dumps({"n": W["n"], "frame": frame}))
+            assert cli.main(["critical", str(path), str(piece)]) == 0
+            if not json.loads(capsys.readouterr().out)["is_critical"]:
+                refuted += frame is W["frame"]
+                continue
+            try:
+                restrict_datum(d, Subspace.from_json(json.loads(piece.read_text())))
+            except InternalError:
+                unrestricted += 1
+    return refuted, unrestricted
+
+
+@pytest.mark.parametrize("family", ["turned", "typed"])
+def test_structure_commands_exit_0_on_frames_validate_admits(family, tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    counts = [structure_commands_exit_0(obj, tmp_path, capsys, rng) for obj in noisy_data(family)]
+    refuted, unrestricted = np.sum(counts, axis=0)
+    assert (refuted, unrestricted) == (0, 0)
+
+
+def test_structure_commands_exit_0_on_a_typed_hoelder_plane(tmp_path, capsys):
+    # its one piece is R^3 in G's eigenbasis, where the max-norm defect
+    # reads 1.035e-9, so restrict_datum refuses it in those coordinates
+    refuted, _ = structure_commands_exit_0(TYPED_HOLDER_PLANE, tmp_path, capsys,
+                                           np.random.default_rng(7))
+    assert refuted == 0
