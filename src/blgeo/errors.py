@@ -4,7 +4,9 @@ InputError covers everything a caller can fix (bad JSON, invalid data,
 exceeded caps); the CLI maps it to exit code 1.  InternalError marks
 conditions that valid inputs can never produce (a verified inequality
 violation, a critical decomposition that does not close even with its
-components whole); the CLI maps it to exit code 2.
+components whole); the CLI maps it to exit code 2.  A fact the
+decomposition decided is not read again, so an owner weight sum off 1
+or a restriction's defect above the threshold is reported, not raised.
 
 This module is the JSON boundary, both ways.  On input, read checks a
 JSON value against the shape its kind declares, as_int reads an integer

@@ -39,8 +39,8 @@ import numpy as np
 from .datum import GeometricBLDatum, require_validated
 from .determinantal import U, _restricts, _safe_exp, determinantal_high_check, fiber_log_sides, require_spd
 from .errors import CapError, InputError, InternalError, as_array, field_of, read
-from .structure import StructureReport, critical_meet, restrict_datum
-from .subspace import Subspace, contains, equal
+from .structure import StructureReport, _restriction
+from .subspace import Subspace, contains, equal, orthonormalize
 
 SUPCONV_MAX_AMBIENT = 3
 SUPCONV_MAX_CELLS = 1 << 22  # output cells M, and free tuples T (a grid axis per free coordinate)
@@ -829,7 +829,7 @@ def build_extremizer(d: GeometricBLDatum, report: StructureReport,
                 "entries must be log-concave"
             )
 
-    A_amb = None
+    A_amb, meets = None, [np.zeros((0, 0))] * d.k  # E_i cap F_dep in F_dep's coordinates
     if dep.dim > 0:
         if params.A is None:
             raise InputError("the dependent subspace is non-zero: a matrix A is required")
@@ -838,7 +838,8 @@ def build_extremizer(d: GeometricBLDatum, report: StructureReport,
             raise InputError(f"A must be {dep.dim} x {dep.dim} on the dependent subspace, got {A.shape}")
         require_spd(A, "A")
         # A_amb (A with kernel F_dep-perp) has critical eigenspaces iff A maps each E_i cap F_dep into itself
-        if not _restricts(restrict_datum(d, dep), A):
+        restricted, meets = _restriction(d, dep)  # the report's F_dep is critical
+        if not _restricts(restricted, A):
             raise InputError("the eigenspaces of A must be critical subspaces")
         A_amb = dep.basis @ A @ dep.frame
 
@@ -856,7 +857,7 @@ def build_extremizer(d: GeometricBLDatum, report: StructureReport,
         theta_i = float(thetas[i])
         if theta_i <= 0.0:
             raise InputError("theta_i must be positive")
-        S0 = critical_meet(E, dep)
+        S0 = orthonormalize(meets[i] @ dep.frame, ambient_dim=n)
         if np.linalg.norm(b_i) > 0 and (
             S0.dim == 0 or np.linalg.norm(S0.basis @ (S0.frame @ b_i) - b_i) > 1e-9 * (1 + np.linalg.norm(b_i))
         ):
