@@ -20,19 +20,25 @@ in one set-up, to a term per output cell, a term per free tuple and a
 bilinear cross term of at most min(n, free coordinates) products.  When
 every such block is Gaussian and there is at most one product, the sup
 over the free tuples is a one-dimensional discrete Legendre transform,
-found for every output cell by a divide and conquer in O(M + T log M)
-candidates, which searches its segments whole once they fit in one tile
-together.  Otherwise the output cells x free tuples table is taken in
-tiles of SUPCONV_TILE candidates, joined by a running maximum.  The
-cells, the tuples and their product are capped before any grid array is
-built.  Reported errors combine a cell-variation (inner/outer Riemann)
-bound with the mass each input loses to truncation.
+searched on the upper hull of the free tuples' points (Lucet, Numer.
+Algorithms 16, 1997): pruning to the hull tests O(T) points, and each
+output cell finds its maximizer by a binary search of the hull's slopes,
+O(M log H) for H vertices.  When pruning stalls, as on a concave run
+under a chord, a divide and conquer in O(M + T log M) candidates
+finishes.  Otherwise the output cells x free tuples table is taken in
+tiles of SUPCONV_TILE candidates, joined by a running maximum; a grid
+density is read there, and wherever it is evaluated, from one table
+padded with zero mass.  The cells, the tuples and their product are
+capped before any grid array is built.  Reported errors combine a
+cell-variation (inner/outer Riemann) bound with the mass each input
+loses to truncation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -203,14 +209,30 @@ class GridDensity(Density):
         return float((self.values * self.h ** self.domain.dim).sum())
 
     def value(self, Z) -> np.ndarray:
+        return self._tables[0][self._cells(Z)]
+
+    def log_value(self, Z) -> np.ndarray:
+        return self._tables[1][self._cells(Z)]
+
+    @cached_property
+    def _tables(self):
+        """values and log(values), padded by a cell on each side of each axis
+        with 0 and -inf: the tables value and log_value read."""
+        padded = np.pad(self.values, 1)
+        with np.errstate(divide="ignore"):
+            return padded, np.log(padded)
+
+    def _cells(self, Z) -> tuple:
+        """Each point's cell floor((Z - lo) / h) per axis, clipped to the pad
+        before the integer cast and shifted into the padded tables, so a
+        point off the grid, infinite or NaN reads the pad."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        idx = np.floor((Z - self.lo) / self.h).astype(int)
-        inside = np.all((idx >= 0) & (idx < np.array(self.values.shape)), axis=1)
-        out = np.zeros(Z.shape[0])
-        if inside.any():
-            sel = idx[inside]
-            out[inside] = self.values[tuple(sel.T)]
-        return out
+        with np.errstate(over="ignore"):
+            idx = np.floor((Z - self.lo) / self.h)
+        np.fmax(idx, -1.0, out=idx)  # fmax and fmin send NaN to the pad
+        np.fmin(idx, self.values.shape, out=idx)
+        idx += 1.0
+        return tuple(idx.astype(np.intp).T)
 
     def shift(self, s) -> "GridDensity":
         s = np.asarray(s, dtype=float).reshape(self.domain.dim)
@@ -460,7 +482,11 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
     every solved block is Gaussian and there is at most one product
     (n = 1 or f = 1), the maximum over the free tuples is a discrete
     Legendre transform, found for all output cells at once by _row_maxima
-    in O(M + T log M) candidates in place of the M x T table; with no
+    in place of the M x T table: O(T) tests prune the points (t, L) to
+    their upper hull, and each cell's maximizer is a binary search of the
+    hull's slopes, O(M log H) for H vertices (Lucet, Numer. Algorithms 16,
+    1997); a pass that drops fewer than an eighth of its points hands the
+    rest to a divide and conquer in O(M + T log M) candidates.  With no
     free coordinate it is R + L.  Otherwise the table is walked in tiles
     (_tile_walk).  Either way F is built from a few values per output
     cell and per free tuple.  F is integrated by the midpoint rule; the
@@ -644,6 +670,50 @@ def _linear(points, rows) -> np.ndarray:
 
 def _row_maxima(p: np.ndarray, L: np.ndarray, t: np.ndarray) -> np.ndarray:
     """max over b of L[b] + p[a] t[b] for every a, with t ascending.
+
+    Only the upper hull of the points (t[b], L[b]) holds maximizers, so the
+    transform is searched on the hull (Lucet, Numer. Algorithms 16, 1997).
+    Among equal t the largest L is kept.  Each pass then drops every point
+    not strictly above the chord of its current neighbours (a NaN test,
+    which an infinite L makes, keeps it), until a pass drops nothing.  The
+    hull's edge slopes then decrease, and np.searchsorted of p in the
+    negated slopes is each row's maximizer, so p needs no sort: O(M log H)
+    for H vertices.  That vertex and its two neighbours are evaluated as
+    t p + L, each as in the whole table, and the largest is taken: every
+    maximum is a value of the table, and a slope rounded to the wrong side
+    costs nothing.  A concave run under the chord of two outer points
+    loses only a point from each end per pass, so a pass that drops fewer
+    than an eighth of its points hands the survivors, still sorted, to
+    _divide_and_conquer; every pass before it dropped at least an eighth,
+    so pruning tests at most 8 T points.  No float depends on the BLAS or
+    on SUPCONV_TILE, which only the finish reads."""
+    ends = np.flatnonzero(t[1:] != t[:-1]) + 1
+    if ends.size + 1 < t.size:
+        starts = np.concatenate([[0], ends])
+        L, t = np.maximum.reduceat(L, starts), t[starts]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        while t.size > 2:
+            dt, dL = np.diff(t), np.diff(L)
+            cross = dL[:-1] * dt[1:]
+            cross -= dL[1:] * dt[:-1]
+            keep = np.ones(t.size, dtype=bool)
+            np.logical_not(cross <= 0.0, out=keep[1:-1])
+            dropped = t.size - np.count_nonzero(keep)
+            if not dropped:
+                break
+            L, t = L[keep], t[keep]
+            if 8 * dropped < keep.size:
+                return _divide_and_conquer(p, L, t)
+        at = np.searchsorted((L[:-1] - L[1:]) / np.diff(t), p)
+        best = t[at] * p + L[at]
+        for side in (np.maximum(at - 1, 0), np.minimum(at + 1, t.size - 1)):
+            np.maximum(best, t[side] * p + L[side], out=best)
+    return best
+
+
+def _divide_and_conquer(p: np.ndarray, L: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """max over b of L[b] + p[a] t[b] for every a, with t ascending: the
+    finish of _row_maxima when pruning to the hull stalls.
 
     With the rows sorted by p, the leftmost maximizing b never decreases
     as p grows (the table is supermodular), so the maxima are found by

@@ -1,5 +1,7 @@
+import math
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -80,6 +82,45 @@ def test_grid_density_basics():
     assert f.value(np.array([[0.5]]))[0] == 1.0
     assert f.value(np.array([[1.5]]))[0] == 0.0
     assert f.value(np.array([[5.0]]))[0] == 0.0  # outside the box
+
+
+def cell_value(g, z):
+    """The value of grid density g at the point z, one coordinate at a time."""
+    cell = []
+    for zj, lo, m in zip(z, g.lo, g.values.shape):
+        x = (zj - lo) / g.h
+        if not (math.isfinite(x) and 0 <= math.floor(x) < m):
+            return 0.0
+        cell.append(math.floor(x))
+    return float(g.values[tuple(cell)])
+
+
+def test_grid_lookups_read_one_padded_table():
+    # value and log_value share one cell index: at cell centres, on cell
+    # edges, off the grid and at +-1e300, +-inf and NaN, on grids of one to
+    # three axes and on the densities shift, scaled and in_frame's reversal
+    # make; far points read 0 and -inf, with no warning
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3):
+        shape = (5, 3, 4)[:dim]
+        values = rng.uniform(0.0, 2.0, shape) * (rng.uniform(0.0, 1.0, shape) > 0.3)
+        g = GridDensity(full_subspace(dim), rng.uniform(-1.0, 1.0, dim), 0.25, values)
+        grids = [g, g.shift(rng.uniform(-1.0, 1.0, dim)), g.scaled(2.5)]
+        if dim == 1:
+            grids.append(integrals.in_frame(g, Subspace(1, [[-1.0]])))
+            assert grids[-1].lo[0] == -g.hi[0]
+        for f in grids:
+            axis = [f.lo[j] + f.h * np.arange(-2, m + 3) for j, m in enumerate(f.values.shape)]
+            coords = [np.concatenate([a, a + 0.5 * f.h, [-1e300, 1e300, -np.inf, np.inf, np.nan]])
+                      for a in axis]
+            Z = np.stack([rng.choice(c, 600) for c in coords], axis=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value, log_value = f.value(Z), f.log_value(Z)
+            assert np.array_equal(value, [cell_value(f, z) for z in Z]), dim
+            with np.errstate(divide="ignore"):
+                assert np.array_equal(log_value, np.log(value)), dim
+            assert np.count_nonzero(value) > 10 and np.count_nonzero(np.isnan(Z).any(axis=1)) > 10
 
 
 def test_finite_masses_and_sides_are_scaled_before_they_are_summed():
@@ -628,34 +669,92 @@ def test_supconv_tile_walk_holds_a_few_values_per_cell_and_tuple():
     assert traced_peak(d, fs, GridSpec(0.05, 4.0)) < 300 * 2 ** 20
 
 
-def test_row_maxima_matches_the_whole_table(monkeypatch):
+def whole_maxima(p, L, t):
+    """max over b of L[b] + p[a] t[b], one row of the whole table at a time."""
+    return np.array([(L + q * t).max() for q in p])
+
+
+def assert_row_maxima_are_the_whole_tables(p, L, t, tiles=(integrals.SUPCONV_TILE, 1, 10 ** 9)):
+    """_row_maxima, t sorted first, equals the whole table's maxima bit for
+    bit at each tile, which only the divide-and-conquer finish reads."""
+    order = np.argsort(t, kind="stable")
+    L, t = L[order], t[order]
+    whole = whole_maxima(p, L, t)
+    for tile in tiles:
+        with mock.patch.object(integrals, "SUPCONV_TILE", tile):
+            assert np.array_equal(integrals._row_maxima(p, L, t), whole), (len(p), len(t), tile)
+
+
+def test_row_maxima_matches_the_whole_table():
     # random rows and columns, and tables full of ties: constant L,
-    # repeated t, repeated p, a zero p, one row, one column; each at the
-    # default tile, at a tile that holds every table (one whole pass, so
-    # the whole table's maxima bit for bit) and at a one-candidate tile,
-    # which descends to segments of one or two rows
+    # repeated t, repeated p, a zero p, one row, one column, columns of no
+    # mass (L = -inf, whose chords read inf - inf); the tile
+    # matters only when pruning to the hull stalls, and a one-candidate
+    # tile descends to segments of one or two rows
     rng = np.random.default_rng(7)
-    cases = []
     for M, T in ((1, 1), (1, 9), (9, 1), (2, 2), (3, 40), (37, 211), (300, 17), (64, 64), (500, 500)):
         p, L, t = rng.standard_normal(M), rng.standard_normal(T), rng.standard_normal(T)
-        cases += [(p, L, t), (1e6 * p, L, 1e-3 * t), (p, np.full(T, 0.7), t), (p, L, np.round(t)),
-                  (np.round(p), L, t), (np.round(p), np.round(L), np.round(t)), (np.zeros(M), L, t)]
+        for case in ((p, L, t), (1e6 * p, L, 1e-3 * t), (p, np.full(T, 0.7), t), (p, L, np.round(t)),
+                     (np.round(p), L, t), (np.round(p), np.round(L), np.round(t)), (np.zeros(M), L, t),
+                     (p, np.where(L > 0.5, -np.inf, L), t)):
+            assert_row_maxima_are_the_whole_tables(*case)
+    # a concave L, whose points are all hull vertices, read at the edges'
+    # rounded slopes and the floats beside them: there the rounded slope
+    # can send the search to the wrong side of the maximizer
+    t = np.sort(rng.standard_normal(300))
+    L = -t * t
+    slopes = (L[:-1] - L[1:]) / np.diff(t)
+    assert_row_maxima_are_the_whole_tables(
+        np.concatenate([slopes, np.nextafter(slopes, np.inf), np.nextafter(slopes, -np.inf)]), L, t)
 
-    def row_maxima(p, L, t, tile):
-        monkeypatch.setattr(integrals, "SUPCONV_TILE", tile)
-        return integrals._row_maxima(p, L, t)
 
-    default = integrals.SUPCONV_TILE
-    for p, L, t in cases:
-        order = np.argsort(t, kind="stable")
-        L, t = L[order], t[order]
-        table = L[None, :] + p[:, None] * t[None, :]
-        whole = table.max(axis=1)
-        for tile in (default, 1):
-            got = row_maxima(p, L, t, tile)
-            assert np.all(got <= whole), (len(p), len(t), tile)
-            assert np.all(whole - got <= 1e-15 * np.abs(table).max()), (len(p), len(t), tile)
-        assert np.array_equal(row_maxima(p, L, t, 10 ** 9), whole), (len(p), len(t))
+def test_row_maxima_finish_a_concave_run_under_a_chord_by_divide_and_conquer():
+    # a concave run under the chord of two outer points loses one point
+    # from each end per pass: the first pass hands the other T - 2 points on
+    T = 10 ** 4
+    t = np.linspace(-1.0, 1.0, T)
+    L = -t * t
+    L[[0, -1]] = 1.0
+    p = np.random.default_rng(3).uniform(-5.0, 5.0, 200)
+    finish = integrals._divide_and_conquer
+    with mock.patch.object(integrals, "_divide_and_conquer", wraps=finish) as dc:
+        assert_row_maxima_are_the_whole_tables(p, L, t)
+    assert dc.call_count == 3 and all(len(call.args[2]) == T - 2 for call in dc.call_args_list)
+
+
+def test_row_maxima_match_the_whole_table_on_a_cloud_of_two_free_coordinates():
+    # three Gaussians in R leave two free coordinates: their tuples make a
+    # 2-D product grid, which L and t take to a cloud of points in the
+    # plane; pruning leaves a few hundred of its 10^4 points to the finish
+    d = holder_datum(1, [0.3, 0.3, 0.4])
+    fs = [GaussianDensity(LINE, [[a]]) for a in (1.0, 2.0, 0.5)]
+    with mock.patch.object(integrals, "_row_maxima", wraps=integrals._row_maxima) as search, \
+            mock.patch.object(integrals, "_divide_and_conquer", wraps=integrals._divide_and_conquer) as dc:
+        supconv_eval(d, fs, GridSpec(0.1, 5.0))
+    (p, L, t), = [call.args for call in search.call_args_list]
+    assert len(p) == 100 and len(t) == 100 ** 2
+    assert dc.call_count == 1 and len(dc.call_args.args[2]) < 1000
+    assert_row_maxima_are_the_whole_tables(p, L, t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_row_maxima_match_the_whole_table_with_ties(data):
+    # quarters and halves of small integers: ties in t, L and p, exact
+    # products and exact chords, so the hull's maxima are the table's; half
+    # the tables are a concave run under a chord, whose pruning stalls when
+    # t takes enough values
+    M, T = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 80))
+    quarters = st.integers(-16, 16).map(lambda v: v / 4.0)
+    halves = st.integers(-6, 6).map(lambda v: v / 2.0)
+    p = np.array(data.draw(st.lists(quarters, min_size=M, max_size=M)))
+    t = np.array(data.draw(st.lists(quarters, min_size=T, max_size=T)))
+    if data.draw(st.booleans()):
+        L = -t * t
+        L[(t == t.min()) | (t == t.max())] = 8.0
+    else:
+        L = np.array(data.draw(st.lists(halves, min_size=T, max_size=T)))
+    assert_row_maxima_are_the_whole_tables(p, L, t, tiles=(integrals.SUPCONV_TILE, 1))
 
 
 RANK_ONE_SHAPES = ["holder2", "holder3", "holder4", "holder5", "grid",
