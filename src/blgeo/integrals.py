@@ -28,14 +28,19 @@ under a chord, a divide and conquer in O(M + T log M) candidates
 finishes.  Otherwise the output cells x free tuples table is taken in
 tiles of SUPCONV_TILE candidates, joined by a running maximum; a grid
 density is read there, and wherever it is evaluated, from one table
-padded with zero mass.  The cells, the tuples and their product are
-capped before any grid array is built.  Reported errors combine a
-cell-variation (inner/outer Riemann) bound with the mass each input
-loses to truncation.
+padded with zero mass.  The set-up reads each block where it is: a
+one-factor Gaussian in another frame of its span enters through R^T A R
+and R^T b, with no density built.  Each density is evaluated once a call
+on its cell centres, for its grid mass and, when its block is wholly
+free, its logs; a Gaussian's mass is computed once, by its constructor.
+The cells, the tuples and their product are capped before any grid
+array is built.  Reported errors combine a cell-variation (inner/outer
+Riemann) bound with the mass each input loses to truncation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,6 +82,10 @@ class Density:
         """log f at Z, -inf where f vanishes."""
         with np.errstate(divide="ignore"):
             return np.log(self.value(Z))
+
+    def value_and_log(self, Z) -> tuple:
+        """(value(Z), log_value(Z)), from one evaluation where the kind allows."""
+        return self.value(Z), self.log_value(Z)
 
     def shift(self, s) -> "Density":
         """Density z -> f(z - s), s in domain frame coordinates."""
@@ -126,21 +135,21 @@ class GaussianDensity(Density):
         self.A = A
         self.b = b
         self.theta = float(theta)
-        try:
-            mass = self.integral()
-        except OverflowError:
-            mass = math.inf
-        if not math.isfinite(mass):
+        self._mass = self.theta
+        if d:
+            logdet = np.linalg.slogdet(A)[1]
+            quad = float(b @ A @ b) / 4.0
+            try:
+                self._mass *= math.exp(quad + 0.5 * d * math.log(math.pi) - 0.5 * logdet)
+            except OverflowError:
+                self._mass = math.inf
+        if not math.isfinite(self._mass):
             raise InputError("gaussian centre b is too far out: the mass "
                              "theta exp(<A b, b> / 4) sqrt(pi^d / det A) overflows a double")
 
     def integral(self) -> float:
-        d = self.domain.dim
-        if d == 0:
-            return self.theta
-        sign, logdet = np.linalg.slogdet(self.A)
-        quad = float(self.b @ self.A @ self.b) / 4.0
-        return self.theta * math.exp(quad + 0.5 * d * math.log(math.pi) - 0.5 * logdet)
+        """theta exp(<A b, b> / 4) sqrt(pi^d / det A), computed once by the constructor."""
+        return self._mass
 
     def value(self, Z) -> np.ndarray:
         return np.exp(self.log_value(Z))
@@ -148,6 +157,10 @@ class GaussianDensity(Density):
     def log_value(self, Z) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         return math.log(self.theta) + ((self.b - Z) @ self.A * Z).sum(axis=1)
+
+    def value_and_log(self, Z) -> tuple:
+        logs = self.log_value(Z)
+        return np.exp(logs), logs
 
     def shift(self, s) -> "GaussianDensity":
         s = np.asarray(s, dtype=float).reshape(self.domain.dim)
@@ -213,6 +226,10 @@ class GridDensity(Density):
 
     def log_value(self, Z) -> np.ndarray:
         return self._tables[1][self._cells(Z)]
+
+    def value_and_log(self, Z) -> tuple:
+        cells = self._cells(Z)
+        return tuple(table[cells] for table in self._tables)
 
     @cached_property
     def _tables(self):
@@ -297,6 +314,15 @@ class FactorizedDensity(Density):
     def log_value(self, Z) -> np.ndarray:
         amb = np.atleast_2d(np.asarray(Z, dtype=float)) @ self.domain.frame
         return sum(g.log_value(amb @ g.domain.basis) for _, g in self.factors)
+
+    def value_and_log(self, Z) -> tuple:
+        amb = np.atleast_2d(np.asarray(Z, dtype=float)) @ self.domain.frame
+        values, logs = np.ones(amb.shape[0]), 0
+        for _, g in self.factors:
+            v, log = g.value_and_log(amb @ g.domain.basis)
+            values *= v
+            logs = logs + log
+        return values, logs
 
     def shift(self, s) -> "FactorizedDensity":
         s = np.asarray(s, dtype=float).reshape(self.domain.dim)
@@ -424,36 +450,41 @@ def _barthe_from_check(d: GeometricBLDatum, check) -> IneqEvaluation:
     return _closed_form(log_pi + 0.5 * check.log_lhs, log_pi + 0.5 * check.log_rhs, "barthe", 0.5 * check.budget)
 
 
-def _cartesian_centers(spec: GridSpec, dim: int, rows=slice(None)) -> np.ndarray:
-    """The cell centres of spec in dim dimensions, the first axis slowest;
-    rows picks a range of the first axis."""
-    axes = [spec.centers()] * dim
-    axes[0] = axes[0][rows]
-    out = np.empty([len(a) for a in axes] + [dim])
-    for j, a in enumerate(axes):
-        out[..., j] = _along(dim, j, a)
-    return out.reshape(-1, dim)
+def _product_points(points) -> np.ndarray:
+    """Every tuple of the product of the point sets in points, the first
+    set slowest, as one row of their coordinates."""
+    axes = [(m, P[:, i]) for m, P in enumerate(points) for i in range(P.shape[1])]
+    out = np.empty([len(P) for P in points] + [len(axes)])
+    for j, (m, coords) in enumerate(axes):
+        out[..., j] = _along(len(points), m, coords)
+    return out.reshape(-1, len(axes))
 
 
-def _center_slabs(spec: GridSpec, dim: int):
-    """_cartesian_centers(spec, dim) in order, in chunks of whole first-axis
-    slabs of at least max(SUPCONV_TILE, count^2) points: a grid on a line or
-    a plane is one chunk, one in R^3 a slab or a few."""
+def _center_slabs(spec: GridSpec, dim: int, whole):
+    """The cell centres of spec in dim dimensions, the first axis slowest,
+    in chunks of whole first-axis slabs of at least max(SUPCONV_TILE,
+    count^2) points: whole(dim) when that is one chunk, as on a line or a
+    plane, and in R^3 a slab or a few."""
     count = spec.count
     step = -(-max(SUPCONV_TILE, count ** 2) // count ** (dim - 1))
+    if step >= count:
+        yield whole(dim)
+        return
+    axis = spec.centers()[:, None]
     for a in range(0, count, step):
-        yield _cartesian_centers(spec, dim, slice(a, a + step))
+        yield _product_points([axis[a:a + step]] + [axis] * (dim - 1))
 
 
 def _pivot_columns(C: np.ndarray) -> np.ndarray:
     """The columns column-pivoted QR picks for a full-row-rank C: each time
     the largest residual norm, ties to the first; returned in order."""
     R, picked = np.array(C, dtype=float), []
-    for _ in range(R.shape[0]):
+    while True:
         j = int(np.argmax((R * R).sum(axis=0)))
-        R -= np.outer(R[:, j], R[:, j] @ R) / (R[:, j] @ R[:, j])
         picked.append(j)
-    return np.sort(picked)
+        if len(picked) == R.shape[0]:  # the last residual would go unread
+            return np.sort(picked)
+        R -= np.outer(R[:, j], R[:, j] @ R) / (R[:, j] @ R[:, j])
 
 
 def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluation:
@@ -516,12 +547,7 @@ def supconv_eval(d: GeometricBLDatum, densities, grid: GridSpec) -> IneqEvaluati
 
     # finite masses can still make a side beyond a double, refused below
     with np.errstate(over="ignore"):
-        # per-entry grids in each density's own frame coordinates, summed flat
-        quads = [_volume_sum(np.concatenate([f.value(P) for P in _center_slabs(grid, f.domain.dim)]),
-                             h ** f.domain.dim) for f in densities]
-        if any(q <= 0.0 for q in quads):
-            raise InputError("a density has zero mass on the declared box")
-        F = _fiber_maximum(grid, densities, weights)
+        quads, F = _fiber_maximum(grid, densities, weights)
         lhs = _volume_sum(F, h ** n)  # F holds F h^n from here on
     rhs = _safe_exp(sum(c * math.log(q) for c, q in zip(weights, quads)))
     for name, side in (("lhs", lhs), ("rhs", rhs)):
@@ -555,30 +581,50 @@ def _volume_sum(cells: np.ndarray, volume: float) -> float:
     return float(cells.sum())
 
 
-def _fiber_maximum(grid: GridSpec, densities, weights) -> np.ndarray:
-    """F at every output cell, flat: the fiber set-up and the route."""
+def _fiber_maximum(grid: GridSpec, densities, weights) -> tuple:
+    """Each density's mass on the grid (its cell sum) and F at every output
+    cell, flat: the fiber set-up, one evaluation of each density on its
+    cell centres, and the route."""
     n = densities[0].domain.ambient_dim
     C = np.hstack([c * g.domain.basis for c, g in zip(weights, densities)])
-    starts = np.cumsum([0] + [g.domain.dim for g in densities])
+    starts = [0, *itertools.accumulate(g.domain.dim for g in densities)]
     solved = _pivot_columns(C)
-    free = np.delete(np.arange(C.shape[1]), solved)
+    is_free = np.ones(C.shape[1], dtype=bool)
+    is_free[solved] = False
+    free = np.flatnonzero(is_free)
     f = free.size
+    owns = [int(np.count_nonzero(is_free[a:b])) for a, b in zip(starts, starts[1:])]  # free per block
 
-    # the free coordinates of each block that has one: its points, and the
-    # sum c_i log f_i over them when the block is wholly free (None otherwise)
-    factors = []
-    for i, g in enumerate(densities):
-        own = free[(free >= starts[i]) & (free < starts[i + 1])]
-        if own.size == g.domain.dim:
-            kept = []
-            for P in _center_slabs(grid, own.size):
-                logs = g.log_value(P)
+    whole = {}  # the cell centres per dimension, built once, read only
+
+    def centres(dim):
+        if dim not in whole:
+            whole[dim] = _product_points([grid.centers()[:, None]] * dim)
+            whole[dim].setflags(write=False)
+        return whole[dim]
+
+    # each density once on its cell centres: its mass on the grid, and the
+    # free coordinates of each block that has one: its points, and the sum
+    # c_i log f_i over them when the block is wholly free (None otherwise)
+    quads, factors = [], []
+    for g, c, own in zip(densities, weights, owns):
+        values, kept = [], []
+        for P in _center_slabs(grid, g.domain.dim, centres):
+            if own == g.domain.dim:
+                v, logs = g.value_and_log(P)
                 keep = np.isfinite(logs)
-                kept.append((P[keep], weights[i] * logs[keep]))
+                kept.append((P[keep], c * logs[keep]))
+            else:
+                v = g.value(P)
+            values.append(v)
+        quads.append(_volume_sum(np.concatenate(values), grid.h ** g.domain.dim))
+        if own == g.domain.dim:
             factors.append(tuple(np.concatenate(part) for part in zip(*kept)))
-        elif own.size:
-            factors.append((_cartesian_centers(grid, own.size), None))
-    axes = [grid.centers()[:, None]] * n
+        elif own:
+            factors.append((centres(own), None))
+    if any(q <= 0.0 for q in quads):
+        raise InputError("a density has zero mass on the declared box")
+    axes = [centres(1)] * n
     points = [P for P, _ in factors]
 
     # the fiber point over x with free part y is K x - N y; a block holding
@@ -590,24 +636,31 @@ def _fiber_maximum(grid: GridSpec, densities, weights) -> np.ndarray:
     N = np.zeros((C.shape[1], f))
     N[solved] = inv @ C[:, free]
     N[free] = -np.eye(f)
-    blocks = [(K[starts[i]:starts[i + 1]], N[starts[i]:starts[i + 1]], c, in_frame(g, g.domain), g)
-              for i, (g, c) in enumerate(zip(densities, weights)) if K[starts[i]:starts[i + 1]].any()]
-    gaussian = [(Kb, Nb, c, g) for Kb, Nb, c, g, _ in blocks if isinstance(g, GaussianDensity)]
-    others = [(c, g, _linear(axes, Kb), _linear(points, Nb))
-              for Kb, Nb, c, framed, g in blocks if not isinstance(framed, GaussianDensity)]
 
     # Gaussian blocks: R(x) = r0 + <r, x> - <Q x, x> per output cell,
     # -<s, y> - <S y, y> per free tuple into L, and the cross term x^T G y
     r0, r, Q = 0.0, np.zeros(n), np.zeros((n, n))
     s, S, G = np.zeros(f), np.zeros((f, f)), np.zeros((n, f))
-    for Kb, Nb, c, g in gaussian:
-        Ab = g.A @ g.b
-        r0 += c * math.log(g.theta)
+    gaussian, others = False, []
+    for g, c, own, a, b in zip(densities, weights, owns, starts, starts[1:]):
+        if own == g.domain.dim:
+            continue
+        Kb, Nb = K[a:b], N[a:b]
+        inner, change = _unwrapped(g, g.domain)
+        if not isinstance(inner, GaussianDensity):
+            framed = inner if change is None else in_frame(g, g.domain)
+            others.append((c, framed, _linear(axes, Kb), _linear(points, Nb)))
+            continue
+        A, mean, theta = ((inner.A, inner.b, inner.theta) if change is None
+                          else _gaussian_in_frame(inner, change))
+        Ab = A @ mean
+        r0 += c * math.log(theta)
         r += c * (Kb.T @ Ab)
-        Q += c * (Kb.T @ g.A @ Kb)
+        Q += c * (Kb.T @ A @ Kb)
         s += c * (Nb.T @ Ab)
-        S += c * (Nb.T @ g.A @ Nb)
-        G += 2.0 * c * (Kb.T @ g.A @ Nb)
+        S += c * (Nb.T @ A @ Nb)
+        G += 2.0 * c * (Kb.T @ A @ Nb)
+        gaussian = True
     R = np.full([grid.count] * n, r0)
     _add_quadratic(R, axes, r, -Q)
     L = np.zeros([len(P) for P in points])
@@ -619,12 +672,16 @@ def _fiber_maximum(grid: GridSpec, densities, weights) -> np.ndarray:
     # x^T G y as min(n, f) products p_j[a] t_j[b]: the coordinates of x
     # against the rows of G, or the columns of G against the coordinates
     # of y; none when no solved block is Gaussian
-    rows, cols = (np.eye(n), G) if n <= f else (G.T, np.eye(f))
-    rank = min(n, f) if gaussian else 0
-    products = list(zip(_linear(axes, rows[:rank]).T, _linear(points, cols[:rank]).T))
+    products = []
+    if gaussian and f:
+        if n <= f:
+            x, y = centres(n), _linear(points, G)
+        else:
+            x, y = _linear(axes, G.T), _product_points(points)
+        products = list(zip(x.T, y.T))
 
     if others or len(products) > 1:
-        return _tile_walk(R, L, products, others)
+        return quads, _tile_walk(R, L, products, others)
     if products:
         (p, t), = products
         order = np.argsort(t, kind="stable")
@@ -633,7 +690,7 @@ def _fiber_maximum(grid: GridSpec, densities, weights) -> np.ndarray:
         R += _row_maxima(p, L, t)
     else:
         R += L.max()
-    return np.exp(R, out=R)
+    return quads, np.exp(R, out=R)
 
 
 def _along(ndim: int, axis: int, vec: np.ndarray) -> np.ndarray:
@@ -660,11 +717,15 @@ def _add_quadratic(out: np.ndarray, points, lin, quad) -> None:
 
 def _linear(points, rows) -> np.ndarray:
     """<row, z> for each row of rows at every z of the product of the point
-    sets in points, summed as _add_quadratic sums it: one column per row."""
+    sets in points, summed as _add_quadratic sums its linear part: one
+    column per row."""
     shape = [len(P) for P in points]
     out = np.zeros(shape + [len(rows)])
     for j, row in enumerate(rows):
-        _add_quadratic(out[..., j], points, row, np.zeros((len(row), len(row))))
+        column, k = out[..., j], 0
+        for m, P in enumerate(points):
+            column += sum(row[k + i] * _along(len(points), m, P[:, i]) for i in range(P.shape[1]))
+            k += P.shape[1]
     return out.reshape(math.prod(shape), len(rows))
 
 
@@ -693,7 +754,7 @@ def _row_maxima(p: np.ndarray, L: np.ndarray, t: np.ndarray) -> np.ndarray:
         L, t = np.maximum.reduceat(L, starts), t[starts]
     with np.errstate(invalid="ignore"):  # inf - inf
         while t.size > 2:
-            dt, dL = np.diff(t), np.diff(L)
+            dt, dL = t[1:] - t[:-1], L[1:] - L[:-1]
             cross = dL[:-1] * dt[1:]
             cross -= dL[1:] * dt[:-1]
             keep = np.ones(t.size, dtype=bool)
@@ -704,7 +765,7 @@ def _row_maxima(p: np.ndarray, L: np.ndarray, t: np.ndarray) -> np.ndarray:
             L, t = L[keep], t[keep]
             if 8 * dropped < keep.size:
                 return _divide_and_conquer(p, L, t)
-        at = np.searchsorted((L[:-1] - L[1:]) / np.diff(t), p)
+        at = np.searchsorted((L[:-1] - L[1:]) / (t[1:] - t[:-1]), p)
         best = t[at] * p + L[at]
         for side in (np.maximum(at - 1, 0), np.minimum(at + 1, t.size - 1)):
             np.maximum(best, t[side] * p + L[side], out=best)
@@ -998,20 +1059,40 @@ def materialize(density: Density, h: float, radius: float) -> GridDensity:
 def in_frame(density: Density, domain: Subspace) -> Density:
     """density written in the frame of domain, a frame of the same span,
     looking through a one-factor factorized wrapper.  A Gaussian carries
-    over exactly (R^T A R, R^T b for the change of frame R), and so does
-    a 1-D grid (reversed on the negated line); a grid in a rotated frame
-    comes back as it is."""
-    inner = density
-    if isinstance(density, FactorizedDensity) and len(density.factors) == 1:
-        inner = density.factors[0][1]
-    R = inner.domain.frame @ domain.basis  # the point z of domain is R z in inner's frame
-    if np.abs(R - np.eye(domain.dim)).max() < 1e-12:
+    over as R^T A R, R^T b for the change of frame R: exactly when R is a
+    signed permutation, otherwise to rounding.  A 1-D grid carries over
+    exactly (reversed on the negated line); a grid in a rotated frame comes
+    back as it is."""
+    inner, R = _unwrapped(density, domain)
+    if R is None:
         return inner
     if isinstance(inner, GaussianDensity):
-        return GaussianDensity(domain, R.T @ inner.A @ R, R.T @ inner.b, inner.theta)
+        return GaussianDensity(domain, *_gaussian_in_frame(inner, R))
     if isinstance(inner, GridDensity) and domain.dim == 1:
         return GridDensity(domain, -inner.hi, inner.h, inner.values[::-1])
     return density
+
+
+def _unwrapped(density: Density, domain: Subspace) -> tuple:
+    """The density under a one-factor factorized wrapper (or density
+    itself), and the change of frame R from domain to its frame: the
+    point z of domain is R z in its frame.  R is None when the frames
+    agree to 1e-12, as a frame always agrees with itself."""
+    inner = density
+    if isinstance(density, FactorizedDensity) and len(density.factors) == 1:
+        inner = density.factors[0][1]
+    if inner.domain is domain:
+        return inner, None
+    R = inner.domain.frame @ domain.basis
+    return inner, (None if np.abs(R - np.eye(domain.dim)).max() < 1e-12 else R)
+
+
+def _gaussian_in_frame(g: GaussianDensity, R: np.ndarray) -> tuple:
+    """(A, b, theta) of the Gaussian g read through the change of frame R:
+    R^T A R symmetrized as the GaussianDensity constructor does, R^T b and
+    theta, with no density built."""
+    M = R.T @ g.A @ R
+    return 0.5 * M + 0.5 * M.T, R.T @ g.b, g.theta
 
 
 def _direct_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:

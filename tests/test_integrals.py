@@ -68,6 +68,20 @@ def test_gaussian_integral_closed_form(rng):
     assert g.integral() == pytest.approx(quad, rel=1e-6)
 
 
+def test_gaussian_integral_is_the_constructor_mass(rng):
+    # integral() returns the mass the constructor computes and checks: the
+    # slogdet formula bit for bit, also on the densities shift and scaled make
+    for d in (1, 2, 3):
+        for _ in range(10):
+            M = rng.standard_normal((d, d))
+            g = GaussianDensity(full_subspace(d), M @ M.T + 0.1 * np.eye(d), rng.standard_normal(d),
+                                rng.uniform(0.1, 3.0))
+            for f in (g, g.shift(rng.standard_normal(d)), g.scaled(rng.uniform(0.1, 3.0))):
+                logdet = np.linalg.slogdet(f.A)[1]
+                quad = float(f.b @ f.A @ f.b) / 4.0
+                assert f.integral() == f.theta * math.exp(quad + 0.5 * d * math.log(math.pi) - 0.5 * logdet)
+
+
 def test_gaussian_shift_moves_mass_correctly():
     g = GaussianDensity(LINE, [[np.pi]])
     gs = g.shift([0.7])
@@ -570,6 +584,67 @@ def test_tile_cases_keep_the_tile_walk_tested(monkeypatch):
     for d, fs, grid in tile_cases():
         supconv_eval(d, fs, grid)
     assert len(walked) == 6
+
+
+def spy_on_densities(monkeypatch) -> tuple:
+    """Lists that fill as densities are built and evaluated: the class of
+    each density built, and (density, points) for each evaluation that is
+    not inside another evaluation of the same density."""
+    built, calls, active = [], [], set()
+
+    def spied(method):
+        def spy(self, Z):
+            outer = id(self) not in active
+            if outer:
+                calls.append((self, len(Z)))
+                active.add(id(self))
+            try:
+                return method(self, Z)
+            finally:
+                if outer:
+                    active.discard(id(self))
+        return spy
+
+    for cls in (GaussianDensity, GridDensity, FactorizedDensity):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=init, **kw:
+                            built.append(type(self)) or _init(self, *args, **kw))
+        for name in ("value", "log_value", "value_and_log"):
+            monkeypatch.setattr(cls, name, spied(getattr(cls, name)))
+    return built, calls
+
+
+def test_supconv_reads_frames_in_place_and_evaluates_each_density_once(monkeypatch):
+    # the one-factor Gaussians build_extremizer makes on three lines, the
+    # second, which holds a solved coordinate, in its negated line's frame,
+    # and a Hölder pair of grid indicators, whose solved block walks one
+    # tile: a call builds no density, evaluates each density once on its
+    # cell centres (the walked one once more, on its fiber points), and
+    # gives, bit for bit, the result of the set-up that read each block
+    # through a density rebuilt by in_frame
+    lines = GeometricBLDatum(2, tuple((Subspace(2, [[math.cos(a), math.sin(a)]]), 2.0 / 3.0)
+                                      for a in (0.0, 2 * math.pi / 3, math.pi / 3)))
+    validate_datum(lines)
+    extremizers = build_extremizer(lines, independent_subspaces(lines), ExtremizerParams(
+        A=1.3 * np.eye(2), b=[2.0 * E.frame[0] for E, _ in lines.entries], theta=(1.5, 0.5, 2.0)))
+    frames = [f.factors[0][0].frame @ f.domain.basis for f in extremizers]
+    assert np.abs(frames[1] + 1.0).max() < 1e-12, frames
+    indicators = [indicator_density([(-1.0, 0.5)], 0.1, 3.0), indicator_density([(0.0, 1.2)], 0.1, 3.0)]
+    for d, fs, grid, walked in ((lines, extremizers, GridSpec(0.25, 4.0), 0),
+                                (holder_datum(1, [0.4, 0.6]), indicators, GridSpec(0.1, 3.0), 1)):
+        rebuilt = {id(f): integrals.in_frame(f, f.domain) for f in fs}
+        with monkeypatch.context() as m:
+            m.setattr(integrals, "_unwrapped", lambda g, domain: (rebuilt[id(g)], None))
+            reference = supconv_eval(d, fs, grid)
+        with monkeypatch.context() as m:
+            built, calls = spy_on_densities(m)
+            ev = supconv_eval(d, fs, grid)
+        assert repr(ev) == repr(reference)
+        assert built == []
+        on_centres = [id(f) for f, points in calls if points == grid.count]
+        inners = [g for f in fs if isinstance(f, FactorizedDensity) for _, g in f.factors]
+        assert sorted(on_centres) == sorted(id(f) for f in fs + inners)
+        assert len(calls) == len(on_centres) + walked
 
 
 class PerCandidate(Density):
